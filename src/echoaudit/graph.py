@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -42,6 +42,7 @@ class RetweetGraph:
     out_weights: np.ndarray                  # int64
     unique_in_degree: np.ndarray             # int64 per node
     counts_self_loops: bool
+    index: dict[str, int] = field(compare=False, repr=False)  # id -> position
 
     @property
     def n_nodes(self) -> int:
@@ -52,17 +53,10 @@ class RetweetGraph:
         return int(self.in_sources.shape[0])
 
     def index_of(self, user_id: str) -> int:
-        i = int(np.searchsorted(self.node_ids, user_id))
-        if i >= len(self.node_ids) or self.node_ids[i] != user_id:
-            raise KeyError(user_id)
-        return i
+        return self.index[user_id]
 
     def __contains__(self, user_id: str) -> bool:
-        try:
-            self.index_of(user_id)
-            return True
-        except KeyError:
-            return False
+        return user_id in self.index
 
     def in_edges(self, node_index: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.in_indptr[node_index], self.in_indptr[node_index + 1]
@@ -175,13 +169,19 @@ def _assemble(
         out_weights=out_weights,
         unique_in_degree=uid_counts,
         counts_self_loops=count_self_loops,
+        index=index,
     )
 
 
 def rank_by_in_degree(g: RetweetGraph) -> list[tuple[str, int]]:
-    """All nodes, descending by unique in-degree, ties broken by user id."""
-    order = sorted(range(g.n_nodes), key=lambda i: (-int(g.unique_in_degree[i]), g.node_ids[i]))
-    return [(g.node_ids[i], int(g.unique_in_degree[i])) for i in order]
+    """All nodes, descending by unique in-degree, ties broken by user id.
+
+    Node indices follow sorted user id, so a stable sort on degree alone
+    breaks ties by id.
+    """
+    order = np.argsort(-g.unique_in_degree, kind="stable")
+    return [(g.node_ids[i], int(d))
+            for i, d in zip(order.tolist(), g.unique_in_degree[order].tolist())]
 
 
 def select_influencers(
@@ -249,11 +249,23 @@ def read_edge_list(path: str | Path, count_self_loops: bool = False) -> RetweetG
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "src,dst,weight":
-            raise InputError(f"unexpected edge-list header: {header!r}")
-        for line in fh:
+            raise InputError(f"{path}:1: unexpected edge-list header: {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            src, dst, w = line.split(",")
-            weights[(src, dst)] = weights.get((src, dst), 0) + int(w)
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise InputError(
+                    f"{path}:{lineno}: expected 3 fields (src,dst,weight), "
+                    f"got {len(fields)}"
+                )
+            src, dst, w = fields
+            try:
+                wt = int(w)
+            except ValueError:
+                raise InputError(
+                    f"{path}:{lineno}: weight {w!r} is not an integer"
+                ) from None
+            weights[(src, dst)] = weights.get((src, dst), 0) + wt
     return _assemble(weights, count_self_loops)

@@ -434,18 +434,33 @@ def write_scores(scores: IdeologyScores, path: str | Path) -> None:
 
 def read_scores(path: str | Path) -> tuple[dict[str, float], dict[str, float]]:
     """Read a score CSV back into (user_scores, influencer_scores)."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"scores file not found: {path}")
     users: dict[str, float] = {}
     influencers: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "id,kind,score,raw_score":
-            raise InputError(f"unexpected scores header: {header!r}")
-        for line in fh:
-            ident, kind, score, _raw = line.rstrip("\n").split(",")
+            raise InputError(f"{path}:1: unexpected scores header: {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != 4:
+                raise InputError(
+                    f"{path}:{lineno}: expected 4 fields (id,kind,score,raw_score), "
+                    f"got {len(fields)}"
+                )
+            ident, kind, score, _raw = fields
             if kind == "user":
-                users[ident] = float(score)
+                target = users
             elif kind == "influencer":
-                influencers[ident] = float(score)
+                target = influencers
             else:
-                raise InputError(f"unknown score kind {kind!r}")
+                raise InputError(f"{path}:{lineno}: unknown score kind {kind!r}")
+            try:
+                target[ident] = float(score)
+            except ValueError:
+                raise InputError(
+                    f"{path}:{lineno}: score {score!r} is not a number"
+                ) from None
     return users, influencers

@@ -118,12 +118,6 @@ def _edges(lo: float, hi: float, bins: int) -> np.ndarray:
     return np.linspace(lo, hi, bins + 1)
 
 
-def _bin_index(edges: np.ndarray, value: float) -> int:
-    """Index of the bin containing value; the top edge closes the last bin."""
-    idx = int(np.searchsorted(edges, value, side="right")) - 1
-    return min(max(idx, 0), len(edges) - 2)
-
-
 def neighbor_opinion_grid(
     scores: IdeologyScores,
     g: RetweetGraph,
@@ -138,6 +132,10 @@ def neighbor_opinion_grid(
     retweeted — the endorsement direction), switchable to in-neighbors.
     Binned on [-1, 1]^2.  The share of mass in the two sign-agreeing
     quadrants lands in ``meta["diagonal_mass_share"]``.
+
+    The per-user sums run over the adjacency arrays with ``np.bincount``,
+    which adds each user's edges in adjacency order, so the means are
+    bit-identical to a per-user loop over ``g.out_edges``/``g.in_edges``.
     """
     if stats is None:
         stats = Counter()
@@ -146,36 +144,54 @@ def neighbor_opinion_grid(
 
     x_edges = _edges(-1.0, 1.0, bins)
     y_edges = _edges(-1.0, 1.0, bins)
-    counts = np.zeros((bins, bins), dtype=np.int64)
 
-    influencer_ids = set(scores.influencer_scores)
-    for uid, own in scores.user_scores.items():
-        if uid in influencer_ids:
-            stats["influencers_excluded"] += 1
-            continue
-        try:
-            node = g.index_of(uid)
-        except KeyError:
-            stats["scored_user_not_in_graph"] += 1
-            continue
-        if use_in_neighbors:
-            neigh, weights = g.in_edges(node)
-        else:
-            neigh, weights = g.out_edges(node)
-        total_w = 0.0
-        acc = 0.0
-        for nb, w in zip(neigh.tolist(), weights.tolist()):
-            ns = neighbor_score.get(g.node_ids[nb])
-            if ns is None:
-                continue
-            acc += w * ns
-            total_w += w
-        if total_w == 0.0:
-            stats["users_without_scored_neighbors"] += 1
-            continue
-        mean_neighbor = acc / total_w
-        counts[_bin_index(x_edges, own), _bin_index(y_edges, mean_neighbor)] += 1
-        stats["users_binned"] += 1
+    # Score per node plus a mask, so a NaN score still counts as scored.
+    score = np.zeros(g.n_nodes, dtype=np.float64)
+    has_score = np.zeros(g.n_nodes, dtype=bool)
+    for uid, s in neighbor_score.items():
+        node = g.index.get(uid)
+        if node is not None:
+            score[node] = s
+            has_score[node] = True
+
+    if use_in_neighbors:
+        indptr, neigh, weights = g.in_indptr, g.in_sources, g.in_weights
+    else:
+        indptr, neigh, weights = g.out_indptr, g.out_targets, g.out_weights
+    owner = np.repeat(np.arange(g.n_nodes), np.diff(indptr))
+    keep = has_score[neigh]
+    owner, neigh, weights = owner[keep], neigh[keep], weights[keep]
+    with np.errstate(invalid="ignore"):
+        acc = np.bincount(owner, weights=weights * score[neigh], minlength=g.n_nodes)
+    total_w = np.bincount(owner, weights=weights, minlength=g.n_nodes)
+
+    influencer_ids = scores.influencer_scores.keys()
+    users = [uid for uid in scores.user_scores if uid not in influencer_ids]
+    nodes = np.fromiter((g.index.get(uid, -1) for uid in users),
+                        dtype=np.int64, count=len(users))
+    own = np.fromiter((scores.user_scores[uid] for uid in users),
+                      dtype=np.float64, count=len(users))
+    in_graph = nodes >= 0
+    nodes, own = nodes[in_graph], own[in_graph]
+    binned = total_w[nodes] != 0.0
+    nodes, own = nodes[binned], own[binned]
+    with np.errstate(invalid="ignore"):
+        mean_neighbor = acc[nodes] / total_w[nodes]
+
+    # The top edge closes the last bin; values outside [-1, 1] clip to the ends.
+    xi = np.clip(np.searchsorted(x_edges, own, side="right") - 1, 0, bins - 1)
+    yi = np.clip(np.searchsorted(y_edges, mean_neighbor, side="right") - 1, 0, bins - 1)
+    counts = np.bincount(xi * bins + yi, minlength=bins * bins)
+    counts = counts.reshape(bins, bins).astype(np.int64, copy=False)
+
+    for key, n in (
+        ("influencers_excluded", len(scores.user_scores) - len(users)),
+        ("scored_user_not_in_graph", int(np.count_nonzero(~in_graph))),
+        ("users_without_scored_neighbors", int(np.count_nonzero(~binned))),
+        ("users_binned", int(nodes.size)),
+    ):
+        if n:
+            stats[key] += n
 
     centers_x = (x_edges[:-1] + x_edges[1:]) / 2.0
     centers_y = (y_edges[:-1] + y_edges[1:]) / 2.0

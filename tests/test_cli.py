@@ -1,11 +1,14 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from echoaudit import cli
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ROOT
 
 
 def run(argv):
@@ -189,6 +192,92 @@ class TestErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit):
             run([])
+
+
+def run_process(argv):
+    """The CLI in a fresh interpreter, so exit status and stderr are real."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "echoaudit.cli", *(str(a) for a in argv)],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def _truncate_graph(text):
+    # Cut the first data row after its second field: "src,d" is two fields.
+    header, first = text.split("\n")[:2]
+    return f"{header}\n{first[:first.index(',') + 2]}"
+
+
+def _garble_weight(text):
+    lines = text.split("\n")
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",1.5"
+    return "\n".join(lines)
+
+
+def _garble_score(text):
+    lines = text.split("\n")
+    ident, kind, _score, raw = lines[3].split(",")
+    lines[3] = f"{ident},{kind},0.1x,{raw}"
+    return "\n".join(lines)
+
+
+def _drop_score_field(text):
+    lines = text.split("\n")
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    return "\n".join(lines)
+
+
+class TestCorruptIntermediates:
+    """Damaged or missing stage outputs end in exit 2 and a one-line error."""
+
+    def stage_argv(self, stage, root, graph, scores):
+        if stage == "ideology":
+            return ["ideology", "--graph", graph,
+                    "--influencers", root / "influencers.txt",
+                    "--scores-out", graph.parent / "out_scores.csv"]
+        if stage == "engagement":
+            return ["engagement", "--input", root / "filtered.jsonl",
+                    "--scores", scores, "--group-by", "ideology",
+                    "--out-dir", graph.parent / "engagement"]
+        return ["report", "--input", root / "filtered.jsonl",
+                "--graph", graph, "--scores", scores,
+                "--out-dir", graph.parent / "report"]
+
+    @pytest.mark.parametrize("stage,damaged,corrupt,line", [
+        ("ideology", "graph.csv", _truncate_graph, 2),
+        ("ideology", "graph.csv", _garble_weight, 4),
+        ("report", "graph.csv", _truncate_graph, 2),
+        ("report", "scores.csv", _garble_score, 4),
+        ("report", "scores.csv", _drop_score_field, 4),
+        ("engagement", "scores.csv", _garble_score, 4),
+    ])
+    def test_damaged_file_names_file_and_line(self, mini_stage_dirs, tmp_path,
+                                              stage, damaged, corrupt, line):
+        for name in ("graph.csv", "scores.csv"):
+            text = (mini_stage_dirs / name).read_text(encoding="utf-8")
+            if name == damaged:
+                text = corrupt(text)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        proc = run_process(self.stage_argv(stage, mini_stage_dirs,
+                                           tmp_path / "graph.csv",
+                                           tmp_path / "scores.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {tmp_path / damaged}:{line}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("stage", ["report", "engagement"])
+    def test_missing_scores(self, mini_stage_dirs, tmp_path, stage):
+        graph = tmp_path / "graph.csv"
+        graph.write_bytes((mini_stage_dirs / "graph.csv").read_bytes())
+        proc = run_process(self.stage_argv(stage, mini_stage_dirs, graph,
+                                           tmp_path / "missing.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "missing.csv" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestPipeline:

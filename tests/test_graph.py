@@ -107,6 +107,14 @@ class TestRanking:
         degrees = [d for _, d in ranking]
         assert degrees == sorted(degrees, reverse=True)
 
+    def test_matches_sort_by_degree_then_id(self, mini_graph):
+        g = mini_graph
+        expected = sorted(
+            ((uid, int(g.unique_in_degree[i])) for i, uid in enumerate(g.node_ids)),
+            key=lambda t: (-t[1], t[0]),
+        )
+        assert gr.rank_by_in_degree(g) == expected
+
     def test_mini_top_is_a_planted_hub(self, mini_graph, mini_truth):
         top_id, top_deg = gr.rank_by_in_degree(mini_graph)[0]
         assert top_id in mini_truth.planted_hubs
@@ -164,6 +172,25 @@ class TestEdgeListIO:
         path.write_text("a,b,c\n", encoding="utf-8")
         with pytest.raises(InputError):
             gr.read_edge_list(path)
+
+    @pytest.mark.parametrize("row,reason", [
+        ("a,b", "expected 3 fields"),
+        ("a,b,c,1", "expected 3 fields"),
+        ("a,b,x", "is not an integer"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"src,dst,weight\nu,v,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=reason) as exc:
+            gr.read_edge_list(path)
+        assert str(exc.value).startswith(f"{path}:3:")
+
+    def test_index_lookup(self):
+        g = simple_graph()
+        assert [g.index_of(uid) for uid in g.node_ids] == list(range(g.n_nodes))
+        assert "B" in g and "Z" not in g
+        with pytest.raises(KeyError):
+            g.index_of("Z")
 
     def test_missing_seed_file(self, tmp_path):
         with pytest.raises(InputError):

@@ -335,6 +335,23 @@ class TestScoreIO:
         with pytest.raises(InputError):
             ideo.read_scores(path)
 
+    @pytest.mark.parametrize("row,reason", [
+        ("u2,user,0.5", "expected 4 fields"),
+        ("u2,user,zero,0.0", "is not a number"),
+        ("u2,robot,0.5,0.5", "unknown score kind"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"id,kind,score,raw_score\nu1,user,0.1,0.1\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(InputError, match=reason) as exc:
+            ideo.read_scores(path)
+        assert str(exc.value).startswith(f"{path}:3:")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputError, match="not found"):
+            ideo.read_scores(tmp_path / "none.csv")
+
 
 class TestOracleEquivalence:
     def test_random_instances_match_jacobi_oracle(self):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
@@ -11,6 +13,7 @@ from echoaudit import report as rep
 from echoaudit.dip import dip_statistic
 
 from _dip_lp_oracle import lp_dip
+from _grid_oracle import loop_neighbor_opinion_grid
 from conftest import make_record, retweet
 
 
@@ -149,6 +152,28 @@ class TestNeighborOpinionGrid:
         grid = rep.neighbor_opinion_grid(mini_scores, mini_graph)
         assert grid.meta["diagonal_mass_share"] >= 0.90
 
+    def test_mini_matches_per_user_loop_oracle(self, mini_scores, mini_graph):
+        for use_in in (False, True):
+            got_stats, want_stats = Counter(), Counter()
+            got = rep.neighbor_opinion_grid(mini_scores, mini_graph,
+                                            use_in_neighbors=use_in, stats=got_stats)
+            want = loop_neighbor_opinion_grid(mini_scores, mini_graph,
+                                              use_in_neighbors=use_in,
+                                              stats=want_stats)
+            np.testing.assert_array_equal(got.counts, want.counts)
+            assert json.dumps(got.meta) == json.dumps(want.meta)
+            assert dict(got_stats) == dict(want_stats)
+
+    @pytest.mark.parametrize("use_in", [False, True])
+    def test_sums_in_adjacency_order(self, use_in):
+        # In adjacency order (a, b, c) the sum is (1 - 1) - 1e-17 < 0; any
+        # other order rounds to 0.0 and lands the point in the upper bin.
+        pairs = [("u", n) if not use_in else (n, "u") for n in "abc"]
+        g = gr.build_graph([retweet(s, d) for s, d in pairs])
+        scores = scores_obj({"u": 0.5}, {"a": 1.0, "b": -1.0, "c": -1e-17})
+        grid = rep.neighbor_opinion_grid(scores, g, bins=2, use_in_neighbors=use_in)
+        assert grid.counts.tolist() == [[0, 0], [1, 0]]
+
     def test_in_neighbor_direction_flag(self, mini_scores, mini_graph):
         out_grid = rep.neighbor_opinion_grid(mini_scores, mini_graph)
         in_grid = rep.neighbor_opinion_grid(
@@ -156,6 +181,52 @@ class TestNeighborOpinionGrid:
         )
         assert out_grid.meta["neighbor_direction"] == "out"
         assert in_grid.meta["neighbor_direction"] == "in"
+
+
+# Scores include NaN and values outside [-1, 1] so clipping and the
+# "NaN still counts as scored" rule are exercised, and values whose sums
+# cancel so that a different summation order moves points across zero.
+_grid_scores = st.one_of(st.floats(-1.5, 1.5), st.just(math.nan),
+                         st.sampled_from([1.0, -1.0, 1e-17, -1e-17]))
+
+
+@st.composite
+def grid_cases(draw):
+    """A graph with arbitrary (zero included) weights plus overlapping scores.
+
+    Scored ids are drawn from the graph's nodes and from ids absent from it;
+    user and influencer score maps may share ids, and nodes may go unscored.
+    """
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 8)))]
+    weights = draw(st.dictionaries(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+        st.integers(0, 10**6), max_size=30,
+    ))
+    g = gr._assemble(weights, count_self_loops=False)
+    ids = st.sampled_from(nodes + ["ghost_a", "ghost_b"])
+    users = draw(st.dictionaries(ids, _grid_scores, max_size=10))
+    influencers = draw(st.dictionaries(ids, _grid_scores, max_size=4))
+    return g, scores_obj(users, influencers)
+
+
+@given(case=grid_cases(), bins=st.integers(1, 12), use_in=st.booleans(),
+       prior=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_neighbor_grid_matches_per_user_loop_oracle(case, bins, use_in, prior):
+    g, scores = case
+    got_stats = Counter({"from_caller": 2}) if prior else Counter()
+    want_stats = Counter(got_stats)
+    got = rep.neighbor_opinion_grid(scores, g, bins=bins,
+                                    use_in_neighbors=use_in, stats=got_stats)
+    want = loop_neighbor_opinion_grid(scores, g, bins=bins,
+                                      use_in_neighbors=use_in, stats=want_stats)
+    assert got.counts.dtype == want.counts.dtype
+    np.testing.assert_array_equal(got.counts, want.counts)
+    np.testing.assert_array_equal(got.x_edges, want.x_edges)
+    # The JSON sidecar form: NaN shares compare equal and "skipped" keys count.
+    assert json.dumps(got.meta, sort_keys=True) == json.dumps(want.meta, sort_keys=True)
+    # Counter equality ignores zero entries; the created keys must match too.
+    assert dict(got_stats) == dict(want_stats)
 
 
 class TestIdeologyHistograms:
