@@ -8,7 +8,7 @@ ideology    correspondence-analysis latent ideology over the user-influencer mat
 mediabias   domain leaning/reliability table, per-user leaning from shared URLs
 engagement  active-engagement ratios (actions per impression) and correlations
 report      plot-ready histograms, density grids and echo-chamber diagnostics
-synth       deterministic synthetic corpora with ground truth, plus dense oracles
+synth       deterministic synthetic corpora with ground truth
 """
 
 from .errors import (

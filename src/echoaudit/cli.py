@@ -109,12 +109,12 @@ def _add_graph(sub) -> None:
 
 
 def cmd_graph(args) -> None:
+    seeds = gr.read_seeds(args.seeds)
     skipped: Counter = Counter()
     records = ing.network_subset(ing.parse_corpus(args.input))
     g = gr.build_graph(records, skipped=skipped,
                        count_self_loops=args.count_self_loops)
     gr.write_edge_list(g, args.graph_out)
-    seeds = gr.read_seeds(args.seeds)
     influencers = gr.select_influencers(
         g, seeds, threshold=args.min_indegree, seed_source=str(args.seeds)
     )
@@ -200,13 +200,18 @@ def _load_originals(path: Path) -> list[ing.TweetRecord]:
 
 
 def cmd_engagement(args) -> None:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    originals = _load_originals(args.input)
-    table = mb.load_domain_table(args.domains) if args.domains else {}
-    stats: Counter = Counter()
-
     wanted = (["tweet", "user", "domain"] if args.granularity == "all"
               else [args.granularity])
+    # Read every input before creating the output directory, so a bad input
+    # leaves nothing behind.
+    originals = _load_originals(args.input)
+    table = mb.load_domain_table(args.domains) if args.domains else {}
+    user_scores = None
+    if "ideology" in (args.group_by or []) and args.scores and "user" in wanted:
+        user_scores, _ = ideo.read_scores(args.scores)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    stats: Counter = Counter()
+
     results: dict[str, list[eng.EngagementRecord]] = {}
     for granularity in wanted:
         if granularity == "tweet":
@@ -249,10 +254,9 @@ def cmd_engagement(args) -> None:
 
     for group_by in args.group_by or []:
         if group_by == "ideology":
-            if not args.scores or "user" not in results:
+            if user_scores is None:
                 log.warning("--group-by ideology needs --scores and user granularity")
                 continue
-            user_scores, _ = ideo.read_scores(args.scores)
             groups = {
                 uid: ("negative" if score < 0 else "positive")
                 for uid, score in user_scores.items()
@@ -301,9 +305,13 @@ def _scores_from_csv(path: Path) -> ideo.IdeologyScores:
 
 
 def cmd_report(args) -> None:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    # Read every input before creating the output directory, so a bad input
+    # leaves nothing behind.
     scores = _scores_from_csv(args.scores)
     g = gr.read_edge_list(args.graph)
+    originals = _load_originals(args.input)
+    table = mb.load_domain_table(args.domains) if args.domains else None
+    args.out_dir.mkdir(parents=True, exist_ok=True)
 
     hist = rep.ideology_histograms(scores, bins=args.hist_bins, g=g,
                                    top_k=args.top_k)
@@ -314,14 +322,12 @@ def cmd_report(args) -> None:
     rep.write_grid(grid, args.out_dir / "neighbor_grid.csv",
                    args.out_dir / "neighbor_grid.json")
 
-    originals = _load_originals(args.input)
     densities = rep.ae_followers_density(originals, bins=args.bins)
     for action, density in sorted(densities.items()):
         rep.write_grid(density, args.out_dir / f"ae_density_{action}.csv",
                        args.out_dir / f"ae_density_{action}.json")
 
-    if args.domains:
-        table = mb.load_domain_table(args.domains)
+    if table is not None:
         by_author: dict[str, list[ing.TweetRecord]] = defaultdict(list)
         for rec in originals:
             by_author[rec.author_id].append(rec)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySelectionError, InputError
-from .ingest import TweetRecord
+from .ingest import TweetRecord, open_maybe_gzip
 
 log = logging.getLogger(__name__)
 
@@ -225,7 +225,7 @@ def read_seeds(path: str | Path) -> list[str]:
     if not path.is_file():
         raise InputError(f"seed file not found: {path}")
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_maybe_gzip(path) as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):
@@ -246,7 +246,7 @@ def read_edge_list(path: str | Path, count_self_loops: bool = False) -> RetweetG
     if not path.is_file():
         raise InputError(f"edge list not found: {path}")
     weights: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_maybe_gzip(path) as fh:
         header = fh.readline().strip()
         if header != "src,dst,weight":
             raise InputError(f"{path}:1: unexpected edge-list header: {header!r}")

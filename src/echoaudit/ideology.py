@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import ConvergenceError, DegenerateMatrixError, InputError
 from .graph import InfluencerSet, RetweetGraph
+from .ingest import open_maybe_gzip
 
 log = logging.getLogger(__name__)
 
@@ -58,16 +58,6 @@ class InteractionMatrix:
     def nnz(self) -> int:
         return int(self.data.shape[0])
 
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(len(self.row_ids))
-        np.add.at(out, np.repeat(np.arange(len(self.row_ids)), np.diff(self.indptr)), self.data)
-        return out
-
-    def col_sums(self) -> np.ndarray:
-        out = np.zeros(len(self.col_ids))
-        np.add.at(out, self.indices, self.data)
-        return out
-
     def total(self) -> float:
         return float(self.data.sum())
 
@@ -76,11 +66,6 @@ class InteractionMatrix:
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         dense[rows, self.indices] = self.data
         return dense
-
-    def column_rows(self, col: int) -> np.ndarray:
-        """Row indices with a nonzero entry in the given column."""
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return rows[self.indices == col]
 
     @classmethod
     def from_dense(
@@ -185,25 +170,26 @@ class NormalizedMatrix:
 
     Rows are canonicalized (sorted by row id) at construction so that any
     physical row permutation of the input yields bit-identical arithmetic.
+    Both products sum over the stored entries in that row-major order, so
+    results do not depend on threading or BLAS configuration.
     """
 
-    def __init__(self, m: InteractionMatrix, backend: Optional[str] = None):
+    def __init__(self, m: InteractionMatrix):
         order = np.argsort(np.asarray(m.row_ids, dtype=object), kind="stable")
         self.row_ids: tuple[str, ...] = tuple(m.row_ids[i] for i in order.tolist())
         self.col_ids: tuple[str, ...] = m.col_ids
 
         n_rows, n_cols = m.shape
-        counts = np.empty(m.nnz, dtype=np.float64)
-        indices = np.empty(m.nnz, dtype=np.int64)
+        old_indptr = np.asarray(m.indptr, dtype=np.int64)
+        lengths = np.diff(old_indptr)[order]
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        pos = 0
-        for new_i, old_i in enumerate(order.tolist()):
-            lo, hi = m.indptr[old_i], m.indptr[old_i + 1]
-            span = int(hi - lo)
-            counts[pos:pos + span] = m.data[lo:hi]
-            indices[pos:pos + span] = m.indices[lo:hi]
-            pos += span
-            indptr[new_i + 1] = pos
+        np.cumsum(lengths, out=indptr[1:])
+        # Row of each stored entry, in canonical order; the products reuse it.
+        rows = np.repeat(np.arange(n_rows), lengths)
+        # Entry k of canonical row i is entry k of input row order[i].
+        source = np.arange(indptr[-1]) - indptr[rows] + old_indptr[order][rows]
+        counts = np.asarray(m.data, dtype=np.float64)[source]
+        indices = np.asarray(m.indices, dtype=np.int64)[source]
 
         total = counts.sum()
         if total <= 0:
@@ -211,7 +197,7 @@ class NormalizedMatrix:
         # Row/column masses of P = A / total.
         p = counts / total
         r = np.zeros(n_rows)
-        np.add.at(r, np.repeat(np.arange(n_rows), np.diff(indptr)), p)
+        np.add.at(r, rows, p)
         c = np.zeros(n_cols)
         np.add.at(c, indices, p)
         zero_rows = np.flatnonzero(r == 0)
@@ -232,38 +218,35 @@ class NormalizedMatrix:
         self.c = c
         self.sqrt_r = np.sqrt(r)
         self.sqrt_c = np.sqrt(c)
-        rows = np.repeat(np.arange(n_rows), np.diff(indptr))
-        self._indptr = indptr
+        self._rows = rows
         self._indices = indices
         # W = D_r^{-1/2} P D_c^{-1/2}, stored entry-wise.
         self._scaled = p / (self.sqrt_r[rows] * self.sqrt_c[indices])
-        self._backend = None if backend is None else kernels.get_module(backend)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_ids), len(self.col_ids))
 
-    def _ops(self):
-        return self._backend if self._backend is not None else kernels.get_module()
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """S v"""
-        return self._ops().residual_matvec(
-            self._indptr, self._indices, self._scaled, self.sqrt_r, self.sqrt_c,
-            np.ascontiguousarray(v, dtype=np.float64),
-        )
+        """S v = W v - sqrt_r (sqrt_c . v)"""
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        y = np.bincount(self._rows, weights=self._scaled * v[self._indices],
+                        minlength=len(self.row_ids))
+        y -= self.sqrt_r * float(self.sqrt_c @ v)
+        return y
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        """S^T u"""
-        return self._ops().residual_rmatvec(
-            self._indptr, self._indices, self._scaled, self.sqrt_r, self.sqrt_c,
-            np.ascontiguousarray(u, dtype=np.float64),
-        )
+        """S^T u = W^T u - sqrt_c (sqrt_r . u)"""
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        z = np.bincount(self._indices, weights=self._scaled * u[self._rows],
+                        minlength=len(self.col_ids))
+        z -= self.sqrt_c * float(self.sqrt_r @ u)
+        return z
 
 
-def normalize(m: InteractionMatrix, backend: Optional[str] = None) -> NormalizedMatrix:
+def normalize(m: InteractionMatrix) -> NormalizedMatrix:
     """Build the standardized residual operator for an interaction matrix."""
-    return NormalizedMatrix(m, backend=backend)
+    return NormalizedMatrix(m)
 
 
 @dataclass(frozen=True)
@@ -439,7 +422,7 @@ def read_scores(path: str | Path) -> tuple[dict[str, float], dict[str, float]]:
         raise InputError(f"scores file not found: {path}")
     users: dict[str, float] = {}
     influencers: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_maybe_gzip(path) as fh:
         header = fh.readline().strip()
         if header != "id,kind,score,raw_score":
             raise InputError(f"{path}:1: unexpected scores header: {header!r}")

@@ -23,7 +23,9 @@ import gzip
 import io
 import json
 import logging
+import zlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -198,11 +200,45 @@ def record_to_flat_dict(rec: TweetRecord) -> dict:
     }
 
 
-def open_maybe_gzip(path: str | Path, mode: str = "rt") -> io.TextIOBase:
+@contextmanager
+def open_maybe_gzip(
+    path: str | Path, mode: str = "rt", newline: Optional[str] = None
+) -> Iterator[io.TextIOBase]:
+    """Open a UTF-8 text file, through gzip if its name ends in ``.gz``.
+
+    While reading, bytes that do not decode or gzip data that does not
+    decompress raise :class:`InputError` naming the file (and the first bad
+    line) from anywhere inside the ``with`` block.
+    """
     path = Path(path)
     if path.suffix == ".gz":
-        return gzip.open(path, mode, encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        fh = gzip.open(path, mode, encoding="utf-8", newline=newline)
+    else:
+        fh = open(path, mode, encoding="utf-8", newline=newline)
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise InputError(f"{path}:{_first_undecodable_line(path)}: "
+                             "not valid UTF-8") from None
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise InputError(f"{path}: corrupt gzip data: {exc}") from None
+
+
+def _first_undecodable_line(path: Path) -> int:
+    """Number of the first line that is not UTF-8, counting lines as text mode does."""
+    lineno = 0
+    with gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb") as fh:
+        for chunk in fh:
+            # Binary iteration splits only at b"\n"; text mode also ends a
+            # line at a lone b"\r", as splitlines() does.
+            for line in chunk.splitlines():
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return lineno
+    return lineno
 
 
 def parse_corpus(

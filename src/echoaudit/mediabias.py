@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional
 from urllib.parse import urlsplit
 
 from .errors import InputError
-from .ingest import TweetRecord
+from .ingest import TweetRecord, open_maybe_gzip
 
 log = logging.getLogger(__name__)
 
@@ -180,7 +180,7 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
     if not path.is_file():
         raise InputError(f"domain table not found: {path}")
     table: dict[str, DomainProfile] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_maybe_gzip(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"domain", "leaning_label", "reliability"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -278,6 +278,67 @@ class TestCorruptIntermediates:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "missing.csv" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / stage).exists()
+
+    @pytest.mark.parametrize("stage,damaged,line", [
+        ("ingest", "corpus.jsonl", 3),
+        ("ingest", "corpus.jsonl.gz", 3),
+        ("graph", "seeds.txt", 2),
+        ("ideology", "graph.csv", 4),
+        ("report", "scores.csv", 4),
+        ("engagement", "domains.csv", 3),
+    ])
+    def test_undecodable_input_names_file_and_line(self, mini_stage_dirs, tmp_path,
+                                                   stage, damaged, line):
+        sources = {
+            "corpus.jsonl": FIXTURES / "mini_corpus.jsonl",
+            "corpus.jsonl.gz": FIXTURES / "mini_corpus.jsonl",
+            "seeds.txt": FIXTURES / "mini_seeds.txt",
+            "graph.csv": mini_stage_dirs / "graph.csv",
+            "scores.csv": mini_stage_dirs / "scores.csv",
+            "domains.csv": FIXTURES / "mini_domains.csv",
+        }
+        lines = sources[damaged].read_bytes().split(b"\n")
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        data = b"\n".join(lines)
+        bad = tmp_path / damaged
+        bad.write_bytes(gzip.compress(data) if damaged.endswith(".gz") else data)
+        graph = tmp_path / "graph.csv"
+        if damaged != "graph.csv":
+            graph.write_bytes(sources["graph.csv"].read_bytes())
+        if stage == "ingest":
+            argv = ["ingest", "--input", bad,
+                    "--filtered-out", tmp_path / "filtered.jsonl"]
+        elif stage == "graph":
+            argv = ["graph", "--input", mini_stage_dirs / "filtered.jsonl",
+                    "--seeds", bad, "--graph-out", graph,
+                    "--influencers-out", tmp_path / "influencers.txt"]
+        elif stage == "engagement":
+            argv = ["engagement", "--input", mini_stage_dirs / "filtered.jsonl",
+                    "--domains", bad, "--out-dir", tmp_path / "engagement"]
+        else:
+            argv = self.stage_argv(stage, mini_stage_dirs, graph,
+                                   tmp_path / "scores.csv")
+        proc = run_process(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {bad}:{line}: not valid UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / stage).exists()
+
+
+def test_cold_import_names_fallback_backend():
+    """The pipeline benchmark runs this at cold start and stores the name."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "import echoaudit.cli, echoaudit.kernels as k; "
+                               "print(k.active_backend())"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fallback\n"
 
 
 class TestPipeline:

@@ -3,10 +3,9 @@ import pytest
 
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
-from echoaudit import kernels
 from echoaudit.errors import ConvergenceError, DegenerateMatrixError, InputError
-from echoaudit.synth import dense_ca_oracle
 
+from _ca_oracle import dense_ca_oracle
 from conftest import dense_residual, random_count_matrix, retweet
 
 
@@ -102,15 +101,24 @@ class TestNormalize:
         v = np.array([0.1, 0.2, 0.3, 0.4])
         np.testing.assert_allclose(norm.matvec(v), 0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    def test_operator_matches_dense_oracle(self, backend):
-        rng = np.random.default_rng(8)
-        a = random_count_matrix(rng, 8, 5)
-        norm = ideo.normalize(matrix_from(a), backend=backend)
+    @pytest.mark.parametrize("case", ["poisson-8x5", "sparse-9x4"])
+    def test_operator_matches_dense_oracle(self, case):
+        if case == "poisson-8x5":
+            rng = np.random.default_rng(8)
+            a = random_count_matrix(rng, 8, 5)
+        else:
+            # The 40%-dense count matrix that seed 7 draws: a one-entry row
+            # and a column with only two retweets.
+            rng = np.random.default_rng(7)
+            a = np.array([[0, 0, 0, 1], [5, 0, 6, 0], [0, 0, 8, 8],
+                          [2, 0, 0, 0], [0, 0, 1, 0], [4, 1, 0, 5],
+                          [6, 0, 0, 0], [0, 0, 0, 5], [1, 1, 0, 4]], dtype=float)
+        n_rows, n_cols = a.shape
+        norm = ideo.normalize(matrix_from(a))
         s = dense_residual(a)
         for trial in range(10):
-            v = rng.standard_normal(5)
-            u = rng.standard_normal(8)
+            v = rng.standard_normal(n_cols)
+            u = rng.standard_normal(n_rows)
             assert np.abs(norm.matvec(v) - s @ v).max() <= 1e-12
             assert np.abs(norm.rmatvec(u) - s.T @ u).max() <= 1e-12
 

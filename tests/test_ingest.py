@@ -97,6 +97,25 @@ class TestParseCorpus:
             fh.write(data)
         assert len(list(ing.parse_corpus(path))) == 5
 
+    @pytest.mark.parametrize("damage", ["truncated", "not_gzip"])
+    def test_corrupt_gzip_is_input_error(self, tmp_path, damage):
+        data = gzip.compress(("\n".join(flat_line(tweet_id=f"t{i}")
+                                         for i in range(200)) + "\n").encode())
+        path = tmp_path / "c.jsonl.gz"
+        path.write_bytes(data[:len(data) // 2] if damage == "truncated"
+                         else b"plain text\n")
+        with pytest.raises(InputError, match="corrupt gzip data"):
+            list(ing.parse_corpus(path))
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_line_counted_as_text_mode_counts(self, tmp_path, newline):
+        lines = [flat_line(tweet_id=f"t{i}").encode() for i in range(4)]
+        lines[2] = lines[2].replace(b"t2", b"t\xe92")
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(InputError, match=r"c\.jsonl:3: not valid UTF-8"):
+            list(ing.parse_corpus(path))
+
     def test_naive_timestamp_assumed_utc(self, tmp_path):
         path = write_lines(
             tmp_path / "c.jsonl", [flat_line(created_at="2023-01-05T12:00:00")]
