@@ -1,9 +1,17 @@
 """Command-line pipeline: synth -> ingest -> graph -> ideology -> engagement -> report.
 
 Every stage reads and writes plain files (JSONL corpora, CSV tables, JSON
-sidecars) so stages can be re-run or swapped independently; ``pipeline`` runs
-the whole chain into one output tree.  All outputs are deterministic given
-inputs and flags.
+sidecars) so stages can be re-run or swapped independently.  Each
+``cmd_<stage>`` loads its inputs from those files, computes, writes its
+artifacts and returns what later stages need; an input passed in memory is
+not read from its file.
+
+``pipeline`` runs the whole chain in one process into one output tree.  It
+parses the corpus once: while ingest writes ``filtered.jsonl`` it keeps the
+original tweets and the retweet counts, and hands them, the graph, the scores
+and the domain table from stage to stage.  It still writes every
+intermediate, byte-identical to the files the subcommands chained by hand
+would write.  All outputs are deterministic given inputs and flags.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import logging
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
+from typing import Iterator, Optional
 
 from . import engagement as eng
 from . import graph as gr
@@ -35,18 +44,23 @@ def _add_synth(sub) -> None:
     p.set_defaults(func=cmd_synth)
 
 
-def cmd_synth(args) -> None:
+def _synth_config(args):
     if args.config:
-        config = synth.config_from_json(args.config)
-    elif args.preset == "mini":
-        config = synth.mini_config()
-    else:
-        config = synth.default_config()
+        return synth.config_from_json(args.config)
+    if args.preset == "mini":
+        return synth.mini_config()
+    return synth.default_config()
+
+
+def cmd_synth(args, config=None) -> synth.SynthResult:
+    if config is None:
+        config = _synth_config(args)
     if isinstance(config, synth.CalibrationConfig):
         result = synth.generate_calibration(config, args.out_dir)
     else:
         result = synth.generate(config, args.out_dir)
     log.info("wrote %d records to %s", result.n_records, result.corpus_path)
+    return result
 
 
 def _add_ingest(sub) -> None:
@@ -79,7 +93,24 @@ def _corpus_filter(args) -> ing.CorpusFilter:
     return ing.CorpusFilter(**kwargs)
 
 
-def cmd_ingest(args) -> None:
+def _retain(records: Iterator[ing.TweetRecord], originals: list[ing.TweetRecord],
+            retweets: gr.RetweetCounts) -> Iterator[ing.TweetRecord]:
+    """Pass records through, keeping what the later pipeline stages read."""
+    kinds = ing.CorpusFilter()
+    for rec in records:
+        if rec.kind in kinds.kinds_for_engagement:
+            originals.append(rec)
+        if rec.kind in kinds.kinds_for_network:
+            retweets.add(rec)
+        yield rec
+
+
+def cmd_ingest(args, keep: bool = False):
+    """Filter the corpus into ``--filtered-out``.
+
+    With ``keep``, returns the retained original tweets and the retweet
+    counts, gathered in the same pass that writes the filtered corpus.
+    """
     rejects: Counter = Counter()
     exclusions: Counter = Counter()
     corpus_filter = _corpus_filter(args)
@@ -88,12 +119,17 @@ def cmd_ingest(args) -> None:
         corpus_filter,
         exclusions,
     )
+    if keep:
+        originals: list[ing.TweetRecord] = []
+        retweets = gr.RetweetCounts()
+        records = _retain(records, originals, retweets)
     n = ing.write_corpus(records, args.filtered_out)
     if args.rejects_out:
         ing.write_count_report(rejects, args.rejects_out)
     if args.exclusions_out:
         ing.write_count_report(exclusions, args.exclusions_out)
     log.info("retained %d records (%s)", n, dict(exclusions))
+    return (originals, retweets) if keep else None
 
 
 def _add_graph(sub) -> None:
@@ -108,17 +144,26 @@ def _add_graph(sub) -> None:
     p.set_defaults(func=cmd_graph)
 
 
-def cmd_graph(args) -> None:
+def cmd_graph(args, retweets: Optional[gr.RetweetCounts] = None):
+    """Build the graph and select influencers; returns both.
+
+    ``retweets`` are counts gathered in memory; without them the graph is
+    built from ``--input``.
+    """
     seeds = gr.read_seeds(args.seeds)
-    skipped: Counter = Counter()
-    records = ing.network_subset(ing.parse_corpus(args.input))
-    g = gr.build_graph(records, skipped=skipped,
-                       count_self_loops=args.count_self_loops)
+    if retweets is None:
+        skipped: Counter = Counter()
+        records = ing.network_subset(ing.parse_corpus(args.input))
+        g = gr.build_graph(records, skipped=skipped,
+                           count_self_loops=args.count_self_loops)
+    else:
+        skipped = retweets.skipped
+        g = retweets.graph(args.count_self_loops)
     gr.write_edge_list(g, args.graph_out)
     influencers = gr.select_influencers(
         g, seeds, threshold=args.min_indegree, seed_source=str(args.seeds)
     )
-    with open(args.influencers_out, "w", encoding="utf-8") as fh:
+    with ing.open_atomic(args.influencers_out) as fh:
         for uid in influencers:
             fh.write(uid + "\n")
     if args.ranking_out:
@@ -126,8 +171,9 @@ def cmd_graph(args) -> None:
             fh.write("user_id,unique_in_degree\n")
             for uid, deg in gr.rank_by_in_degree(g):
                 fh.write(f"{uid},{deg}\n")
-    log.info("graph: %d nodes, %d edges, %d influencers",
-             g.n_nodes, g.n_edges, len(influencers))
+    log.info("graph: %d nodes, %d edges, %d influencers (skipped %s)",
+             g.n_nodes, g.n_edges, len(influencers), dict(skipped))
+    return g, influencers
 
 
 def _add_ideology(sub) -> None:
@@ -146,20 +192,22 @@ def _add_ideology(sub) -> None:
     p.set_defaults(func=cmd_ideology)
 
 
-def cmd_ideology(args) -> None:
-    g = gr.read_edge_list(args.graph)
-    members = gr.read_seeds(args.influencers)
-    influencers = gr.InfluencerSet(
-        members=tuple(members), seed_source=str(args.influencers),
-        min_unique_in_degree=0,
-    )
+def cmd_ideology(args, g: Optional[gr.RetweetGraph] = None,
+                 influencers: Optional[gr.InfluencerSet] = None) -> ideo.IdeologyScores:
+    if g is None:
+        g = gr.read_edge_list(args.graph)
+    if influencers is None:
+        influencers = gr.InfluencerSet(
+            members=tuple(gr.read_seeds(args.influencers)),
+            seed_source=str(args.influencers), min_unique_in_degree=0,
+        )
     matrix = ideo.build_interaction_matrix(g, influencers,
                                            min_distinct=args.min_distinct)
     norm = ideo.normalize(matrix)
     triplet = ideo.leading_singular_triplet(
         norm, tol=args.tol, max_iter=args.max_iter, seed=args.seed
     )
-    anchor = args.anchor or members[0]
+    anchor = args.anchor or influencers.members[0]
     scores = ideo.score_users_and_influencers(matrix, triplet, anchor)
     ideo.write_scores(scores, args.scores_out)
     if args.meta_out:
@@ -177,6 +225,7 @@ def cmd_ideology(args) -> None:
     log.info("scored %d users, %d influencers (sigma1=%g, %d iterations)",
              len(scores.user_scores), len(scores.influencer_scores),
              scores.sigma1, scores.iterations)
+    return scores
 
 
 def _add_engagement(sub) -> None:
@@ -199,15 +248,19 @@ def _load_originals(path: Path) -> list[ing.TweetRecord]:
     return list(ing.engagement_subset(ing.parse_corpus(path)))
 
 
-def cmd_engagement(args) -> None:
+def cmd_engagement(args, originals: Optional[list[ing.TweetRecord]] = None,
+                   table: Optional[dict[str, mb.DomainProfile]] = None,
+                   user_scores: Optional[dict[str, float]] = None) -> None:
     wanted = (["tweet", "user", "domain"] if args.granularity == "all"
               else [args.granularity])
     # Read every input before creating the output directory, so a bad input
     # leaves nothing behind.
-    originals = _load_originals(args.input)
-    table = mb.load_domain_table(args.domains) if args.domains else {}
-    user_scores = None
-    if "ideology" in (args.group_by or []) and args.scores and "user" in wanted:
+    if originals is None:
+        originals = _load_originals(args.input)
+    if table is None:
+        table = mb.load_domain_table(args.domains) if args.domains else {}
+    if (user_scores is None and "ideology" in (args.group_by or [])
+            and args.scores and "user" in wanted):
         user_scores, _ = ideo.read_scores(args.scores)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     stats: Counter = Counter()
@@ -304,13 +357,20 @@ def _scores_from_csv(path: Path) -> ideo.IdeologyScores:
     )
 
 
-def cmd_report(args) -> None:
+def cmd_report(args, originals: Optional[list[ing.TweetRecord]] = None,
+               g: Optional[gr.RetweetGraph] = None,
+               scores: Optional[ideo.IdeologyScores] = None,
+               table: Optional[dict[str, mb.DomainProfile]] = None) -> None:
     # Read every input before creating the output directory, so a bad input
     # leaves nothing behind.
-    scores = _scores_from_csv(args.scores)
-    g = gr.read_edge_list(args.graph)
-    originals = _load_originals(args.input)
-    table = mb.load_domain_table(args.domains) if args.domains else None
+    if scores is None:
+        scores = _scores_from_csv(args.scores)
+    if g is None:
+        g = gr.read_edge_list(args.graph)
+    if originals is None:
+        originals = _load_originals(args.input)
+    if table is None and args.domains:
+        table = mb.load_domain_table(args.domains)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     hist = rep.ideology_histograms(scores, bins=args.hist_bins, g=g,
@@ -368,24 +428,32 @@ def _add_pipeline(sub) -> None:
 
 
 def cmd_pipeline(args) -> None:
+    """Run every stage in this process with the flags of the hand-run chain.
+
+    Each stage gets the arguments its subcommand would parse from the argv
+    below, and takes from memory what an earlier stage produced: the corpus
+    is parsed once, and the graph and scores are not read back.
+    """
+    # A bad config fails before the output tree exists.
+    config = _synth_config(args)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    run = lambda argv: main(argv)
+    stage_args = _parser().parse_args
 
     synth_dir = out / "synth"
     synth_argv = ["synth", "--out-dir", str(synth_dir), "--preset", args.preset]
     if args.config:
         synth_argv += ["--config", str(args.config)]
-    run(synth_argv)
+    cmd_synth(stage_args(synth_argv), config)
 
     ingest_dir = out / "ingest"
     ingest_dir.mkdir(exist_ok=True)
-    run([
+    originals, retweets = cmd_ingest(stage_args([
         "ingest", "--input", str(synth_dir / "corpus.jsonl"),
         "--filtered-out", str(ingest_dir / "filtered.jsonl"),
         "--rejects-out", str(ingest_dir / "rejects.csv"),
         "--exclusions-out", str(ingest_dir / "exclusions.csv"),
-    ])
+    ]), keep=True)
 
     min_indegree = args.min_indegree
     if min_indegree is None:
@@ -393,14 +461,16 @@ def cmd_pipeline(args) -> None:
 
     graph_dir = out / "graph"
     graph_dir.mkdir(exist_ok=True)
-    run([
+    g, influencers = cmd_graph(stage_args([
         "graph", "--input", str(ingest_dir / "filtered.jsonl"),
         "--seeds", str(synth_dir / "seeds.txt"),
         "--min-indegree", str(min_indegree),
         "--graph-out", str(graph_dir / "graph.csv"),
         "--influencers-out", str(graph_dir / "influencers.txt"),
         "--ranking-out", str(graph_dir / "ranking.csv"),
-    ])
+    ]), retweets)
+    # The graph holds all that later stages need of the counts.
+    del retweets
 
     ideology_dir = out / "ideology"
     ideology_dir.mkdir(exist_ok=True)
@@ -413,10 +483,11 @@ def cmd_pipeline(args) -> None:
     ]
     if args.anchor:
         ideology_argv += ["--anchor", args.anchor]
-    run(ideology_argv)
+    scores = cmd_ideology(stage_args(ideology_argv), g, influencers)
 
+    table = mb.load_domain_table(synth_dir / "domains.csv")
     engagement_dir = out / "engagement"
-    run([
+    cmd_engagement(stage_args([
         "engagement", "--input", str(ingest_dir / "filtered.jsonl"),
         "--domains", str(synth_dir / "domains.csv"),
         "--scores", str(ideology_dir / "scores.csv"),
@@ -424,19 +495,19 @@ def cmd_pipeline(args) -> None:
         "--group-by", "ideology", "--group-by", "reliability",
         "--group-by", "leaning",
         "--out-dir", str(engagement_dir),
-    ])
+    ]), originals, table, scores.user_scores)
 
     report_dir = out / "report"
-    run([
+    cmd_report(stage_args([
         "report", "--input", str(ingest_dir / "filtered.jsonl"),
         "--graph", str(graph_dir / "graph.csv"),
         "--scores", str(ideology_dir / "scores.csv"),
         "--domains", str(synth_dir / "domains.csv"),
         "--out-dir", str(report_dir),
-    ])
+    ]), originals, g, scores, table)
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="echoaudit",
         description="retweet-network ideology and hidden-audience analytics",
@@ -449,6 +520,11 @@ def main(argv=None) -> int:
     _add_engagement(sub)
     _add_report(sub)
     _add_pipeline(sub)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr,

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySelectionError, InputError
-from .ingest import TweetRecord, open_maybe_gzip
+from .ingest import TweetRecord, open_atomic, open_maybe_gzip
 
 log = logging.getLogger(__name__)
 
@@ -90,6 +90,32 @@ class InfluencerSet:
         return iter(self.members)
 
 
+class RetweetCounts:
+    """Retweet multiplicity per (retweeter, author) pair, one record at a time.
+
+    Records are added one by one, so the counts can be gathered while another
+    consumer streams the same records; ``graph`` assembles them.  Records
+    that are not retweets, or lack a target, are skipped and counted in
+    ``skipped``.
+    """
+
+    def __init__(self, skipped: Optional[Counter] = None):
+        self.weights: dict[tuple[str, str], int] = {}
+        self.skipped = Counter() if skipped is None else skipped
+
+    def add(self, rec: TweetRecord) -> None:
+        if rec.kind != "retweet":
+            self.skipped["not_a_retweet"] += 1
+        elif not rec.retweeted_author_id:
+            self.skipped["missing_retweeted_author"] += 1
+        else:
+            key = (rec.author_id, rec.retweeted_author_id)
+            self.weights[key] = self.weights.get(key, 0) + 1
+
+    def graph(self, count_self_loops: bool = False) -> RetweetGraph:
+        return _assemble(self.weights, count_self_loops)
+
+
 def build_graph(
     records: Iterable[TweetRecord],
     skipped: Optional[Counter] = None,
@@ -101,19 +127,11 @@ def build_graph(
     records lacking a target are skipped and counted.  Self-loops are kept as
     edges; by default they do not contribute to ``unique_in_degree``.
     """
-    if skipped is None:
-        skipped = Counter()
-    weights: dict[tuple[str, str], int] = {}
+    counts = RetweetCounts(skipped)
+    add = counts.add
     for rec in records:
-        if rec.kind != "retweet":
-            skipped["not_a_retweet"] += 1
-            continue
-        if not rec.retweeted_author_id:
-            skipped["missing_retweeted_author"] += 1
-            continue
-        key = (rec.author_id, rec.retweeted_author_id)
-        weights[key] = weights.get(key, 0) + 1
-    return _assemble(weights, count_self_loops)
+        add(rec)
+    return counts.graph(count_self_loops)
 
 
 def _assemble(
@@ -234,7 +252,7 @@ def read_seeds(path: str | Path) -> list[str]:
 
 
 def write_edge_list(g: RetweetGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         fh.write("src,dst,weight\n")
         for src, dst, w in g.edge_list():
             fh.write(f"{src},{dst},{w}\n")

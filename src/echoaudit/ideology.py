@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateMatrixError, InputError
 from .graph import InfluencerSet, RetweetGraph
-from .ingest import open_maybe_gzip
+from .ingest import open_atomic, open_maybe_gzip
 
 log = logging.getLogger(__name__)
 
@@ -409,7 +409,7 @@ def write_scores(scores: IdeologyScores, path: str | Path) -> None:
         for uid in scores.user_scores
     ]
     rows.sort(key=lambda t: (t[1], t[0]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         fh.write("id,kind,score,raw_score\n")
         for ident, kind, score, raw in rows:
             fh.write(f"{ident},{kind},{score!r},{raw!r}\n")

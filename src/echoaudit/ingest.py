@@ -14,7 +14,10 @@ Two record layouts are understood (selected by a schema id):
     follower counts under ``author.public_metrics.followers_count``.
 
 Malformed lines never abort a run; they are skipped and counted by reason.
-Files ending in ``.gz`` are transparently decompressed.
+Ids must survive the CSV files of later stages: an id containing ``,``, a
+line break or a lone surrogate, or starting or ending with whitespace, is
+rejected under ``id_not_csv_safe``.  Files ending in ``.gz`` are
+transparently decompressed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import gzip
 import io
 import json
 import logging
+import os
+import re
 import zlib
 from collections import Counter
 from contextlib import contextmanager
@@ -105,6 +110,28 @@ def _require_str(obj: dict, key: str) -> str:
     return value
 
 
+# A lone surrogate cannot be encoded as UTF-8, so no artifact could hold it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _require_id(obj: dict, key: str) -> str:
+    value = _require_str(obj, key)
+    _check_id(value)
+    return value
+
+
+def _check_id(value: str) -> None:
+    """Reject an id that cannot cross a CSV stage boundary intact.
+
+    A comma or line break would split it into fields or rows, and readers
+    strip the whitespace around a field.
+    """
+    if ("," in value or "\n" in value or "\r" in value
+            or value != value.strip()
+            or not value.isascii() and _SURROGATE.search(value)):
+        raise ValueError("id_not_csv_safe")
+
+
 def _require_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"bad_count_{name}")
@@ -121,12 +148,14 @@ def _record_from_flat(obj: dict, diagnostics: Counter) -> TweetRecord:
     if not isinstance(urls, list) or any(not isinstance(u, str) for u in urls):
         raise ValueError("bad_urls")
     retweeted = obj.get("retweeted_author_id")
-    if retweeted is not None and not isinstance(retweeted, str):
-        raise ValueError("bad_retweeted_author_id")
+    if retweeted is not None:
+        if not isinstance(retweeted, str):
+            raise ValueError("bad_retweeted_author_id")
+        _check_id(retweeted)
     counts = {f: _require_count(obj.get(f, 0), f) for f in _COUNT_FIELDS}
     return TweetRecord(
-        tweet_id=_require_str(obj, "tweet_id"),
-        author_id=_require_str(obj, "author_id"),
+        tweet_id=_require_id(obj, "tweet_id"),
+        author_id=_require_id(obj, "author_id"),
         created_at=parse_timestamp(_require_str(obj, "created_at"), diagnostics),
         lang=_require_str(obj, "lang").lower(),
         kind=kind,
@@ -150,8 +179,10 @@ def _record_from_api(obj: dict, diagnostics: Counter) -> TweetRecord:
         if kind is None:
             raise ValueError("unknown_kind")
         retweeted = ref.get("author_id")
-        if retweeted is not None and not isinstance(retweeted, str):
-            raise ValueError("bad_retweeted_author_id")
+        if retweeted is not None:
+            if not isinstance(retweeted, str):
+                raise ValueError("bad_retweeted_author_id")
+            _check_id(retweeted)
     metrics = obj.get("public_metrics") or {}
     urls = [
         u.get("expanded_url") or u.get("url")
@@ -163,8 +194,8 @@ def _record_from_api(obj: dict, diagnostics: Counter) -> TweetRecord:
         "followers_count", 0
     )
     return TweetRecord(
-        tweet_id=_require_str(obj, "id"),
-        author_id=_require_str(obj, "author_id"),
+        tweet_id=_require_id(obj, "id"),
+        author_id=_require_id(obj, "author_id"),
         created_at=parse_timestamp(_require_str(obj, "created_at"), diagnostics),
         lang=_require_str(obj, "lang").lower(),
         kind=kind,
@@ -223,6 +254,26 @@ def open_maybe_gzip(
                              "not valid UTF-8") from None
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise InputError(f"{path}: corrupt gzip data: {exc}") from None
+
+
+@contextmanager
+def open_atomic(path: str | Path, newline: Optional[str] = None) -> Iterator[io.TextIOBase]:
+    """Write a UTF-8 text file (gzip if its name ends in ``.gz``) all at once.
+
+    The text goes to a hidden temporary file beside ``path``, which replaces
+    ``path`` only when the ``with`` block ends cleanly.  On any error the
+    temporary file is removed and ``path`` is left as it was, so a later
+    stage never reads a partial artifact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.stem}.tmp{path.suffix}")
+    try:
+        with open_maybe_gzip(tmp, "wt", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _first_undecodable_line(path: Path) -> int:
@@ -344,7 +395,7 @@ def write_count_report(counts: Counter, path: str | Path) -> None:
 def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> int:
     """Serialize records back to the flat schema; returns the record count."""
     n = 0
-    with open_maybe_gzip(path, "wt") as fh:
+    with open_atomic(path) as fh:
         for rec in records:
             fh.write(json.dumps(record_to_flat_dict(rec), sort_keys=True))
             fh.write("\n")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -515,17 +515,34 @@ def default_config() -> GeneratorConfig:
     return GeneratorConfig()
 
 
+_CONFIG_MODES = {"polarized": GeneratorConfig, "calibration": CalibrationConfig}
+
+
 def config_from_json(path: str | Path):
-    """Load either generator config from a JSON file (``mode`` selects)."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Load either generator config from a JSON file (``mode`` selects).
+
+    A missing or unreadable file, invalid JSON, a value that is not an
+    object, an unknown mode and an unknown key all raise :class:`InputError`.
+    """
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read config {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: config must be a JSON object")
     mode = raw.pop("mode", "polarized")
+    config_cls = _CONFIG_MODES.get(mode) if isinstance(mode, str) else None
+    if config_cls is None:
+        raise InputError(f"unknown generator mode {mode!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(config_cls)})
+    if unknown:
+        raise InputError(f"{path}: unknown {mode} config key(s): {', '.join(unknown)}")
     for key in ("date_range", "impressions_log10", "follower_log10",
                 "influencer_follower_log10"):
         if key in raw and isinstance(raw[key], list):
             raw[key] = tuple(raw[key])
-    if mode == "polarized":
-        return GeneratorConfig(**raw)
-    if mode == "calibration":
-        return CalibrationConfig(**raw)
-    raise InputError(f"unknown generator mode {mode!r}")
+    return config_cls(**raw)

@@ -1,12 +1,17 @@
 import gzip
 import json
+import logging
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from echoaudit import cli
+from echoaudit import graph as gr
+from echoaudit import ideology as ideo
+from echoaudit import ingest as ing
 
 from conftest import FIXTURES, ROOT
 
@@ -169,6 +174,62 @@ class TestSynthCommand:
         assert len(lines) == 200
 
 
+class TestSynthConfigErrors:
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read config"),
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "config must be a JSON object"),
+        ('{"bogus": 1}', "unknown polarized config key(s): bogus"),
+        ('{"mode": "calibration", "n_users": 5}',
+         "unknown calibration config key(s): n_users"),
+        ('{"mode": ["x"]}', "unknown generator mode"),
+    ])
+    def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                   command, content, message):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content, encoding="utf-8")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", config, "--out-dir", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert not out.exists()
+
+
+def mini_corpus_plus(path, **changes_per_record):
+    """The mini fixture plus copies of its first record, one per keyword
+    (the new tweet id), each with the given fields changed."""
+    text = (FIXTURES / "mini_corpus.jsonl").read_text(encoding="utf-8")
+    first = json.loads(text.splitlines()[0])
+    path.write_text(text + "".join(
+        json.dumps({**first, "tweet_id": tweet_id, **changes}) + "\n"
+        for tweet_id, changes in changes_per_record.items()
+    ), encoding="utf-8")
+    return path
+
+
+class TestUnsafeIds:
+    def test_comma_ids_rejected_and_chain_exits_0(self, tmp_path):
+        """Such records used to pass ingest and break graph.csv for ideology."""
+        corpus = mini_corpus_plus(
+            tmp_path / "corpus.jsonl",
+            x1={"kind": "retweet", "author_id": "evil,user",
+                "retweeted_author_id": "inf_a_00"},
+            x2={"kind": "retweet", "author_id": "u_a_0001",
+                "retweeted_author_id": "inf,a"},
+        )
+        out = tmp_path / "out"
+        assert chain_by_hand(corpus, FIXTURES / "mini_seeds.txt",
+                             FIXTURES / "mini_domains.csv", 5, out) == [0] * 5
+        rejects = (out / "ingest" / "rejects.csv").read_text().splitlines()
+        assert "id_not_csv_safe,2" in rejects
+        edges = (out / "graph" / "graph.csv").read_text().splitlines()
+        assert all(line.count(",") == 2 for line in edges)
+
+
 class TestErrors:
     def test_empty_influencer_selection_exits_with_error(self, tmp_path):
         filtered = tmp_path / "filtered.jsonl"
@@ -182,6 +243,28 @@ class TestErrors:
                  "--graph-out", tmp_path / "g.csv",
                  "--influencers-out", tmp_path / "i.txt"])
         assert exc.value.code == 2
+
+    def test_bad_late_corpus_line_leaves_no_filtered_file(self, tmp_path):
+        lines = (FIXTURES / "mini_corpus.jsonl").read_bytes().split(b"\n")
+        lines[900] = b"\xff" + lines[900]
+        corpus = tmp_path / "late.jsonl"
+        corpus.write_bytes(b"\n".join(lines))
+        proc = run_process(["ingest", "--input", corpus,
+                            "--filtered-out", tmp_path / "filtered.jsonl"])
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {corpus}:901: not valid UTF-8" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["late.jsonl"]
+
+    def test_graph_logs_skipped_records(self, tmp_path, caplog):
+        corpus = mini_corpus_plus(tmp_path / "corpus.jsonl",
+                                  x1={"kind": "retweet", "retweeted_author_id": None})
+        filtered = tmp_path / "filtered.jsonl"
+        run(["ingest", "--input", corpus, "--filtered-out", filtered])
+        caplog.set_level(logging.INFO, logger="echoaudit")
+        run(["graph", "--input", filtered, "--seeds", FIXTURES / "mini_seeds.txt",
+             "--min-indegree", "5", "--graph-out", tmp_path / "g.csv",
+             "--influencers-out", tmp_path / "i.txt"])
+        assert "(skipped {'missing_retweeted_author': 1})" in caplog.text
 
     def test_missing_input_fatal(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -341,7 +424,73 @@ def test_cold_import_names_fallback_backend():
     assert proc.stdout == "fallback\n"
 
 
+def chain_by_hand(corpus, seeds, domains, min_indegree, out):
+    """The five stages after synth, run as subcommands with the flags and
+    output layout that ``pipeline`` uses; returns their exit codes."""
+    ingest, graph, ideology = out / "ingest", out / "graph", out / "ideology"
+    for d in (ingest, graph, ideology):
+        d.mkdir(parents=True, exist_ok=True)
+    filtered = ingest / "filtered.jsonl"
+    return [run(argv) for argv in (
+        ["ingest", "--input", corpus, "--filtered-out", filtered,
+         "--rejects-out", ingest / "rejects.csv",
+         "--exclusions-out", ingest / "exclusions.csv"],
+        ["graph", "--input", filtered, "--seeds", seeds,
+         "--min-indegree", min_indegree,
+         "--graph-out", graph / "graph.csv",
+         "--influencers-out", graph / "influencers.txt",
+         "--ranking-out", graph / "ranking.csv"],
+        ["ideology", "--graph", graph / "graph.csv",
+         "--influencers", graph / "influencers.txt",
+         "--seed", ideo.DEFAULT_SEED,
+         "--scores-out", ideology / "scores.csv",
+         "--meta-out", ideology / "meta.json"],
+        ["engagement", "--input", filtered, "--domains", domains,
+         "--scores", ideology / "scores.csv", "--granularity", "all",
+         "--group-by", "ideology", "--group-by", "reliability",
+         "--group-by", "leaning", "--out-dir", out / "engagement"],
+        ["report", "--input", filtered, "--graph", graph / "graph.csv",
+         "--scores", ideology / "scores.csv", "--domains", domains,
+         "--out-dir", out / "report"],
+    )]
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestPipeline:
+    def test_same_bytes_as_subcommands_chained_by_hand(self, tmp_path):
+        piped, hand = tmp_path / "piped", tmp_path / "hand"
+        run(["pipeline", "--preset", "mini", "--out-dir", piped])
+        run(["synth", "--preset", "mini", "--out-dir", hand / "synth"])
+        synth_dir = hand / "synth"
+        assert chain_by_hand(synth_dir / "corpus.jsonl", synth_dir / "seeds.txt",
+                             synth_dir / "domains.csv", 20, hand) == [0] * 5
+        for stage in ("synth", "ingest", "graph", "ideology", "engagement", "report"):
+            got, want = tree_bytes(piped / stage), tree_bytes(hand / stage)
+            assert want and sorted(got) == sorted(want), stage
+            for name in want:
+                assert got[name] == want[name], f"{stage}/{name}"
+
+    def test_corpus_parsed_once_and_nothing_read_back(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(ing, "parse_corpus")
+        counted(gr, "read_edge_list")
+        counted(ideo, "read_scores")
+        run(["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"])
+        assert calls == Counter({"parse_corpus": 1})
+
     def test_mini_pipeline_end_to_end(self, tmp_path):
         run(["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"])
         assert (tmp_path / "run" / "report" / "summary.json").is_file()

@@ -50,6 +50,19 @@ class TestBuildGraph:
         assert g.n_nodes == 0
         assert skipped["not_a_retweet"] == 1
 
+    def test_counts_added_one_at_a_time_match_build_graph(self, mini_retained,
+                                                           mini_graph):
+        counts = gr.RetweetCounts()
+        for rec in mini_retained:
+            counts.add(rec)
+        assert counts.skipped["not_a_retweet"] == sum(
+            r.kind != "retweet" for r in mini_retained)
+        g = counts.graph()
+        assert g.node_ids == mini_graph.node_ids
+        for name in ("in_indptr", "in_sources", "in_weights", "out_indptr",
+                     "out_targets", "out_weights", "unique_in_degree"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(mini_graph, name))
+
     def test_weight_sum_equals_record_count(self, mini_retained):
         records = [r for r in mini_retained if r.kind == "retweet"]
         g = gr.build_graph(records)

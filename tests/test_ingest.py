@@ -90,6 +90,37 @@ class TestParseCorpus:
         if reason is not None:
             assert rejects[reason] == 1
 
+    @pytest.mark.parametrize("field", ["tweet_id", "author_id", "retweeted_author_id"])
+    @pytest.mark.parametrize("value", ["a,b", "a\nb", "a\rb", " a", "a\t",
+                                       "a\u2028", "a\ud800"])
+    def test_id_unsafe_for_csv_rejected(self, tmp_path, field, value):
+        bad = {"kind": "retweet", "retweeted_author_id": "bob", field: value}
+        path = write_lines(tmp_path / "c.jsonl", [flat_line(**bad), flat_line()])
+        rejects = Counter()
+        records = list(ing.parse_corpus(path, rejects=rejects))
+        assert [r.tweet_id for r in records] == ["t1"]
+        assert rejects == Counter({"id_not_csv_safe": 1})
+
+    @pytest.mark.parametrize("value", ["a b", "caf\u00e9", "\u4e2d", "#1", "a\"b"])
+    def test_id_with_inner_space_or_non_ascii_kept(self, tmp_path, value):
+        path = write_lines(tmp_path / "c.jsonl", [flat_line(author_id=value)])
+        (rec,) = ing.parse_corpus(path)
+        assert rec.author_id == value
+
+    @pytest.mark.parametrize("where", ["id", "author_id", "referenced"])
+    def test_api_id_unsafe_for_csv_rejected(self, tmp_path, where):
+        obj = {"id": "901", "author_id": "bob", "created_at": "2023-01-09T08:00:00Z",
+               "lang": "en",
+               "referenced_tweets": [{"type": "retweeted", "author_id": "carol"}]}
+        if where == "referenced":
+            obj["referenced_tweets"][0]["author_id"] = "car,ol"
+        else:
+            obj[where] = obj[where] + " "
+        path = write_lines(tmp_path / "api.jsonl", [json.dumps(obj)])
+        rejects = Counter()
+        assert list(ing.parse_corpus(path, schema="api", rejects=rejects)) == []
+        assert rejects == Counter({"id_not_csv_safe": 1})
+
     def test_gzip_by_extension(self, tmp_path):
         data = "\n".join([flat_line(tweet_id=f"t{i}") for i in range(5)]) + "\n"
         path = tmp_path / "c.jsonl.gz"
@@ -291,6 +322,30 @@ class TestStreaming:
         p1 = peak(small)
         p10 = peak(big)
         assert p10 < 2.5 * p1, f"peak grew with input size: {p1} -> {p10}"
+
+
+class TestOpenAtomic:
+    def test_error_keeps_old_file_and_leaves_no_temporary(self, tmp_path):
+        out = tmp_path / "a.csv"
+        out.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with ing.open_atomic(out) as fh:
+                fh.write("half")
+                raise RuntimeError("stop")
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    @pytest.mark.parametrize("name", ["a.csv", "a.jsonl.gz"])
+    def test_replaces_on_success(self, tmp_path, name):
+        out = tmp_path / name
+        out.write_text("old\n", encoding="utf-8")
+        with ing.open_atomic(out) as fh:
+            fh.write("new\n")
+        data = out.read_bytes()
+        if name.endswith(".gz"):
+            data = gzip.decompress(data)
+        assert data == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_count_report_format(tmp_path):
