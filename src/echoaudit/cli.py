@@ -436,6 +436,7 @@ def cmd_pipeline(args) -> None:
     """
     # A bad config fails before the output tree exists.
     config = _synth_config(args)
+    config.validate()
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     stage_args = _parser().parse_args

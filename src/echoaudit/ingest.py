@@ -16,8 +16,12 @@ Two record layouts are understood (selected by a schema id):
 Malformed lines never abort a run; they are skipped and counted by reason.
 Ids must survive the CSV files of later stages: an id containing ``,``, a
 line break or a lone surrogate, or starting or ending with whitespace, is
-rejected under ``id_not_csv_safe``.  Files ending in ``.gz`` are
+rejected under ``id_not_csv_safe``; a ``created_at`` that is not an ISO-8601
+timestamp is rejected under ``bad_created_at``.  Files ending in ``.gz`` are
 transparently decompressed.
+
+:func:`write_corpus` writes the ``flat`` schema back, one :func:`flat_line`
+per record.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -100,7 +105,10 @@ def parse_timestamp(value: str, diagnostics: Optional[Counter] = None) -> dateti
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, always with a four-digit year."""
+    ts = ts.astimezone(timezone.utc)
+    return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+            f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z")
 
 
 def _require_str(obj: dict, key: str) -> str:
@@ -108,6 +116,15 @@ def _require_str(obj: dict, key: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"missing_{key}")
     return value
+
+
+def _require_timestamp(obj: dict, diagnostics: Counter) -> datetime:
+    value = _require_str(obj, "created_at")
+    try:
+        return parse_timestamp(value, diagnostics)
+    except (ValueError, OverflowError):
+        # Not ISO-8601, or out of range once moved to UTC.
+        raise ValueError("bad_created_at") from None
 
 
 # A lone surrogate cannot be encoded as UTF-8, so no artifact could hold it.
@@ -156,7 +173,7 @@ def _record_from_flat(obj: dict, diagnostics: Counter) -> TweetRecord:
     return TweetRecord(
         tweet_id=_require_id(obj, "tweet_id"),
         author_id=_require_id(obj, "author_id"),
-        created_at=parse_timestamp(_require_str(obj, "created_at"), diagnostics),
+        created_at=_require_timestamp(obj, diagnostics),
         lang=_require_str(obj, "lang").lower(),
         kind=kind,
         retweeted_author_id=retweeted,
@@ -196,7 +213,7 @@ def _record_from_api(obj: dict, diagnostics: Counter) -> TweetRecord:
     return TweetRecord(
         tweet_id=_require_id(obj, "id"),
         author_id=_require_id(obj, "author_id"),
-        created_at=parse_timestamp(_require_str(obj, "created_at"), diagnostics),
+        created_at=_require_timestamp(obj, diagnostics),
         lang=_require_str(obj, "lang").lower(),
         kind=kind,
         retweeted_author_id=retweeted,
@@ -213,22 +230,45 @@ def _record_from_api(obj: dict, diagnostics: Counter) -> TweetRecord:
 _SCHEMAS = {"flat": _record_from_flat, "api": _record_from_api}
 
 
-def record_to_flat_dict(rec: TweetRecord) -> dict:
-    return {
-        "tweet_id": rec.tweet_id,
-        "author_id": rec.author_id,
-        "created_at": format_timestamp(rec.created_at),
-        "lang": rec.lang,
-        "kind": rec.kind,
-        "retweeted_author_id": rec.retweeted_author_id,
-        "impressions": rec.impressions,
-        "likes": rec.likes,
-        "replies": rec.replies,
-        "retweets": rec.retweets,
-        "quotes": rec.quotes,
-        "urls": list(rec.urls),
-        "author_followers": rec.author_followers,
-    }
+def flat_line(
+    tweet_id: str,
+    author_id: str,
+    created_at: str,
+    lang: str,
+    kind: str,
+    retweeted_author_id: Optional[str],
+    impressions: int,
+    likes: int,
+    replies: int,
+    retweets: int,
+    quotes: int,
+    urls: list[str],
+    author_followers: int,
+) -> str:
+    """One ``flat`` corpus line, newline included.
+
+    The bytes equal ``json.dumps(record, sort_keys=True) + "\\n"`` for the
+    record with these fields: keys in sorted order, strings escaped to ASCII,
+    ``null`` for a missing ``retweeted_author_id``.  ``created_at`` is the
+    already formatted timestamp.
+    """
+    esc = encode_basestring_ascii
+    retweeted = "null" if retweeted_author_id is None else esc(retweeted_author_id)
+    return (
+        f'{{"author_followers": {author_followers:d}, '
+        f'"author_id": {esc(author_id)}, '
+        f'"created_at": {esc(created_at)}, '
+        f'"impressions": {impressions:d}, '
+        f'"kind": {esc(kind)}, '
+        f'"lang": {esc(lang)}, '
+        f'"likes": {likes:d}, '
+        f'"quotes": {quotes:d}, '
+        f'"replies": {replies:d}, '
+        f'"retweeted_author_id": {retweeted}, '
+        f'"retweets": {retweets:d}, '
+        f'"tweet_id": {esc(tweet_id)}, '
+        f'"urls": [{", ".join(map(esc, urls))}]}}\n'
+    )
 
 
 @contextmanager
@@ -397,7 +437,11 @@ def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> int:
     n = 0
     with open_atomic(path) as fh:
         for rec in records:
-            fh.write(json.dumps(record_to_flat_dict(rec), sort_keys=True))
-            fh.write("\n")
+            fh.write(flat_line(
+                rec.tweet_id, rec.author_id, format_timestamp(rec.created_at),
+                rec.lang, rec.kind, rec.retweeted_author_id, rec.impressions,
+                rec.likes, rec.replies, rec.retweets, rec.quotes, rec.urls,
+                rec.author_followers,
+            ))
             n += 1
     return n

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -28,9 +28,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .ingest import IMPRESSIONS_AVAILABLE_FROM, format_timestamp
+from .ingest import (IMPRESSIONS_AVAILABLE_FROM, flat_line, format_timestamp,
+                     parse_timestamp)
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_CUTOFF = int((IMPRESSIONS_AVAILABLE_FROM - _EPOCH).total_seconds())
 
 ACTIONS = ("retweet", "reply", "like", "quote")
 
@@ -72,10 +74,17 @@ class GeneratorConfig:
     date_range: tuple = ("2022-11-22T00:00:00Z", "2023-03-01T00:00:00Z")
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
         if not (self.p_in > self.p_cross >= 0):
             raise InputError("need p_in > p_cross >= 0")
         if self.n_users < 2 or self.n_influencers_per_side < 1:
             raise InputError("need at least 2 users and 1 influencer per side")
+        for name in ("lurk_rate_by_group", "unreliable_url_prob", "domain_mix"):
+            if set(getattr(self, name)) != {"A", "B"}:
+                raise InputError(f"{name} needs exactly the groups A and B")
+        if set(self.action_shares) != set(ACTIONS):
+            raise InputError(f"action_shares needs exactly the actions {', '.join(ACTIONS)}")
         for group, rate in self.lurk_rate_by_group.items():
             if not (0.0 <= rate <= 1.0):
                 raise InputError(f"lurk rate for {group} must be in [0, 1]")
@@ -87,6 +96,9 @@ class GeneratorConfig:
             for cls in mix:
                 if cls not in LEANING_CLASSES:
                     raise InputError(f"unknown leaning class {cls!r}")
+        start, end = _parse_range(self.date_range)
+        if max(start, _CUTOFF) >= end:
+            raise InputError("date_range ends before the impression cutoff")
 
     def base_rates(self, group: str) -> dict[str, float]:
         active = 1.0 - self.lurk_rate_by_group[group]
@@ -121,6 +133,8 @@ class CalibrationConfig:
     date_range: tuple = ("2023-01-01T00:00:00Z", "2023-03-01T00:00:00Z")
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
         if self.n_tweets < 10:
             raise InputError("calibration needs at least 10 tweets")
         missing = [a for a in ACTIONS if a not in self.ae_targets]
@@ -135,6 +149,9 @@ class CalibrationConfig:
         for a, m in self.ae_targets.items():
             if not (0.0 < m < 0.5):
                 raise InputError(f"ae target for {a} must be in (0, 0.5)")
+        start, _ = _parse_range(self.date_range)
+        if start < _CUTOFF:
+            raise InputError("calibration date_range must start at or after the cutoff")
 
 
 @dataclass
@@ -171,10 +188,12 @@ class SynthResult:
 
 
 def _parse_range(date_range: tuple) -> tuple[int, int]:
-    from .ingest import parse_timestamp
-
-    start = int((parse_timestamp(date_range[0]) - _EPOCH).total_seconds())
-    end = int((parse_timestamp(date_range[1]) - _EPOCH).total_seconds())
+    """``date_range`` as epoch seconds; bad timestamps raise :class:`InputError`."""
+    try:
+        start, end = (int((parse_timestamp(ts) - _EPOCH).total_seconds())
+                      for ts in date_range)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"date_range: {exc}") from None
     if end <= start:
         raise InputError("date_range end must be after start")
     return start, end
@@ -235,10 +254,7 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
     rng = np.random.default_rng(config.seed)
 
     start, end = _parse_range(config.date_range)
-    cutoff = int((IMPRESSIONS_AVAILABLE_FROM - _EPOCH).total_seconds())
-    post_lo = max(start, cutoff)
-    if post_lo >= end:
-        raise InputError("date_range ends before the impression cutoff")
+    post_lo = max(start, _CUTOFF)
 
     sides = ("A", "B")
     influencers = {
@@ -261,7 +277,7 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
             mu, sg = config.influencer_follower_log10
             followers[inf] = max(1, int(round(10 ** rng.normal(mu, sg))))
 
-    records: list[dict] = []
+    records: list[str] = []          # flat corpus lines, in output order
     tweet_no = 0
 
     def next_id() -> str:
@@ -273,21 +289,12 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
              retweeted: Optional[str] = None, impressions: int = 0,
              counts: Optional[dict[str, int]] = None, urls: Optional[list[str]] = None):
         counts = counts or {}
-        records.append({
-            "tweet_id": next_id(),
-            "author_id": author,
-            "created_at": ts,
-            "lang": lang,
-            "kind": kind,
-            "retweeted_author_id": retweeted,
-            "impressions": int(impressions),
-            "likes": int(counts.get("like", 0)),
-            "replies": int(counts.get("reply", 0)),
-            "retweets": int(counts.get("retweet", 0)),
-            "quotes": int(counts.get("quote", 0)),
-            "urls": urls or [],
-            "author_followers": followers[author],
-        })
+        records.append(flat_line(
+            next_id(), author, ts, lang, kind, retweeted, impressions,
+            counts.get("like", 0), counts.get("reply", 0),
+            counts.get("retweet", 0), counts.get("quote", 0), urls or [],
+            followers[author],
+        ))
 
     url_serial = 0
 
@@ -353,10 +360,10 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
     # Flavor records exercising the date and language filters.
     n_pre = int(round(config.pre_cutoff_fraction * len(records)))
     n_foreign = int(round(config.non_english_fraction * len(records)))
-    if start < cutoff:
+    if start < _CUTOFF:
         for k in range(n_pre):
             u = users[int(rng.integers(len(users)))]
-            emit(u, "original", _timestamp(rng, start, cutoff),
+            emit(u, "original", _timestamp(rng, start, _CUTOFF),
                  impressions=0, counts={})
     for k in range(n_foreign):
         u = users[int(rng.integers(len(users)))]
@@ -366,9 +373,7 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
 
     corpus_path = out_dir / "corpus.jsonl"
     with open(corpus_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(records)
 
     hubs = sorted(
         (inf for side in sides for inf in influencers[side]),
@@ -446,33 +451,21 @@ def generate_calibration(config: CalibrationConfig, out_dir: str | Path) -> Synt
         counts[a] = rng.binomial(impressions, p)
 
     start, end = _parse_range(config.date_range)
-    cutoff = int((IMPRESSIONS_AVAILABLE_FROM - _EPOCH).total_seconds())
-    if start < cutoff:
-        raise InputError("calibration date_range must start at or after the cutoff")
     stamps = rng.integers(start, end, n)
 
     corpus_path = out_dir / "corpus.jsonl"
     with open(corpus_path, "w", encoding="utf-8") as fh:
-        for i in range(n):
-            rec = {
-                "tweet_id": f"c{i:07d}",
-                "author_id": f"cal{i:07d}",
-                "created_at": format_timestamp(
-                    datetime.fromtimestamp(int(stamps[i]), tz=timezone.utc)
-                ),
-                "lang": "en",
-                "kind": "original",
-                "retweeted_author_id": None,
-                "impressions": int(impressions[i]),
-                "likes": int(counts["like"][i]),
-                "replies": int(counts["reply"][i]),
-                "retweets": int(counts["retweet"][i]),
-                "quotes": int(counts["quote"][i]),
-                "urls": [],
-                "author_followers": int(followers[i]),
-            }
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
+        columns = zip(stamps.tolist(), impressions.tolist(), counts["like"].tolist(),
+                      counts["reply"].tolist(), counts["retweet"].tolist(),
+                      counts["quote"].tolist(), followers.tolist())
+        for i, (stamp, imps, likes, replies, retweets, quotes, n_followers) in (
+                enumerate(columns)):
+            fh.write(flat_line(
+                f"c{i:07d}", f"cal{i:07d}",
+                format_timestamp(datetime.fromtimestamp(stamp, tz=timezone.utc)),
+                "en", "original", None, imps, likes, replies, retweets, quotes, [],
+                n_followers,
+            ))
 
     truth = GroundTruth(
         community={},
@@ -518,11 +511,40 @@ def default_config() -> GeneratorConfig:
 _CONFIG_MODES = {"polarized": GeneratorConfig, "calibration": CalibrationConfig}
 
 
+def _fits(value, template) -> bool:
+    """Whether a JSON value has the type of a config field's default."""
+    if isinstance(template, dict):
+        inner = next(iter(template.values()), 0.0)
+        return isinstance(value, dict) and all(_fits(v, inner) for v in value.values())
+    if isinstance(template, tuple):
+        return (isinstance(value, list) and len(value) == len(template)
+                and all(_fits(v, t) for v, t in zip(value, template)))
+    if isinstance(value, bool):
+        return False
+    if isinstance(template, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(template))
+
+
+def _describe(template, plural: bool = False) -> str:
+    """The JSON type that :func:`_fits` accepts for ``template``, in words."""
+    if isinstance(template, dict):
+        inner = _describe(next(iter(template.values()), 0.0), plural=True)
+        return f"{'objects' if plural else 'an object'} of {inner}"
+    if isinstance(template, tuple):
+        inner = _describe(template[0], plural=True)
+        return f"{'lists' if plural else 'a list'} of {len(template)} {inner}"
+    return {float: ("a number", "numbers"), int: ("an integer", "integers"),
+            str: ("a string", "strings")}[type(template)][plural]
+
+
 def config_from_json(path: str | Path):
     """Load either generator config from a JSON file (``mode`` selects).
 
     A missing or unreadable file, invalid JSON, a value that is not an
-    object, an unknown mode and an unknown key all raise :class:`InputError`.
+    object, an unknown mode, an unknown key and a value whose JSON type does
+    not match its field all raise :class:`InputError`.  An integer counts as
+    a number; ``true``/``false`` do not.
     """
     path = Path(path)
     try:
@@ -538,11 +560,17 @@ def config_from_json(path: str | Path):
     config_cls = _CONFIG_MODES.get(mode) if isinstance(mode, str) else None
     if config_cls is None:
         raise InputError(f"unknown generator mode {mode!r}")
-    unknown = sorted(set(raw) - {f.name for f in fields(config_cls)})
+    defaults = {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(config_cls)
+    }
+    unknown = sorted(set(raw) - set(defaults))
     if unknown:
         raise InputError(f"{path}: unknown {mode} config key(s): {', '.join(unknown)}")
-    for key in ("date_range", "impressions_log10", "follower_log10",
-                "influencer_follower_log10"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
+    for key, value in raw.items():
+        template = defaults[key]
+        if not _fits(value, template):
+            raise InputError(f"{path}: config key {key!r} must be {_describe(template)}")
+        if isinstance(template, tuple):
+            raw[key] = tuple(value)
     return config_cls(**raw)

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 import logging
@@ -184,6 +185,25 @@ class TestSynthConfigErrors:
         ('{"mode": "calibration", "n_users": 5}',
          "unknown calibration config key(s): n_users"),
         ('{"mode": ["x"]}', "unknown generator mode"),
+        ('{"n_users": "x"}', "config key 'n_users' must be an integer"),
+        ('{"p_in": null}', "config key 'p_in' must be a number"),
+        ('{"n_users": true}', "config key 'n_users' must be an integer"),
+        ('{"n_users": 100.0}', "config key 'n_users' must be an integer"),
+        ('{"follower_log10": [2.5]}', "'follower_log10' must be a list of 2 numbers"),
+        ('{"date_range": "2023"}', "'date_range' must be a list of 2 strings"),
+        ('{"action_shares": [0.5]}', "'action_shares' must be an object of numbers"),
+        ('{"domain_mix": {"A": 1}}',
+         "'domain_mix' must be an object of objects of numbers"),
+        ('{"mode": "calibration", "ae_targets": {"like": "x"}}',
+         "'ae_targets' must be an object of numbers"),
+        # Well-typed, but rejected by validate().
+        ('{"lurk_rate_by_group": {"A": 0.9}}', "needs exactly the groups A and B"),
+        ('{"action_shares": {"like": 1}}', "needs exactly the actions"),
+        ('{"n_users": 1}', "need at least 2 users"),
+        ('{"seed": -1}', "seed must be non-negative"),
+        ('{"date_range": ["x", "2023-03-01T00:00:00Z"]}', "date_range: Invalid"),
+        ('{"date_range": ["2022-01-01T00:00:00Z", "2022-02-01T00:00:00Z"]}',
+         "date_range ends before the impression cutoff"),
     ])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    command, content, message):
@@ -231,6 +251,20 @@ class TestUnsafeIds:
 
 
 class TestErrors:
+    def test_unparsable_created_at_counted_under_one_reason(self, tmp_path):
+        """The parser's message used to be the reason, raw value and all."""
+        corpus = mini_corpus_plus(tmp_path / "corpus.jsonl",
+                                  x1={"created_at": "garbage, with comma"},
+                                  x2={"created_at": "yesterday"})
+        rejects = tmp_path / "rejects.csv"
+        run(["ingest", "--input", corpus, "--filtered-out", tmp_path / "f.jsonl",
+             "--rejects-out", rejects])
+        with open(rejects, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["reason", "count"]
+        assert all(len(row) == 2 and row[1].isdigit() for row in rows[1:]), rows
+        assert ["bad_created_at", "2"] in rows
+
     def test_empty_influencer_selection_exits_with_error(self, tmp_path):
         filtered = tmp_path / "filtered.jsonl"
         run(["ingest", "--input", FIXTURES / "mini_corpus.jsonl",

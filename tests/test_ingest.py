@@ -2,14 +2,16 @@ import gzip
 import json
 import tracemalloc
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echoaudit import ingest as ing
 from echoaudit.errors import InputError
 
+from _flat_oracle import flat_corpus
 from conftest import make_record
 
 CUTOFF = "2022-12-15T00:00:00Z"
@@ -146,6 +148,20 @@ class TestParseCorpus:
         path.write_bytes(newline.join(lines) + newline)
         with pytest.raises(InputError, match=r"c\.jsonl:3: not valid UTF-8"):
             list(ing.parse_corpus(path))
+
+    @pytest.mark.parametrize("value", [
+        "yesterday", "garbage, with comma", "2023-13-01T00:00:00Z",
+        # Valid ISO-8601, but out of range once moved to UTC.
+        "0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-02:00",
+    ])
+    def test_bad_created_at_one_reason_in_both_schemas(self, tmp_path, value):
+        api = {"id": "9", "author_id": "bob", "created_at": value, "lang": "en"}
+        for schema, line in (("flat", flat_line(created_at=value)),
+                             ("api", json.dumps(api))):
+            path = write_lines(tmp_path / f"{schema}.jsonl", [line])
+            rejects = Counter()
+            assert list(ing.parse_corpus(path, schema=schema, rejects=rejects)) == []
+            assert rejects == Counter({"bad_created_at": 1})
 
     def test_naive_timestamp_assumed_utc(self, tmp_path):
         path = write_lines(
@@ -352,3 +368,69 @@ def test_count_report_format(tmp_path):
     out = tmp_path / "rejects.csv"
     ing.write_count_report(Counter({"b_reason": 2, "a_reason": 5}), out)
     assert out.read_text() == "reason,count\na_reason,5\nb_reason,2\n"
+
+
+# Any text, including control characters, quotes, backslashes, non-BMP
+# characters and lone surrogates.
+any_text = st.text(st.characters(exclude_categories=()), max_size=12)
+fixed_offsets = st.builds(
+    timezone, st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
+                            max_value=timedelta(hours=23, minutes=59)))
+# A margin of one year keeps every offset inside datetime's range.
+any_datetime = st.datetimes(min_value=datetime(2, 1, 1),
+                            max_value=datetime(9998, 12, 31), timezones=fixed_offsets)
+counts = st.integers(min_value=0, max_value=2**70)
+
+flat_records = st.builds(
+    ing.TweetRecord,
+    tweet_id=any_text, author_id=any_text, created_at=any_datetime,
+    lang=any_text, kind=any_text, retweeted_author_id=st.none() | any_text,
+    impressions=counts, likes=counts, replies=counts, retweets=counts,
+    quotes=counts, urls=st.lists(any_text, max_size=3), author_followers=counts,
+)
+
+UNUSUAL = make_record(
+    tweet_id='t"1\\', author_id="café 中\U0001f600",
+    created_at="0999-06-01T03:04:05-07:30", lang="e\ud800n", kind="re\x00\x1f\x7f",
+    retweeted_author_id="\udfff", impressions=2**64, likes=10**30,
+    urls=["https://x.test/ ", "\n\r\t\b\f", "\ud83d", ""], author_followers=1,
+)
+
+
+class TestFlatLine:
+    @given(records=st.lists(flat_records, max_size=5))
+    @example(records=[UNUSUAL, make_record(retweeted_author_id="bob", urls=["a", "b"])])
+    @settings(max_examples=200, deadline=None)
+    def test_write_corpus_equals_json_dumps_oracle(self, tmp_path_factory, records):
+        out = tmp_path_factory.mktemp("flat") / "out.jsonl"
+        assert ing.write_corpus(records, out) == len(records)
+        assert out.read_bytes() == flat_corpus(records).encode("ascii")
+
+    @given(ts=any_datetime)
+    @example(ts=datetime(999, 6, 1, tzinfo=timezone.utc))
+    @example(ts=datetime(1, 1, 1, tzinfo=timezone.utc))
+    def test_timestamp_round_trip_keeps_four_digit_year(self, ts):
+        text = ing.format_timestamp(ts)
+        assert len(text) == 20 and text[4] == "-" and text.endswith("Z")
+        assert ing.parse_timestamp(text) == ts.astimezone(timezone.utc).replace(microsecond=0)
+
+    def test_timestamp_matches_strftime_from_year_1000(self):
+        for ts in (datetime(1000, 1, 1, tzinfo=timezone.utc),
+                   datetime(2023, 2, 3, 4, 5, 6, 789, tzinfo=timezone.utc),
+                   datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)):
+            assert ing.format_timestamp(ts) == ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+    def test_record_before_year_1000_survives_reingest(self, tmp_path):
+        """Filtered output is valid input: a year-999 record used to be
+        written as ``999-06-01...`` and rejected on the next pass."""
+        path = write_lines(tmp_path / "c.jsonl",
+                           [flat_line(created_at="0999-06-01T00:00:00Z"), flat_line()])
+        keep_all = ing.CorpusFilter(min_date=datetime(1, 1, 1, tzinfo=timezone.utc))
+        first = list(ing.apply_filters(ing.parse_corpus(path), keep_all))
+        assert len(first) == 2
+        out = tmp_path / "filtered.jsonl"
+        ing.write_corpus(first, out)
+        assert '"created_at": "0999-06-01T00:00:00Z"' in out.read_text()
+        rejects = Counter()
+        assert list(ing.parse_corpus(out, rejects=rejects)) == first
+        assert not rejects

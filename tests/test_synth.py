@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import math
 from collections import defaultdict
@@ -178,6 +179,18 @@ class TestCalibration:
             report = eng.correlation_report(records, action)
             assert abs(report.pearson_r - r_t[action]) < 0.03
 
+    def test_corpus_bytes_pinned(self, tmp_path):
+        """sha256 of the corpus as the dict-and-json.dumps writer wrote it."""
+        ae_t, r_t = self.targets()
+        config = synth.CalibrationConfig(
+            seed=5, n_tweets=500, ae_targets=ae_t, pearson_targets=r_t
+        )
+        result = synth.generate_calibration(config, tmp_path)
+        digest = hashlib.sha256(result.corpus_path.read_bytes()).hexdigest()
+        assert digest == (
+            "6a41289f7c538b545e9143cee564fd46e99aa33085837e648d4c8c9c27793333"
+        )
+
     def test_truth_carries_targets(self, tmp_path):
         ae_t, r_t = self.targets()
         config = synth.CalibrationConfig(
@@ -217,6 +230,14 @@ class TestConfigJSON:
         }))
         config = synth.config_from_json(path)
         assert isinstance(config, synth.CalibrationConfig)
+
+    def test_integers_accepted_for_number_fields(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"p_in": 1, "follower_log10": [2, 1],
+                                    "lurk_rate_by_group": {"A": 1, "B": 0.5}}))
+        config = synth.config_from_json(path)
+        assert (config.p_in, config.follower_log10) == (1, (2, 1))
+        config.validate()
 
     def test_unknown_mode(self, tmp_path):
         path = tmp_path / "config.json"
