@@ -7,11 +7,11 @@ artifacts and returns what later stages need; an input passed in memory is
 not read from its file.
 
 ``pipeline`` runs the whole chain in one process into one output tree.  It
-parses the corpus once: while ingest writes ``filtered.jsonl`` it keeps the
-original tweets and the retweet counts, and hands them, the graph, the scores
-and the domain table from stage to stage.  It still writes every
-intermediate, byte-identical to the files the subcommands chained by hand
-would write.  All outputs are deterministic given inputs and flags.
+parses the corpus once: while ingest writes ``filtered.jsonl`` it fills the
+table of original tweets (their URLs resolved against the domain table) and
+the retweet counts, and hands them, the graph and the scores from stage to
+stage.  It still writes every intermediate, byte-identical to the files the
+subcommands chained by hand would write.  All outputs are deterministic given inputs and flags.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import json
 import logging
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -31,7 +31,7 @@ from . import ingest as ing
 from . import mediabias as mb
 from . import report as rep
 from . import synth
-from .errors import EchoauditError
+from .errors import EchoauditError, InputError
 
 log = logging.getLogger("echoaudit")
 
@@ -80,7 +80,10 @@ def _add_ingest(sub) -> None:
 def _corpus_filter(args) -> ing.CorpusFilter:
     kwargs = {}
     if args.min_date:
-        min_date = ing.parse_timestamp(args.min_date)
+        try:
+            min_date = ing.parse_timestamp(args.min_date)
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"--min-date: {exc}") from None
         if min_date < ing.IMPRESSIONS_AVAILABLE_FROM:
             log.warning(
                 "--min-date %s predates the impression-count metric (%s); "
@@ -93,23 +96,25 @@ def _corpus_filter(args) -> ing.CorpusFilter:
     return ing.CorpusFilter(**kwargs)
 
 
-def _retain(records: Iterator[ing.TweetRecord], originals: list[ing.TweetRecord],
+def _retain(records: Iterator[ing.TweetRecord], originals: eng.OriginalsTable,
             retweets: gr.RetweetCounts) -> Iterator[ing.TweetRecord]:
     """Pass records through, keeping what the later pipeline stages read."""
     kinds = ing.CorpusFilter()
     for rec in records:
         if rec.kind in kinds.kinds_for_engagement:
-            originals.append(rec)
+            originals.add(rec)
         if rec.kind in kinds.kinds_for_network:
             retweets.add(rec)
         yield rec
 
 
-def cmd_ingest(args, keep: bool = False):
+def cmd_ingest(args, keep: bool = False,
+               domains: Optional[dict[str, mb.DomainProfile]] = None):
     """Filter the corpus into ``--filtered-out``.
 
-    With ``keep``, returns the retained original tweets and the retweet
-    counts, gathered in the same pass that writes the filtered corpus.
+    With ``keep``, returns the table of retained original tweets (URLs
+    resolved against ``domains``) and the retweet counts, gathered in the
+    same pass that writes the filtered corpus.
     """
     rejects: Counter = Counter()
     exclusions: Counter = Counter()
@@ -120,7 +125,7 @@ def cmd_ingest(args, keep: bool = False):
         exclusions,
     )
     if keep:
-        originals: list[ing.TweetRecord] = []
+        originals = eng.OriginalsTable(domains)
         retweets = gr.RetweetCounts()
         records = _retain(records, originals, retweets)
     n = ing.write_corpus(records, args.filtered_out)
@@ -244,42 +249,36 @@ def _add_engagement(sub) -> None:
     p.set_defaults(func=cmd_engagement)
 
 
-def _load_originals(path: Path) -> list[ing.TweetRecord]:
-    return list(ing.engagement_subset(ing.parse_corpus(path)))
+def _load_originals(args) -> eng.OriginalsTable:
+    """Stream the corpus's original tweets into a table, with the URLs
+    resolved against ``--domains`` when given."""
+    table = mb.load_domain_table(args.domains) if args.domains else None
+    return eng.OriginalsTable.from_records(
+        ing.engagement_subset(ing.parse_corpus(args.input)), table)
 
 
-def cmd_engagement(args, originals: Optional[list[ing.TweetRecord]] = None,
-                   table: Optional[dict[str, mb.DomainProfile]] = None,
+def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
                    user_scores: Optional[dict[str, float]] = None) -> None:
     wanted = (["tweet", "user", "domain"] if args.granularity == "all"
               else [args.granularity])
     # Read every input before creating the output directory, so a bad input
     # leaves nothing behind.
     if originals is None:
-        originals = _load_originals(args.input)
-    if table is None:
-        table = mb.load_domain_table(args.domains) if args.domains else {}
+        originals = _load_originals(args)
+    table = originals.domains
     if (user_scores is None and "ideology" in (args.group_by or [])
             and args.scores and "user" in wanted):
         user_scores, _ = ideo.read_scores(args.scores)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     stats: Counter = Counter()
 
-    results: dict[str, list[eng.EngagementRecord]] = {}
+    results: dict[str, eng.EngagementTable] = {}
     for granularity in wanted:
-        if granularity == "tweet":
-            key_fn = lambda rec: rec.tweet_id
-        elif granularity == "user":
-            key_fn = lambda rec: rec.author_id
-        else:
-            if not table:
-                log.warning("domain granularity requested without --domains; skipped")
-                continue
-            key_fn = lambda rec: sorted(
-                {p.domain for p in mb.matched_profiles(rec, table)}
-            )
+        if granularity == "domain" and not table:
+            log.warning("domain granularity requested without --domains; skipped")
+            continue
         records = eng.aggregate_ae(
-            originals, granularity, key_fn,
+            originals, granularity,
             fractional=args.fractional_domains and granularity == "domain",
             drop_zero_impressions=args.drop_zero_impressions,
             stats=stats,
@@ -296,14 +295,8 @@ def cmd_engagement(args, originals: Optional[list[ing.TweetRecord]] = None,
     eng.write_correlations(reports, args.out_dir / "correlations.csv")
 
     if table:
-        by_author: dict[str, list[ing.TweetRecord]] = defaultdict(list)
-        for rec in originals:
-            by_author[rec.author_id].append(rec)
-        leanings = [
-            mb.user_leaning(uid, recs, table)
-            for uid, recs in sorted(by_author.items())
-        ]
-        mb.write_user_leanings(leanings, args.out_dir / "user_leanings.csv")
+        mb.write_user_leanings(mb.user_leaning(originals),
+                               args.out_dir / "user_leanings.csv")
 
     for group_by in args.group_by or []:
         if group_by == "ideology":
@@ -357,10 +350,9 @@ def _scores_from_csv(path: Path) -> ideo.IdeologyScores:
     )
 
 
-def cmd_report(args, originals: Optional[list[ing.TweetRecord]] = None,
+def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
                g: Optional[gr.RetweetGraph] = None,
-               scores: Optional[ideo.IdeologyScores] = None,
-               table: Optional[dict[str, mb.DomainProfile]] = None) -> None:
+               scores: Optional[ideo.IdeologyScores] = None) -> None:
     # Read every input before creating the output directory, so a bad input
     # leaves nothing behind.
     if scores is None:
@@ -368,9 +360,7 @@ def cmd_report(args, originals: Optional[list[ing.TweetRecord]] = None,
     if g is None:
         g = gr.read_edge_list(args.graph)
     if originals is None:
-        originals = _load_originals(args.input)
-    if table is None and args.domains:
-        table = mb.load_domain_table(args.domains)
+        originals = _load_originals(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     hist = rep.ideology_histograms(scores, bins=args.hist_bins, g=g,
@@ -387,11 +377,8 @@ def cmd_report(args, originals: Optional[list[ing.TweetRecord]] = None,
         rep.write_grid(density, args.out_dir / f"ae_density_{action}.csv",
                        args.out_dir / f"ae_density_{action}.json")
 
-    if table is not None:
-        by_author: dict[str, list[ing.TweetRecord]] = defaultdict(list)
-        for rec in originals:
-            by_author[rec.author_id].append(rec)
-        class_counts = mb.user_class_counts(by_author, table)
+    if originals.domains is not None:
+        class_counts = mb.user_class_counts(originals)
         per_class = rep.leaning_ideology_distributions(
             scores, class_counts, min_shares=args.min_shares,
             bins=args.hist_bins,
@@ -447,6 +434,7 @@ def cmd_pipeline(args) -> None:
         synth_argv += ["--config", str(args.config)]
     cmd_synth(stage_args(synth_argv), config)
 
+    table = mb.load_domain_table(synth_dir / "domains.csv")
     ingest_dir = out / "ingest"
     ingest_dir.mkdir(exist_ok=True)
     originals, retweets = cmd_ingest(stage_args([
@@ -454,7 +442,7 @@ def cmd_pipeline(args) -> None:
         "--filtered-out", str(ingest_dir / "filtered.jsonl"),
         "--rejects-out", str(ingest_dir / "rejects.csv"),
         "--exclusions-out", str(ingest_dir / "exclusions.csv"),
-    ]), keep=True)
+    ]), keep=True, domains=table)
 
     min_indegree = args.min_indegree
     if min_indegree is None:
@@ -486,7 +474,6 @@ def cmd_pipeline(args) -> None:
         ideology_argv += ["--anchor", args.anchor]
     scores = cmd_ideology(stage_args(ideology_argv), g, influencers)
 
-    table = mb.load_domain_table(synth_dir / "domains.csv")
     engagement_dir = out / "engagement"
     cmd_engagement(stage_args([
         "engagement", "--input", str(ingest_dir / "filtered.jsonl"),
@@ -496,7 +483,7 @@ def cmd_pipeline(args) -> None:
         "--group-by", "ideology", "--group-by", "reliability",
         "--group-by", "leaning",
         "--out-dir", str(engagement_dir),
-    ]), originals, table, scores.user_scores)
+    ]), originals, scores.user_scores)
 
     report_dir = out / "report"
     cmd_report(stage_args([
@@ -505,7 +492,7 @@ def cmd_pipeline(args) -> None:
         "--scores", str(ideology_dir / "scores.csv"),
         "--domains", str(synth_dir / "domains.csv"),
         "--out-dir", str(report_dir),
-    ]), originals, g, scores, table)
+    ]), originals, g, scores)
 
 
 def _parser() -> argparse.ArgumentParser:

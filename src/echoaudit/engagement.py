@@ -6,161 +6,323 @@ has no impressions).  User- and domain-level AE pools totals first
 the mean of ratios is exported alongside for comparison.  AE can legitimately
 exceed 1 on real data (impressions and actions are measured at different
 times); such values are flagged, never clamped.
+
+Original tweets are held as an :class:`OriginalsTable` of NumPy columns,
+filled one record at a time as the corpus streams past, and every consumer
+works on those columns.  Pooled sums are exact: a subject's terms are summed
+with ``math.fsum`` (or in int64 where that cannot overflow), so a result does
+not depend on record order.  Ingest caps every count at ``2**53 - 1``, so the
+float64 ratios equal Python's correctly rounded ``int / int``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import mediabias as mb
 from .errors import EchoauditError
-from .ingest import TweetRecord
+from .ingest import TweetRecord, open_atomic, tally
 
 log = logging.getLogger(__name__)
 
 ACTIONS = ("retweet", "reply", "like", "quote")
 
-_ACTION_FIELD = {"retweet": "retweets", "reply": "replies", "like": "likes", "quote": "quotes"}
-
 GRANULARITIES = ("tweet", "user", "domain")
 
+# Rows per chunk of the engagement CSV writer.
+_WRITE_CHUNK = 8192
 
-def action_count(rec: TweetRecord, action: str) -> int:
-    return getattr(rec, _ACTION_FIELD[action])
+
+def _view(column: array) -> np.ndarray:
+    return np.frombuffer(column, dtype=np.int64)
 
 
-def tweet_ae(rec: TweetRecord) -> Optional[dict[str, float]]:
-    """Per-action AE ratios for one tweet; None when impressions are zero."""
-    if rec.impressions == 0:
-        return None
-    return {a: action_count(rec, a) / rec.impressions for a in ACTIONS}
+def _sorted_codes(vocab: Mapping[str, int]) -> tuple[list[str], np.ndarray]:
+    """Ids in Python ``str`` order, and the rank of each code in that order.
+
+    ``vocab`` maps each id to its code, codes numbering ids in insertion
+    order.  Ids may hold any character (``\\x00`` included), so they are
+    sorted as Python strings, not as NumPy ``U`` arrays.
+    """
+    ids = list(vocab)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids))
+    return [ids[i] for i in order], rank
+
+
+class OriginalsTable:
+    """Original tweets as columns, appended one record at a time.
+
+    * ``tweet_codes``/``author_codes`` number the distinct ids in first-seen
+      order (``author_ids`` lists the authors in that order);
+    * ``impressions``, ``followers`` and ``action_counts(action)`` are int64;
+    * given a domain table, ``url_indptr``/``url_domains`` hold each record's
+      URLs as a CSR row of domain codes, in URL order and with multiplicity.
+      A code indexes ``domain_names`` (the table's domains, sorted) or is -1
+      for a URL whose registrable domain is not in the table.  Each distinct
+      URL goes through :func:`mediabias.extract_domain` once.  Without a
+      domain table every row is empty.
+
+    The column views share memory with the growing buffers: while one is
+    alive, :meth:`add` raises ``BufferError``.
+    """
+
+    def __init__(self, domains: Optional[Mapping[str, mb.DomainProfile]] = None):
+        self.domains = domains
+        self._tweet_vocab: dict[str, int] = {}
+        self._author_vocab: dict[str, int] = {}
+        self._tweet = array("q")
+        self._author = array("q")
+        self._impressions = array("q")
+        self._followers = array("q")
+        self._actions = {a: array("q") for a in ACTIONS}
+        self.domain_names: list[str] = sorted(domains) if domains is not None else []
+        self._domain_code = {d: i for i, d in enumerate(self.domain_names)}
+        self._url_code: dict[str, int] = {}
+        self._indptr = array("q", [0])
+        self._url_domains = array("q")
+
+    @classmethod
+    def from_records(
+        cls,
+        records: Iterable[TweetRecord],
+        domains: Optional[Mapping[str, mb.DomainProfile]] = None,
+    ) -> "OriginalsTable":
+        table = cls(domains)
+        for rec in records:
+            table.add(rec)
+        return table
+
+    def add(self, rec: TweetRecord) -> None:
+        vocab = self._tweet_vocab
+        self._tweet.append(vocab.setdefault(rec.tweet_id, len(vocab)))
+        vocab = self._author_vocab
+        self._author.append(vocab.setdefault(rec.author_id, len(vocab)))
+        self._impressions.append(rec.impressions)
+        self._followers.append(rec.author_followers)
+        actions = self._actions
+        actions["retweet"].append(rec.retweets)
+        actions["reply"].append(rec.replies)
+        actions["like"].append(rec.likes)
+        actions["quote"].append(rec.quotes)
+        if self.domains is not None and rec.urls:
+            url_code = self._url_code
+            for url in rec.urls:
+                code = url_code.get(url)
+                if code is None:
+                    code = self._domain_code.get(mb.extract_domain(url), -1)
+                    url_code[url] = code
+                self._url_domains.append(code)
+        self._indptr.append(len(self._url_domains))
+
+    def __len__(self) -> int:
+        return len(self._tweet)
+
+    @property
+    def author_ids(self) -> list[str]:
+        return list(self._author_vocab)
+
+    @property
+    def tweet_codes(self) -> np.ndarray:
+        return _view(self._tweet)
+
+    @property
+    def author_codes(self) -> np.ndarray:
+        return _view(self._author)
+
+    @property
+    def impressions(self) -> np.ndarray:
+        return _view(self._impressions)
+
+    @property
+    def followers(self) -> np.ndarray:
+        return _view(self._followers)
+
+    def action_counts(self, action: str) -> np.ndarray:
+        return _view(self._actions[action])
+
+    @property
+    def url_indptr(self) -> np.ndarray:
+        return _view(self._indptr)
+
+    @property
+    def url_domains(self) -> np.ndarray:
+        return _view(self._url_domains)
+
+    def url_owners(self) -> np.ndarray:
+        """The record index of every entry of ``url_domains``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.url_indptr))
+
+    def sorted_authors(self) -> tuple[list[str], np.ndarray]:
+        """Author ids in ``str`` order, and each author code's rank in it."""
+        return _sorted_codes(self._author_vocab)
+
+    def sorted_tweets(self) -> tuple[list[str], np.ndarray]:
+        """Tweet ids in ``str`` order, and each tweet code's rank in it."""
+        return _sorted_codes(self._tweet_vocab)
 
 
 @dataclass(frozen=True)
-class EngagementRecord:
-    subject_id: str
+class EngagementTable:
+    """Pooled AE per subject; rows in sorted subject order, columns as arrays."""
+
     granularity: str
-    impressions: float               # integer unless fractional attribution
-    counts: dict[str, float]         # per action
-    ae: dict[str, float]             # pooled: counts / impressions
-    mean_ae: dict[str, Optional[float]]  # mean of per-tweet ratios
-    n_tweets: int
+    subject_ids: list[str]
+    impressions: np.ndarray              # float64; integral unless fractional
+    counts: dict[str, np.ndarray]        # per action
+    ae: dict[str, np.ndarray]            # pooled: counts / impressions
+    mean_ae: dict[str, np.ndarray]       # mean of per-tweet ratios; NaN if none
+    n_tweets: np.ndarray                 # int64
+
+    def __len__(self) -> int:
+        return len(self.subject_ids)
+
+
+def _fsum_groups(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-group ``math.fsum`` of float64 values laid out group by group.
+
+    A one-term group passes its value through, which is what fsum returns.
+    """
+    sums = values[starts].astype(np.float64)
+    multi = np.flatnonzero(sizes > 1)
+    if multi.size:
+        terms = values.tolist()
+        lo = starts[multi].tolist()
+        hi = (starts[multi] + sizes[multi]).tolist()
+        sums[multi] = [math.fsum(terms[a:b]) for a, b in zip(lo, hi)]
+    return sums
+
+
+def _sum_groups(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Exact per-group sums, correctly rounded to float64 as fsum would be.
+
+    Integer columns add in int64 when no sum can overflow; their terms are
+    at most ``2**53 - 1``, so otherwise each term is an exact float for fsum.
+    """
+    if values.dtype == np.int64 and int(values.max()) * values.size < 2**63:
+        return np.add.reduceat(values, starts).astype(np.float64)
+    return _fsum_groups(values.astype(np.float64, copy=False), starts, sizes)
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and sizes of the runs of equal values in sorted ``keys``."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return starts, np.diff(np.r_[starts, keys.size])
 
 
 def aggregate_ae(
-    records: Iterable[TweetRecord],
+    originals: OriginalsTable,
     granularity: str,
-    key_fn: Callable[[TweetRecord], object],
     fractional: bool = False,
     drop_zero_impressions: bool = False,
     stats: Optional[Counter] = None,
-) -> list[EngagementRecord]:
+) -> EngagementTable:
     """Pool impressions and actions per subject and form AE ratios.
 
-    ``key_fn`` maps a record to a subject key, a list of keys (a tweet that
-    names several domains contributes to each), or None to skip.  With
-    ``fractional=True`` a multi-key record splits its counts evenly instead
-    of contributing fully to every key.  Subjects whose pooled impressions
-    are zero are omitted and counted.  Order-independent by construction.
+    A tweet's subject is its tweet id, its author, or each distinct domain
+    its URLs match in the domain table (a tweet with none is skipped and
+    counted).  With ``fractional=True`` a multi-domain tweet splits its
+    counts evenly instead of contributing fully to every domain.  Subjects
+    whose pooled impressions are zero are omitted and counted.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
     if stats is None:
         stats = Counter()
+    n = len(originals)
+    impressions = originals.impressions
+    keep = np.ones(n, dtype=bool)
+    if drop_zero_impressions:
+        keep = impressions != 0
+        tally(stats, "zero_impression_tweets_dropped", n - int(np.count_nonzero(keep)))
 
-    # Per-key contribution lists, reduced with exact summation at the end,
-    # so the result is independent of record order (and of any partitioning
-    # a parallel caller might have used).
-    impressions: dict[str, list[float]] = defaultdict(list)
-    counts: dict[str, dict[str, list[float]]] = defaultdict(
-        lambda: {a: [] for a in ACTIONS}
-    )
-    ratio_sums: dict[str, dict[str, list[float]]] = defaultdict(
-        lambda: {a: [] for a in ACTIONS}
-    )
-    ratio_n: dict[str, int] = defaultdict(int)
-    n_tweets: dict[str, int] = defaultdict(int)
-
-    for rec in records:
-        if drop_zero_impressions and rec.impressions == 0:
-            stats["zero_impression_tweets_dropped"] += 1
-            continue
-        keys = key_fn(rec)
-        if keys is None:
-            stats["unkeyed_records"] += 1
-            continue
-        if isinstance(keys, str):
-            keys = [keys]
+    # One occurrence per (tweet, subject) pair: the tweet's row and the
+    # subject's rank in sorted subject order.
+    weight = None
+    if granularity == "domain":
+        names = originals.domain_names
+        width = max(len(names), 1)
+        codes = originals.url_domains
+        matched = codes >= 0
+        pairs = np.unique(originals.url_owners()[matched] * width + codes[matched])
+        row, key = pairs // width, pairs % width
+        n_keys = np.bincount(row, minlength=n)
+        tally(stats, "unkeyed_records", int(np.count_nonzero(keep & (n_keys == 0))))
+        if fractional:
+            weight = 1.0 / n_keys[row]
+    else:
+        if granularity == "tweet":
+            names, rank = originals.sorted_tweets()
+            key = rank[originals.tweet_codes]
         else:
-            keys = list(keys)
-            if not keys:
-                stats["unkeyed_records"] += 1
-                continue
-        weight = (1.0 / len(keys)) if fractional else 1.0
-        ratios = tweet_ae(rec)
-        for key in keys:
-            impressions[key].append(weight * rec.impressions)
-            n_tweets[key] += 1
-            for a in ACTIONS:
-                counts[key][a].append(weight * action_count(rec, a))
-            if ratios is not None:
-                ratio_n[key] += 1
-                for a in ACTIONS:
-                    ratio_sums[key][a].append(ratios[a])
+            names, rank = originals.sorted_authors()
+            key = rank[originals.author_codes]
+        row = np.arange(n)
+    # Kept occurrences, grouped by subject; rows stay ascending in a group.
+    sel = np.flatnonzero(keep[row])
+    sel = sel[np.argsort(key[sel], kind="stable")]
+    row, key = row[sel], key[sel]
+    if weight is not None:
+        weight = weight[sel]
+    if not row.size:
+        none = {a: np.zeros(0) for a in ACTIONS}
+        return EngagementTable(granularity, [], np.zeros(0), none, none, none,
+                               np.zeros(0, dtype=np.int64))
+    starts, sizes = _groups(key)
 
-    out: list[EngagementRecord] = []
-    for key in sorted(impressions):
-        imp = math.fsum(impressions[key])
-        if imp == 0:
-            stats["zero_impression_subjects_omitted"] += 1
-            continue
-        total = {a: math.fsum(counts[key][a]) for a in ACTIONS}
-        ae = {a: total[a] / imp for a in ACTIONS}
+    def pooled(column: np.ndarray) -> np.ndarray:
+        terms = column[row]
+        if weight is not None:
+            terms = weight * terms
+        return _sum_groups(terms, starts, sizes)
+
+    imp = pooled(impressions)
+    totals = {a: pooled(originals.action_counts(a)) for a in ACTIONS}
+
+    # Per-tweet ratios, pooled over the tweets that have impressions.
+    has_ratio = impressions[row] != 0
+    ratio_row, ratio_key = row[has_ratio], key[has_ratio]
+    ratio_n = np.zeros(starts.size, dtype=np.int64)
+    ratio_sums = {a: np.zeros(starts.size) for a in ACTIONS}
+    if ratio_row.size:
+        ratio_starts, ratio_sizes = _groups(ratio_key)
+        slot = np.searchsorted(key[starts], ratio_key[ratio_starts])
+        ratio_n[slot] = ratio_sizes
+        ratio_imp = impressions[ratio_row]
         for a in ACTIONS:
-            if ae[a] > 1.0:
-                stats[f"ae_over_unity_{a}"] += 1
-        mean_ae: dict[str, Optional[float]] = {
-            a: (math.fsum(ratio_sums[key][a]) / ratio_n[key] if ratio_n[key] else None)
-            for a in ACTIONS
-        }
-        out.append(
-            EngagementRecord(
-                subject_id=key,
-                granularity=granularity,
-                impressions=imp,
-                counts=total,
-                ae=ae,
-                mean_ae=mean_ae,
-                n_tweets=n_tweets[key],
-            )
-        )
-    return out
+            ratios = originals.action_counts(a)[ratio_row] / ratio_imp
+            ratio_sums[a][slot] = _fsum_groups(ratios, ratio_starts, ratio_sizes)
 
-
-def tweet_level_mean_ae(records: Iterable[TweetRecord]) -> dict[str, tuple[float, int]]:
-    """Mean per-tweet AE including zero-action tweets, per action.
-
-    Tweets without impressions carry no ratio and are excluded from the mean.
-    Returns ``action -> (mean, n)``.
-    """
-    sums = {a: 0.0 for a in ACTIONS}
-    n = 0
-    for rec in records:
-        ratios = tweet_ae(rec)
-        if ratios is None:
-            continue
-        n += 1
-        for a in ACTIONS:
-            sums[a] += ratios[a]
-    if n == 0:
-        return {a: (math.nan, 0) for a in ACTIONS}
-    return {a: (sums[a] / n, n) for a in ACTIONS}
+    nonzero = imp != 0
+    tally(stats, "zero_impression_subjects_omitted", int(np.count_nonzero(~nonzero)))
+    imp = imp[nonzero]
+    counts = {a: totals[a][nonzero] for a in ACTIONS}
+    ae = {a: counts[a] / imp for a in ACTIONS}
+    for a in ACTIONS:
+        tally(stats, f"ae_over_unity_{a}", int(np.count_nonzero(ae[a] > 1.0)))
+    ratio_n = ratio_n[nonzero]
+    with np.errstate(invalid="ignore"):
+        mean_ae = {a: np.where(ratio_n > 0, ratio_sums[a][nonzero] / ratio_n, np.nan)
+                   for a in ACTIONS}
+    subject_keys = key[starts][nonzero].tolist()
+    return EngagementTable(
+        granularity=granularity,
+        subject_ids=[names[k] for k in subject_keys],
+        impressions=imp,
+        counts=counts,
+        ae=ae,
+        mean_ae=mean_ae,
+        n_tweets=sizes[nonzero],
+    )
 
 
 @dataclass(frozen=True)
@@ -171,7 +333,7 @@ class CorrelationReport:
     filter: str
 
 
-def log_pearson(pairs: Sequence[tuple[float, float]]) -> float:
+def log_pearson(pairs: Sequence[tuple[float, float]] | np.ndarray) -> float:
     """Pearson correlation of (log10 x, log10 y) over strictly positive pairs."""
     if len(pairs) < 2:
         raise EchoauditError(f"correlation needs at least 2 points, got {len(pairs)}")
@@ -188,24 +350,19 @@ def log_pearson(pairs: Sequence[tuple[float, float]]) -> float:
     return float(xd @ yd) / denom
 
 
-def followers_ae_pairs(
-    records: Iterable[TweetRecord], action: str
-) -> list[tuple[float, float]]:
-    """(followers, AE) per tweet, restricted to positive followers and a
+def followers_ae_pairs(originals: OriginalsTable, action: str) -> np.ndarray:
+    """(followers, AE) rows per tweet, restricted to positive followers and a
     nonzero count of the action under study (log scales require positivity)."""
-    pairs = []
-    for rec in records:
-        if rec.impressions == 0 or rec.author_followers <= 0:
-            continue
-        count = action_count(rec, action)
-        if count <= 0:
-            continue
-        pairs.append((float(rec.author_followers), count / rec.impressions))
-    return pairs
+    impressions = originals.impressions
+    followers = originals.followers
+    counts = originals.action_counts(action)
+    keep = (impressions != 0) & (followers > 0) & (counts > 0)
+    return np.column_stack((followers[keep].astype(np.float64),
+                            counts[keep] / impressions[keep]))
 
 
-def correlation_report(records: Sequence[TweetRecord], action: str) -> CorrelationReport:
-    pairs = followers_ae_pairs(records, action)
+def correlation_report(originals: OriginalsTable, action: str) -> CorrelationReport:
+    pairs = followers_ae_pairs(originals, action)
     return CorrelationReport(
         action=action,
         n=len(pairs),
@@ -228,7 +385,7 @@ class GroupSummary:
 
 
 def group_ae(
-    records: Sequence[EngagementRecord],
+    records: EngagementTable,
     groups: Mapping[str, str],
     stats: Optional[Counter] = None,
 ) -> list[GroupSummary]:
@@ -237,16 +394,19 @@ def group_ae(
     Whiskers follow the 1.5*IQR rule: the extreme data points within
     ``[q1 - 1.5 IQR, q3 + 1.5 IQR]``.  Subjects without a group label are
     skipped and counted; groups that end up empty are omitted with a warning.
+    A group's values stay in sorted subject order, the order its mean sums.
     """
     if stats is None:
         stats = Counter()
-    by_group: dict[str, list[EngagementRecord]] = defaultdict(list)
-    for rec in records:
-        label = groups.get(rec.subject_id)
+    by_group: dict[str, list[int]] = defaultdict(list)
+    unlabelled = 0
+    for i, subject in enumerate(records.subject_ids):
+        label = groups.get(subject)
         if label is None:
-            stats["unlabelled_subjects"] += 1
-            continue
-        by_group[label].append(rec)
+            unlabelled += 1
+        else:
+            by_group[label].append(i)
+    tally(stats, "unlabelled_subjects", unlabelled)
 
     missing = set(groups.values()) - set(by_group)
     for label in sorted(missing):
@@ -254,8 +414,9 @@ def group_ae(
 
     out: list[GroupSummary] = []
     for label in sorted(by_group):
+        members = np.asarray(by_group[label])
         for action in ACTIONS:
-            values = np.asarray([r.ae[action] for r in by_group[label]])
+            values = records.ae[action][members]
             q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
             iqr = q3 - q1
             inside = values[(values >= q1 - 1.5 * iqr) & (values <= q3 + 1.5 * iqr)]
@@ -275,29 +436,42 @@ def group_ae(
     return out
 
 
-def write_engagement(records: Sequence[EngagementRecord], path: str | Path) -> None:
+def write_engagement(records: EngagementTable, path: str | Path) -> None:
     """Long-form CSV: one row per subject and action."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         fh.write("subject,granularity,action,impressions,count,ae,mean_ae\n")
-        for rec in records:
+        for lo in range(0, len(records), _WRITE_CHUNK):
+            hi = lo + _WRITE_CHUNK
+            heads = [f"{subject},{records.granularity},"
+                     for subject in records.subject_ids[lo:hi]]
+            impressions = list(map(repr, records.impressions[lo:hi].tolist()))
+            per_action = []
             for a in ACTIONS:
-                mean = rec.mean_ae[a]
-                mean_text = "" if mean is None else repr(mean)
-                fh.write(
-                    f"{rec.subject_id},{rec.granularity},{a},{rec.impressions!r},"
-                    f"{rec.counts[a]!r},{rec.ae[a]!r},{mean_text}\n"
-                )
+                counts = map(repr, records.counts[a][lo:hi].tolist())
+                ae = records.ae[a][lo:hi].tolist()
+                ae_text = list(map(repr, ae))
+                # A one-tweet subject's mean ratio is its pooled AE; AE is
+                # never -0.0, so equal floats have equal text.
+                means = [text if mean == value else "" if mean != mean else repr(mean)
+                         for mean, value, text in zip(
+                             records.mean_ae[a][lo:hi].tolist(), ae, ae_text)]
+                per_action.append([
+                    f"{head}{a},{imp},{count},{text},{mean}\n"
+                    for head, imp, count, text, mean in zip(
+                        heads, impressions, counts, ae_text, means)
+                ])
+            fh.write("".join(map("".join, zip(*per_action))))
 
 
 def write_correlations(reports: Sequence[CorrelationReport], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         fh.write("action,n,pearson_r,filter\n")
         for rep in reports:
             fh.write(f"{rep.action},{rep.n},{rep.pearson_r!r},{rep.filter}\n")
 
 
 def write_group_summaries(summaries: Sequence[GroupSummary], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         fh.write("group,action,n,mean,q1,median,q3,whisker_lo,whisker_hi\n")
         for s in summaries:
             fh.write(

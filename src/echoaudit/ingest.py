@@ -17,7 +17,8 @@ Malformed lines never abort a run; they are skipped and counted by reason.
 Ids must survive the CSV files of later stages: an id containing ``,``, a
 line break or a lone surrogate, or starting or ending with whitespace, is
 rejected under ``id_not_csv_safe``; a ``created_at`` that is not an ISO-8601
-timestamp is rejected under ``bad_created_at``.  Files ending in ``.gz`` are
+timestamp is rejected under ``bad_created_at``; a count above ``2**53 - 1``
+is rejected under ``count_too_large_<field>``.  Files ending in ``.gz`` are
 transparently decompressed.
 
 :func:`write_corpus` writes the ``flat`` schema back, one :func:`flat_line`
@@ -51,6 +52,11 @@ KINDS = ("original", "retweet", "quote", "reply")
 IMPRESSIONS_AVAILABLE_FROM = datetime(2022, 12, 15, tzinfo=timezone.utc)
 
 _COUNT_FIELDS = ("impressions", "likes", "replies", "retweets", "quotes")
+
+# The largest count accepted: the I-JSON exact-integer limit.  Every count
+# is then an exact float64, and a ratio of two counts in float64 equals the
+# correctly rounded ``int / int``.
+MAX_COUNT = 2**53 - 1
 
 
 @dataclass(slots=True)
@@ -154,6 +160,8 @@ def _require_count(value, name: str) -> int:
         raise ValueError(f"bad_count_{name}")
     if value < 0:
         raise ValueError(f"negative_count_{name}")
+    if value > MAX_COUNT:
+        raise ValueError(f"count_too_large_{name}")
     return value
 
 
@@ -424,9 +432,15 @@ def network_subset(
     return (rec for rec in records if rec.kind in keep)
 
 
+def tally(counts: Counter, reason: str, n: int) -> None:
+    """Add ``n`` to ``counts[reason]``; a zero adds no row to the report."""
+    if n:
+        counts[reason] += n
+
+
 def write_count_report(counts: Counter, path: str | Path) -> None:
     """Write a ``reason,count`` CSV, rows sorted by reason for determinism."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         fh.write("reason,count\n")
         for reason in sorted(counts):
             fh.write(f"{reason},{counts[reason]}\n")

@@ -21,11 +21,16 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 from urllib.parse import urlsplit
 
+import numpy as np
+
 from .errors import InputError
-from .ingest import TweetRecord, open_maybe_gzip
+from .ingest import open_atomic, open_maybe_gzip, tally
+
+if TYPE_CHECKING:
+    from .engagement import OriginalsTable
 
 log = logging.getLogger(__name__)
 
@@ -221,76 +226,80 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
     return table
 
 
-def matched_profiles(
-    record: TweetRecord,
-    table: Mapping[str, DomainProfile],
-    suffixes: Optional[PublicSuffixes] = None,
-) -> list[DomainProfile]:
-    """Profiles for every URL occurrence in a record (with multiplicity)."""
-    out = []
-    for url in record.urls:
-        domain = extract_domain(url, suffixes)
-        if domain is not None and domain in table:
-            out.append(table[domain])
-    return out
+def _domain_profiles(originals: "OriginalsTable") -> list[DomainProfile]:
+    """The profile of each domain code of ``originals``."""
+    return [originals.domains[d] for d in originals.domain_names]
 
 
 def user_leaning(
-    user_id: str,
-    records: Iterable[TweetRecord],
-    table: Mapping[str, DomainProfile],
+    originals: "OriginalsTable",
     include_unreliable_leanings: bool = True,
     unmatched: Optional[Counter] = None,
-) -> UserLeaning:
-    """Mean leaning score over one user's matched URL occurrences.
+) -> list[UserLeaning]:
+    """Mean leaning score over each author's matched URL occurrences.
 
-    Every shared URL counts with multiplicity.  URLs that match no table row
-    or whose profile carries no leaning score are ignored and counted.  With
+    One :class:`UserLeaning` per author, in sorted id order.  Every shared
+    URL counts with multiplicity.  URLs that match no table row or whose
+    profile carries no leaning score are ignored and counted.  With
     ``include_unreliable_leanings=False`` only reliable outlets contribute.
+    An author's scores add in record order, then URL order.
     """
     if unmatched is None:
         unmatched = Counter()
-    total = 0.0
-    n = 0
-    for rec in records:
-        for url in rec.urls:
-            domain = extract_domain(url)
-            profile = table.get(domain) if domain is not None else None
-            if profile is None:
-                unmatched["url_not_in_table"] += 1
-                continue
-            if profile.leaning_score is None:
-                unmatched["no_leaning_label"] += 1
-                continue
-            if not include_unreliable_leanings and profile.reliability != "reliable":
-                unmatched["unreliable_excluded"] += 1
-                continue
-            total += profile.leaning_score
-            n += 1
-    return UserLeaning(user_id=user_id, n_urls=n, score=(total / n if n else None))
+    profiles = _domain_profiles(originals)
+    score = np.array([np.nan if p.leaning_score is None else p.leaning_score
+                      for p in profiles], dtype=np.float64)
+    codes = originals.url_domains
+    owners = originals.author_codes[originals.url_owners()]
+    matched = codes >= 0
+    tally(unmatched, "url_not_in_table", matched.size - int(np.count_nonzero(matched)))
+    codes, owners = codes[matched], owners[matched]
+    labelled = ~np.isnan(score[codes])
+    tally(unmatched, "no_leaning_label", codes.size - int(np.count_nonzero(labelled)))
+    codes, owners = codes[labelled], owners[labelled]
+    if not include_unreliable_leanings:
+        reliable = np.array([p.reliability == "reliable" for p in profiles], dtype=bool)
+        keep = reliable[codes]
+        tally(unmatched, "unreliable_excluded", codes.size - int(np.count_nonzero(keep)))
+        codes, owners = codes[keep], owners[keep]
+    ids, rank = originals.sorted_authors()
+    totals = np.bincount(owners, weights=score[codes], minlength=rank.size)
+    n_urls = np.bincount(owners, minlength=rank.size)
+    order = np.argsort(rank)
+    return [
+        UserLeaning(user_id=uid, n_urls=n, score=(total / n if n else None))
+        for uid, n, total in zip(ids, n_urls[order].tolist(), totals[order].tolist())
+    ]
 
 
-def user_class_counts(
-    records_by_user: Mapping[str, Iterable[TweetRecord]],
-    table: Mapping[str, DomainProfile],
-) -> dict[str, Counter]:
-    """Per-user counts of URL shares by leaning class (with multiplicity)."""
-    out: dict[str, Counter] = {}
-    for user_id, records in records_by_user.items():
-        counts: Counter = Counter()
-        for rec in records:
-            for profile in matched_profiles(rec, table):
-                if profile.leaning_label is not None:
-                    counts[profile.leaning_label] += 1
-        if counts:
-            out[user_id] = counts
+def user_class_counts(originals: "OriginalsTable") -> dict[str, dict[str, int]]:
+    """Per-author counts of URL shares by leaning class (with multiplicity).
+
+    Authors without a share of a labelled domain are left out.
+    """
+    n_classes = len(LEANING_ORDER)
+    cls = np.array([-1 if p.leaning_label is None else LEANING_ORDER.index(p.leaning_label)
+                    for p in _domain_profiles(originals)], dtype=np.int64)
+    codes = originals.url_domains
+    owners = originals.author_codes[originals.url_owners()]
+    matched = codes >= 0
+    classes = cls[codes[matched]]
+    owners = owners[matched]
+    labelled = classes >= 0
+    cells = owners[labelled] * n_classes + classes[labelled]
+    counts = np.bincount(cells, minlength=len(originals.author_ids) * n_classes)
+    counts = counts.reshape(-1, n_classes)
+    out: dict[str, dict[str, int]] = {}
+    for uid, row in zip(originals.author_ids, counts.tolist()):
+        if any(row):
+            out[uid] = {label: n for label, n in zip(LEANING_ORDER, row) if n}
     return out
 
 
 def write_user_leanings(leanings: Iterable[UserLeaning], path: str | Path) -> None:
     """CSV export ``user_id,n_urls,score`` sorted by user id; blank = no score."""
     rows = sorted(leanings, key=lambda ul: ul.user_id)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         fh.write("user_id,n_urls,score\n")
         for ul in rows:
             score = "" if ul.score is None else repr(ul.score)

@@ -15,15 +15,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .dip import dip_statistic
-from .engagement import ACTIONS, action_count
+from .engagement import ACTIONS, OriginalsTable
 from .graph import RetweetGraph
 from .ideology import IdeologyScores
-from .ingest import TweetRecord
+from .ingest import tally
 
 log = logging.getLogger(__name__)
 
@@ -305,7 +305,7 @@ def leaning_ideology_distributions(
 
 
 def ae_followers_density(
-    records: Sequence[TweetRecord],
+    originals: OriginalsTable,
     bins: int = DEFAULT_GRID_BINS,
     stats: Optional[Counter] = None,
 ) -> dict[str, DensityGrid]:
@@ -313,39 +313,38 @@ def ae_followers_density(
 
     Log axes need positive values, so only tweets with followers > 0,
     impressions > 0 and a nonzero count of the action under study enter the
-    grid for that action; exclusions are counted per reason.
+    grid for that action; exclusions are counted per reason.  The logarithms
+    are ``math.log10``, whose rounding the grid edges depend on.
     """
     if stats is None:
         stats = Counter()
+    impressions = originals.impressions
+    followers = originals.followers
+    zero_impressions = impressions == 0
+    zero_followers = ~zero_impressions & (followers <= 0)
+    usable = ~zero_impressions & ~zero_followers
     out: dict[str, DensityGrid] = {}
     for action in ACTIONS:
-        xs: list[float] = []
-        ys: list[float] = []
-        for rec in records:
-            if rec.impressions == 0:
-                stats[f"{action}:zero_impressions"] += 1
-                continue
-            if rec.author_followers <= 0:
-                stats[f"{action}:zero_followers"] += 1
-                continue
-            count = action_count(rec, action)
-            if count <= 0:
-                stats[f"{action}:zero_actions"] += 1
-                continue
-            xs.append(math.log10(rec.author_followers))
-            ys.append(math.log10(count / rec.impressions))
+        counts = originals.action_counts(action)
+        keep = usable & (counts > 0)
+        for reason, mask in (("zero_impressions", zero_impressions),
+                             ("zero_followers", zero_followers),
+                             ("zero_actions", usable & ~keep)):
+            tally(stats, f"{action}:{reason}", int(np.count_nonzero(mask)))
+        xs = list(map(math.log10, followers[keep].tolist()))
+        ys = list(map(math.log10, (counts[keep] / impressions[keep]).tolist()))
         if xs:
             x_edges = _edges(min(xs), max(xs), bins)
             y_edges = _edges(min(ys), max(ys), bins)
-            counts, _, _ = np.histogram2d(xs, ys, bins=(x_edges, y_edges))
+            grid, _, _ = np.histogram2d(xs, ys, bins=(x_edges, y_edges))
         else:
             x_edges = _edges(0.0, 1.0, bins)
             y_edges = _edges(0.0, 1.0, bins)
-            counts = np.zeros((bins, bins))
+            grid = np.zeros((bins, bins))
         out[action] = DensityGrid(
             x_edges=x_edges,
             y_edges=y_edges,
-            counts=counts.astype(np.int64),
+            counts=grid.astype(np.int64),
             x_label="log10_followers",
             y_label=f"log10_ae_{action}",
             meta={

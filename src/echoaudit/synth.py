@@ -44,6 +44,29 @@ LEANING_CLASSES = (
 )
 
 
+# Upper bound of a Poisson mean; NumPy refuses means near 2**63.
+_POISSON_MEAN_MAX = 1e6
+
+# Upper bound of a log10 draw's mean plus ten standard deviations: counts
+# stay below 1e15, inside what ingest accepts, and what an int64 holds.
+_LOG10_MAX = 15.0
+
+
+def _check_range(name: str, value: float, lo: float, hi: float) -> None:
+    """``lo <= value <= hi``; NaN fails every comparison and is rejected."""
+    if not (lo <= value <= hi):
+        raise InputError(f"{name} must be in [{lo:g}, {hi:g}], got {value!r}")
+
+
+def _check_log10_pair(name: str, pair: tuple) -> None:
+    """A ``(mean, sd)`` pair of log10 draws: both >= 0, mean + 10 sd <= 15."""
+    mean, sd = pair
+    _check_range(f"{name} mean", mean, 0.0, _LOG10_MAX)
+    _check_range(f"{name} sd", sd, 0.0, _LOG10_MAX)
+    if mean + 10.0 * sd > _LOG10_MAX:
+        raise InputError(f"{name}: mean + 10 sd must be at most {_LOG10_MAX:g}")
+
+
 @dataclass
 class GeneratorConfig:
     seed: int = 7
@@ -74,20 +97,44 @@ class GeneratorConfig:
     date_range: tuple = ("2022-11-22T00:00:00Z", "2023-03-01T00:00:00Z")
 
     def validate(self) -> None:
+        """Reject a config that the generator could not run to the end.
+
+        Besides the structural checks, every number is range-checked, so
+        no random draw can raise: means and factors are >= 0, probabilities
+        and shares lie in [0, 1], and the ``*_log10`` pairs are checked by
+        :func:`_check_log10_pair`.
+        """
         if self.seed < 0:
             raise InputError("seed must be non-negative")
+        for name in ("p_in", "p_cross", "url_prob", "second_url_prob", "reply_prob",
+                     "pre_cutoff_fraction", "non_english_fraction"):
+            _check_range(name, getattr(self, name), 0.0, 1.0)
         if not (self.p_in > self.p_cross >= 0):
             raise InputError("need p_in > p_cross >= 0")
         if self.n_users < 2 or self.n_influencers_per_side < 1:
             raise InputError("need at least 2 users and 1 influencer per side")
+        if self.influencer_originals < 0:
+            raise InputError("influencer_originals must be non-negative")
+        if self.domains_per_class < 1:
+            raise InputError("domains_per_class must be at least 1")
+        for name in ("retweet_extra_mean", "originals_per_user_mean"):
+            _check_range(name, getattr(self, name), 0.0, _POISSON_MEAN_MAX)
+        _check_range("unreliable_ae_boost", self.unreliable_ae_boost, 0.0, math.inf)
+        for name in ("impressions_log10", "follower_log10", "influencer_follower_log10"):
+            _check_log10_pair(name, getattr(self, name))
         for name in ("lurk_rate_by_group", "unreliable_url_prob", "domain_mix"):
             if set(getattr(self, name)) != {"A", "B"}:
                 raise InputError(f"{name} needs exactly the groups A and B")
         if set(self.action_shares) != set(ACTIONS):
             raise InputError(f"action_shares needs exactly the actions {', '.join(ACTIONS)}")
-        for group, rate in self.lurk_rate_by_group.items():
-            if not (0.0 <= rate <= 1.0):
-                raise InputError(f"lurk rate for {group} must be in [0, 1]")
+        for label, values in (("lurk rate", self.lurk_rate_by_group),
+                              ("unreliable_url_prob", self.unreliable_url_prob),
+                              ("action share", self.action_shares)):
+            for key, value in values.items():
+                _check_range(f"{label} for {key}", value, 0.0, 1.0)
+        for group, mix in self.domain_mix.items():
+            for cls, share in mix.items():
+                _check_range(f"domain mix share {group}/{cls}", share, 0.0, 1.0)
         if abs(sum(self.action_shares.values()) - 1.0) > 1e-9:
             raise InputError("action shares must sum to 1")
         for group, mix in self.domain_mix.items():
@@ -137,6 +184,9 @@ class CalibrationConfig:
             raise InputError("seed must be non-negative")
         if self.n_tweets < 10:
             raise InputError("calibration needs at least 10 tweets")
+        for name in ("follower_log10", "impressions_log10"):
+            _check_log10_pair(name, getattr(self, name))
+        _check_range("ae_log10_sigma", self.ae_log10_sigma, 0.0, _LOG10_MAX)
         missing = [a for a in ACTIONS if a not in self.ae_targets]
         if missing:
             raise InputError(f"ae_targets missing actions: {missing}")

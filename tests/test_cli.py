@@ -204,6 +204,35 @@ class TestSynthConfigErrors:
         ('{"date_range": ["x", "2023-03-01T00:00:00Z"]}', "date_range: Invalid"),
         ('{"date_range": ["2022-01-01T00:00:00Z", "2022-02-01T00:00:00Z"]}',
          "date_range ends before the impression cutoff"),
+        # Out of range: each used to reach a random draw that raised.
+        ('{"originals_per_user_mean": -1}', "originals_per_user_mean must be in [0, "),
+        ('{"originals_per_user_mean": 1e300}', "originals_per_user_mean must be in [0, "),
+        ('{"retweet_extra_mean": NaN}', "retweet_extra_mean must be in [0, "),
+        ('{"impressions_log10": [3.5, -1]}', "impressions_log10 sd must be in [0, "),
+        ('{"impressions_log10": [-3.5, 1]}', "impressions_log10 mean must be in [0, "),
+        ('{"follower_log10": [2.5, 100]}', "follower_log10 sd must be in [0, "),
+        ('{"influencer_follower_log10": [12, 1]}',
+         "influencer_follower_log10: mean + 10 sd must be at most 15"),
+        ('{"impressions_log10": [Infinity, 0]}', "impressions_log10 mean must be in [0, "),
+        ('{"p_in": 1.5}', "p_in must be in [0, 1]"),
+        ('{"url_prob": -0.1}', "url_prob must be in [0, 1]"),
+        ('{"second_url_prob": 2}', "second_url_prob must be in [0, 1]"),
+        ('{"reply_prob": 1.01}', "reply_prob must be in [0, 1]"),
+        ('{"pre_cutoff_fraction": -1}', "pre_cutoff_fraction must be in [0, 1]"),
+        ('{"non_english_fraction": 3}', "non_english_fraction must be in [0, 1]"),
+        ('{"unreliable_url_prob": {"A": 1.5, "B": 0.2}}',
+         "unreliable_url_prob for A must be in [0, 1]"),
+        ('{"unreliable_ae_boost": -2}', "unreliable_ae_boost must be in [0, inf]"),
+        ('{"action_shares": {"retweet": 1.2, "reply": -0.2, "like": 0, "quote": 0}}',
+         "action share for retweet must be in [0, 1]"),
+        ('{"domain_mix": {"A": {"Left": 1.5, "LeftCenter": -0.5}, "B": {"Right": 1}}}',
+         "domain mix share A/Left must be in [0, 1]"),
+        ('{"domains_per_class": 0}', "domains_per_class must be at least 1"),
+        ('{"influencer_originals": -1}', "influencer_originals must be non-negative"),
+        ('{"mode": "calibration", "impressions_log10": [5.3, -0.25]}',
+         "impressions_log10 sd must be in [0, "),
+        ('{"mode": "calibration", "ae_log10_sigma": -1}',
+         "ae_log10_sigma must be in [0, "),
     ])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    command, content, message):
@@ -264,6 +293,29 @@ class TestErrors:
         assert rows[0] == ["reason", "count"]
         assert all(len(row) == 2 and row[1].isdigit() for row in rows[1:]), rows
         assert ["bad_created_at", "2"] in rows
+
+    @pytest.mark.parametrize("value", ["garbage", "2023-13-01", "yesterday, noon"])
+    def test_bad_min_date_exits_2(self, tmp_path, capsys, value):
+        """It used to end in a ValueError traceback."""
+        with pytest.raises(SystemExit) as exc:
+            run(["ingest", "--input", FIXTURES / "mini_corpus.jsonl",
+                 "--min-date", value, "--filtered-out", tmp_path / "f.jsonl"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --min-date: "), err
+        assert not (tmp_path / "f.jsonl").exists()
+
+    def test_count_above_limit_rejected_and_engagement_runs(self, tmp_path):
+        """Ingest used to accept it and engagement to crash on float()."""
+        corpus = mini_corpus_plus(tmp_path / "corpus.jsonl",
+                                  huge={"impressions": 10**400})
+        filtered = tmp_path / "filtered.jsonl"
+        rejects = tmp_path / "rejects.csv"
+        assert run(["ingest", "--input", corpus, "--filtered-out", filtered,
+                    "--rejects-out", rejects]) == 0
+        assert "count_too_large_impressions,1" in rejects.read_text().splitlines()
+        assert run(["engagement", "--input", filtered,
+                    "--out-dir", tmp_path / "engagement"]) == 0
 
     def test_empty_influencer_selection_exits_with_error(self, tmp_path):
         filtered = tmp_path / "filtered.jsonl"

@@ -1,14 +1,18 @@
 from collections import Counter, defaultdict
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echoaudit import engagement as eng
+from echoaudit import ingest as ing
 from echoaudit import mediabias as mb
 from echoaudit.errors import EchoauditError
 
+import _engagement_oracle as oracle
 from conftest import make_record
 
 CUTOFF = "2022-12-15T00:00:00Z"
@@ -21,20 +25,45 @@ def tweet(imps, likes=0, replies=0, retweets=0, quotes=0, **kw):
     )
 
 
+def table(records, domains=None):
+    return eng.OriginalsTable.from_records(records, domains)
+
+
+def domain_table(*names):
+    return {d: mb.DomainProfile(domain=d, leaning_label=None, leaning_score=None,
+                                reliability="reliable") for d in names}
+
+
+def row(result, i=0):
+    """Row ``i`` of an aggregation result, as plain Python values."""
+    return {
+        "subject_id": result.subject_ids[i],
+        "impressions": float(result.impressions[i]),
+        "counts": {a: float(result.counts[a][i]) for a in eng.ACTIONS},
+        "ae": {a: float(result.ae[a][i]) for a in eng.ACTIONS},
+        "mean_ae": {a: float(result.mean_ae[a][i]) for a in eng.ACTIONS},
+        "n_tweets": int(result.n_tweets[i]),
+    }
+
+
+def rows(result):
+    return [row(result, i) for i in range(len(result))]
+
+
 class TestTweetAE:
     def test_zero_actions_give_zero_ratio(self):
-        ratios = eng.tweet_ae(tweet(500))
+        ratios = oracle.tweet_ae(tweet(500))
         assert ratios == {"retweet": 0.0, "reply": 0.0, "like": 0.0, "quote": 0.0}
 
     def test_direct_ratio(self):
-        ratios = eng.tweet_ae(tweet(1000, retweets=3))
+        ratios = oracle.tweet_ae(tweet(1000, retweets=3))
         assert ratios["retweet"] == 0.003
 
     def test_absent_when_no_impressions(self):
-        assert eng.tweet_ae(tweet(0, likes=5)) is None
+        assert oracle.tweet_ae(tweet(0, likes=5)) is None
 
     def test_exact_rational_ratios(self):
-        ratios = eng.tweet_ae(tweet(640, likes=16, replies=5, retweets=80, quotes=1))
+        ratios = oracle.tweet_ae(tweet(640, likes=16, replies=5, retweets=80, quotes=1))
         assert abs(ratios["like"] - 16 / 640) <= 1e-15
         assert abs(ratios["reply"] - 5 / 640) <= 1e-15
         assert abs(ratios["retweet"] - 0.125) <= 1e-15
@@ -47,29 +76,29 @@ class TestAggregateAE:
             tweet(100, likes=1, author_id="u", tweet_id="a"),
             tweet(300, likes=3, author_id="u", tweet_id="b"),
         ]
-        (rec,) = eng.aggregate_ae(records, "user", lambda r: r.author_id)
-        assert rec.ae["like"] == 4 / 400 == 0.01
-        assert rec.mean_ae["like"] == pytest.approx((0.01 + 0.01) / 2)
-        assert rec.n_tweets == 2
+        (rec,) = rows(eng.aggregate_ae(table(records), "user"))
+        assert rec["ae"]["like"] == 4 / 400 == 0.01
+        assert rec["mean_ae"]["like"] == pytest.approx((0.01 + 0.01) / 2)
+        assert rec["n_tweets"] == 2
 
     def test_single_tweet_subject_equals_tweet_ae(self):
         t = tweet(777, likes=3, retweets=2, author_id="solo")
-        (rec,) = eng.aggregate_ae([t], "user", lambda r: r.author_id)
-        assert rec.ae == eng.tweet_ae(t)
+        (rec,) = rows(eng.aggregate_ae(table([t]), "user"))
+        assert rec["ae"] == oracle.tweet_ae(t)
 
     def test_reorder_invariance(self):
         records = [
             tweet(100, likes=i + 1, author_id=f"u{i % 3}", tweet_id=f"t{i}")
             for i in range(9)
         ]
-        a = eng.aggregate_ae(records, "user", lambda r: r.author_id)
-        b = eng.aggregate_ae(records[::-1], "user", lambda r: r.author_id)
+        a = rows(eng.aggregate_ae(table(records), "user"))
+        b = rows(eng.aggregate_ae(table(records[::-1]), "user"))
         assert a == b
 
     def test_zero_impression_subject_omitted_and_counted(self):
         stats = Counter()
         records = [tweet(0, likes=2, author_id="ghost")]
-        out = eng.aggregate_ae(records, "user", lambda r: r.author_id, stats=stats)
+        out = rows(eng.aggregate_ae(table(records), "user", stats=stats))
         assert out == []
         assert stats["zero_impression_subjects_omitted"] == 1
 
@@ -79,65 +108,105 @@ class TestAggregateAE:
             tweet(0, likes=2, author_id="u"),
             tweet(100, likes=1, author_id="u"),
         ]
-        (rec,) = eng.aggregate_ae(
-            records, "user", lambda r: r.author_id,
+        (rec,) = rows(eng.aggregate_ae(
+            table(records), "user",
             drop_zero_impressions=True, stats=stats,
-        )
-        assert rec.ae["like"] == 0.01
+        ))
+        assert rec["ae"]["like"] == 0.01
         assert stats["zero_impression_tweets_dropped"] == 1
         # kept by default: the zero-impression tweet's likes enter the pool
-        (pooled,) = eng.aggregate_ae(records, "user", lambda r: r.author_id)
-        assert pooled.ae["like"] == 3 / 100
+        (pooled,) = rows(eng.aggregate_ae(table(records), "user"))
+        assert pooled["ae"]["like"] == 3 / 100
 
     def test_ae_over_unity_flagged_never_clamped(self):
         stats = Counter()
-        (rec,) = eng.aggregate_ae(
-            [tweet(10, likes=25, author_id="viral")],
-            "user", lambda r: r.author_id, stats=stats,
-        )
-        assert rec.ae["like"] == 2.5
+        (rec,) = rows(eng.aggregate_ae(
+            table([tweet(10, likes=25, author_id="viral")]),
+            "user", stats=stats,
+        ))
+        assert rec["ae"]["like"] == 2.5
         assert stats["ae_over_unity_like"] == 1
 
     def test_multi_domain_full_attribution(self):
-        rec = tweet(100, likes=2, tweet_id="t")
-        out = eng.aggregate_ae(
-            [rec], "domain", lambda r: ["a.test", "b.test"]
-        )
+        rec = tweet(100, likes=2, tweet_id="t",
+                    urls=["https://a.test/1", "https://www.b.test/2"])
+        out = rows(eng.aggregate_ae(
+            table([rec], domain_table("a.test", "b.test")), "domain"
+        ))
         assert len(out) == 2
         for domain_rec in out:
-            assert domain_rec.impressions == 100
-            assert domain_rec.ae["like"] == 0.02
+            assert domain_rec["impressions"] == 100
+            assert domain_rec["ae"]["like"] == 0.02
 
     def test_multi_domain_fractional_attribution(self):
-        rec = tweet(100, likes=2, tweet_id="t")
-        out = eng.aggregate_ae(
-            [rec], "domain", lambda r: ["a.test", "b.test"], fractional=True
-        )
+        rec = tweet(100, likes=2, tweet_id="t",
+                    urls=["https://a.test/1", "https://www.b.test/2"])
+        out = rows(eng.aggregate_ae(
+            table([rec], domain_table("a.test", "b.test")), "domain",
+            fractional=True,
+        ))
         for domain_rec in out:
-            assert domain_rec.impressions == 50
-            assert domain_rec.counts["like"] == 1
-            assert domain_rec.ae["like"] == 0.02
+            assert domain_rec["impressions"] == 50
+            assert domain_rec["counts"]["like"] == 1
+            assert domain_rec["ae"]["like"] == 0.02
+
+    def test_repeated_domain_counts_once_per_tweet(self):
+        rec = tweet(100, likes=2, urls=["https://a.test/1", "http://a.test/2",
+                                        "https://b.test/3"])
+        out = rows(eng.aggregate_ae(
+            table([rec], domain_table("a.test", "b.test")), "domain",
+            fractional=True,
+        ))
+        assert [(r["subject_id"], r["impressions"], r["n_tweets"]) for r in out] == [
+            ("a.test", 50.0, 1), ("b.test", 50.0, 1)]
 
     def test_unkeyed_records_counted(self):
         stats = Counter()
-        out = eng.aggregate_ae(
-            [tweet(10)], "domain", lambda r: [], stats=stats
-        )
+        out = rows(eng.aggregate_ae(
+            table([tweet(10, urls=["https://elsewhere.test/"])],
+                  domain_table("a.test")),
+            "domain", stats=stats,
+        ))
         assert out == [] and stats["unkeyed_records"] == 1
 
     def test_unknown_granularity(self):
         with pytest.raises(ValueError):
-            eng.aggregate_ae([], "planet", lambda r: "x")
+            eng.aggregate_ae(table([]), "planet")
+
+    def test_len_is_subject_count(self):
+        records = [tweet(10, tweet_id="a"), tweet(10, tweet_id="a"),
+                   tweet(10, tweet_id="b", author_id="bob")]
+        assert len(eng.aggregate_ae(table(records), "tweet")) == 2
+        assert len(eng.aggregate_ae(table(records), "user")) == 2
+        assert len(eng.aggregate_ae(table([]), "user")) == 0
+
+    def test_duplicate_and_nul_ids_sort_as_python_strings(self):
+        ids = ["b", "a\x00", "a", "a\x00\x00", "a", "\x00"]
+        records = [tweet(10 + i, likes=i, tweet_id=t) for i, t in enumerate(ids)]
+        got = eng.aggregate_ae(table(records), "tweet")
+        want = oracle.aggregate_ae(records, "tweet", lambda r: r.tweet_id)
+        assert got.subject_ids == sorted(set(ids)) == [r.subject_id for r in want]
+        assert rows(got) == [
+            {"subject_id": r.subject_id, "impressions": r.impressions,
+             "counts": r.counts, "ae": r.ae, "mean_ae": r.mean_ae,
+             "n_tweets": r.n_tweets} for r in want]
+
+    def test_sums_equal_fsum_near_the_count_limit(self):
+        """1100 maximal counts overflow int64; the sum must still be exact."""
+        big = 2**53 - 1
+        records = [tweet(big, likes=big, author_id="u", tweet_id=f"t{i}")
+                   for i in range(1100)] + [tweet(1, likes=1, author_id="u")]
+        (rec,) = rows(eng.aggregate_ae(table(records), "user"))
+        assert rec["impressions"] == math.fsum([float(big)] * 1100 + [1.0])
+        (want,) = oracle.aggregate_ae(records, "user", lambda r: r.author_id)
+        assert rec["mean_ae"] == want.mean_ae and rec["ae"] == want.ae
 
     def test_mini_per_domain_matches_independent_aggregation(
         self, mini_raw, mini_retained, fixtures_dir
     ):
-        table = mb.load_domain_table(fixtures_dir / "mini_domains.csv")
+        profiles = mb.load_domain_table(fixtures_dir / "mini_domains.csv")
         originals = [r for r in mini_retained if r.kind == "original"]
-        got = eng.aggregate_ae(
-            originals, "domain",
-            lambda r: sorted({p.domain for p in mb.matched_profiles(r, table)}),
-        )
+        got = rows(eng.aggregate_ae(table(originals, profiles), "domain"))
         # independent aggregation from the raw json lines
         imp = defaultdict(int)
         likes = defaultdict(int)
@@ -149,26 +218,26 @@ class TestAggregateAE:
             for url in o["urls"]:
                 host = url.split("://", 1)[1].split("/", 1)[0]
                 domain = host.removeprefix("www.")
-                if domain in table:
+                if domain in profiles:
                     domains.add(domain)
             for d in domains:
                 imp[d] += o["impressions"]
                 likes[d] += o["likes"]
         expected = {d: likes[d] / imp[d] for d in imp if imp[d]}
-        assert {r.subject_id for r in got} == set(expected)
+        assert {r["subject_id"] for r in got} == set(expected)
         for rec in got:
-            assert rec.ae["like"] == pytest.approx(expected[rec.subject_id], abs=1e-12)
+            assert rec["ae"]["like"] == pytest.approx(expected[rec["subject_id"]], abs=1e-12)
 
 
 class TestTweetLevelMean:
     def test_includes_zero_action_tweets(self):
         records = [tweet(100, likes=1), tweet(100, likes=0)]
-        means = eng.tweet_level_mean_ae(records)
+        means = oracle.tweet_level_mean_ae(records)
         assert means["like"] == (0.005, 2)
 
     def test_excludes_zero_impression_tweets(self):
         records = [tweet(100, likes=1), tweet(0, likes=9)]
-        mean, n = eng.tweet_level_mean_ae(records)["like"]
+        mean, n = oracle.tweet_level_mean_ae(records)["like"]
         assert (mean, n) == (0.01, 1)
 
 
@@ -226,20 +295,21 @@ class TestCorrelationReport:
             tweet(0, retweets=2, author_followers=10),     # no impressions: excluded
             tweet(200, retweets=1, author_followers=1000),
         ]
-        report = eng.correlation_report(records, "retweet")
+        report = eng.correlation_report(table(records), "retweet")
         assert report.n == 2
         assert "retweet" in report.filter
 
 
 class TestGroupAE:
-    def make_records(self, values, prefix="s"):
+    def make_records(self, values, prefixes=("s",)):
         records = []
-        for i, v in enumerate(values):
-            records.append(
-                tweet(1000, likes=int(v * 1000), author_id=f"{prefix}{i}",
-                      tweet_id=f"{prefix}{i}")
-            )
-        return eng.aggregate_ae(records, "user", lambda r: r.author_id)
+        for prefix in prefixes:
+            for i, v in enumerate(values):
+                records.append(
+                    tweet(1000, likes=int(v * 1000), author_id=f"{prefix}{i}",
+                          tweet_id=f"{prefix}{i}")
+                )
+        return eng.aggregate_ae(table(records), "user")
 
     def test_single_subject_group(self):
         recs = self.make_records([0.02])
@@ -251,8 +321,7 @@ class TestGroupAE:
         assert summary.n == 1
 
     def test_identical_multisets_identical_summaries(self):
-        recs = self.make_records([0.01, 0.02, 0.03], prefix="a") + \
-            self.make_records([0.01, 0.02, 0.03], prefix="b")
+        recs = self.make_records([0.01, 0.02, 0.03], prefixes=("a", "b"))
         groups = {f"a{i}": "g1" for i in range(3)}
         groups.update({f"b{i}": "g2" for i in range(3)})
         summaries = eng.group_ae(recs, groups)
@@ -297,15 +366,12 @@ class TestGroupAE:
     def test_mini_unreliable_domains_double_ae(
         self, mini_retained, mini_truth, fixtures_dir
     ):
-        table = mb.load_domain_table(fixtures_dir / "mini_domains.csv")
+        profiles = mb.load_domain_table(fixtures_dir / "mini_domains.csv")
         originals = [r for r in mini_retained if r.kind == "original"]
-        domain_records = eng.aggregate_ae(
-            originals, "domain",
-            lambda r: sorted({p.domain for p in mb.matched_profiles(r, table)}),
-        )
+        domain_records = eng.aggregate_ae(table(originals, profiles), "domain")
         groups = {
             d: ("unreliable" if p.reliability != "reliable" else "reliable")
-            for d, p in table.items()
+            for d, p in profiles.items()
         }
         summaries = {
             (s.group, s.action): s for s in eng.group_ae(domain_records, groups)
@@ -331,15 +397,15 @@ class TestPooledBounds:
             tweet(imps, likes=lk, author_id="u", tweet_id=f"t{i}")
             for i, (imps, lk) in enumerate(data)
         ]
-        (rec,) = eng.aggregate_ae(records, "user", lambda r: r.author_id)
+        (rec,) = rows(eng.aggregate_ae(table(records), "user"))
         ratios = [lk / imps for imps, lk in data]
-        assert min(ratios) - 1e-12 <= rec.ae["like"] <= max(ratios) + 1e-12
+        assert min(ratios) - 1e-12 <= rec["ae"]["like"] <= max(ratios) + 1e-12
 
 
 class TestExports:
     def test_engagement_csv_shape(self, tmp_path):
         records = [tweet(100, likes=1, author_id="u", tweet_id="t")]
-        out = eng.aggregate_ae(records, "user", lambda r: r.author_id)
+        out = eng.aggregate_ae(table(records), "user")
         path = tmp_path / "ae.csv"
         eng.write_engagement(out, path)
         lines = path.read_text().splitlines()
@@ -352,7 +418,7 @@ class TestExports:
             tweet(200, retweets=3, author_followers=500),
             tweet(150, retweets=2, author_followers=50),
         ]
-        reports = [eng.correlation_report(records, "retweet")]
+        reports = [eng.correlation_report(table(records), "retweet")]
         path = tmp_path / "corr.csv"
         eng.write_correlations(reports, path)
         lines = path.read_text().splitlines()
@@ -361,10 +427,50 @@ class TestExports:
 
     def test_group_summary_csv(self, tmp_path):
         records = [tweet(100, likes=1, author_id="u", tweet_id="t")]
-        out = eng.aggregate_ae(records, "user", lambda r: r.author_id)
+        out = eng.aggregate_ae(table(records), "user")
         summaries = eng.group_ae(out, {"u": "g"})
         path = tmp_path / "groups.csv"
         eng.write_group_summaries(summaries, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "group,action,n,mean,q1,median,q3,whisker_lo,whisker_hi"
         assert len(lines) == 1 + 4
+
+
+class Boom:
+    """A value whose text form raises, to fail a writer part-way."""
+
+    def __repr__(self):
+        raise RuntimeError("boom")
+
+    __str__ = __repr__
+
+
+def engagement_table_failing_late():
+    n = 2 * 8192 + 5
+    zeros = np.zeros(n)
+    ids = [f"s{i:05d}" for i in range(n)]
+    ids[-1] = Boom()
+    return eng.EngagementTable(
+        granularity="user", subject_ids=ids, impressions=np.ones(n),
+        counts={a: zeros for a in eng.ACTIONS}, ae={a: zeros for a in eng.ACTIONS},
+        mean_ae={a: zeros for a in eng.ACTIONS}, n_tweets=np.ones(n, dtype=np.int64),
+    )
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("write,rows", [
+        (eng.write_engagement, engagement_table_failing_late),
+        (eng.write_correlations, lambda: [
+            eng.CorrelationReport("like", 3, 0.5, "f"),
+            eng.CorrelationReport("quote", 3, Boom(), "f")]),
+        (eng.write_group_summaries, lambda: [
+            eng.GroupSummary("g", "like", 1, *[0.5] * 6),
+            eng.GroupSummary("g", "quote", 1, Boom(), *[0.5] * 5)]),
+        (mb.write_user_leanings, lambda: [
+            mb.UserLeaning("a", 1, 0.5), mb.UserLeaning("b", 1, Boom())]),
+        (ing.write_count_report, lambda: Counter({"a": 1, "b": Boom()})),
+    ])
+    def test_writer_failing_midway_leaves_no_file(self, tmp_path, write, rows):
+        with pytest.raises(RuntimeError, match="boom"):
+            write(rows(), tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []

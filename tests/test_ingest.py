@@ -163,6 +163,35 @@ class TestParseCorpus:
             assert list(ing.parse_corpus(path, schema=schema, rejects=rejects)) == []
             assert rejects == Counter({"bad_created_at": 1})
 
+    @pytest.mark.parametrize("field,api_path", [
+        ("impressions", ("public_metrics", "impression_count")),
+        ("likes", ("public_metrics", "like_count")),
+        ("replies", ("public_metrics", "reply_count")),
+        ("retweets", ("public_metrics", "retweet_count")),
+        ("quotes", ("public_metrics", "quote_count")),
+        ("author_followers", ("author", "public_metrics", "followers_count")),
+    ])
+    def test_count_above_exact_float_limit_rejected_in_both_schemas(
+            self, tmp_path, field, api_path):
+        """Such counts used to pass ingest and crash engagement's float64."""
+        for value, reason in ((2**53 - 1, None), (2**53, f"count_too_large_{field}"),
+                              (10**400, f"count_too_large_{field}")):
+            api = {"id": "9", "author_id": "bob", "lang": "en",
+                   "created_at": "2023-01-05T12:00:00Z"}
+            node = api
+            for key in api_path[:-1]:
+                node = node.setdefault(key, {})
+            node[api_path[-1]] = value
+            for schema, line in (("flat", flat_line(**{field: value})),
+                                 ("api", json.dumps(api))):
+                path = write_lines(tmp_path / f"{schema}.jsonl", [line])
+                rejects = Counter()
+                records = list(ing.parse_corpus(path, schema=schema, rejects=rejects))
+                if reason is None:
+                    assert getattr(records[0], field) == value and not rejects
+                else:
+                    assert records == [] and rejects == Counter({reason: 1})
+
     def test_naive_timestamp_assumed_utc(self, tmp_path):
         path = write_lines(
             tmp_path / "c.jsonl", [flat_line(created_at="2023-01-05T12:00:00")]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echoaudit import engagement as eng
 from echoaudit import mediabias as mb
 from echoaudit.errors import InputError
 
@@ -146,21 +147,27 @@ def rec_with_urls(urls, author="alice"):
     return make_record(author_id=author, urls=[f"https://{u}/x" for u in urls])
 
 
+def originals(records, table):
+    return eng.OriginalsTable.from_records(records, table)
+
+
+def leaning(records, table, **kwargs):
+    """The leaning of the one author of ``records``."""
+    (ul,) = mb.user_leaning(originals(records, table), **kwargs)
+    return ul
+
+
 class TestUserLeaning:
     def test_symmetric_mean_is_zero(self, tmp_path):
         table = leaning_table(tmp_path)
-        ul = mb.user_leaning(
-            "alice", [rec_with_urls(["leftie.test", "rightie.test"])], table
-        )
+        ul = leaning([rec_with_urls(["leftie.test", "rightie.test"])], table)
         assert ul.n_urls == 2
         assert ul.score == 0.0
 
     def test_two_left_one_extreme_right(self, tmp_path):
         table = leaning_table(tmp_path)
-        ul = mb.user_leaning(
-            "alice",
-            [rec_with_urls(["leftie.test", "leftie.test", "farright.test"])],
-            table,
+        ul = leaning(
+            [rec_with_urls(["leftie.test", "leftie.test", "farright.test"])], table
         )
         expected = float(Fraction(-66, 100) * 2 + 1) / 3
         assert ul.score == pytest.approx(expected, abs=1e-12)
@@ -169,17 +176,13 @@ class TestUserLeaning:
     def test_no_matches_gives_absent_score(self, tmp_path):
         table = leaning_table(tmp_path)
         unmatched = Counter()
-        ul = mb.user_leaning(
-            "alice", [rec_with_urls(["unknown.test"])], table, unmatched=unmatched
-        )
+        ul = leaning([rec_with_urls(["unknown.test"])], table, unmatched=unmatched)
         assert ul.score is None and ul.n_urls == 0
         assert unmatched["url_not_in_table"] == 1
 
     def test_multiplicity_counts(self, tmp_path):
         table = leaning_table(tmp_path)
-        three = mb.user_leaning(
-            "a", [rec_with_urls(["leftie.test"] * 3 + ["rightie.test"])], table
-        )
+        three = leaning([rec_with_urls(["leftie.test"] * 3 + ["rightie.test"])], table)
         assert three.n_urls == 4
         expected = (3 * -0.66 + 0.66) / 4
         assert three.score == pytest.approx(expected, abs=1e-12)
@@ -187,10 +190,8 @@ class TestUserLeaning:
     def test_unlabelled_domain_ignored_but_counted(self, tmp_path):
         table = leaning_table(tmp_path)
         unmatched = Counter()
-        ul = mb.user_leaning(
-            "a", [rec_with_urls(["noise.test", "leftie.test"])], table,
-            unmatched=unmatched,
-        )
+        ul = leaning([rec_with_urls(["noise.test", "leftie.test"])], table,
+                     unmatched=unmatched)
         assert ul.n_urls == 1
         assert ul.score == -0.66
         assert unmatched["no_leaning_label"] == 1
@@ -198,22 +199,16 @@ class TestUserLeaning:
     def test_exclude_unreliable_flag(self, tmp_path):
         table = leaning_table(tmp_path)
         records = [rec_with_urls(["shady.test", "leftie.test"])]
-        inclusive = mb.user_leaning("a", records, table)
+        inclusive = leaning(records, table)
         assert inclusive.n_urls == 2
         assert inclusive.score == pytest.approx((0.66 - 0.66) / 2, abs=1e-12)
-        strict = mb.user_leaning(
-            "a", records, table, include_unreliable_leanings=False
-        )
+        strict = leaning(records, table, include_unreliable_leanings=False)
         assert strict.n_urls == 1
         assert strict.score == -0.66
 
     def test_subdomains_collapse(self, tmp_path):
         table = leaning_table(tmp_path)
-        ul = mb.user_leaning(
-            "a",
-            [make_record(urls=["https://www.news.leftie.test/a?b=c"])],
-            table,
-        )
+        ul = leaning([make_record(urls=["https://www.news.leftie.test/a?b=c"])], table)
         assert ul.n_urls == 1 and ul.score == -0.66
 
     @given(
@@ -231,8 +226,8 @@ class TestUserLeaning:
         table = leaning_table(tmp_path_factory.mktemp("t"))
         rng = np.random.default_rng(seed)
         shuffled = [urls[i] for i in rng.permutation(len(urls))]
-        a = mb.user_leaning("u", [rec_with_urls(urls)], table)
-        b = mb.user_leaning("u", [rec_with_urls(shuffled)], table)
+        a = leaning([rec_with_urls(urls)], table)
+        b = leaning([rec_with_urls(shuffled)], table)
         assert a.n_urls == b.n_urls
         if a.score is None:
             assert b.score is None
@@ -244,11 +239,11 @@ class TestUserLeaning:
 class TestUserClassCounts:
     def test_counts_by_class(self, tmp_path):
         table = leaning_table(tmp_path)
-        records = {
-            "alice": [rec_with_urls(["leftie.test", "leftie.test", "rightie.test"])],
-            "bob": [rec_with_urls(["unknown.test"])],
-        }
-        counts = mb.user_class_counts(records, table)
+        records = [
+            rec_with_urls(["leftie.test", "leftie.test", "rightie.test"]),
+            rec_with_urls(["unknown.test"], author="bob"),
+        ]
+        counts = mb.user_class_counts(originals(records, table))
         assert counts["alice"]["Left"] == 2
         assert counts["alice"]["Right"] == 1
         assert "bob" not in counts
@@ -256,10 +251,11 @@ class TestUserClassCounts:
 
 def test_write_user_leanings(tmp_path):
     table = leaning_table(tmp_path)
-    rows = [
-        mb.user_leaning("b", [rec_with_urls(["leftie.test"])], table),
-        mb.user_leaning("a", [rec_with_urls(["unknown.test"])], table),
-    ]
+    # Unsorted on purpose: the writer sorts.
+    rows = mb.user_leaning(originals([
+        rec_with_urls(["leftie.test"], author="b"),
+        rec_with_urls(["unknown.test"], author="a"),
+    ], table))[::-1]
     out = tmp_path / "leanings.csv"
     mb.write_user_leanings(rows, out)
     text = out.read_text().splitlines()

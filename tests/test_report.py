@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echoaudit import engagement as eng
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
 from echoaudit import report as rep
@@ -15,6 +16,10 @@ from echoaudit.dip import dip_statistic
 from _dip_lp_oracle import lp_dip
 from _grid_oracle import loop_neighbor_opinion_grid
 from conftest import make_record, retweet
+
+
+def table(records):
+    return eng.OriginalsTable.from_records(records)
 
 
 def scores_obj(user_scores, influencer_scores):
@@ -301,16 +306,12 @@ class TestLeaningDistributions:
     def test_mini_left_class_median_negative(
         self, mini_scores, mini_retained, fixtures_dir
     ):
-        from collections import defaultdict
-
         from echoaudit import mediabias as mb
 
         table = mb.load_domain_table(fixtures_dir / "mini_domains.csv")
-        by_author = defaultdict(list)
-        for rec in mini_retained:
-            if rec.kind == "original":
-                by_author[rec.author_id].append(rec)
-        class_counts = mb.user_class_counts(by_author, table)
+        originals = eng.OriginalsTable.from_records(
+            (rec for rec in mini_retained if rec.kind == "original"), table)
+        class_counts = mb.user_class_counts(originals)
         out = rep.leaning_ideology_distributions(mini_scores, class_counts)
         assert out["Left"].meta["user_median"] < 0
         assert out["Right"].meta["user_median"] > 0
@@ -326,14 +327,14 @@ class TestAEFollowersDensity:
         ]
 
     def test_single_tweet_single_cell(self):
-        grids = rep.ae_followers_density(self.tweets()[:1], bins=10)
+        grids = rep.ae_followers_density(table(self.tweets()[:1]), bins=10)
         like = grids["like"]
         assert like.total() == 1
         assert (like.counts > 0).sum() == 1
 
     def test_duplicated_corpus_doubles_counts(self):
-        once = rep.ae_followers_density(self.tweets(), bins=10)
-        twice = rep.ae_followers_density(self.tweets() * 2, bins=10)
+        once = rep.ae_followers_density(table(self.tweets()), bins=10)
+        twice = rep.ae_followers_density(table(self.tweets() * 2), bins=10)
         for action in once:
             np.testing.assert_array_equal(
                 2 * once[action].counts, twice[action].counts
@@ -346,14 +347,14 @@ class TestAEFollowersDensity:
             make_record(tweet_id="e", impressions=10, likes=2, author_followers=0),
         ]
         stats = Counter()
-        grids = rep.ae_followers_density(records, bins=10, stats=stats)
+        grids = rep.ae_followers_density(table(records), bins=10, stats=stats)
         assert grids["like"].total() == 2
         assert stats["like:zero_impressions"] == 1
         assert stats["like:zero_actions"] == 1
         assert stats["like:zero_followers"] == 1
 
     def test_log_axes(self):
-        grids = rep.ae_followers_density(self.tweets(), bins=10)
+        grids = rep.ae_followers_density(table(self.tweets()), bins=10)
         like = grids["like"]
         assert like.x_edges[0] <= math.log10(100)
         assert like.x_edges[-1] >= math.log10(10_000)

@@ -14,6 +14,7 @@ from echoaudit import ingest as ing
 from echoaudit import synth
 from echoaudit.errors import DegenerateMatrixError, InputError
 
+import _engagement_oracle as oracle
 from _ca_oracle import dense_ca_oracle, jacobi_svd
 from conftest import FIXTURES, random_count_matrix
 
@@ -131,7 +132,7 @@ class TestPolarizedCorpus:
             pooled[group]["imp"] += rec.impressions
             n_originals[group] += 1
             for a in eng.ACTIONS:
-                pooled[group][a] += eng.action_count(rec, a)
+                pooled[group][a] += oracle.action_count(rec, a)
         for group, targets in truth.target_ae_by_group.items():
             assert n_originals[group] >= 1000
             for action, target in targets.items():
@@ -172,11 +173,12 @@ class TestCalibration:
         result = synth.generate_calibration(config, tmp_path)
         records = list(ing.engagement_subset(ing.parse_corpus(result.corpus_path)))
         assert len(records) == 8000
-        means = eng.tweet_level_mean_ae(records)
+        means = oracle.tweet_level_mean_ae(records)
+        originals = eng.OriginalsTable.from_records(records)
         for action in eng.ACTIONS:
             mean, _ = means[action]
             assert abs(mean - ae_t[action]) / ae_t[action] < 0.05
-            report = eng.correlation_report(records, action)
+            report = eng.correlation_report(originals, action)
             assert abs(report.pearson_r - r_t[action]) < 0.03
 
     def test_corpus_bytes_pinned(self, tmp_path):
