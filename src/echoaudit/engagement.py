@@ -10,9 +10,9 @@ times); such values are flagged, never clamped.
 Original tweets are held as an :class:`OriginalsTable` of NumPy columns,
 filled one record at a time as the corpus streams past, and every consumer
 works on those columns.  Pooled sums are exact: a subject's terms are summed
-with ``math.fsum`` (or in int64 where that cannot overflow), so a result does
-not depend on record order.  Ingest caps every count at ``2**53 - 1``, so the
-float64 ratios equal Python's correctly rounded ``int / int``.
+with ``math.fsum``, so a result does not depend on record order.  Ingest caps
+every count at ``2**53 - 1``, so the float64 ratios equal Python's correctly
+rounded ``int / int``.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ class OriginalsTable:
     * ``tweet_codes``/``author_codes`` number the distinct ids in first-seen
       order (``author_ids`` lists the authors in that order);
     * ``impressions``, ``followers`` and ``action_counts(action)`` are int64;
-    * given a domain table, ``url_indptr``/``url_domains`` hold each record's
-      URLs as a CSR row of domain codes, in URL order and with multiplicity.
-      A code indexes ``domain_names`` (the table's domains, sorted) or is -1
-      for a URL whose registrable domain is not in the table.  Each distinct
-      URL goes through :func:`mediabias.extract_domain` once.  Without a
-      domain table every row is empty.
+    * given a domain table, each record's URLs whose registrable domain is
+      in the table, as a CSR row of domain codes in URL order and with
+      multiplicity (:meth:`matched_urls`); a code indexes :meth:`profiles`.
+      Each URL occurrence goes through :func:`mediabias.extract_domain` once,
+      as it is added; ``unmatched_urls`` counts the URLs outside the table.
+      Without a domain table every row is empty.
 
     The column views share memory with the growing buffers: while one is
     alive, :meth:`add` raises ``BufferError``.
@@ -85,9 +85,10 @@ class OriginalsTable:
         self._impressions = array("q")
         self._followers = array("q")
         self._actions = {a: array("q") for a in ACTIONS}
-        self.domain_names: list[str] = sorted(domains) if domains is not None else []
-        self._domain_code = {d: i for i, d in enumerate(self.domain_names)}
-        self._url_code: dict[str, int] = {}
+        names = sorted(domains) if domains is not None else []
+        self._profiles = [domains[d] for d in names]
+        self._domain_code = {d: i for i, d in enumerate(names)}
+        self.unmatched_urls = 0
         self._indptr = array("q", [0])
         self._url_domains = array("q")
 
@@ -114,14 +115,13 @@ class OriginalsTable:
         actions["reply"].append(rec.replies)
         actions["like"].append(rec.likes)
         actions["quote"].append(rec.quotes)
-        if self.domains is not None and rec.urls:
-            url_code = self._url_code
+        if self.domains is not None:
             for url in rec.urls:
-                code = url_code.get(url)
+                code = self._domain_code.get(mb.extract_domain(url))
                 if code is None:
-                    code = self._domain_code.get(mb.extract_domain(url), -1)
-                    url_code[url] = code
-                self._url_domains.append(code)
+                    self.unmatched_urls += 1
+                else:
+                    self._url_domains.append(code)
         self._indptr.append(len(self._url_domains))
 
     def __len__(self) -> int:
@@ -150,17 +150,17 @@ class OriginalsTable:
     def action_counts(self, action: str) -> np.ndarray:
         return _view(self._actions[action])
 
-    @property
-    def url_indptr(self) -> np.ndarray:
-        return _view(self._indptr)
+    def profiles(self) -> list[mb.DomainProfile]:
+        """The domain profile of each domain code, in sorted domain order."""
+        return list(self._profiles)
 
-    @property
-    def url_domains(self) -> np.ndarray:
-        return _view(self._url_domains)
+    def matched_urls(self) -> tuple[np.ndarray, np.ndarray]:
+        """Record index and domain code of every matched URL occurrence.
 
-    def url_owners(self) -> np.ndarray:
-        """The record index of every entry of ``url_domains``."""
-        return np.repeat(np.arange(len(self)), np.diff(self.url_indptr))
+        Occurrences run in record order, then URL order.
+        """
+        owners = np.repeat(np.arange(len(self)), np.diff(_view(self._indptr)))
+        return owners, _view(self._url_domains)
 
     def sorted_authors(self) -> tuple[list[str], np.ndarray]:
         """Author ids in ``str`` order, and each author code's rank in it."""
@@ -188,11 +188,13 @@ class EngagementTable:
 
 
 def _fsum_groups(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per-group ``math.fsum`` of float64 values laid out group by group.
+    """Per-group ``math.fsum`` of values laid out group by group.
 
     A one-term group passes its value through, which is what fsum returns.
+    Integer terms are at most ``2**53 - 1``, so each is an exact float.
     """
-    sums = values[starts].astype(np.float64)
+    values = values.astype(np.float64, copy=False)
+    sums = values[starts]
     multi = np.flatnonzero(sizes > 1)
     if multi.size:
         terms = values.tolist()
@@ -200,17 +202,6 @@ def _fsum_groups(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> n
         hi = (starts[multi] + sizes[multi]).tolist()
         sums[multi] = [math.fsum(terms[a:b]) for a, b in zip(lo, hi)]
     return sums
-
-
-def _sum_groups(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Exact per-group sums, correctly rounded to float64 as fsum would be.
-
-    Integer columns add in int64 when no sum can overflow; their terms are
-    at most ``2**53 - 1``, so otherwise each term is an exact float for fsum.
-    """
-    if values.dtype == np.int64 and int(values.max()) * values.size < 2**63:
-        return np.add.reduceat(values, starts).astype(np.float64)
-    return _fsum_groups(values.astype(np.float64, copy=False), starts, sizes)
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,11 +240,10 @@ def aggregate_ae(
     # subject's rank in sorted subject order.
     weight = None
     if granularity == "domain":
-        names = originals.domain_names
+        names = [p.domain for p in originals.profiles()]
         width = max(len(names), 1)
-        codes = originals.url_domains
-        matched = codes >= 0
-        pairs = np.unique(originals.url_owners()[matched] * width + codes[matched])
+        owners, codes = originals.matched_urls()
+        pairs = np.unique(owners * width + codes)
         row, key = pairs // width, pairs % width
         n_keys = np.bincount(row, minlength=n)
         tally(stats, "unkeyed_records", int(np.count_nonzero(keep & (n_keys == 0))))
@@ -283,7 +273,7 @@ def aggregate_ae(
         terms = column[row]
         if weight is not None:
             terms = weight * terms
-        return _sum_groups(terms, starts, sizes)
+        return _fsum_groups(terms, starts, sizes)
 
     imp = pooled(impressions)
     totals = {a: pooled(originals.action_counts(a)) for a in ACTIONS}
@@ -450,8 +440,11 @@ def write_engagement(records: EngagementTable, path: str | Path) -> None:
                 counts = map(repr, records.counts[a][lo:hi].tolist())
                 ae = records.ae[a][lo:hi].tolist()
                 ae_text = list(map(repr, ae))
-                # A one-tweet subject's mean ratio is its pooled AE; AE is
-                # never -0.0, so equal floats have equal text.
+                # A one-tweet subject's mean ratio usually equals its pooled
+                # AE, and reusing that text saves a repr per row, about two
+                # fifths of the writer's time.  Ingest rejects negative
+                # counts, so neither value is -0.0 and equal floats have
+                # equal text.
                 means = [text if mean == value else "" if mean != mean else repr(mean)
                          for mean, value, text in zip(
                              records.mean_ae[a][lo:hi].tolist(), ae, ae_text)]

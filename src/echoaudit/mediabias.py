@@ -226,11 +226,6 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
     return table
 
 
-def _domain_profiles(originals: "OriginalsTable") -> list[DomainProfile]:
-    """The profile of each domain code of ``originals``."""
-    return [originals.domains[d] for d in originals.domain_names]
-
-
 def user_leaning(
     originals: "OriginalsTable",
     include_unreliable_leanings: bool = True,
@@ -246,14 +241,12 @@ def user_leaning(
     """
     if unmatched is None:
         unmatched = Counter()
-    profiles = _domain_profiles(originals)
+    profiles = originals.profiles()
     score = np.array([np.nan if p.leaning_score is None else p.leaning_score
                       for p in profiles], dtype=np.float64)
-    codes = originals.url_domains
-    owners = originals.author_codes[originals.url_owners()]
-    matched = codes >= 0
-    tally(unmatched, "url_not_in_table", matched.size - int(np.count_nonzero(matched)))
-    codes, owners = codes[matched], owners[matched]
+    tally(unmatched, "url_not_in_table", originals.unmatched_urls)
+    records, codes = originals.matched_urls()
+    owners = originals.author_codes[records]
     labelled = ~np.isnan(score[codes])
     tally(unmatched, "no_leaning_label", codes.size - int(np.count_nonzero(labelled)))
     codes, owners = codes[labelled], owners[labelled]
@@ -279,12 +272,10 @@ def user_class_counts(originals: "OriginalsTable") -> dict[str, dict[str, int]]:
     """
     n_classes = len(LEANING_ORDER)
     cls = np.array([-1 if p.leaning_label is None else LEANING_ORDER.index(p.leaning_label)
-                    for p in _domain_profiles(originals)], dtype=np.int64)
-    codes = originals.url_domains
-    owners = originals.author_codes[originals.url_owners()]
-    matched = codes >= 0
-    classes = cls[codes[matched]]
-    owners = owners[matched]
+                    for p in originals.profiles()], dtype=np.int64)
+    records, codes = originals.matched_urls()
+    classes = cls[codes]
+    owners = originals.author_codes[records]
     labelled = classes >= 0
     cells = owners[labelled] * n_classes + classes[labelled]
     counts = np.bincount(cells, minlength=len(originals.author_ids) * n_classes)

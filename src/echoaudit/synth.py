@@ -51,6 +51,10 @@ _POISSON_MEAN_MAX = 1e6
 # stay below 1e15, inside what ingest accepts, and what an int64 holds.
 _LOG10_MAX = 15.0
 
+# Upper bound of the AE boost; a finite factor keeps every rate, and the
+# expected AE written to ground_truth.json, finite.
+_AE_BOOST_MAX = 1e6
+
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
     """``lo <= value <= hi``; NaN fails every comparison and is rejected."""
@@ -119,7 +123,7 @@ class GeneratorConfig:
             raise InputError("domains_per_class must be at least 1")
         for name in ("retweet_extra_mean", "originals_per_user_mean"):
             _check_range(name, getattr(self, name), 0.0, _POISSON_MEAN_MAX)
-        _check_range("unreliable_ae_boost", self.unreliable_ae_boost, 0.0, math.inf)
+        _check_range("unreliable_ae_boost", self.unreliable_ae_boost, 0.0, _AE_BOOST_MAX)
         for name in ("impressions_log10", "follower_log10", "influencer_follower_log10"):
             _check_log10_pair(name, getattr(self, name))
         for name in ("lurk_rate_by_group", "unreliable_url_prob", "domain_mix"):

@@ -222,7 +222,8 @@ class TestSynthConfigErrors:
         ('{"non_english_fraction": 3}', "non_english_fraction must be in [0, 1]"),
         ('{"unreliable_url_prob": {"A": 1.5, "B": 0.2}}',
          "unreliable_url_prob for A must be in [0, 1]"),
-        ('{"unreliable_ae_boost": -2}', "unreliable_ae_boost must be in [0, inf]"),
+        ('{"unreliable_ae_boost": -2}', "unreliable_ae_boost must be in [0, 1e+06]"),
+        ('{"unreliable_ae_boost": Infinity}', "unreliable_ae_boost must be in [0, 1e+06]"),
         ('{"action_shares": {"retweet": 1.2, "reply": -0.2, "like": 0, "quote": 0}}',
          "action share for retweet must be in [0, 1]"),
         ('{"domain_mix": {"A": {"Left": 1.5, "LeftCenter": -0.5}, "B": {"Right": 1}}}',
