@@ -17,7 +17,6 @@ subcommands chained by hand would write.  All outputs are deterministic given in
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from collections import Counter
@@ -99,11 +98,10 @@ def _corpus_filter(args) -> ing.CorpusFilter:
 def _retain(records: Iterator[ing.TweetRecord], originals: eng.OriginalsTable,
             retweets: gr.RetweetCounts) -> Iterator[ing.TweetRecord]:
     """Pass records through, keeping what the later pipeline stages read."""
-    kinds = ing.CorpusFilter()
     for rec in records:
-        if rec.kind in kinds.kinds_for_engagement:
+        if rec.kind in ing.KINDS_FOR_ENGAGEMENT:
             originals.add(rec)
-        if rec.kind in kinds.kinds_for_network:
+        if rec.kind in ing.KINDS_FOR_NETWORK:
             retweets.add(rec)
         yield rec
 
@@ -172,10 +170,8 @@ def cmd_graph(args, retweets: Optional[gr.RetweetCounts] = None):
         for uid in influencers:
             fh.write(uid + "\n")
     if args.ranking_out:
-        with open(args.ranking_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("user_id,unique_in_degree\n")
-            for uid, deg in gr.rank_by_in_degree(g):
-                fh.write(f"{uid},{deg}\n")
+        ing.write_table(args.ranking_out, ("user_id", "unique_in_degree"),
+                        gr.rank_by_in_degree(g))
     log.info("graph: %d nodes, %d edges, %d influencers (skipped %s)",
              g.n_nodes, g.n_edges, len(influencers), dict(skipped))
     return g, influencers
@@ -216,17 +212,14 @@ def cmd_ideology(args, g: Optional[gr.RetweetGraph] = None,
     scores = ideo.score_users_and_influencers(matrix, triplet, anchor)
     ideo.write_scores(scores, args.scores_out)
     if args.meta_out:
-        meta = {
+        ing.write_json(args.meta_out, {
             "sigma1": scores.sigma1,
             "anchor_id": scores.anchor_id,
             "iterations": scores.iterations,
             "residual": scores.residual,
             "matrix_shape": list(matrix.shape),
             "nnz": matrix.nnz,
-        }
-        with open(args.meta_out, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     log.info("scored %d users, %d influencers (sigma1=%g, %d iterations)",
              len(scores.user_scores), len(scores.influencer_scores),
              scores.sigma1, scores.iterations)
@@ -357,6 +350,8 @@ def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
     # leaves nothing behind.
     if scores is None:
         scores = _scores_from_csv(args.scores)
+    if not scores.user_scores:
+        raise InputError(f"{args.scores}: no user scores; nothing to report")
     if g is None:
         g = gr.read_edge_list(args.graph)
     if originals is None:
@@ -388,17 +383,14 @@ def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
                 series, args.out_dir / f"leaning_hist_{label.lower()}.csv"
             )
 
-    summary = {
+    ing.write_json(args.out_dir / "summary.json", {
         "user_dip": hist.meta["user_dip"],
         "dip_threshold_p01": rep.dip_threshold(hist.meta["n_users"], 0.01),
         "n_users": hist.meta["n_users"],
         "n_influencers": hist.meta["n_influencers"],
         "diagonal_mass_share": grid.meta["diagonal_mass_share"],
         "neighbor_grid_total": grid.total(),
-    }
-    with open(args.out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _add_pipeline(sub) -> None:

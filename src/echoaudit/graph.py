@@ -16,11 +16,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySelectionError, InputError
-from .ingest import TweetRecord, open_atomic, open_maybe_gzip
+from .ingest import TweetRecord, open_maybe_gzip, read_table, write_table
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MIN_UNIQUE_IN_DEGREE = 100
+
+EDGE_LIST_HEADER = ("src", "dst", "weight")
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,6 @@ class RetweetGraph:
     def out_edges(self, node_index: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.out_indptr[node_index], self.out_indptr[node_index + 1]
         return self.out_targets[lo:hi], self.out_weights[lo:hi]
-
-    def total_weight(self) -> int:
-        return int(self.in_weights.sum())
 
     def edge_list(self) -> Iterable[tuple[str, str, int]]:
         """Yield ``(src_id, dst_id, weight)`` sorted by (src, dst)."""
@@ -252,38 +251,17 @@ def read_seeds(path: str | Path) -> list[str]:
 
 
 def write_edge_list(g: RetweetGraph, path: str | Path) -> None:
-    with open_atomic(path, newline="") as fh:
-        fh.write("src,dst,weight\n")
-        for src, dst, w in g.edge_list():
-            fh.write(f"{src},{dst},{w}\n")
+    write_table(path, EDGE_LIST_HEADER, g.edge_list())
 
 
 def read_edge_list(path: str | Path, count_self_loops: bool = False) -> RetweetGraph:
     """Rebuild a graph from a ``src,dst,weight`` CSV export."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"edge list not found: {path}")
     weights: dict[tuple[str, str], int] = {}
-    with open_maybe_gzip(path) as fh:
-        header = fh.readline().strip()
-        if header != "src,dst,weight":
-            raise InputError(f"{path}:1: unexpected edge-list header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise InputError(
-                    f"{path}:{lineno}: expected 3 fields (src,dst,weight), "
-                    f"got {len(fields)}"
-                )
-            src, dst, w = fields
-            try:
-                wt = int(w)
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: weight {w!r} is not an integer"
-                ) from None
-            weights[(src, dst)] = weights.get((src, dst), 0) + wt
+    for lineno, (src, dst, w) in read_table(path, EDGE_LIST_HEADER, "edge list"):
+        # A retweet count: plain ASCII digits, at least 1.
+        if not (w.isascii() and w.isdigit()) or (wt := int(w)) < 1:
+            raise InputError(
+                f"{path}:{lineno}: weight {w!r} is not an integer >= 1"
+            )
+        weights[(src, dst)] = weights.get((src, dst), 0) + wt
     return _assemble(weights, count_self_loops)

@@ -22,13 +22,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateMatrixError, InputError
 from .graph import InfluencerSet, RetweetGraph
-from .ingest import open_atomic, open_maybe_gzip
+from .ingest import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -38,6 +38,8 @@ DEFAULT_MAX_ITER = 10_000
 DEFAULT_SEED = 1
 
 _REORTH_EVERY = 10
+
+SCORES_HEADER = ("id", "kind", "score", "raw_score")
 
 
 @dataclass(frozen=True)
@@ -60,40 +62,6 @@ class InteractionMatrix:
 
     def total(self) -> float:
         return float(self.data.sum())
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
-        return dense
-
-    @classmethod
-    def from_dense(
-        cls,
-        dense: np.ndarray,
-        row_ids: Sequence[str],
-        col_ids: Sequence[str],
-    ) -> "InteractionMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape != (len(row_ids), len(col_ids)):
-            raise ValueError("dense shape does not match the id lists")
-        if (dense < 0).any():
-            raise ValueError("interaction counts must be non-negative")
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for i in range(dense.shape[0]):
-            cols = np.flatnonzero(dense[i])
-            indices.extend(cols.tolist())
-            data.extend(dense[i, cols].tolist())
-            indptr.append(len(indices))
-        return cls(
-            row_ids=tuple(row_ids),
-            col_ids=tuple(col_ids),
-            indptr=np.asarray(indptr, dtype=np.int64),
-            indices=np.asarray(indices, dtype=np.int64),
-            data=np.asarray(data, dtype=np.float64),
-        )
 
 
 def build_interaction_matrix(
@@ -409,41 +377,25 @@ def write_scores(scores: IdeologyScores, path: str | Path) -> None:
         for uid in scores.user_scores
     ]
     rows.sort(key=lambda t: (t[1], t[0]))
-    with open_atomic(path, newline="") as fh:
-        fh.write("id,kind,score,raw_score\n")
-        for ident, kind, score, raw in rows:
-            fh.write(f"{ident},{kind},{score!r},{raw!r}\n")
+    write_table(path, SCORES_HEADER, rows)
 
 
 def read_scores(path: str | Path) -> tuple[dict[str, float], dict[str, float]]:
     """Read a score CSV back into (user_scores, influencer_scores)."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"scores file not found: {path}")
     users: dict[str, float] = {}
     influencers: dict[str, float] = {}
-    with open_maybe_gzip(path) as fh:
-        header = fh.readline().strip()
-        if header != "id,kind,score,raw_score":
-            raise InputError(f"{path}:1: unexpected scores header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != 4:
-                raise InputError(
-                    f"{path}:{lineno}: expected 4 fields (id,kind,score,raw_score), "
-                    f"got {len(fields)}"
-                )
-            ident, kind, score, _raw = fields
-            if kind == "user":
-                target = users
-            elif kind == "influencer":
-                target = influencers
-            else:
-                raise InputError(f"{path}:{lineno}: unknown score kind {kind!r}")
-            try:
-                target[ident] = float(score)
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: score {score!r} is not a number"
-                ) from None
+    for lineno, (ident, kind, score, _raw) in read_table(path, SCORES_HEADER,
+                                                          "scores file"):
+        if kind == "user":
+            target = users
+        elif kind == "influencer":
+            target = influencers
+        else:
+            raise InputError(f"{path}:{lineno}: unknown score kind {kind!r}")
+        try:
+            target[ident] = float(score)
+        except ValueError:
+            raise InputError(
+                f"{path}:{lineno}: score {score!r} is not a number"
+            ) from None
     return users, influencers

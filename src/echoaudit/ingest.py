@@ -22,7 +22,9 @@ is rejected under ``count_too_large_<field>``.  Files ending in ``.gz`` are
 transparently decompressed.
 
 :func:`write_corpus` writes the ``flat`` schema back, one :func:`flat_line`
-per record.
+per record.  :func:`write_table` and :func:`write_json` write every CSV and
+JSON artifact of the package, and :func:`read_table` reads the CSV tables
+back; all writers go through :func:`open_atomic`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -83,14 +85,18 @@ class TweetRecord:
         )
 
 
+# Record kinds whose impressions measure audience reach, and record kinds
+# that define interaction-network edges.
+KINDS_FOR_ENGAGEMENT = frozenset({"original"})
+KINDS_FOR_NETWORK = frozenset({"retweet"})
+
+
 @dataclass(frozen=True)
 class CorpusFilter:
-    """Date/language filter plus the per-analysis record-kind subsets."""
+    """Date and language filter."""
 
     min_date: datetime = IMPRESSIONS_AVAILABLE_FROM
     allowed_langs: frozenset[str] = frozenset({"en"})
-    kinds_for_engagement: frozenset[str] = frozenset({"original"})
-    kinds_for_network: frozenset[str] = frozenset({"retweet"})
 
 
 def parse_timestamp(value: str, diagnostics: Optional[Counter] = None) -> datetime:
@@ -324,6 +330,59 @@ def open_atomic(path: str | Path, newline: Optional[str] = None) -> Iterator[io.
         raise
 
 
+def write_table(path: str | Path, header: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """Write a CSV table all at once: ``header``, then one line per row.
+
+    Each field is written as ``str(field)``, so a Python float gets its
+    shortest round-trip text; ``None`` becomes an empty field.  No field is
+    quoted: ingest rejects ids holding ``,`` or a line break, and every other
+    field is a number or a fixed label.
+    """
+    with open_atomic(path, newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            ",".join(["" if f is None else str(f) for f in row]) + "\n"
+            for row in rows
+        )
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` all at once as indented JSON with sorted keys."""
+    with open_atomic(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_table(path: str | Path, header: Sequence[str],
+               what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for each non-blank row of a CSV table.
+
+    A missing file, a header other than ``header`` and a row with the wrong
+    number of fields raise :class:`InputError`; the last two name the file
+    and line.  ``what`` names the file in those messages.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"{what} not found: {path}")
+    expected = ",".join(header)
+    with open_maybe_gzip(path) as fh:
+        got = fh.readline().strip()
+        if got != expected:
+            raise InputError(f"{path}:1: unexpected {what} header: {got!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise InputError(
+                    f"{path}:{lineno}: expected {len(header)} fields "
+                    f"({expected}), got {len(fields)}"
+                )
+            yield lineno, fields
+
+
 def _first_undecodable_line(path: Path) -> int:
     """Number of the first line that is not UTF-8, counting lines as text mode does."""
     lineno = 0
@@ -414,22 +473,14 @@ def apply_filters(
         yield rec
 
 
-def engagement_subset(
-    records: Iterable[TweetRecord],
-    corpus_filter: CorpusFilter = CorpusFilter(),
-) -> Iterator[TweetRecord]:
+def engagement_subset(records: Iterable[TweetRecord]) -> Iterator[TweetRecord]:
     """Keep only the record kinds whose impressions measure audience reach."""
-    keep = corpus_filter.kinds_for_engagement
-    return (rec for rec in records if rec.kind in keep)
+    return (rec for rec in records if rec.kind in KINDS_FOR_ENGAGEMENT)
 
 
-def network_subset(
-    records: Iterable[TweetRecord],
-    corpus_filter: CorpusFilter = CorpusFilter(),
-) -> Iterator[TweetRecord]:
+def network_subset(records: Iterable[TweetRecord]) -> Iterator[TweetRecord]:
     """Keep only the record kinds that define interaction-network edges."""
-    keep = corpus_filter.kinds_for_network
-    return (rec for rec in records if rec.kind in keep)
+    return (rec for rec in records if rec.kind in KINDS_FOR_NETWORK)
 
 
 def tally(counts: Counter, reason: str, n: int) -> None:
@@ -440,10 +491,8 @@ def tally(counts: Counter, reason: str, n: int) -> None:
 
 def write_count_report(counts: Counter, path: str | Path) -> None:
     """Write a ``reason,count`` CSV, rows sorted by reason for determinism."""
-    with open_atomic(path, newline="") as fh:
-        fh.write("reason,count\n")
-        for reason in sorted(counts):
-            fh.write(f"{reason},{counts[reason]}\n")
+    write_table(path, ("reason", "count"),
+                ((reason, counts[reason]) for reason in sorted(counts)))
 
 
 def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> int:

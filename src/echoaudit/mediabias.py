@@ -27,7 +27,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import InputError
-from .ingest import open_atomic, open_maybe_gzip, tally
+from .ingest import open_maybe_gzip, tally, write_table
 
 if TYPE_CHECKING:
     from .engagement import OriginalsTable
@@ -290,8 +290,5 @@ def user_class_counts(originals: "OriginalsTable") -> dict[str, dict[str, int]]:
 def write_user_leanings(leanings: Iterable[UserLeaning], path: str | Path) -> None:
     """CSV export ``user_id,n_urls,score`` sorted by user id; blank = no score."""
     rows = sorted(leanings, key=lambda ul: ul.user_id)
-    with open_atomic(path, newline="") as fh:
-        fh.write("user_id,n_urls,score\n")
-        for ul in rows:
-            score = "" if ul.score is None else repr(ul.score)
-            fh.write(f"{ul.user_id},{ul.n_urls},{score}\n")
+    write_table(path, ("user_id", "n_urls", "score"),
+                ((ul.user_id, ul.n_urls, ul.score) for ul in rows))

@@ -23,7 +23,7 @@ from .dip import dip_statistic
 from .engagement import ACTIONS, OriginalsTable
 from .graph import RetweetGraph
 from .ideology import IdeologyScores
-from .ingest import tally
+from .ingest import tally, write_json, write_table
 
 log = logging.getLogger(__name__)
 
@@ -68,18 +68,7 @@ class DensityGrid:
 class HistogramSeries:
     bin_edges: np.ndarray
     series: dict[str, np.ndarray]       # name -> int64 counts
-    normalization: str = "count"        # or "density"
     meta: dict = field(default_factory=dict)
-
-    def values(self, name: str) -> np.ndarray:
-        counts = self.series[name].astype(np.float64)
-        if self.normalization == "count":
-            return counts
-        widths = np.diff(self.bin_edges)
-        total = counts.sum()
-        if total == 0:
-            return counts
-        return counts / (total * widths)
 
 
 def dip_threshold(n: int, alpha: float = 0.01) -> float:
@@ -219,7 +208,6 @@ def ideology_histograms(
     bins: int = DEFAULT_HIST_BINS,
     g: Optional[RetweetGraph] = None,
     top_k: int = DEFAULT_TOP_INFLUENCERS,
-    normalization: str = "count",
 ) -> HistogramSeries:
     """User and influencer score histograms on shared [-1, 1] edges.
 
@@ -257,8 +245,7 @@ def ideology_histograms(
                 np.asarray(vals), bins=edges
             )[0].astype(np.int64)
 
-    return HistogramSeries(bin_edges=edges, series=series,
-                           normalization=normalization, meta=meta)
+    return HistogramSeries(bin_edges=edges, series=series, meta=meta)
 
 
 def leaning_ideology_distributions(
@@ -362,33 +349,28 @@ def ae_followers_density(
 
 def write_grid(grid: DensityGrid, csv_path: str | Path, sidecar_path: str | Path) -> None:
     """Long-form CSV ``x_bin,y_bin,count,log_density`` plus a JSON sidecar."""
-    log_density = grid.log_density
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x_bin,y_bin,count,log_density\n")
-        for i in range(grid.counts.shape[0]):
-            for j in range(grid.counts.shape[1]):
-                fh.write(
-                    f"{i},{j},{int(grid.counts[i, j])},{float(log_density[i, j])!r}\n"
-                )
-    sidecar = {
+    x_bin, y_bin = np.indices(grid.counts.shape)
+    write_table(
+        csv_path, ("x_bin", "y_bin", "count", "log_density"),
+        zip(x_bin.ravel().tolist(), y_bin.ravel().tolist(),
+            grid.counts.ravel().tolist(), grid.log_density.ravel().tolist()),
+    )
+    write_json(sidecar_path, {
         "x_label": grid.x_label,
         "y_label": grid.y_label,
         "x_edges": grid.x_edges.tolist(),
         "y_edges": grid.y_edges.tolist(),
         "total_count": grid.total(),
         "meta": grid.meta,
-    }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def write_histogram(hist: HistogramSeries, path: str | Path) -> None:
     """CSV ``bin_left,bin_right,series,count`` with series in sorted order."""
-    edges = hist.bin_edges
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("bin_left,bin_right,series,count\n")
-        for name in sorted(hist.series):
-            counts = hist.series[name]
-            for b in range(len(edges) - 1):
-                fh.write(f"{edges[b]!r},{edges[b + 1]!r},{name},{int(counts[b])}\n")
+    edges = hist.bin_edges.tolist()
+    write_table(
+        path, ("bin_left", "bin_right", "series", "count"),
+        ((left, right, name, count)
+         for name in sorted(hist.series)
+         for left, right, count in zip(edges, edges[1:], hist.series[name].tolist())),
+    )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 from .ingest import (IMPRESSIONS_AVAILABLE_FROM, flat_line, format_timestamp,
-                     parse_timestamp)
+                     open_atomic, parse_timestamp, write_json, write_table)
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _CUTOFF = int((IMPRESSIONS_AVAILABLE_FROM - _EPOCH).total_seconds())
@@ -216,9 +216,7 @@ class GroundTruth:
     target_log_pearson: dict   # action -> r target ({} when not engineered)
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "GroundTruth":
@@ -294,10 +292,7 @@ class _DomainPool:
 
 
 def _write_domain_table(rows: list[tuple[str, str, str]], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("domain,leaning_label,reliability\n")
-        for domain, label, reliability in rows:
-            fh.write(f"{domain},{label},{reliability}\n")
+    write_table(path, ("domain", "leaning_label", "reliability"), rows)
 
 
 def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
@@ -426,7 +421,7 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
              impressions=int(rng.integers(1, 500)))
 
     corpus_path = out_dir / "corpus.jsonl"
-    with open(corpus_path, "w", encoding="utf-8") as fh:
+    with open_atomic(corpus_path) as fh:
         fh.writelines(records)
 
     hubs = sorted(
@@ -434,7 +429,7 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
         key=lambda inf: (-hub_counts.get(inf, 0), inf),
     )
     seeds_path = out_dir / "seeds.txt"
-    with open(seeds_path, "w", encoding="utf-8") as fh:
+    with open_atomic(seeds_path) as fh:
         for inf in hubs:
             fh.write(inf + "\n")
 
@@ -508,7 +503,7 @@ def generate_calibration(config: CalibrationConfig, out_dir: str | Path) -> Synt
     stamps = rng.integers(start, end, n)
 
     corpus_path = out_dir / "corpus.jsonl"
-    with open(corpus_path, "w", encoding="utf-8") as fh:
+    with open_atomic(corpus_path) as fh:
         columns = zip(stamps.tolist(), impressions.tolist(), counts["like"].tolist(),
                       counts["reply"].tolist(), counts["retweet"].tolist(),
                       counts["quote"].tolist(), followers.tolist())
@@ -533,7 +528,8 @@ def generate_calibration(config: CalibrationConfig, out_dir: str | Path) -> Synt
     domains_path = out_dir / "domains.csv"
     _write_domain_table([], domains_path)
     seeds_path = out_dir / "seeds.txt"
-    seeds_path.write_text("", encoding="utf-8")
+    with open_atomic(seeds_path):
+        pass
 
     return SynthResult(
         corpus_path=corpus_path,

@@ -203,6 +203,11 @@ def group_ae(
             q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
             iqr = q3 - q1
             inside = values[(values >= q1 - 1.5 * iqr) & (values <= q3 + 1.5 * iqr)]
+            if not inside.size:
+                # Two values a few ulps apart can have both quartiles, and so
+                # both fences, rounded strictly between them; in exact
+                # arithmetic both values lie inside.
+                inside = values
             out.append(GroupSummary(
                 group=label, action=action, n=int(values.size),
                 mean=float(values.mean()), q1=float(q1), median=float(median),

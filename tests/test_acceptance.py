@@ -22,6 +22,7 @@ from echoaudit import synth
 
 import _engagement_oracle as oracle
 from _ca_oracle import dense_ca_oracle
+from _matrix_helpers import from_dense
 from conftest import make_record, random_count_matrix
 
 
@@ -79,7 +80,7 @@ def test_criterion_1_ca_oracle_equivalence():
         n_rows = int(rng.integers(5, 51))
         n_cols = int(rng.integers(3, 21))
         a = random_count_matrix(rng, n_rows, n_cols)
-        m = ideo.InteractionMatrix.from_dense(
+        m = from_dense(
             a,
             [f"u{i:03d}" for i in range(n_rows)],
             [f"c{j:03d}" for j in range(n_cols)],
@@ -104,7 +105,7 @@ def test_criterion_2_scale_and_permutation_invariance():
     col_ids = [f"c{j:03d}" for j in range(8)]
 
     def scores_for(dense, rows):
-        m = ideo.InteractionMatrix.from_dense(dense, rows, col_ids)
+        m = from_dense(dense, rows, col_ids)
         t = ideo.leading_singular_triplet(ideo.normalize(m), seed=5)
         return ideo.score_users_and_influencers(m, t, "c000")
 

@@ -450,6 +450,18 @@ class TestCorruptIntermediates:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / stage).exists()
 
+    @pytest.mark.parametrize("rows", ["", "inf_a_00,influencer,0.5,0.5\n"])
+    def test_report_scores_without_users(self, mini_stage_dirs, tmp_path, rows):
+        graph = tmp_path / "graph.csv"
+        graph.write_bytes((mini_stage_dirs / "graph.csv").read_bytes())
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,kind,score,raw_score\n" + rows, encoding="utf-8")
+        proc = run_process(self.stage_argv("report", mini_stage_dirs, graph, scores))
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {scores}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("stage,damaged,line", [
         ("ingest", "corpus.jsonl", 3),
         ("ingest", "corpus.jsonl.gz", 3),
@@ -577,6 +589,31 @@ class TestPipeline:
         counted(ideo, "read_scores")
         run(["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"])
         assert calls == Counter({"parse_corpus": 1})
+
+    def test_every_artifact_parses(self, tmp_path):
+        """Each CSV row has its header's field count and numbers in its
+        numeric columns (blank means missing); each JSON file loads."""
+        text_columns = {"id", "kind", "src", "dst", "reason", "user_id",
+                        "domain", "leaning_label", "reliability", "subject",
+                        "granularity", "action", "filter", "group", "series"}
+        run(["pipeline", "--preset", "mini", "--out-dir", tmp_path])
+        csvs = sorted(tmp_path.rglob("*.csv"))
+        jsons = sorted(tmp_path.rglob("*.json"))
+        assert len(csvs) > 10 and len(jsons) > 5
+        for path in csvs:
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            columns = header.split(",")
+            for lineno, row in enumerate(rows, start=2):
+                fields = row.split(",")
+                assert len(fields) == len(columns), f"{path}:{lineno}"
+                for name, value in zip(columns, fields):
+                    if name not in text_columns and value:
+                        try:
+                            float(value)
+                        except ValueError:
+                            pytest.fail(f"{path}:{lineno}: {name} {value!r}")
+        for path in jsons:
+            json.loads(path.read_text(encoding="utf-8"))
 
     def test_mini_pipeline_end_to_end(self, tmp_path):
         run(["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"])

@@ -1,5 +1,6 @@
 from collections import Counter, defaultdict
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echoaudit import engagement as eng
+from echoaudit import graph as gr
+from echoaudit import ideology as ideo
 from echoaudit import ingest as ing
 from echoaudit import mediabias as mb
+from echoaudit import report as rep
 from echoaudit.errors import EchoauditError
 
 import _engagement_oracle as oracle
-from conftest import make_record
+from conftest import make_record, retweet
 
 CUTOFF = "2022-12-15T00:00:00Z"
 
@@ -363,6 +367,19 @@ class TestGroupAE:
         assert summary.whisker_hi < 0.5
         assert summary.whisker_lo == 0.01
 
+    def test_two_values_ulps_apart_keep_their_whiskers(self):
+        # np.quantile puts q1, the median and q3 of these strictly between them.
+        lo, hi = 1.5326621776204509e-16, 1.5326621776204514e-16
+        ae = np.array([lo, hi])
+        recs = eng.EngagementTable(
+            granularity="user", subject_ids=["s0", "s1"], impressions=np.ones(2),
+            counts={a: np.zeros(2) for a in eng.ACTIONS}, ae={a: ae for a in eng.ACTIONS},
+            mean_ae={a: ae for a in eng.ACTIONS}, n_tweets=np.ones(2, dtype=np.int64),
+        )
+        (summary,) = [s for s in eng.group_ae(recs, {"s0": "g", "s1": "g"})
+                      if s.action == "like"]
+        assert (summary.whisker_lo, summary.whisker_hi) == (lo, hi)
+
     def test_mini_unreliable_domains_double_ae(
         self, mini_retained, mini_truth, fixtures_dir
     ):
@@ -457,6 +474,50 @@ def engagement_table_failing_late():
     )
 
 
+def grid_failing_late():
+    class Count(Boom):
+        def __float__(self):
+            return 1.0
+
+    counts = np.array([[1, 2], [3, Count()]], dtype=object)
+    edges = np.linspace(0.0, 1.0, 3)
+    return rep.DensityGrid(x_edges=edges, y_edges=edges, counts=counts,
+                           x_label="x", y_label="y")
+
+
+def histogram_failing_late():
+    return rep.HistogramSeries(
+        bin_edges=np.linspace(-1.0, 1.0, 3),
+        series={"a": np.array([1, 2]), "b": np.array([3, Boom()], dtype=object)})
+
+
+def scores_failing_late():
+    return ideo.IdeologyScores(
+        user_scores={"a": 0.5, "b": Boom()}, influencer_scores={},
+        raw_user_scores={"a": 0.5, "b": 0.5}, raw_influencer_scores={},
+        sigma1=1.0, anchor_id="", iterations=1, residual=0.0)
+
+
+def graph_failing_late():
+    g = gr.build_graph([retweet("A", "B", "t1"), retweet("C", "B", "t2")])
+    return dataclasses.replace(g, node_ids=("A", "B", Boom()))
+
+
+class BoomDict(dict):
+    """A non-empty mapping whose items raise, to fail a JSON writer part-way."""
+
+    def items(self):
+        raise RuntimeError("boom")
+
+
+def write_grid(grid, path):
+    rep.write_grid(grid, path, path.with_suffix(".json"))
+
+
+def write_json(obj, path):
+    ing.write_json(path, obj)
+
+
 class TestAtomicWriters:
     @pytest.mark.parametrize("write,rows", [
         (eng.write_engagement, engagement_table_failing_late),
@@ -469,6 +530,11 @@ class TestAtomicWriters:
         (mb.write_user_leanings, lambda: [
             mb.UserLeaning("a", 1, 0.5), mb.UserLeaning("b", 1, Boom())]),
         (ing.write_count_report, lambda: Counter({"a": 1, "b": Boom()})),
+        (write_grid, grid_failing_late),
+        (rep.write_histogram, histogram_failing_late),
+        (ideo.write_scores, scores_failing_late),
+        (gr.write_edge_list, graph_failing_late),
+        (write_json, lambda: {"a": 1, "b": BoomDict(c=2)}),
     ])
     def test_writer_failing_midway_leaves_no_file(self, tmp_path, write, rows):
         with pytest.raises(RuntimeError, match="boom"):

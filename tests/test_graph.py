@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from echoaudit import graph as gr
 from echoaudit.errors import EmptySelectionError, InputError
 
+from _matrix_helpers import total_weight
 from conftest import make_record, retweet
 
 
@@ -41,7 +42,7 @@ class TestBuildGraph:
         g = gr.build_graph(
             [retweet("A", "B"), make_record(kind="retweet")], skipped=skipped
         )
-        assert g.total_weight() == 1
+        assert total_weight(g) == 1
         assert skipped["missing_retweeted_author"] == 1
 
     def test_non_retweets_skipped(self):
@@ -66,7 +67,7 @@ class TestBuildGraph:
     def test_weight_sum_equals_record_count(self, mini_retained):
         records = [r for r in mini_retained if r.kind == "retweet"]
         g = gr.build_graph(records)
-        assert g.total_weight() == len(records)
+        assert total_weight(g) == len(records)
 
     def test_mini_counts_match_independent_aggregation(self, mini_raw, mini_graph):
         pairs = {
@@ -190,6 +191,9 @@ class TestEdgeListIO:
         ("a,b", "expected 3 fields"),
         ("a,b,c,1", "expected 3 fields"),
         ("a,b,x", "is not an integer"),
+        ("a,b,-50", "is not an integer"),
+        ("a,b,0", "is not an integer"),
+        ("a,b,1_0", "is not an integer"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
         path = tmp_path / "edges.csv"
@@ -230,4 +234,4 @@ def test_graph_permutation_invariance_property(edges, seed):
     g2 = gr.build_graph([records[i] for i in rng.permutation(len(records))])
     assert g1.node_ids == g2.node_ids
     assert list(g1.edge_list()) == list(g2.edge_list())
-    assert g1.total_weight() == len(records)
+    assert total_weight(g1) == len(records)

@@ -6,6 +6,7 @@ from echoaudit import ideology as ideo
 from echoaudit.errors import ConvergenceError, DegenerateMatrixError, InputError
 
 from _ca_oracle import dense_ca_oracle
+from _matrix_helpers import from_dense, to_dense
 from conftest import dense_residual, random_count_matrix, retweet
 
 
@@ -13,7 +14,7 @@ def matrix_from(dense, row_prefix="u", col_prefix="c"):
     dense = np.asarray(dense, dtype=float)
     rows = [f"{row_prefix}{i:03d}" for i in range(dense.shape[0])]
     cols = [f"{col_prefix}{j:03d}" for j in range(dense.shape[1])]
-    return ideo.InteractionMatrix.from_dense(dense, rows, cols)
+    return from_dense(dense, rows, cols)
 
 
 class TestBuildInteractionMatrix:
@@ -31,7 +32,7 @@ class TestBuildInteractionMatrix:
     def test_min_distinct_one(self):
         m = ideo.build_interaction_matrix(self._graph(), self._influencers(), 1)
         assert m.shape == (2, 2)
-        np.testing.assert_array_equal(m.to_dense(), [[3.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(to_dense(m), [[3.0, 0.0], [0.0, 1.0]])
         assert m.row_ids == ("u1", "u2")
 
     def test_min_distinct_two_fatal_when_no_rows(self):
@@ -314,9 +315,9 @@ class TestInvariances:
         a = random_count_matrix(rng, 16, 5)
         row_ids = [f"u{i:03d}" for i in range(16)]
         col_ids = [f"c{j:03d}" for j in range(5)]
-        m1 = ideo.InteractionMatrix.from_dense(a, row_ids, col_ids)
+        m1 = from_dense(a, row_ids, col_ids)
         perm = rng.permutation(16)
-        m2 = ideo.InteractionMatrix.from_dense(
+        m2 = from_dense(
             a[perm], [row_ids[i] for i in perm], col_ids
         )
         t1 = ideo.leading_singular_triplet(ideo.normalize(m1), seed=7)
@@ -336,6 +337,12 @@ class TestScoreIO:
         users, influencers = ideo.read_scores(path)
         assert users == scores.user_scores
         assert influencers == scores.influencer_scores
+
+    def test_trailing_blank_line_reads(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,kind,score,raw_score\nu1,user,0.1,0.1\n"
+                        "i1,influencer,-0.5,-0.5\n\n", encoding="utf-8")
+        assert ideo.read_scores(path) == ({"u1": 0.1}, {"i1": -0.5})
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -258,12 +258,6 @@ class TestIdeologyHistograms:
         n = hist.meta["n_users"]
         assert hist.meta["user_dip"] > rep.dip_threshold(n, alpha=0.01)
 
-    def test_density_normalization(self):
-        scores = scores_obj({"u1": -0.5, "u2": 0.5}, {})
-        hist = rep.ideology_histograms(scores, bins=4, normalization="density")
-        widths = np.diff(hist.bin_edges)
-        assert float((hist.values("users") * widths).sum()) == pytest.approx(1.0)
-
 
 class TestLeaningDistributions:
     def scores(self):

@@ -16,6 +16,7 @@ from echoaudit.errors import DegenerateMatrixError, InputError
 
 import _engagement_oracle as oracle
 from _ca_oracle import dense_ca_oracle, jacobi_svd
+from _matrix_helpers import from_dense
 from conftest import FIXTURES, random_count_matrix
 
 
@@ -302,7 +303,7 @@ class TestDenseCAOracle:
         rng = np.random.default_rng(19)
         a = random_count_matrix(rng, 20, 6)
         oracle = dense_ca_oracle(a)
-        m = ideo.InteractionMatrix.from_dense(
+        m = from_dense(
             a, [f"u{i}" for i in range(20)], [f"c{j}" for j in range(6)]
         )
         triplet = ideo.leading_singular_triplet(ideo.normalize(m))
