@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -33,6 +34,25 @@ from . import synth
 from .errors import EchoauditError, InputError
 
 log = logging.getLogger("echoaudit")
+
+
+def _checked(convert, ok, requirement: str):
+    """An argparse ``type`` that converts a flag and range-checks it, so a
+    bad value exits 2 with a usage message before anything is written."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _add_synth(sub) -> None:
@@ -185,9 +205,9 @@ def _add_ideology(sub) -> None:
                    help="influencer fixed to the negative side "
                         "(default: first influencer in the file)")
     p.add_argument("--min-distinct", type=int, default=ideo.DEFAULT_MIN_DISTINCT)
-    p.add_argument("--tol", type=float, default=ideo.DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=ideo.DEFAULT_SEED)
-    p.add_argument("--max-iter", type=int, default=ideo.DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=_POSITIVE, default=ideo.DEFAULT_TOL)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=ideo.DEFAULT_SEED)
+    p.add_argument("--max-iter", type=_AT_LEAST_ONE, default=ideo.DEFAULT_MAX_ITER)
     p.add_argument("--scores-out", type=Path, required=True)
     p.add_argument("--meta-out", type=Path, default=None)
     p.set_defaults(func=cmd_ideology)
@@ -324,8 +344,8 @@ def _add_report(sub) -> None:
     p.add_argument("--graph", type=Path, required=True, help="edge-list CSV")
     p.add_argument("--scores", type=Path, required=True, help="ideology scores CSV")
     p.add_argument("--domains", type=Path, default=None)
-    p.add_argument("--bins", type=int, default=rep.DEFAULT_GRID_BINS)
-    p.add_argument("--hist-bins", type=int, default=rep.DEFAULT_HIST_BINS)
+    p.add_argument("--bins", type=_AT_LEAST_ONE, default=rep.DEFAULT_GRID_BINS)
+    p.add_argument("--hist-bins", type=_AT_LEAST_ONE, default=rep.DEFAULT_HIST_BINS)
     p.add_argument("--top-k", type=int, default=rep.DEFAULT_TOP_INFLUENCERS)
     p.add_argument("--min-shares", type=int, default=rep.DEFAULT_MIN_SHARES)
     p.add_argument("--in-neighbors", action="store_true",
@@ -401,7 +421,7 @@ def _add_pipeline(sub) -> None:
     p.add_argument("--min-indegree", type=int, default=None,
                    help="default: scaled to the preset")
     p.add_argument("--anchor", default=None)
-    p.add_argument("--seed", type=int, default=ideo.DEFAULT_SEED,
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=ideo.DEFAULT_SEED,
                    help="solver seed")
     p.set_defaults(func=cmd_pipeline)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import mediabias as mb
 from .errors import EchoauditError
-from .ingest import TweetRecord, open_atomic, tally, write_table
+from .ingest import TweetRecord, open_atomic, sorted_codes, tally, write_table
 
 log = logging.getLogger(__name__)
 
@@ -43,20 +43,6 @@ _WRITE_CHUNK = 8192
 
 def _view(column: array) -> np.ndarray:
     return np.frombuffer(column, dtype=np.int64)
-
-
-def _sorted_codes(vocab: Mapping[str, int]) -> tuple[list[str], np.ndarray]:
-    """Ids in Python ``str`` order, and the rank of each code in that order.
-
-    ``vocab`` maps each id to its code, codes numbering ids in insertion
-    order.  Ids may hold any character (``\\x00`` included), so they are
-    sorted as Python strings, not as NumPy ``U`` arrays.
-    """
-    ids = list(vocab)
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    rank = np.empty(len(ids), dtype=np.int64)
-    rank[order] = np.arange(len(ids))
-    return [ids[i] for i in order], rank
 
 
 class OriginalsTable:
@@ -164,11 +150,11 @@ class OriginalsTable:
 
     def sorted_authors(self) -> tuple[list[str], np.ndarray]:
         """Author ids in ``str`` order, and each author code's rank in it."""
-        return _sorted_codes(self._author_vocab)
+        return sorted_codes(self._author_vocab)
 
     def sorted_tweets(self) -> tuple[list[str], np.ndarray]:
         """Tweet ids in ``str`` order, and each tweet code's rank in it."""
-        return _sorted_codes(self._tweet_vocab)
+        return sorted_codes(self._tweet_vocab)
 
 
 @dataclass(frozen=True)

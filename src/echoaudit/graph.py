@@ -2,12 +2,14 @@
 
 An edge ``A -> B`` means user A retweeted content authored by B; its weight is
 the number of such retweet records.  Node indexing is deterministic (sorted by
-user id) so repeated runs over the same corpus produce identical graphs.
+user id as Python strings, see :func:`ingest.sorted_codes`) so repeated runs
+over the same corpus produce identical graphs.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,13 +18,22 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySelectionError, InputError
-from .ingest import TweetRecord, open_maybe_gzip, read_table, write_table
+from .ingest import (MAX_COUNT, TweetRecord, open_maybe_gzip, read_table,
+                     sorted_codes, write_table)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MIN_UNIQUE_IN_DEGREE = 100
 
 EDGE_LIST_HEADER = ("src", "dst", "weight")
+
+
+class WeightOverflowError(InputError):
+    """The summed weight of one (src, dst) pair is above ``MAX_COUNT``."""
+
+    def __init__(self, src: str, dst: str):
+        super().__init__(f"summed weight of {src},{dst} is above {MAX_COUNT}")
+        self.pair = (src, dst)
 
 
 @dataclass(frozen=True)
@@ -90,16 +101,17 @@ class InfluencerSet:
 
 
 class RetweetCounts:
-    """Retweet multiplicity per (retweeter, author) pair, one record at a time.
+    """Retweet multiplicity per (retweeter, author) pair, one edge at a time.
 
-    Records are added one by one, so the counts can be gathered while another
-    consumer streams the same records; ``graph`` assembles them.  Records
-    that are not retweets, or lack a target, are skipped and counted in
-    ``skipped``.
+    Ids are interned in first-seen order; each edge is appended as (source
+    code, target code, weight) to int64 columns, and ``graph`` sums repeated
+    pairs.  Records that are not retweets, or lack a target, are skipped and
+    counted in ``skipped``.
     """
 
     def __init__(self, skipped: Optional[Counter] = None):
-        self.weights: dict[tuple[str, str], int] = {}
+        self._vocab: dict[str, int] = {}
+        self._src, self._dst, self._weight = array("q"), array("q"), array("q")
         self.skipped = Counter() if skipped is None else skipped
 
     def add(self, rec: TweetRecord) -> None:
@@ -108,11 +120,50 @@ class RetweetCounts:
         elif not rec.retweeted_author_id:
             self.skipped["missing_retweeted_author"] += 1
         else:
-            key = (rec.author_id, rec.retweeted_author_id)
-            self.weights[key] = self.weights.get(key, 0) + 1
+            self.add_edge(rec.author_id, rec.retweeted_author_id)
+
+    def add_edge(self, src: str, dst: str, weight: int = 1) -> None:
+        """Add ``weight`` (at most ``MAX_COUNT``) retweets of ``dst`` by ``src``."""
+        vocab = self._vocab
+        self._src.append(vocab.setdefault(src, len(vocab)))
+        self._dst.append(vocab.setdefault(dst, len(vocab)))
+        self._weight.append(weight)
 
     def graph(self, count_self_loops: bool = False) -> RetweetGraph:
-        return _assemble(self.weights, count_self_loops)
+        """The graph so far; a pair summing above ``MAX_COUNT`` raises
+        :class:`WeightOverflowError`."""
+        node_ids, rank = sorted_codes(self._vocab)
+        n = len(node_ids)
+        src, dst, w = (np.frombuffer(c, dtype=np.int64)
+                       for c in (self._src, self._dst, self._weight))
+        # Sorted keys run in (src, dst) order: the out-adjacency.
+        keys, pair = np.unique(rank[src] * n + rank[dst], return_inverse=True)
+        # Each weight, and each partial sum up to MAX_COUNT, is an exact
+        # float64; a sum beyond it rounds to at least 2**53.
+        sums = np.bincount(pair, weights=w, minlength=len(keys))
+        out_sources, out_targets = np.divmod(keys, n)
+        if len(keys) and sums.max() > MAX_COUNT:
+            k = sums.argmax()
+            raise WeightOverflowError(node_ids[out_sources[k]], node_ids[out_targets[k]])
+        out_weights = sums.astype(np.int64)
+        # A stable sort by dst of (src, dst) order gives (dst, src) order.
+        order_in = np.argsort(out_targets, kind="stable")
+        in_indptr, out_indptr = (
+            np.concatenate(([0], np.bincount(heads, minlength=n).cumsum()))
+            for heads in (out_targets, out_sources))
+        retweeters = out_targets[(out_sources != out_targets) | count_self_loops]
+        return RetweetGraph(
+            node_ids=tuple(node_ids),
+            in_indptr=in_indptr,
+            in_sources=out_sources[order_in],
+            in_weights=out_weights[order_in],
+            out_indptr=out_indptr,
+            out_targets=out_targets,
+            out_weights=out_weights,
+            unique_in_degree=np.bincount(retweeters, minlength=n),
+            counts_self_loops=count_self_loops,
+            index={uid: i for i, uid in enumerate(node_ids)},
+        )
 
 
 def build_graph(
@@ -127,67 +178,9 @@ def build_graph(
     edges; by default they do not contribute to ``unique_in_degree``.
     """
     counts = RetweetCounts(skipped)
-    add = counts.add
     for rec in records:
-        add(rec)
+        counts.add(rec)
     return counts.graph(count_self_loops)
-
-
-def _assemble(
-    weights: dict[tuple[str, str], int], count_self_loops: bool
-) -> RetweetGraph:
-    node_set: set[str] = set()
-    for src, dst in weights:
-        node_set.add(src)
-        node_set.add(dst)
-    node_ids = tuple(sorted(node_set))
-    index = {uid: i for i, uid in enumerate(node_ids)}
-    n = len(node_ids)
-    m = len(weights)
-
-    src_idx = np.empty(m, dtype=np.int64)
-    dst_idx = np.empty(m, dtype=np.int64)
-    w = np.empty(m, dtype=np.int64)
-    for k, ((s, d), wt) in enumerate(weights.items()):
-        src_idx[k] = index[s]
-        dst_idx[k] = index[d]
-        w[k] = wt
-
-    # Destination-major order (ties by source) for the in-adjacency.
-    order_in = np.lexsort((src_idx, dst_idx))
-    in_sources = src_idx[order_in]
-    in_weights = w[order_in]
-    in_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(in_indptr, dst_idx + 1, 1)
-    np.cumsum(in_indptr, out=in_indptr)
-
-    order_out = np.lexsort((dst_idx, src_idx))
-    out_targets = dst_idx[order_out]
-    out_weights = w[order_out]
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(out_indptr, src_idx + 1, 1)
-    np.cumsum(out_indptr, out=out_indptr)
-
-    dst_per_in_edge = np.repeat(np.arange(n), np.diff(in_indptr))
-    if count_self_loops:
-        keep = np.ones(m, dtype=bool)
-    else:
-        keep = in_sources != dst_per_in_edge
-    uid_counts = np.zeros(n, dtype=np.int64)
-    np.add.at(uid_counts, dst_per_in_edge[keep], 1)
-
-    return RetweetGraph(
-        node_ids=node_ids,
-        in_indptr=in_indptr,
-        in_sources=in_sources,
-        in_weights=in_weights,
-        out_indptr=out_indptr,
-        out_targets=out_targets,
-        out_weights=out_weights,
-        unique_in_degree=uid_counts,
-        counts_self_loops=count_self_loops,
-        index=index,
-    )
 
 
 def rank_by_in_degree(g: RetweetGraph) -> list[tuple[str, int]]:
@@ -241,13 +234,8 @@ def read_seeds(path: str | Path) -> list[str]:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"seed file not found: {path}")
-    out = []
     with open_maybe_gzip(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(line)
-    return out
+        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
 
 def write_edge_list(g: RetweetGraph, path: str | Path) -> None:
@@ -255,13 +243,22 @@ def write_edge_list(g: RetweetGraph, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path, count_self_loops: bool = False) -> RetweetGraph:
-    """Rebuild a graph from a ``src,dst,weight`` CSV export."""
-    weights: dict[tuple[str, str], int] = {}
+    """Rebuild a graph from a ``src,dst,weight`` CSV export; rows of one
+    pair add up, and neither a row nor a sum may exceed ``MAX_COUNT``."""
+    counts = RetweetCounts()
     for lineno, (src, dst, w) in read_table(path, EDGE_LIST_HEADER, "edge list"):
-        # A retweet count: plain ASCII digits, at least 1.
-        if not (w.isascii() and w.isdigit()) or (wt := int(w)) < 1:
-            raise InputError(
-                f"{path}:{lineno}: weight {w!r} is not an integer >= 1"
-            )
-        weights[(src, dst)] = weights.get((src, dst), 0) + wt
-    return _assemble(weights, count_self_loops)
+        # A retweet count: at most 16 ASCII digits, in [1, MAX_COUNT].
+        if (not (w.isascii() and w.isdigit() and len(w) <= 16)
+                or not 1 <= (wt := int(w)) <= MAX_COUNT):
+            raise InputError(f"{path}:{lineno}: weight {w!r} is not an integer "
+                             f"in [1, {MAX_COUNT}]")
+        counts.add_edge(src, dst, wt)
+    try:
+        return counts.graph(count_self_loops)
+    except WeightOverflowError as exc:
+        # Read the pair's rows again to name the one that passed the bound.
+        total = 0
+        for lineno, (src, dst, w) in read_table(path, EDGE_LIST_HEADER, "edge list"):
+            if (src, dst) == exc.pair and (total := total + int(w)) > MAX_COUNT:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+        raise

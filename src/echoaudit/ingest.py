@@ -24,7 +24,8 @@ transparently decompressed.
 :func:`write_corpus` writes the ``flat`` schema back, one :func:`flat_line`
 per record.  :func:`write_table` and :func:`write_json` write every CSV and
 JSON artifact of the package, and :func:`read_table` reads the CSV tables
-back; all writers go through :func:`open_atomic`.
+back; all writers go through :func:`open_atomic`.  :func:`sorted_codes`
+orders interned ids as Python strings for every stage.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -201,34 +204,48 @@ _API_KIND_MAP = {"retweeted": "retweet", "quoted": "quote", "replied_to": "reply
 
 
 def _record_from_api(obj: dict, diagnostics: Counter) -> TweetRecord:
+    # A false value (null, 0, "", [], {}) stands for an absent object.  The
+    # reject reasons depend on the order of the checks: kind, URLs, author,
+    # ids, timestamp, language, then counts.
     kind = "original"
     retweeted = None
     refs = obj.get("referenced_tweets") or []
     if refs:
-        ref = refs[0]
-        kind = _API_KIND_MAP.get(ref.get("type"))
+        if not isinstance(refs, list) or not isinstance(refs[0], dict):
+            raise ValueError("bad_referenced_tweets")
+        ref_type = refs[0].get("type")
+        kind = _API_KIND_MAP.get(ref_type) if isinstance(ref_type, str) else None
         if kind is None:
             raise ValueError("unknown_kind")
-        retweeted = ref.get("author_id")
+        retweeted = refs[0].get("author_id")
         if retweeted is not None:
             if not isinstance(retweeted, str):
                 raise ValueError("bad_retweeted_author_id")
             _check_id(retweeted)
-    metrics = obj.get("public_metrics") or {}
-    urls = [
-        u.get("expanded_url") or u.get("url")
-        for u in (obj.get("entities") or {}).get("urls", [])
-    ]
+    entities = obj.get("entities") or {}
+    links = (entities.get("urls") or []) if isinstance(entities, dict) else None
+    if not isinstance(links, list) or any(not isinstance(u, dict) for u in links):
+        raise ValueError("bad_urls")
+    urls = [u.get("expanded_url") or u.get("url") for u in links]
     if any(not isinstance(u, str) for u in urls):
         raise ValueError("bad_urls")
-    followers = ((obj.get("author") or {}).get("public_metrics") or {}).get(
-        "followers_count", 0
-    )
+    author = obj.get("author") or {}
+    author_metrics = ((author.get("public_metrics") or {})
+                      if isinstance(author, dict) else None)
+    if not isinstance(author_metrics, dict):
+        raise ValueError("bad_author")
+    tweet_id = _require_id(obj, "id")
+    author_id = _require_id(obj, "author_id")
+    created_at = _require_timestamp(obj, diagnostics)
+    lang = _require_str(obj, "lang").lower()
+    metrics = obj.get("public_metrics") or {}
+    if not isinstance(metrics, dict):
+        raise ValueError("bad_public_metrics")
     return TweetRecord(
-        tweet_id=_require_id(obj, "id"),
-        author_id=_require_id(obj, "author_id"),
-        created_at=_require_timestamp(obj, diagnostics),
-        lang=_require_str(obj, "lang").lower(),
+        tweet_id=tweet_id,
+        author_id=author_id,
+        created_at=created_at,
+        lang=lang,
         kind=kind,
         retweeted_author_id=retweeted,
         impressions=_require_count(metrics.get("impression_count", 0), "impressions"),
@@ -237,7 +254,8 @@ def _record_from_api(obj: dict, diagnostics: Counter) -> TweetRecord:
         retweets=_require_count(metrics.get("retweet_count", 0), "retweets"),
         quotes=_require_count(metrics.get("quote_count", 0), "quotes"),
         urls=urls,
-        author_followers=_require_count(followers, "author_followers"),
+        author_followers=_require_count(author_metrics.get("followers_count", 0),
+                                        "author_followers"),
     )
 
 
@@ -487,6 +505,21 @@ def tally(counts: Counter, reason: str, n: int) -> None:
     """Add ``n`` to ``counts[reason]``; a zero adds no row to the report."""
     if n:
         counts[reason] += n
+
+
+def sorted_codes(vocab: Mapping[str, int]) -> tuple[list[str], np.ndarray]:
+    """Ids in Python ``str`` order, and the rank of each code in that order.
+
+    ``vocab`` maps each id to its code, codes numbering ids in insertion
+    order.  Ids may hold any character (``\\x00`` included), so they are
+    sorted as Python strings, not as NumPy ``U`` arrays.  The graph's node
+    order and the originals table's subject order both come from here.
+    """
+    ids = list(vocab)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids))
+    return [ids[i] for i in order], rank
 
 
 def write_count_report(counts: Counter, path: str | Path) -> None:

@@ -326,103 +326,102 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
             mu, sg = config.influencer_follower_log10
             followers[inf] = max(1, int(round(10 ** rng.normal(mu, sg))))
 
-    records: list[str] = []          # flat corpus lines, in output order
-    tweet_no = 0
-
-    def next_id() -> str:
-        nonlocal tweet_no
-        tweet_no += 1
-        return f"t{tweet_no:07d}"
-
-    def emit(author: str, kind: str, ts: str, lang: str = "en",
-             retweeted: Optional[str] = None, impressions: int = 0,
-             counts: Optional[dict[str, int]] = None, urls: Optional[list[str]] = None):
-        counts = counts or {}
-        records.append(flat_line(
-            next_id(), author, ts, lang, kind, retweeted, impressions,
-            counts.get("like", 0), counts.get("reply", 0),
-            counts.get("retweet", 0), counts.get("quote", 0), urls or [],
-            followers[author],
-        ))
-
-    url_serial = 0
-
-    def draw_urls(group: str) -> tuple[list[str], bool]:
-        nonlocal url_serial
-        if rng.random() >= config.url_prob:
-            return [], False
-        n_urls = 2 if rng.random() < config.second_url_prob else 1
-        urls = []
-        boosted = False
-        mix = config.domain_mix[group]
-        classes = sorted(mix)
-        weights = np.asarray([mix[c] for c in classes])
-        for _ in range(n_urls):
-            if rng.random() < config.unreliable_url_prob[group]:
-                choices = pool.unreliable_for(group)
-                domain = choices[int(rng.integers(len(choices)))]
-                boosted = True
-            else:
-                cls = classes[int(rng.choice(len(classes), p=weights))]
-                choices = pool.reliable[cls]
-                domain = choices[int(rng.integers(len(choices)))]
-            url_serial += 1
-            urls.append(f"https://www.{domain}/story/{url_serial}")
-        return urls, boosted
-
-    def emit_original(author: str, group: str) -> None:
-        mu, sg = config.impressions_log10
-        imps = max(1, int(round(10 ** rng.normal(mu, sg))))
-        urls, boosted = draw_urls(group)
-        rates = config.base_rates(group)
-        factor = config.unreliable_ae_boost if boosted else 1.0
-        counts = {
-            a: int(rng.binomial(imps, min(1.0, rates[a] * factor))) for a in ACTIONS
-        }
-        emit(author, "original", _timestamp(rng, post_lo, end),
-             impressions=imps, counts=counts, urls=urls)
-
-    # Influencer originals first (they are also retweet targets).
-    for side in sides:
-        for inf in influencers[side]:
-            for _ in range(config.influencer_originals):
-                emit_original(inf, side)
-
-    # Per-user content: originals, retweets of influencers, occasional replies.
-    hub_counts: dict[str, int] = {}
-    for u in users:
-        group = community[u]
-        other = "B" if group == "A" else "A"
-        for _ in range(int(rng.poisson(config.originals_per_user_mean))):
-            emit_original(u, group)
-        for side, p_edge in ((group, config.p_in), (other, config.p_cross)):
-            for inf in influencers[side]:
-                if rng.random() < p_edge:
-                    weight = 1 + int(rng.poisson(config.retweet_extra_mean))
-                    hub_counts[inf] = hub_counts.get(inf, 0) + 1
-                    for _ in range(weight):
-                        emit(u, "retweet", _timestamp(rng, post_lo, end), retweeted=inf)
-        if rng.random() < config.reply_prob:
-            emit(u, "reply", _timestamp(rng, post_lo, end),
-                 impressions=int(rng.integers(1, 200)))
-
-    # Flavor records exercising the date and language filters.
-    n_pre = int(round(config.pre_cutoff_fraction * len(records)))
-    n_foreign = int(round(config.non_english_fraction * len(records)))
-    if start < _CUTOFF:
-        for k in range(n_pre):
-            u = users[int(rng.integers(len(users)))]
-            emit(u, "original", _timestamp(rng, start, _CUTOFF),
-                 impressions=0, counts={})
-    for k in range(n_foreign):
-        u = users[int(rng.integers(len(users)))]
-        lang = ("de", "fr", "es")[k % 3]
-        emit(u, "original", _timestamp(rng, post_lo, end), lang=lang,
-             impressions=int(rng.integers(1, 500)))
-
+    # Each line is written as it is emitted; tweet_no counts them.
     corpus_path = out_dir / "corpus.jsonl"
     with open_atomic(corpus_path) as fh:
-        fh.writelines(records)
+        tweet_no = 0
+
+        def next_id() -> str:
+            nonlocal tweet_no
+            tweet_no += 1
+            return f"t{tweet_no:07d}"
+
+        def emit(author: str, kind: str, ts: str, lang: str = "en",
+                 retweeted: Optional[str] = None, impressions: int = 0,
+                 counts: Optional[dict[str, int]] = None,
+                 urls: Optional[list[str]] = None):
+            counts = counts or {}
+            fh.write(flat_line(
+                next_id(), author, ts, lang, kind, retweeted, impressions,
+                counts.get("like", 0), counts.get("reply", 0),
+                counts.get("retweet", 0), counts.get("quote", 0), urls or [],
+                followers[author],
+            ))
+
+        url_serial = 0
+
+        def draw_urls(group: str) -> tuple[list[str], bool]:
+            nonlocal url_serial
+            if rng.random() >= config.url_prob:
+                return [], False
+            n_urls = 2 if rng.random() < config.second_url_prob else 1
+            urls, boosted = [], False
+            mix = config.domain_mix[group]
+            classes = sorted(mix)
+            weights = np.asarray([mix[c] for c in classes])
+            for _ in range(n_urls):
+                if rng.random() < config.unreliable_url_prob[group]:
+                    choices = pool.unreliable_for(group)
+                    domain = choices[int(rng.integers(len(choices)))]
+                    boosted = True
+                else:
+                    cls = classes[int(rng.choice(len(classes), p=weights))]
+                    choices = pool.reliable[cls]
+                    domain = choices[int(rng.integers(len(choices)))]
+                url_serial += 1
+                urls.append(f"https://www.{domain}/story/{url_serial}")
+            return urls, boosted
+
+        def emit_original(author: str, group: str) -> None:
+            mu, sg = config.impressions_log10
+            imps = max(1, int(round(10 ** rng.normal(mu, sg))))
+            urls, boosted = draw_urls(group)
+            rates = config.base_rates(group)
+            factor = config.unreliable_ae_boost if boosted else 1.0
+            counts = {
+                a: int(rng.binomial(imps, min(1.0, rates[a] * factor))) for a in ACTIONS
+            }
+            emit(author, "original", _timestamp(rng, post_lo, end),
+                 impressions=imps, counts=counts, urls=urls)
+
+        # Influencer originals first (they are also retweet targets).
+        for side in sides:
+            for inf in influencers[side]:
+                for _ in range(config.influencer_originals):
+                    emit_original(inf, side)
+
+        # Per-user content: originals, retweets of influencers, occasional replies.
+        hub_counts: dict[str, int] = {}
+        for u in users:
+            group = community[u]
+            other = "B" if group == "A" else "A"
+            for _ in range(int(rng.poisson(config.originals_per_user_mean))):
+                emit_original(u, group)
+            for side, p_edge in ((group, config.p_in), (other, config.p_cross)):
+                for inf in influencers[side]:
+                    if rng.random() < p_edge:
+                        weight = 1 + int(rng.poisson(config.retweet_extra_mean))
+                        hub_counts[inf] = hub_counts.get(inf, 0) + 1
+                        for _ in range(weight):
+                            emit(u, "retweet", _timestamp(rng, post_lo, end),
+                                 retweeted=inf)
+            if rng.random() < config.reply_prob:
+                emit(u, "reply", _timestamp(rng, post_lo, end),
+                     impressions=int(rng.integers(1, 200)))
+
+        # Flavor records exercising the date and language filters.
+        n_pre = int(round(config.pre_cutoff_fraction * tweet_no))
+        n_foreign = int(round(config.non_english_fraction * tweet_no))
+        if start < _CUTOFF:
+            for k in range(n_pre):
+                u = users[int(rng.integers(len(users)))]
+                emit(u, "original", _timestamp(rng, start, _CUTOFF),
+                     impressions=0, counts={})
+        for k in range(n_foreign):
+            u = users[int(rng.integers(len(users)))]
+            lang = ("de", "fr", "es")[k % 3]
+            emit(u, "original", _timestamp(rng, post_lo, end), lang=lang,
+                 impressions=int(rng.integers(1, 500)))
 
     hubs = sorted(
         (inf for side in sides for inf in influencers[side]),
@@ -450,7 +449,7 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
         truth_path=truth_path,
         domains_path=domains_path,
         seeds_path=seeds_path,
-        n_records=len(records),
+        n_records=tweet_no,
     )
 
 

@@ -281,6 +281,40 @@ class TestUnsafeIds:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("stage,flag,value", [
+        ("ideology", "--tol", "0"),
+        ("ideology", "--tol", "-1e-3"),
+        ("ideology", "--tol", "nan"),
+        ("ideology", "--tol", "inf"),
+        ("ideology", "--max-iter", "0"),
+        ("ideology", "--seed", "-1"),
+        ("ideology", "--seed", "1.5"),
+        ("report", "--bins", "0"),
+        ("report", "--bins", "-3"),
+        ("report", "--hist-bins", "0"),
+        ("pipeline", "--seed", "-1"),
+    ])
+    def test_out_of_range_flag_exits_2_and_writes_nothing(
+            self, mini_stage_dirs, tmp_path, capsys, stage, flag, value):
+        """Each used to end in a traceback; report --bins 0 also left
+        ideology_histograms.csv behind."""
+        root = mini_stage_dirs
+        argv = {
+            "ideology": ["ideology", "--graph", root / "graph.csv",
+                         "--influencers", root / "influencers.txt",
+                         "--scores-out", tmp_path / "scores.csv"],
+            "report": ["report", "--input", root / "filtered.jsonl",
+                       "--graph", root / "graph.csv", "--scores", root / "scores.csv",
+                       "--out-dir", tmp_path / "report"],
+            "pipeline": ["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"],
+        }[stage]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {flag}: must be" in err, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unparsable_created_at_counted_under_one_reason(self, tmp_path):
         """The parser's message used to be the reason, raw value and all."""
         corpus = mini_corpus_plus(tmp_path / "corpus.jsonl",

@@ -6,10 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echoaudit import graph as gr
+from echoaudit import ingest as ing
 from echoaudit.errors import EmptySelectionError, InputError
 
+from _graph_oracle import _assemble as graph_oracle
 from _matrix_helpers import total_weight
 from conftest import make_record, retweet
+
+GRAPH_ARRAYS = ("in_indptr", "in_sources", "in_weights", "out_indptr",
+                "out_targets", "out_weights", "unique_in_degree")
+
+
+def assert_same_graph(got, want):
+    assert got.node_ids == want.node_ids
+    assert got.index == want.index
+    assert got.counts_self_loops == want.counts_self_loops
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def simple_graph():
@@ -58,11 +73,7 @@ class TestBuildGraph:
             counts.add(rec)
         assert counts.skipped["not_a_retweet"] == sum(
             r.kind != "retweet" for r in mini_retained)
-        g = counts.graph()
-        assert g.node_ids == mini_graph.node_ids
-        for name in ("in_indptr", "in_sources", "in_weights", "out_indptr",
-                     "out_targets", "out_weights", "unique_in_degree"):
-            np.testing.assert_array_equal(getattr(g, name), getattr(mini_graph, name))
+        assert_same_graph(counts.graph(), mini_graph)
 
     def test_weight_sum_equals_record_count(self, mini_retained):
         records = [r for r in mini_retained if r.kind == "retweet"]
@@ -194,6 +205,9 @@ class TestEdgeListIO:
         ("a,b,-50", "is not an integer"),
         ("a,b,0", "is not an integer"),
         ("a,b,1_0", "is not an integer"),
+        ("a,b,9007199254740992", "is not an integer"),
+        ("a,b,99999999999999999999", "is not an integer"),
+        ("a,b," + "9" * 5000, "is not an integer"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
         path = tmp_path / "edges.csv"
@@ -201,6 +215,22 @@ class TestEdgeListIO:
         with pytest.raises(InputError, match=reason) as exc:
             gr.read_edge_list(path)
         assert str(exc.value).startswith(f"{path}:3:")
+
+    def test_duplicate_rows_add_up_to_the_limit(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"src,dst,weight\nu,v,{ing.MAX_COUNT - 1}\nu,v,1\n",
+                        encoding="utf-8")
+        g = gr.read_edge_list(path)
+        assert list(g.edge_list()) == [("u", "v", ing.MAX_COUNT)]
+
+    def test_duplicate_rows_above_the_limit_name_the_crossing_line(self, tmp_path):
+        """1025 rows at the limit would wrap an int64 sum around."""
+        path = tmp_path / "edges.csv"
+        path.write_text(f"src,dst,weight\nu,v,{ing.MAX_COUNT}\nu,w,5\n\n"
+                        + f"u,v,{ing.MAX_COUNT}\n" * 1024, encoding="utf-8")
+        with pytest.raises(InputError, match="summed weight of u,v") as exc:
+            gr.read_edge_list(path)
+        assert str(exc.value).startswith(f"{path}:5:")
 
     def test_index_lookup(self):
         g = simple_graph()
@@ -235,3 +265,56 @@ def test_graph_permutation_invariance_property(edges, seed):
     assert g1.node_ids == g2.node_ids
     assert list(g1.edge_list()) == list(g2.edge_list())
     assert total_weight(g1) == len(records)
+
+
+# Ids that differ only in case, hold NUL or non-ASCII text, or sort
+# differently as Python str than as bytes.
+_tricky_ids = st.sampled_from(["a", "A", "a\x00", "\x00", "\x00a", "é", "E", "ß",
+                               "SS", "ss", "\u4e2d", "\U0001f600", "b"])
+
+
+@given(
+    edges=st.lists(st.tuples(
+        _tricky_ids | st.text(min_size=1, max_size=3),
+        _tricky_ids | st.text(min_size=1, max_size=3),
+        st.none() | st.integers(1, ing.MAX_COUNT // 64),
+    ), max_size=40),
+    count_self_loops=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_counts_match_dict_oracle_property(edges, count_self_loops):
+    """Records (weight None) and weighted edges, self-loops and repeats
+    included, give the graph the dict-of-pairs oracle assembles."""
+    counts = gr.RetweetCounts()
+    weights = {}
+    for src, dst, w in edges:
+        if w is None:
+            counts.add(retweet(src, dst))
+        else:
+            counts.add_edge(src, dst, w)
+        weights[(src, dst)] = weights.get((src, dst), 0) + (w or 1)
+    assert_same_graph(counts.graph(count_self_loops),
+                      graph_oracle(weights, count_self_loops))
+
+
+# Ids as ingest accepts them: no comma, line break or lone surrogate, and
+# no surrounding whitespace.
+_csv_ids = st.text(
+    st.characters(exclude_categories=["Cs"], exclude_characters=",\n\r"),
+    min_size=1, max_size=4,
+).filter(lambda s: s == s.strip()) | _tricky_ids
+
+
+@given(
+    edges=st.lists(st.tuples(_csv_ids, _csv_ids, st.integers(1, 10**6)), max_size=30),
+    count_self_loops=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_edge_list_round_trip_property(tmp_path_factory, edges, count_self_loops):
+    counts = gr.RetweetCounts()
+    for src, dst, w in edges:
+        counts.add_edge(src, dst, w)
+    g = counts.graph(count_self_loops)
+    path = tmp_path_factory.mktemp("edges") / "graph.csv"
+    gr.write_edge_list(g, path)
+    assert_same_graph(gr.read_edge_list(path, count_self_loops), g)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
@@ -328,6 +330,14 @@ class TestInvariances:
         assert s1.influencer_scores == s2.influencer_scores
 
 
+# Ids as ingest accepts them: no comma, line break or lone surrogate, and
+# no surrounding whitespace.
+_csv_ids = st.text(
+    st.characters(exclude_categories=["Cs"], exclude_characters=",\n\r"),
+    min_size=1, max_size=4,
+).filter(lambda s: s == s.strip())
+
+
 class TestScoreIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(60)
@@ -337,6 +347,25 @@ class TestScoreIO:
         users, influencers = ideo.read_scores(path)
         assert users == scores.user_scores
         assert influencers == scores.influencer_scores
+
+    @given(users=st.dictionaries(_csv_ids, st.floats(), max_size=20),
+           influencers=st.dictionaries(_csv_ids, st.floats(), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, tmp_path_factory, users, influencers):
+        """Every float, NaN, infinities and -0.0 included, reads back as
+        written; an id may be both a user and an influencer."""
+        scores = ideo.IdeologyScores(
+            user_scores=users, influencer_scores=influencers,
+            raw_user_scores=users, raw_influencer_scores=influencers,
+            sigma1=1.0, anchor_id="", iterations=1, residual=0.0,
+        )
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        ideo.write_scores(scores, path)
+        got_users, got_influencers = ideo.read_scores(path)
+        assert {k: repr(v) for k, v in got_users.items()} == \
+            {k: repr(v) for k, v in users.items()}
+        assert {k: repr(v) for k, v in got_influencers.items()} == \
+            {k: repr(v) for k, v in influencers.items()}
 
     def test_trailing_blank_line_reads(self, tmp_path):
         path = tmp_path / "scores.csv"

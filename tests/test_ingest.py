@@ -244,12 +244,101 @@ class TestParseCorpus:
         assert rec.urls == ["https://example.com/a"]
         assert rec.author_followers == 99
 
+    @pytest.mark.parametrize("override,reason", [
+        ({"public_metrics": [1]}, "bad_public_metrics"),
+        ({"public_metrics": "x"}, "bad_public_metrics"),
+        ({"referenced_tweets": [{"type": ["x"]}]}, "unknown_kind"),
+        ({"referenced_tweets": [{"type": {"a": 1}}]}, "unknown_kind"),
+        ({"referenced_tweets": [{"type": 3}]}, "unknown_kind"),
+        ({"referenced_tweets": ["retweeted"]}, "bad_referenced_tweets"),
+        ({"referenced_tweets": [[]]}, "bad_referenced_tweets"),
+        ({"referenced_tweets": "retweeted"}, "bad_referenced_tweets"),
+        ({"referenced_tweets": {"type": "retweeted"}}, "bad_referenced_tweets"),
+        ({"author": {"public_metrics": 7}}, "bad_author"),
+        ({"author": ["bob"]}, "bad_author"),
+        ({"entities": [1]}, "bad_urls"),
+        ({"entities": "x"}, "bad_urls"),
+        ({"entities": {"urls": ["https://a.test/"]}}, "bad_urls"),
+        ({"entities": {"urls": "https://a.test/"}}, "bad_urls"),
+        ({"entities": {"urls": [{"expanded_url": 5}]}}, "bad_urls"),
+        # A reason met before the bad object is read keeps its place.
+        ({"public_metrics": [1], "id": None}, "missing_id"),
+        ({"public_metrics": [1], "lang": 5}, "missing_lang"),
+        ({"author": 7, "referenced_tweets": [{"type": "liked"}]}, "unknown_kind"),
+    ])
+    def test_api_bad_objects_counted_not_raised(self, tmp_path, override, reason):
+        """Each used to end in an AttributeError or TypeError traceback."""
+        obj = {"id": "901", "author_id": "bob", "created_at": "2023-01-09T08:00:00Z",
+               "lang": "en", **override}
+        path = write_lines(tmp_path / "api.jsonl", [json.dumps(obj)])
+        rejects = Counter()
+        assert list(ing.parse_corpus(path, schema="api", rejects=rejects)) == []
+        assert rejects == Counter({reason: 1})
+
+    @pytest.mark.parametrize("override", [
+        {"public_metrics": []}, {"public_metrics": 0}, {"referenced_tweets": {}},
+        {"entities": ""}, {"entities": {"urls": {}}}, {"entities": {"urls": None}},
+        {"author": {"public_metrics": None}},
+    ])
+    def test_api_false_objects_stand_for_absent(self, tmp_path, override):
+        obj = {"id": "901", "author_id": "bob", "created_at": "2023-01-09T08:00:00Z",
+               "lang": "en", **override}
+        path = write_lines(tmp_path / "api.jsonl", [json.dumps(obj)])
+        (rec,) = ing.parse_corpus(path, schema="api")
+        assert rec.kind == "original" and rec.urls == [] and rec.impressions == 0
+
     def test_roundtrip_through_flat_writer(self, tmp_path, mini_corpus_path):
         records = list(ing.parse_corpus(mini_corpus_path))
         out = tmp_path / "again.jsonl"
         ing.write_corpus(records, out)
         again = list(ing.parse_corpus(out))
         assert again == records
+
+
+# Keys ingest reads, at the top level of either schema and inside the api
+# schema's nested objects.
+_DECODER_KEYS = (
+    "tweet_id", "author_id", "created_at", "lang", "kind", "retweeted_author_id",
+    "impressions", "likes", "replies", "retweets", "quotes", "urls",
+    "author_followers", "id", "referenced_tweets", "public_metrics", "entities",
+    "author",
+)
+_NESTED_KEYS = ("type", "author_id", "urls", "expanded_url", "url",
+                "public_metrics", "followers_count", "impression_count",
+                "like_count", "reply_count", "retweet_count", "quote_count")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["retweeted", "quoted", "replied_to", "original", "en",
+                       "2023-01-05T12:00:00Z", "2023-01-05T12:00:00",
+                       "https://a.test/x", "bob"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_NESTED_KEYS) | st.text(max_size=2),
+                                     inner, max_size=4)),
+    max_leaves=12,
+)
+# Counted alongside a kept record; every other key is a reject reason.
+_DIAGNOSTICS = {"naive_timestamp_assumed_utc", "self_retweet_kept",
+                "retweet_missing_target_kept"}
+
+
+@given(obj=st.fixed_dictionaries(
+    {}, optional={key: _json_values for key in _DECODER_KEYS}))
+@settings(max_examples=500, deadline=None)
+@example(obj={"public_metrics": [1]})
+@example(obj={"referenced_tweets": [{"type": ["x"]}]})
+@example(obj={"author": {"public_metrics": 7}})
+@example(obj={"entities": {"urls": [1]}})
+def test_any_object_gives_a_record_or_one_reason(tmp_path_factory, obj):
+    path = write_lines(tmp_path_factory.mktemp("decode") / "c.jsonl", [json.dumps(obj)])
+    for schema in ("flat", "api"):
+        rejects = Counter()
+        records = list(ing.parse_corpus(path, schema=schema, rejects=rejects))
+        reasons = {k: n for k, n in rejects.items() if k not in _DIAGNOSTICS}
+        if records:
+            assert len(records) == 1 and reasons == {}, (schema, reasons)
+        else:
+            assert list(reasons.values()) == [1], (schema, rejects)
 
 
 class TestApplyFilters:

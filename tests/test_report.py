@@ -14,6 +14,7 @@ from echoaudit import report as rep
 from echoaudit.dip import dip_statistic
 
 from _dip_lp_oracle import lp_dip
+from _graph_oracle import _assemble as graph_oracle
 from _grid_oracle import loop_neighbor_opinion_grid
 from conftest import make_record, retweet
 
@@ -207,7 +208,7 @@ def grid_cases(draw):
         st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
         st.integers(0, 10**6), max_size=30,
     ))
-    g = gr._assemble(weights, count_self_loops=False)
+    g = graph_oracle(weights, count_self_loops=False)
     ids = st.sampled_from(nodes + ["ghost_a", "ghost_b"])
     users = draw(st.dictionaries(ids, _grid_scores, max_size=10))
     influencers = draw(st.dictionaries(ids, _grid_scores, max_size=4))
