@@ -159,7 +159,8 @@ def _add_graph(sub) -> None:
     p = sub.add_parser("graph", help="build the retweet network, select influencers")
     p.add_argument("--input", type=Path, required=True, help="filtered corpus")
     p.add_argument("--seeds", type=Path, required=True)
-    p.add_argument("--min-indegree", type=int, default=gr.DEFAULT_MIN_UNIQUE_IN_DEGREE)
+    p.add_argument("--min-indegree", type=_NON_NEGATIVE,
+                   default=gr.DEFAULT_MIN_UNIQUE_IN_DEGREE)
     p.add_argument("--graph-out", type=Path, required=True)
     p.add_argument("--influencers-out", type=Path, required=True)
     p.add_argument("--ranking-out", type=Path, default=None)
@@ -204,7 +205,7 @@ def _add_ideology(sub) -> None:
     p.add_argument("--anchor", default=None,
                    help="influencer fixed to the negative side "
                         "(default: first influencer in the file)")
-    p.add_argument("--min-distinct", type=int, default=ideo.DEFAULT_MIN_DISTINCT)
+    p.add_argument("--min-distinct", type=_NON_NEGATIVE, default=ideo.DEFAULT_MIN_DISTINCT)
     p.add_argument("--tol", type=_POSITIVE, default=ideo.DEFAULT_TOL)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=ideo.DEFAULT_SEED)
     p.add_argument("--max-iter", type=_AT_LEAST_ONE, default=ideo.DEFAULT_MAX_ITER)
@@ -346,8 +347,8 @@ def _add_report(sub) -> None:
     p.add_argument("--domains", type=Path, default=None)
     p.add_argument("--bins", type=_AT_LEAST_ONE, default=rep.DEFAULT_GRID_BINS)
     p.add_argument("--hist-bins", type=_AT_LEAST_ONE, default=rep.DEFAULT_HIST_BINS)
-    p.add_argument("--top-k", type=int, default=rep.DEFAULT_TOP_INFLUENCERS)
-    p.add_argument("--min-shares", type=int, default=rep.DEFAULT_MIN_SHARES)
+    p.add_argument("--top-k", type=_NON_NEGATIVE, default=rep.DEFAULT_TOP_INFLUENCERS)
+    p.add_argument("--min-shares", type=_NON_NEGATIVE, default=rep.DEFAULT_MIN_SHARES)
     p.add_argument("--in-neighbors", action="store_true",
                    help="use in-neighbors for the echo grid")
     p.add_argument("--out-dir", type=Path, required=True)
@@ -418,7 +419,7 @@ def _add_pipeline(sub) -> None:
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--preset", choices=["default", "mini"], default="default")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--min-indegree", type=int, default=None,
+    p.add_argument("--min-indegree", type=_NON_NEGATIVE, default=None,
                    help="default: scaled to the preset")
     p.add_argument("--anchor", default=None)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=ideo.DEFAULT_SEED,

@@ -21,8 +21,12 @@ timestamp is rejected under ``bad_created_at``; a count above ``2**53 - 1``
 is rejected under ``count_too_large_<field>``.  Files ending in ``.gz`` are
 transparently decompressed.
 
+A ``flat`` line in exactly the layout :func:`flat_line` writes, with values
+that ingest accepts as they stand, is decoded by one fixed-layout pattern;
+every other line is decoded as JSON, which names the reject reasons.
 :func:`write_corpus` writes the ``flat`` schema back, one :func:`flat_line`
-per record.  :func:`write_table` and :func:`write_json` write every CSV and
+per record, copying the line a fixed-layout record was read from.
+:func:`write_table` and :func:`write_json` write every CSV and
 JSON artifact of the package, and :func:`read_table` reads the CSV tables
 back; all writers go through :func:`open_atomic`.  :func:`sorted_codes`
 orders interned ids as Python strings for every stage.
@@ -39,7 +43,7 @@ import re
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -79,6 +83,11 @@ class TweetRecord:
     quotes: int
     urls: list[str]
     author_followers: int
+    # The record's corpus line without its newline, kept when it was read in
+    # exactly the layout :func:`flat_line` writes for these fields, so
+    # :func:`write_corpus` can copy it.  ``dataclasses.replace`` drops it;
+    # code that changes a field in place must set it to ``None``.
+    line: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def is_self_retweet(self) -> bool:
@@ -303,6 +312,59 @@ def flat_line(
     )
 
 
+# The exact layout of a :func:`flat_line` line whose every value JSON writes
+# as itself and ingest accepts as it stands.  Strings are printable ASCII
+# (``[ -~]``) without ``"`` or ``\``; ids are non-empty and also free of ``,``
+# and of spaces at either end (``_check_id``); ``lang`` is non-empty and
+# free of ``A-Z``.  Counts have at most 15 digits, so each is below
+# ``MAX_COUNT``; longer ones go to the JSON path.
+_STR = r'[ !#-\[\]-~]'
+_ID = r'[!#-+\--\[\]-~](?:[ !#-+\--\[\]-~]*[!#-+\--\[\]-~])?'
+_N = r'(0|[1-9][0-9]{0,14})'
+_CANONICAL = re.compile(
+    f'{{"author_followers": {_N}, '
+    f'"author_id": "({_ID})", '
+    r'"created_at": "([0-9]{4}-[0-9]{2}-[0-9]{2}'
+    r'T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9])Z", '
+    f'"impressions": {_N}, '
+    f'"kind": "(original|retweet|quote|reply)", '
+    r'"lang": "([ !#-@\[\]-~]+)", '
+    f'"likes": {_N}, '
+    f'"quotes": {_N}, '
+    f'"replies": {_N}, '
+    f'"retweeted_author_id": (?:null|"({_ID})"), '
+    f'"retweets": {_N}, '
+    f'"tweet_id": "({_ID})", '
+    f'"urls": \\[("{_STR}*"(?:, "{_STR}*")*)?\\]}}'
+)
+
+
+def _record_from_canonical(line: str) -> Optional[TweetRecord]:
+    """The record of a line in the fixed layout of :func:`flat_line`, or
+    ``None`` for any other line, which is then decoded as JSON.
+
+    The record equals what the JSON path builds from the line, and keeps the
+    line for :func:`write_corpus`.  ``None`` never means a reject.
+    """
+    m = _CANONICAL.fullmatch(line)
+    if m is None:
+        return None
+    (followers, author_id, created_at, impressions, kind, lang, likes, quotes,
+     replies, retweeted, retweets, tweet_id, urls) = m.groups()
+    try:
+        # The time of day is in range, so the date alone can fail (year 0,
+        # February 30), and a parsed timestamp formats back to the same text.
+        created_at = datetime.fromisoformat(created_at + "+00:00")
+    except ValueError:
+        return None
+    rec = TweetRecord(tweet_id, author_id, created_at, lang, kind, retweeted,
+                      int(impressions), int(likes), int(replies), int(retweets),
+                      int(quotes), urls[1:-1].split('", "') if urls else [],
+                      int(followers))
+    rec.line = line
+    return rec
+
+
 @contextmanager
 def open_maybe_gzip(
     path: str | Path, mode: str = "rt", newline: Optional[str] = None
@@ -332,7 +394,8 @@ def open_maybe_gzip(
 def open_atomic(path: str | Path, newline: Optional[str] = None) -> Iterator[io.TextIOBase]:
     """Write a UTF-8 text file (gzip if its name ends in ``.gz``) all at once.
 
-    The text goes to a hidden temporary file beside ``path``, which replaces
+    The same text always gives the same bytes.  The text goes to a hidden
+    temporary file beside ``path``, which replaces
     ``path`` only when the ``with`` block ends cleanly.  On any error the
     temporary file is removed and ``path`` is left as it was, so a later
     stage never reads a partial artifact.
@@ -340,8 +403,13 @@ def open_atomic(path: str | Path, newline: Optional[str] = None) -> Iterator[io.
     path = Path(path)
     tmp = path.with_name(f".{path.stem}.tmp{path.suffix}")
     try:
-        with open_maybe_gzip(tmp, "wt", newline=newline) as fh:
-            yield fh
+        with open(tmp, "wb") as raw:
+            # A gzip header holding the final name and no time keeps the
+            # bytes a function of the text alone.
+            out = (gzip.GzipFile(path.name, "wb", fileobj=raw, mtime=0)
+                   if path.suffix == ".gz" else raw)
+            with io.TextIOWrapper(out, encoding="utf-8", newline=newline) as fh:
+                yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -376,29 +444,37 @@ def read_table(path: str | Path, header: Sequence[str],
                what: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, fields)`` for each non-blank row of a CSV table.
 
-    A missing file, a header other than ``header`` and a row with the wrong
-    number of fields raise :class:`InputError`; the last two name the file
-    and line.  ``what`` names the file in those messages.
+    A missing file, a header other than ``header``, a row with the wrong
+    number of fields and a last line without a line break raise
+    :class:`InputError`; all but the first name the file and line.  Every
+    writer ends each line with a line break, so a file cut short is caught
+    unless the cut falls just after one.  ``what`` names the file in those
+    messages.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"{what} not found: {path}")
     expected = ",".join(header)
     with open_maybe_gzip(path) as fh:
-        got = fh.readline().strip()
-        if got != expected:
-            raise InputError(f"{path}:1: unexpected {what} header: {got!r}")
+        lineno, line = 1, fh.readline()
+        if line.strip() != expected:
+            raise InputError(f"{path}:1: unexpected {what} header: {line.strip()!r}")
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+            if not line.endswith("\n"):
+                break
+            text = line.strip()
+            if not text:
                 continue
-            fields = line.split(",")
+            fields = text.split(",")
             if len(fields) != len(header):
                 raise InputError(
                     f"{path}:{lineno}: expected {len(header)} fields "
                     f"({expected}), got {len(fields)}"
                 )
             yield lineno, fields
+        if not line.endswith("\n"):
+            raise InputError(f"{path}:{lineno}: no line break at the end: "
+                             f"the {what} is cut short")
 
 
 def _first_undecodable_line(path: Path) -> int:
@@ -437,27 +513,31 @@ def parse_corpus(
     if not path.is_file():
         raise InputError(f"corpus file not found: {path}")
 
+    fixed_layout = schema == "flat"
+
     def _stream() -> Iterator[TweetRecord]:
         with open_maybe_gzip(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    rejects["invalid_json"] += 1
-                    log.debug("%s:%d: invalid JSON", path, lineno)
-                    continue
-                if not isinstance(obj, dict):
-                    rejects["not_an_object"] += 1
-                    continue
-                try:
-                    rec = build(obj, rejects)
-                except ValueError as exc:
-                    rejects[str(exc)] += 1
-                    log.debug("%s:%d: %s", path, lineno, exc)
-                    continue
+                rec = _record_from_canonical(line) if fixed_layout else None
+                if rec is None:
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError:
+                        rejects["invalid_json"] += 1
+                        log.debug("%s:%d: invalid JSON", path, lineno)
+                        continue
+                    if not isinstance(obj, dict):
+                        rejects["not_an_object"] += 1
+                        continue
+                    try:
+                        rec = build(obj, rejects)
+                    except ValueError as exc:
+                        rejects[str(exc)] += 1
+                        log.debug("%s:%d: %s", path, lineno, exc)
+                        continue
                 if rec.is_self_retweet:
                     rejects["self_retweet_kept"] += 1
                 if rec.kind in ("retweet", "quote") and rec.retweeted_author_id is None:
@@ -529,15 +609,22 @@ def write_count_report(counts: Counter, path: str | Path) -> None:
 
 
 def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> int:
-    """Serialize records back to the flat schema; returns the record count."""
+    """Serialize records back to the flat schema; returns the record count.
+
+    A record read in the fixed layout is written as the line it was read
+    from, which is the line :func:`flat_line` would write for it.
+    """
     n = 0
     with open_atomic(path) as fh:
         for rec in records:
-            fh.write(flat_line(
-                rec.tweet_id, rec.author_id, format_timestamp(rec.created_at),
-                rec.lang, rec.kind, rec.retweeted_author_id, rec.impressions,
-                rec.likes, rec.replies, rec.retweets, rec.quotes, rec.urls,
-                rec.author_followers,
-            ))
+            if rec.line is not None:
+                fh.write(rec.line + "\n")
+            else:
+                fh.write(flat_line(
+                    rec.tweet_id, rec.author_id, format_timestamp(rec.created_at),
+                    rec.lang, rec.kind, rec.retweeted_author_id, rec.impressions,
+                    rec.likes, rec.replies, rec.retweets, rec.quotes, rec.urls,
+                    rec.author_followers,
+                ))
             n += 1
     return n

@@ -293,6 +293,11 @@ class TestErrors:
         ("report", "--bins", "-3"),
         ("report", "--hist-bins", "0"),
         ("pipeline", "--seed", "-1"),
+        ("graph", "--min-indegree", "-3"),
+        ("pipeline", "--min-indegree", "-3"),
+        ("ideology", "--min-distinct", "-1"),
+        ("report", "--top-k", "-1"),
+        ("report", "--min-shares", "-1"),
     ])
     def test_out_of_range_flag_exits_2_and_writes_nothing(
             self, mini_stage_dirs, tmp_path, capsys, stage, flag, value):
@@ -300,6 +305,10 @@ class TestErrors:
         ideology_histograms.csv behind."""
         root = mini_stage_dirs
         argv = {
+            "graph": ["graph", "--input", root / "filtered.jsonl",
+                      "--seeds", FIXTURES / "mini_seeds.txt",
+                      "--graph-out", tmp_path / "graph.csv",
+                      "--influencers-out", tmp_path / "influencers.txt"],
             "ideology": ["ideology", "--graph", root / "graph.csv",
                          "--influencers", root / "influencers.txt",
                          "--scores-out", tmp_path / "scores.csv"],
@@ -435,6 +444,18 @@ def _drop_score_field(text):
     return "\n".join(lines)
 
 
+def _cut_weight(text):
+    # The file cut inside row 4, after the first digit of a weight "12".
+    lines = text.split("\n")
+    return "\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0] + ",1"])
+
+
+def _cut_score(text):
+    # The file cut inside row 4's raw score, which still reads as a float.
+    lines = text.split("\n")
+    return "\n".join(lines[:3] + [lines[3][:-5]])
+
+
 class TestCorruptIntermediates:
     """Damaged or missing stage outputs end in exit 2 and a one-line error."""
 
@@ -458,6 +479,10 @@ class TestCorruptIntermediates:
         ("report", "scores.csv", _garble_score, 4),
         ("report", "scores.csv", _drop_score_field, 4),
         ("engagement", "scores.csv", _garble_score, 4),
+        ("ideology", "graph.csv", _cut_weight, 4),
+        ("report", "graph.csv", _cut_weight, 4),
+        ("report", "scores.csv", _cut_score, 4),
+        ("engagement", "scores.csv", _cut_score, 4),
     ])
     def test_damaged_file_names_file_and_line(self, mini_stage_dirs, tmp_path,
                                               stage, damaged, corrupt, line):
@@ -472,6 +497,8 @@ class TestCorruptIntermediates:
         assert proc.returncode == 2, proc.stderr
         assert f"error: {tmp_path / damaged}:{line}:" in proc.stderr
         assert "Traceback" not in proc.stderr
+        out = {"ideology": "out_scores.csv"}.get(stage, stage)
+        assert not (tmp_path / out).exists()
 
     @pytest.mark.parametrize("stage", ["report", "engagement"])
     def test_missing_scores(self, mini_stage_dirs, tmp_path, stage):

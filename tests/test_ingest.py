@@ -1,5 +1,9 @@
+import dataclasses
 import gzip
 import json
+import re
+import string
+import time
 import tracemalloc
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -481,6 +485,22 @@ class TestOpenAtomic:
         assert data == b"new\n"
         assert [p.name for p in tmp_path.iterdir()] == [name]
 
+    def test_gzip_bytes_depend_on_the_text_alone(self, tmp_path):
+        """The header used to hold the write time and the temporary name."""
+        written = []
+        for run in ("a", "b"):
+            if written:
+                time.sleep(1.1)  # the header's time has whole seconds
+            out = tmp_path / run / "x.jsonl.gz"
+            out.parent.mkdir()
+            with ing.open_atomic(out) as fh:
+                fh.write("same text\n")
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert gzip.decompress(written[0]) == b"same text\n"
+        # FNAME flag set, then the name after the 10-byte fixed header.
+        assert written[0][3] & 0x08 and written[0][10:18] == b"x.jsonl\0"
+
 
 def test_count_report_format(tmp_path):
     out = tmp_path / "rejects.csv"
@@ -552,3 +572,172 @@ class TestFlatLine:
         rejects = Counter()
         assert list(ing.parse_corpus(out, rejects=rejects)) == first
         assert not rejects
+
+
+# Ordinary values that flat_line writes as they are, and for each field
+# values at and just past the edges of that fixed layout: what it copies,
+# what it escapes, and what only the JSON path accepts or rejects.
+_ids = st.text(string.ascii_letters + string.digits + "_-.:", min_size=1, max_size=8)
+_COUNTS = ("impressions", "likes", "replies", "retweets", "quotes", "author_followers")
+_ORDINARY = {
+    "tweet_id": _ids, "author_id": _ids,
+    "created_at": st.datetimes(timezones=st.just(timezone.utc)).map(ing.format_timestamp),
+    "lang": st.sampled_from(["en", "fr", "und"]),
+    "kind": st.sampled_from(ing.KINDS),
+    "retweeted_author_id": st.none() | _ids,
+    "urls": st.lists(st.sampled_from(["https://a.test/x", "", "a, b", "x y"]), max_size=3),
+    **{name: st.integers(min_value=0, max_value=10**9) for name in _COUNTS},
+}
+# Printable ASCII, the characters flat_line escapes, and whitespace that
+# str.strip removes.
+_edge_text = st.text(string.printable + '"\\\x00\x1f\x7f\x85\xa0é中\u2028\U0001f600',
+                     max_size=4)
+_edge_ids = st.sampled_from(
+    ["a b", "x!#$%&'()*+-./:;<=>?@[]^_`{|}~", "", "a,b", " a", "a ", 'a"b', "a\\b",
+     "café", "a\x01b", "\x7f", "\ud800"]) | _edge_text
+_edge_counts = st.sampled_from(
+    [0, 10**15 - 1, 10**15, ing.MAX_COUNT, ing.MAX_COUNT + 1, 2**64])
+_EDGES = {
+    "tweet_id": _edge_ids, "author_id": _edge_ids, "retweeted_author_id": _edge_ids,
+    "created_at": st.sampled_from(
+        ["0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "2024-02-29T23:59:59Z",
+         "2023-02-30T00:00:00Z", "0000-06-01T00:00:00Z", "2023-01-01T00:00:60Z",
+         "2023-01-01T24:00:00Z", "2023-01-05T12:00:00z", "2023-01-05T12:00:00",
+         "2023-01-05T12:00:00+01:00", "2023-1-05T12:00:00Z",
+         "\uff12\uff10\uff12\uff13-01-05T12:00:00Z", ""]),
+    "lang": st.sampled_from(["EN", "eN", "", " ", "a,b", "é", 'e"n']),
+    "kind": st.sampled_from(["Retweet", "", "other"]),
+    "urls": st.lists(_edge_text, max_size=3),
+    **{name: _edge_counts for name in _COUNTS},
+}
+
+
+def _leading_zero(line):
+    return line.replace('"likes": ', '"likes": 0', 1)
+
+
+def _raw_control_character(line):
+    return line.replace('"author_id": "', '"author_id": "\t', 1)
+
+
+def _reordered_keys(line):
+    return json.dumps(dict(reversed(json.loads(line).items())))
+
+
+def _compact(line):
+    return json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+
+def _negative_count(line):
+    return line.replace('"quotes": ', '"quotes": -', 1)
+
+
+def _float_count(line):
+    return line.replace('"replies": 0,', '"replies": 0.0,', 1)
+
+
+def _extra_key(line):
+    return line[:-1] + ', "zz": 1}'
+
+
+def _cut(line):
+    return line[:len(line) // 2]
+
+
+def _unescaped(line):
+    """Non-ASCII characters written raw, as ``ensure_ascii=False`` does."""
+    text = json.dumps(json.loads(line), sort_keys=True, ensure_ascii=False)
+    # A lone surrogate has no UTF-8 form, so it stays escaped.
+    return line if re.search("[\ud800-\udfff]", text) else text
+
+
+_MUTATIONS = (_leading_zero, _raw_control_character, _reordered_keys,
+              _compact, _negative_count, _float_count, _extra_key, _cut,
+              _unescaped)
+
+
+@st.composite
+def corpus_lines(draw):
+    """A flat_line, often with one edge value, and often changed after it was
+    written."""
+    fields = draw(st.fixed_dictionaries(_ORDINARY))
+    edge = draw(st.none() | st.sampled_from(sorted(_EDGES)))
+    if edge is not None:
+        fields[edge] = draw(_EDGES[edge])
+    line = ing.flat_line(**fields).rstrip("\n")
+    mutate = draw(st.none() | st.sampled_from(_MUTATIONS))
+    return line if mutate is None else mutate(line)
+
+
+def decoded_as_json(lines):
+    """The records and rejects of the JSON path, one line at a time."""
+    records, rejects = [], Counter()
+    for line in lines:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            rejects["invalid_json"] += 1
+            continue
+        try:
+            rec = ing._record_from_flat(obj, rejects)
+        except ValueError as exc:
+            rejects[str(exc)] += 1
+            continue
+        if rec.is_self_retweet:
+            rejects["self_retweet_kept"] += 1
+        if rec.kind in ("retweet", "quote") and rec.retweeted_author_id is None:
+            rejects["retweet_missing_target_kept"] += 1
+        records.append(rec)
+    return records, rejects
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for one test; returns the list of its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestFixedLayout:
+    @given(lines=st.lists(corpus_lines(), min_size=1, max_size=6))
+    @example(lines=[ing.flat_line("t1", "bob", "2023-01-05T12:00:00Z", "en", "retweet",
+                                  "bob", ing.MAX_COUNT, 0, 0, 0, 0, ["a", ""], 1)
+                    .rstrip("\n")])
+    @settings(max_examples=500, deadline=None)
+    def test_same_records_and_rejects_as_the_json_path(self, tmp_path_factory, lines):
+        path = write_lines(tmp_path_factory.mktemp("layout") / "c.jsonl", lines)
+        rejects = Counter()
+        records = list(ing.parse_corpus(path, rejects=rejects))
+        want_records, want_rejects = decoded_as_json(lines)
+        assert rejects == want_rejects
+        assert records == want_records
+        out = path.with_name("out.jsonl")
+        ing.write_corpus(records, out)
+        assert out.read_bytes() == flat_corpus(records).encode("ascii")
+
+    def test_mini_fixture_decodes_without_json(self, mini_corpus_path, monkeypatch):
+        calls = _count_calls(monkeypatch, json, "loads")
+        records = list(ing.parse_corpus(mini_corpus_path))
+        assert len(records) == 962 and calls == []
+
+    def test_unchanged_records_written_without_encoding(
+            self, mini_corpus_path, tmp_path, monkeypatch):
+        records = list(ing.parse_corpus(mini_corpus_path))
+        calls = _count_calls(monkeypatch, ing, "flat_line")
+        out = tmp_path / "again.jsonl"
+        assert ing.write_corpus(records, out) == 962 and calls == []
+        assert out.read_bytes() == mini_corpus_path.read_bytes()
+
+    def test_replaced_record_is_encoded_again(self, mini_corpus_path, tmp_path):
+        rec = next(ing.parse_corpus(mini_corpus_path))
+        changed = dataclasses.replace(rec, lang="fr")
+        assert rec.line is not None and changed.line is None
+        out = tmp_path / "changed.jsonl"
+        ing.write_corpus([changed], out)
+        assert out.read_text(encoding="ascii") == flat_corpus([changed])
+        assert '"lang": "fr"' in out.read_text(encoding="ascii")
