@@ -22,7 +22,7 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import engagement as eng
 from . import graph as gr
@@ -215,22 +215,19 @@ def _add_ideology(sub) -> None:
 
 
 def cmd_ideology(args, g: Optional[gr.RetweetGraph] = None,
-                 influencers: Optional[gr.InfluencerSet] = None) -> ideo.IdeologyScores:
+                 influencers: Optional[Sequence[str]] = None) -> ideo.IdeologyScores:
     if g is None:
         g = gr.read_edge_list(args.graph)
     if influencers is None:
-        influencers = gr.InfluencerSet(
-            members=tuple(gr.read_seeds(args.influencers)),
-            seed_source=str(args.influencers), min_unique_in_degree=0,
-        )
+        influencers = gr.read_seeds(args.influencers)
     matrix = ideo.build_interaction_matrix(g, influencers,
                                            min_distinct=args.min_distinct)
     norm = ideo.normalize(matrix)
     triplet = ideo.leading_singular_triplet(
         norm, tol=args.tol, max_iter=args.max_iter, seed=args.seed
     )
-    anchor = args.anchor or influencers.members[0]
-    scores = ideo.score_users_and_influencers(matrix, triplet, anchor)
+    anchor = args.anchor or influencers[0]
+    scores = ideo.score_users_and_influencers(norm, triplet, anchor)
     ideo.write_scores(scores, args.scores_out)
     if args.meta_out:
         ing.write_json(args.meta_out, {

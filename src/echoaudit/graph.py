@@ -87,19 +87,6 @@ class RetweetGraph:
                 yield self.node_ids[src], self.node_ids[dst], w
 
 
-@dataclass(frozen=True)
-class InfluencerSet:
-    members: tuple[str, ...]                 # rank order
-    seed_source: str
-    min_unique_in_degree: int
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 class RetweetCounts:
     """Retweet multiplicity per (retweeter, author) pair, one edge at a time.
 
@@ -199,8 +186,8 @@ def select_influencers(
     seeds: Sequence[str],
     threshold: int = DEFAULT_MIN_UNIQUE_IN_DEGREE,
     seed_source: str = "<memory>",
-) -> InfluencerSet:
-    """Filter seed accounts by unique in-degree and order them by rank.
+) -> tuple[str, ...]:
+    """Filter seed accounts by unique in-degree and return them in rank order.
 
     Seeds absent from the graph are reported, not fatal; an empty result is
     fatal because the ideology stage cannot run without columns.
@@ -210,10 +197,10 @@ def select_influencers(
     for s in missing:
         log.warning("influencer seed %r not present in graph", s)
 
-    members = [
+    members = tuple(
         uid for uid, deg in rank_by_in_degree(g)
         if uid in seed_set and deg >= threshold
-    ]
+    )
     below = len(seed_set) - len(missing) - len(members)
     if below:
         log.info("%d seed(s) below the in-degree threshold %d", below, threshold)
@@ -222,11 +209,7 @@ def select_influencers(
             f"no seed from {seed_source} has unique in-degree >= {threshold}; "
             "ideology estimation cannot run"
         )
-    return InfluencerSet(
-        members=tuple(members),
-        seed_source=str(seed_source),
-        min_unique_in_degree=threshold,
-    )
+    return members
 
 
 def read_seeds(path: str | Path) -> list[str]:

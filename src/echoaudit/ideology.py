@@ -22,12 +22,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateMatrixError, InputError
-from .graph import InfluencerSet, RetweetGraph
+from .graph import RetweetGraph
 from .ingest import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -66,7 +66,7 @@ class InteractionMatrix:
 
 def build_interaction_matrix(
     g: RetweetGraph,
-    influencers: InfluencerSet,
+    influencers: Sequence[str],
     min_distinct: int = DEFAULT_MIN_DISTINCT,
 ) -> InteractionMatrix:
     """Restrict the graph to users who retweeted enough distinct influencers.
@@ -77,7 +77,7 @@ def build_interaction_matrix(
     """
     if len(influencers) == 0:
         raise InputError("influencer set is empty")
-    col_of_node: dict[int, int] = {}
+    col_of_node = np.full(g.n_nodes, -1, dtype=np.int64)
     for j, uid in enumerate(influencers):
         try:
             col_of_node[g.index_of(uid)] = j
@@ -86,44 +86,36 @@ def build_interaction_matrix(
             # below drops it with the same warning path.
             log.warning("influencer %r is not a graph node", uid)
 
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    row_ids: list[str] = []
-    for node in range(g.n_nodes):
-        targets, weights = g.out_edges(node)
-        cols = [
-            (col_of_node[t], float(w))
-            for t, w in zip(targets.tolist(), weights.tolist())
-            if t in col_of_node
-        ]
-        if len(cols) < min_distinct or not cols:
-            continue
-        cols.sort()
-        row_ids.append(g.node_ids[node])
-        indices.extend(c for c, _ in cols)
-        data.extend(w for _, w in cols)
-        indptr.append(len(indices))
+    # The graph holds one out-edge per distinct (src, dst) pair, so a row's
+    # count of influencer edges is its count of distinct influencers.
+    src = np.repeat(np.arange(g.n_nodes), np.diff(g.out_indptr))
+    cols = col_of_node[g.out_targets]
+    hits = np.bincount(src[cols >= 0], minlength=g.n_nodes)
+    keep = hits >= max(min_distinct, 1)
+    entry = (cols >= 0) & keep[src]
+    rows, cols = src[entry], cols[entry]
+    order = np.lexsort((cols, rows))
+    indices = cols[order]
+    data = g.out_weights[entry][order].astype(np.float64)
 
-    col_ids = list(influencers.members)
-    indices_arr = np.asarray(indices, dtype=np.int64)
-    mass = np.zeros(len(col_ids))
-    np.add.at(mass, indices_arr, np.asarray(data))
+    col_ids = list(influencers)
+    mass = np.bincount(indices, weights=data, minlength=len(col_ids))
     dead = np.flatnonzero(mass == 0)
     if dead.size:
         for j in dead.tolist():
             log.warning("influencer column %r has no qualifying retweeters; dropped", col_ids[j])
         remap = np.cumsum(mass > 0) - 1
         keep_cols = [cid for j, cid in enumerate(col_ids) if mass[j] > 0]
-        indices_arr = remap[indices_arr]
+        indices = remap[indices]
         col_ids = keep_cols
 
+    kept = np.flatnonzero(keep)
     m = InteractionMatrix(
-        row_ids=tuple(row_ids),
+        row_ids=tuple(g.node_ids[i] for i in kept.tolist()),
         col_ids=tuple(col_ids),
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=indices_arr,
-        data=np.asarray(data, dtype=np.float64),
+        indptr=np.concatenate(([0], hits[kept].cumsum())).astype(np.int64),
+        indices=indices,
+        data=data,
     )
     if m.shape[0] < 2 or m.shape[1] < 2:
         raise DegenerateMatrixError(
@@ -186,8 +178,9 @@ class NormalizedMatrix:
         self.c = c
         self.sqrt_r = np.sqrt(r)
         self.sqrt_c = np.sqrt(c)
-        self._rows = rows
-        self._indices = indices
+        # Canonical row and column of each stored entry, in row-major order.
+        self.rows = rows
+        self.indices = indices
         # W = D_r^{-1/2} P D_c^{-1/2}, stored entry-wise.
         self._scaled = p / (self.sqrt_r[rows] * self.sqrt_c[indices])
 
@@ -198,7 +191,7 @@ class NormalizedMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """S v = W v - sqrt_r (sqrt_c . v)"""
         v = np.ascontiguousarray(v, dtype=np.float64)
-        y = np.bincount(self._rows, weights=self._scaled * v[self._indices],
+        y = np.bincount(self.rows, weights=self._scaled * v[self.indices],
                         minlength=len(self.row_ids))
         y -= self.sqrt_r * float(self.sqrt_c @ v)
         return y
@@ -206,7 +199,7 @@ class NormalizedMatrix:
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """S^T u = W^T u - sqrt_c (sqrt_r . u)"""
         u = np.ascontiguousarray(u, dtype=np.float64)
-        z = np.bincount(self._indices, weights=self._scaled * u[self._rows],
+        z = np.bincount(self.indices, weights=self._scaled * u[self.rows],
                         minlength=len(self.col_ids))
         z -= self.sqrt_c * float(self.sqrt_r @ u)
         return z
@@ -224,8 +217,6 @@ class SingularTriplet:
     v: np.ndarray
     iterations: int
     residual: float
-    row_ids: tuple[str, ...]
-    col_ids: tuple[str, ...]
 
 
 def leading_singular_triplet(
@@ -265,10 +256,8 @@ def leading_singular_triplet(
         w = n.rmatvec(u)
         residual = float(np.linalg.norm(w - sigma * v))
         if residual <= tol * sigma:
-            return SingularTriplet(
-                sigma=sigma, u=u, v=v, iterations=iteration, residual=residual,
-                row_ids=n.row_ids, col_ids=n.col_ids,
-            )
+            return SingularTriplet(sigma=sigma, u=u, v=v, iterations=iteration,
+                                   residual=residual)
         if iteration % _REORTH_EVERY == 0:
             w -= n.sqrt_c * (n.sqrt_c @ w)
         norm_w = float(np.linalg.norm(w))
@@ -298,7 +287,7 @@ class IdeologyScores:
 
 
 def score_users_and_influencers(
-    m: InteractionMatrix,
+    n: NormalizedMatrix,
     triplet: SingularTriplet,
     anchor_id: str,
 ) -> IdeologyScores:
@@ -307,29 +296,20 @@ def score_users_and_influencers(
     The sign is flipped, if needed, so the anchor influencer's score is
     negative; scores are then divided by the maximum absolute value.  An
     influencer's score is the unweighted median over its distinct retweeters
-    present in the matrix (even-sized sets average the two central values).
+    present in the matrix (even-sized sets average the two central values);
+    ``NormalizedMatrix`` rejects a column without mass, so each has one.
     """
-    if anchor_id not in triplet.col_ids:
+    if anchor_id not in n.col_ids:
         raise InputError(f"anchor influencer {anchor_id!r} is not a matrix column")
-
-    row_pos = {uid: i for i, uid in enumerate(triplet.row_ids)}
     raw = np.asarray(triplet.u, dtype=np.float64).copy()
 
-    # Retweeter rows per column, via the matrix's own id maps.
-    col_rows: dict[str, list[int]] = {cid: [] for cid in m.col_ids}
-    rows_of_entries = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    for entry, col in zip(rows_of_entries.tolist(), m.indices.tolist()):
-        col_rows[m.col_ids[col]].append(row_pos[m.row_ids[entry]])
+    # The operator's entries run in canonical row order; a stable sort by
+    # column lists each influencer's retweeter rows, one slice per column.
+    by_col = n.rows[np.argsort(n.indices, kind="stable")]
+    ends = np.bincount(n.indices, minlength=len(n.col_ids)).cumsum()
+    retweeters = dict(zip(n.col_ids, np.split(by_col, ends[:-1])))
 
-    def column_median(values: np.ndarray, cid: str) -> Optional[float]:
-        rows = col_rows.get(cid, [])
-        if not rows:
-            return None
-        return float(np.median(values[rows]))
-
-    anchor_median = column_median(raw, anchor_id)
-    if anchor_median is None:
-        raise InputError(f"anchor influencer {anchor_id!r} has no scored retweeters")
+    anchor_median = float(np.median(raw[retweeters[anchor_id]]))
     if anchor_median == 0.0:
         raise DegenerateMatrixError(
             f"anchor influencer {anchor_id!r} has a zero median score; "
@@ -343,23 +323,13 @@ def score_users_and_influencers(
         raise DegenerateMatrixError("all user scores are zero")
     scaled = raw / peak
 
-    user_scores = {uid: float(scaled[i]) for uid, i in row_pos.items()}
-    raw_user_scores = {uid: float(raw[i]) for uid, i in row_pos.items()}
-    influencer_scores: dict[str, float] = {}
-    raw_influencer_scores: dict[str, float] = {}
-    for cid in m.col_ids:
-        med = column_median(scaled, cid)
-        if med is None:
-            log.warning("influencer %r has no scored retweeters; omitted", cid)
-            continue
-        influencer_scores[cid] = med
-        raw_influencer_scores[cid] = column_median(raw, cid)
-
     return IdeologyScores(
-        user_scores=user_scores,
-        influencer_scores=influencer_scores,
-        raw_user_scores=raw_user_scores,
-        raw_influencer_scores=raw_influencer_scores,
+        user_scores=dict(zip(n.row_ids, scaled.tolist())),
+        influencer_scores={cid: float(np.median(scaled[rows]))
+                           for cid, rows in retweeters.items()},
+        raw_user_scores=dict(zip(n.row_ids, raw.tolist())),
+        raw_influencer_scores={cid: float(np.median(raw[rows]))
+                               for cid, rows in retweeters.items()},
         sigma1=triplet.sigma,
         anchor_id=anchor_id,
         iterations=triplet.iterations,

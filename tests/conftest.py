@@ -109,17 +109,18 @@ def mini_graph(mini_corpus_path) -> gr.RetweetGraph:
 
 
 @pytest.fixture(scope="session")
-def mini_influencers(mini_graph, mini_truth) -> gr.InfluencerSet:
+def mini_influencers(mini_graph, mini_truth) -> tuple[str, ...]:
     return gr.select_influencers(mini_graph, mini_truth.planted_hubs, threshold=5)
 
 
 @pytest.fixture(scope="session")
 def mini_scores(mini_graph, mini_influencers, mini_truth) -> ideo.IdeologyScores:
     matrix = ideo.build_interaction_matrix(mini_graph, mini_influencers, min_distinct=2)
-    triplet = ideo.leading_singular_triplet(ideo.normalize(matrix))
+    norm = ideo.normalize(matrix)
+    triplet = ideo.leading_singular_triplet(norm)
     anchor = next(h for h in mini_truth.planted_hubs
                   if mini_truth.community[h] == "A")
-    return ideo.score_users_and_influencers(matrix, triplet, anchor)
+    return ideo.score_users_and_influencers(norm, triplet, anchor)
 
 
 @pytest.fixture(scope="session")

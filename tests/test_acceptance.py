@@ -55,9 +55,10 @@ def analyse_default_corpus(result: synth.SynthResult):
     g = gr.build_graph(r for r in retained if r.kind == "retweet")
     influencers = gr.select_influencers(g, truth.planted_hubs, threshold=100)
     matrix = ideo.build_interaction_matrix(g, influencers, min_distinct=2)
-    triplet = ideo.leading_singular_triplet(ideo.normalize(matrix))
+    norm = ideo.normalize(matrix)
+    triplet = ideo.leading_singular_triplet(norm)
     anchor = next(h for h in influencers if truth.community[h] == "A")
-    scores = ideo.score_users_and_influencers(matrix, triplet, anchor)
+    scores = ideo.score_users_and_influencers(norm, triplet, anchor)
     return truth, g, scores
 
 
@@ -105,9 +106,9 @@ def test_criterion_2_scale_and_permutation_invariance():
     col_ids = [f"c{j:03d}" for j in range(8)]
 
     def scores_for(dense, rows):
-        m = from_dense(dense, rows, col_ids)
-        t = ideo.leading_singular_triplet(ideo.normalize(m), seed=5)
-        return ideo.score_users_and_influencers(m, t, "c000")
+        n = ideo.normalize(from_dense(dense, rows, col_ids))
+        t = ideo.leading_singular_triplet(n, seed=5)
+        return ideo.score_users_and_influencers(n, t, "c000")
 
     base = scores_for(a, row_ids)
     worst = 0.0

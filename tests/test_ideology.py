@@ -1,12 +1,16 @@
+import logging
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
 from echoaudit.errors import ConvergenceError, DegenerateMatrixError, InputError
 
+import _ideology_oracle as oracle
 from _ca_oracle import dense_ca_oracle
 from _matrix_helpers import from_dense, to_dense
 from conftest import dense_residual, random_count_matrix, retweet
@@ -27,9 +31,7 @@ class TestBuildInteractionMatrix:
         ])
 
     def _influencers(self):
-        return gr.InfluencerSet(
-            members=("i1", "i2"), seed_source="<test>", min_unique_in_degree=0
-        )
+        return ("i1", "i2")
 
     def test_min_distinct_one(self):
         m = ideo.build_interaction_matrix(self._graph(), self._influencers(), 1)
@@ -46,10 +48,7 @@ class TestBuildInteractionMatrix:
             retweet("u1", "i1"), retweet("u1", "i2"),
             retweet("u2", "i1"), retweet("u2", "i2"),
         ])
-        infl = gr.InfluencerSet(
-            members=("i1", "i2", "ghost_influencer"),
-            seed_source="<test>", min_unique_in_degree=0,
-        )
+        infl = ("i1", "i2", "ghost_influencer")
         with caplog.at_level("WARNING"):
             m0 = ideo.build_interaction_matrix(g, infl, 1)
         assert m0.col_ids == ("i1", "i2")
@@ -60,10 +59,7 @@ class TestBuildInteractionMatrix:
             retweet("u2", "i1"), retweet("u2", "i2"),
             retweet("i3", "u1"),   # i3 is a node but nobody retweets it
         ])
-        infl2 = gr.InfluencerSet(
-            members=("i1", "i2", "i3"), seed_source="<test>",
-            min_unique_in_degree=0,
-        )
+        infl2 = ("i1", "i2", "i3")
         with caplog.at_level("WARNING"):
             m = ideo.build_interaction_matrix(g2, infl2, 1)
         assert m.col_ids == ("i1", "i2")
@@ -74,7 +70,7 @@ class TestBuildInteractionMatrix:
         # independent recount: users with >= 2 distinct planted targets
         from collections import defaultdict
         targets = defaultdict(set)
-        hubs = set(mini_influencers.members)
+        hubs = set(mini_influencers)
         for o in mini_raw:
             if (o["kind"] == "retweet" and o["lang"] == "en"
                     and o["created_at"] >= "2022-12-15T00:00:00Z"
@@ -222,9 +218,9 @@ class TestLeadingTriplet:
 
 
 def solve_scores(dense, anchor, seed=1):
-    m = matrix_from(dense)
-    t = ideo.leading_singular_triplet(ideo.normalize(m), seed=seed)
-    return ideo.score_users_and_influencers(m, t, anchor)
+    n = ideo.normalize(matrix_from(dense))
+    t = ideo.leading_singular_triplet(n, seed=seed)
+    return ideo.score_users_and_influencers(n, t, anchor)
 
 
 class TestScoring:
@@ -264,9 +260,9 @@ class TestScoring:
             [1, 1, 2],
             [0, 0, 5],
         ])
-        m = matrix_from(dense)
-        t = ideo.leading_singular_triplet(ideo.normalize(m))
-        scores = ideo.score_users_and_influencers(m, t, "c000")
+        n = ideo.normalize(matrix_from(dense))
+        t = ideo.leading_singular_triplet(n)
+        scores = ideo.score_users_and_influencers(n, t, "c000")
         retweeters = [f"u{i:03d}" for i in range(4)]  # column c001 has 4 nonzeros
         vals = sorted(scores.user_scores[u] for u in retweeters)
         assert scores.influencer_scores["c001"] == pytest.approx(
@@ -322,10 +318,11 @@ class TestInvariances:
         m2 = from_dense(
             a[perm], [row_ids[i] for i in perm], col_ids
         )
-        t1 = ideo.leading_singular_triplet(ideo.normalize(m1), seed=7)
-        t2 = ideo.leading_singular_triplet(ideo.normalize(m2), seed=7)
-        s1 = ideo.score_users_and_influencers(m1, t1, "c000")
-        s2 = ideo.score_users_and_influencers(m2, t2, "c000")
+        n1, n2 = ideo.normalize(m1), ideo.normalize(m2)
+        t1 = ideo.leading_singular_triplet(n1, seed=7)
+        t2 = ideo.leading_singular_triplet(n2, seed=7)
+        s1 = ideo.score_users_and_influencers(n1, t1, "c000")
+        s2 = ideo.score_users_and_influencers(n2, t2, "c000")
         assert s1.user_scores == s2.user_scores
         assert s1.influencer_scores == s2.influencer_scores
 
@@ -409,3 +406,110 @@ class TestOracleEquivalence:
             assert abs(t.sigma - oracle.sigmas[0]) <= 1e-9
             # align production u (canonical row order == construction order)
             assert abs(float(t.u @ oracle.u[:, 0])) >= 1.0 - 1e-9
+
+
+# Node ids that are non-ASCII, hold NUL, or differ only in case; the first
+# four are the users, the rest the candidate influencers.
+_node_ids = ["u1", "\u00fc2", "u\x00", "\u7528", "i1", "I1", "\u00ef", "\U0001f600"]
+
+
+@contextmanager
+def _warnings_of(logger_name):
+    """Collect the WARNING messages one logger emits inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def _outcome(fn, *args):
+    """(result, warnings, error) of one call, for comparing two paths."""
+    with _warnings_of("echoaudit.ideology") as messages:
+        try:
+            return fn(*args), messages, None
+        except Exception as exc:  # the type and text are compared
+            return None, messages, (type(exc), str(exc))
+
+
+def _bits(d):
+    return [(k, float(v).hex()) for k, v in d.items()]
+
+
+class TestMatchesOracle:
+    @given(
+        edges=st.lists(st.tuples(st.sampled_from(_node_ids), st.sampled_from(_node_ids[3:]),
+                                 st.integers(1, 1000)), min_size=8, max_size=60),
+        influencers=st.lists(st.sampled_from(_node_ids[3:] + ["ghost", "\u00e9"]),
+                             min_size=2, max_size=8),
+        min_distinct=st.integers(0, 3),
+        count_self_loops=st.booleans(),
+    )
+    @example(edges=[("u1", "i1", 1)], influencers=[], min_distinct=0,
+             count_self_loops=False)
+    @example(edges=[], influencers=["i1"], min_distinct=0, count_self_loops=False)
+    @settings(max_examples=400, deadline=None)
+    def test_builder_property(self, edges, influencers, min_distinct, count_self_loops):
+        """Self-loops, absent and duplicate influencers and influencers
+        nobody retweets: the CSR slice equals the per-node builder, array
+        by array and dtype by dtype, with the same warnings and errors."""
+        counts = gr.RetweetCounts()
+        for src, dst, w in edges:
+            counts.add_edge(src, dst, w)
+        g = counts.graph(count_self_loops)
+        got, got_log, got_err = _outcome(
+            ideo.build_interaction_matrix, g, tuple(influencers), min_distinct)
+        want, want_log, want_err = _outcome(
+            oracle.build_interaction_matrix, g, tuple(influencers), min_distinct)
+        assert got_log == want_log
+        assert got_err == want_err
+        if want is None:
+            return
+        assert got.row_ids == want.row_ids
+        assert got.col_ids == want.col_ids
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @given(
+        data=st.data(),
+        n_rows=st.integers(2, 10),
+        n_cols=st.integers(2, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scorer_property(self, data, n_rows, n_cols):
+        """Any left vector, ties and even-sized columns included, on any row
+        permutation: the scores equal the dict-based scorer's bit for bit,
+        in the same key order, and an error is the same error."""
+        a = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=n_cols, max_size=n_cols),
+            min_size=n_rows, max_size=n_rows)), dtype=float)
+        # Every row and column needs a retweet to pass normalize.
+        a[np.arange(n_rows), np.arange(n_rows) % n_cols] += a.sum(axis=1) == 0
+        a[np.arange(n_cols) % n_rows, np.arange(n_cols)] += a.sum(axis=0) == 0
+        perm = data.draw(st.permutations(range(n_rows)))
+        row_ids = [f"u{i}" for i in range(n_rows)]
+        m = from_dense(a[perm], [row_ids[i] for i in perm],
+                       [f"c{j}" for j in range(n_cols)])
+        n = ideo.normalize(m)
+        u = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5]) | st.floats(-1, 1),
+            min_size=n_rows, max_size=n_rows)))
+        t = ideo.SingularTriplet(sigma=0.5, u=u, v=np.ones(n_cols), iterations=3,
+                                 residual=1e-12)
+        anchor = data.draw(st.sampled_from(list(n.col_ids) + ["absent"]))
+        got, _, got_err = _outcome(ideo.score_users_and_influencers, n, t, anchor)
+        want, _, want_err = _outcome(oracle.score_users_and_influencers, m, n, t, anchor)
+        assert got_err == want_err
+        if want is None:
+            return
+        for name in ("user_scores", "influencer_scores",
+                     "raw_user_scores", "raw_influencer_scores"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+        assert (got.sigma1, got.anchor_id, got.iterations, got.residual) == \
+            (want.sigma1, want.anchor_id, want.iterations, want.residual)

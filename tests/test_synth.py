@@ -89,10 +89,11 @@ class TestPolarizedCorpus:
         g = gr.build_graph(records)
         infl = gr.select_influencers(g, truth.planted_hubs, threshold=1)
         matrix = ideo.build_interaction_matrix(g, infl, min_distinct=2)
-        triplet = ideo.leading_singular_triplet(ideo.normalize(matrix))
+        norm = ideo.normalize(matrix)
+        triplet = ideo.leading_singular_triplet(norm)
         anchor = next(h for h in truth.planted_hubs
                       if truth.community[h] == "A")
-        scores = ideo.score_users_and_influencers(matrix, triplet, anchor)
+        scores = ideo.score_users_and_influencers(norm, triplet, anchor)
         for uid, score in scores.user_scores.items():
             if truth.community[uid] == "A":
                 assert score < 0, uid
