@@ -154,12 +154,12 @@ class NormalizedMatrix:
         total = counts.sum()
         if total <= 0:
             raise DegenerateMatrixError("interaction matrix has zero total mass")
-        # Row/column masses of P = A / total.
+        # Row/column masses of P = A / total.  The counts are integers whose
+        # sums stay below 2**53, so each sum is exact and each mass is
+        # rounded once.
         p = counts / total
-        r = np.zeros(n_rows)
-        np.add.at(r, rows, p)
-        c = np.zeros(n_cols)
-        np.add.at(c, indices, p)
+        r = np.bincount(rows, weights=counts, minlength=n_rows) / total
+        c = np.bincount(indices, weights=counts, minlength=n_cols) / total
         zero_rows = np.flatnonzero(r == 0)
         if zero_rows.size:
             raise DegenerateMatrixError(
