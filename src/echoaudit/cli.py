@@ -204,7 +204,8 @@ def _add_ideology(sub) -> None:
     p.add_argument("--influencers", type=Path, required=True)
     p.add_argument("--anchor", default=None,
                    help="influencer fixed to the negative side "
-                        "(default: first influencer in the file)")
+                        "(default: the first influencer in the file that "
+                        "keeps a matrix column)")
     p.add_argument("--min-distinct", type=_NON_NEGATIVE, default=ideo.DEFAULT_MIN_DISTINCT)
     p.add_argument("--tol", type=_POSITIVE, default=ideo.DEFAULT_TOL)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=ideo.DEFAULT_SEED)
@@ -226,7 +227,7 @@ def cmd_ideology(args, g: Optional[gr.RetweetGraph] = None,
     triplet = ideo.leading_singular_triplet(
         norm, tol=args.tol, max_iter=args.max_iter, seed=args.seed
     )
-    anchor = args.anchor or influencers[0]
+    anchor = args.anchor or matrix.col_ids[0]
     scores = ideo.score_users_and_influencers(norm, triplet, anchor)
     ideo.write_scores(scores, args.scores_out)
     if args.meta_out:

@@ -374,6 +374,33 @@ class TestErrors:
                  "--influencers-out", tmp_path / "i.txt"])
         assert exc.value.code == 2
 
+    @staticmethod
+    def _first_influencer_dropped(tmp_path):
+        """i0, first in the file, has only one-influencer retweeters, so
+        min_distinct=2 leaves it without a matrix column."""
+        (tmp_path / "graph.csv").write_text(
+            "src,dst,weight\nu1,i1,3\nu1,i2,1\nu2,i1,1\nu2,i2,3\n"
+            "u3,i1,2\nu3,i2,1\nu4,i0,1\nu5,i0,1\n", encoding="utf-8")
+        (tmp_path / "influencers.txt").write_text("i0\ni1\ni2\n", encoding="utf-8")
+        return ["ideology", "--graph", tmp_path / "graph.csv",
+                "--influencers", tmp_path / "influencers.txt",
+                "--scores-out", tmp_path / "out" / "scores.csv",
+                "--meta-out", tmp_path / "out" / "meta.json"]
+
+    def test_default_anchor_is_first_surviving_column(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        assert run(self._first_influencer_dropped(tmp_path)) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["anchor_id"] == "i1"
+
+    def test_explicit_anchor_without_column_exits_2(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run(self._first_influencer_dropped(tmp_path) + ["--anchor", "i0"])
+        assert exc.value.code == 2
+        assert "anchor influencer 'i0' is not a matrix column" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_bad_late_corpus_line_leaves_no_filtered_file(self, tmp_path):
         lines = (FIXTURES / "mini_corpus.jsonl").read_bytes().split(b"\n")
         lines[900] = b"\xff" + lines[900]
