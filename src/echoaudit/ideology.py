@@ -60,9 +60,6 @@ class InteractionMatrix:
     def nnz(self) -> int:
         return int(self.data.shape[0])
 
-    def total(self) -> float:
-        return float(self.data.sum())
-
 
 def build_interaction_matrix(
     g: RetweetGraph,
