@@ -85,10 +85,12 @@ class PublicSuffixes:
     Implements the standard rule semantics: longest matching rule wins,
     ``*.``-prefixed rules match one extra label, ``!``-prefixed exceptions
     shorten the suffix by one label, and an implicit ``*`` rule makes any
-    unknown top-level label a suffix on its own.
+    unknown top-level label a suffix on its own.  Each host's registrable
+    domain is resolved once and kept for the life of the instance.
     """
 
     def __init__(self, rules: Iterable[str]):
+        self._registrable: dict[str, Optional[str]] = {}
         self.exact: set[str] = set()
         self.wildcard: set[str] = set()
         self.exception: set[str] = set()
@@ -127,6 +129,13 @@ class PublicSuffixes:
         return best
 
     def registrable_domain(self, host: str) -> Optional[str]:
+        try:
+            return self._registrable[host]
+        except KeyError:
+            domain = self._registrable[host] = self._resolve(host)
+            return domain
+
+    def _resolve(self, host: str) -> Optional[str]:
         host = host.strip(".").lower()
         if not host or re.fullmatch(r"[0-9.]+", host) or ":" in host:
             return None  # IP literals have no registrable domain

@@ -117,6 +117,15 @@ class TestLoadDomainTable:
             mb.load_domain_table(path)
 
 
+# Hosts built from labels of the bundled rules (wildcards and exceptions
+# included), other labels, labels no rule allows, and mixed case and dots.
+_labels = st.sampled_from(["com", "co", "uk", "jp", "kawasaki", "city", "ck",
+                           "www", "bd", "gov", "example", "a-b", "1", "", "_",
+                           "xn--p1ai", "UK", "Www"]) | st.text("ab.-1Z", max_size=4)
+_hosts = st.lists(_labels, min_size=1, max_size=5).map(".".join) | st.sampled_from(
+    ["192.168.0.1", "[::1]", ".example.com.", "a..b.com", "é.com"])
+
+
 class TestExtractDomain:
     def test_oracle_cases(self, fixtures_dir):
         cases = json.loads(
@@ -128,6 +137,22 @@ class TestExtractDomain:
     def test_total_function_on_junk(self):
         for junk in (None, 123, "", "   ", "::::", "https://???"):
             assert mb.extract_domain(junk) is None
+
+    def test_memoised_equals_unmemoised_on_oracle_cases(self, fixtures_dir):
+        cases = json.loads(
+            (fixtures_dir / "psl_cases.json").read_text(encoding="utf-8")
+        )["cases"]
+        memo = mb.PublicSuffixes.bundled()
+        for url, _ in cases + cases:
+            assert (mb.extract_domain(url, memo)
+                    == mb.extract_domain(url, mb.PublicSuffixes.bundled())), url
+
+    @given(hosts=st.lists(_hosts, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_memoised_equals_unmemoised_on_any_host(self, hosts):
+        memo, fresh = mb.PublicSuffixes.bundled(), mb.PublicSuffixes.bundled()
+        for host in hosts + hosts[::-1]:
+            assert memo.registrable_domain(host) == fresh._resolve(host), host
 
 
 def leaning_table(tmp_path):
