@@ -6,12 +6,19 @@ sidecars) so stages can be re-run or swapped independently.  Each
 artifacts and returns what later stages need; an input passed in memory is
 not read from its file.
 
-``pipeline`` runs the whole chain in one process into one output tree.  It
-parses the corpus once: while ingest writes ``filtered.jsonl`` it fills the
-table of original tweets (their URLs resolved against the domain table) and
-the retweet counts, and hands them, the graph and the scores from stage to
+``pipeline`` runs the whole chain into one output tree.  It reads the corpus
+in one pass: while ingest writes ``filtered.jsonl`` it fills the table of
+original tweets (their URLs resolved against the domain table) and the
+retweet counts, and hands them, the graph and the scores from stage to
 stage.  It still writes every intermediate, byte-identical to the files the
-subcommands chained by hand would write.  All outputs are deterministic given inputs and flags.
+subcommands chained by hand would write.
+
+Every read of a plain corpus (ingest's input, and the filtered corpus that
+standalone ``graph``, ``engagement`` and ``report`` read) is split into one
+line-aligned span per usable CPU, each span parsed by the same code, all but
+the first in a forked child, and the parts merged in file order; engagement
+writes its ``ae_*.csv`` tables at once the same way.  All outputs are
+deterministic given inputs and flags, whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -126,33 +133,55 @@ def _retain(records: Iterator[ing.TweetRecord], originals: eng.OriginalsTable,
         yield rec
 
 
+def _merged(parts: Sequence):
+    """The first part, with every later one appended in file order."""
+    first, *rest = parts
+    for part in rest:
+        first.extend(part)
+    return first
+
+
 def cmd_ingest(args, keep: bool = False,
                domains: Optional[dict[str, mb.DomainProfile]] = None):
-    """Filter the corpus into ``--filtered-out``.
+    """Filter the corpus into ``--filtered-out``, one span per usable CPU.
 
     With ``keep``, returns the table of retained original tweets (URLs
     resolved against ``domains``) and the retweet counts, gathered in the
     same pass that writes the filtered corpus.
     """
-    rejects: Counter = Counter()
-    exclusions: Counter = Counter()
     corpus_filter = _corpus_filter(args)
-    records = ing.apply_filters(
-        ing.parse_corpus(args.input, schema=args.schema, rejects=rejects),
-        corpus_filter,
-        exclusions,
-    )
-    if keep:
-        originals = eng.OriginalsTable(domains)
-        retweets = gr.RetweetCounts()
-        records = _retain(records, originals, retweets)
-    n = ing.write_corpus(records, args.filtered_out)
+    spans = ing.corpus_spans(args.input)
+    with ing.open_atomic_parts(args.filtered_out, len(spans)) as outs:
+        def ingest_span(k: int):
+            rejects: Counter = Counter()
+            exclusions: Counter = Counter()
+            records = ing.apply_filters(
+                ing.parse_corpus(args.input, schema=args.schema, rejects=rejects,
+                                 span=spans[k]),
+                corpus_filter,
+                exclusions,
+            )
+            kept = None
+            if keep:
+                kept = eng.OriginalsTable(domains), gr.RetweetCounts()
+                records = _retain(records, *kept)
+            return ing.write_corpus(records, outs[k]), rejects, exclusions, kept
+
+        written, span_rejects, span_exclusions, kept = zip(
+            *ing.fork_map(ingest_span, range(len(spans))))
+    rejects, exclusions = Counter(), Counter()
+    for part_rejects, part_exclusions in zip(span_rejects, span_exclusions):
+        rejects.update(part_rejects)
+        exclusions.update(part_exclusions)
     if args.rejects_out:
         ing.write_count_report(rejects, args.rejects_out)
     if args.exclusions_out:
         ing.write_count_report(exclusions, args.exclusions_out)
-    log.info("retained %d records (%s)", n, dict(exclusions))
-    return (originals, retweets) if keep else None
+    log.info("retained %d records (%s)", sum(written), dict(exclusions))
+    if not keep:
+        return None
+    originals, retweets = zip(*kept)
+    return _merged(originals), _merged(retweets)
 
 
 def _add_graph(sub) -> None:
@@ -176,13 +205,12 @@ def cmd_graph(args, retweets: Optional[gr.RetweetCounts] = None):
     """
     seeds = gr.read_seeds(args.seeds)
     if retweets is None:
-        skipped: Counter = Counter()
-        records = ing.network_subset(ing.parse_corpus(args.input))
-        g = gr.build_graph(records, skipped=skipped,
-                           count_self_loops=args.count_self_loops)
-    else:
-        skipped = retweets.skipped
-        g = retweets.graph(args.count_self_loops)
+        retweets = _merged(ing.fork_map(
+            lambda span: gr.RetweetCounts.from_records(
+                ing.network_subset(ing.parse_corpus(args.input, span=span))),
+            ing.corpus_spans(args.input)))
+    skipped = retweets.skipped
+    g = retweets.graph(args.count_self_loops)
     gr.write_edge_list(g, args.graph_out)
     influencers = gr.select_influencers(
         g, seeds, threshold=args.min_indegree, seed_source=str(args.seeds)
@@ -262,11 +290,13 @@ def _add_engagement(sub) -> None:
 
 
 def _load_originals(args) -> eng.OriginalsTable:
-    """Stream the corpus's original tweets into a table, with the URLs
-    resolved against ``--domains`` when given."""
+    """Stream the corpus's original tweets into a table, one span per usable
+    CPU, with the URLs resolved against ``--domains`` when given."""
     table = mb.load_domain_table(args.domains) if args.domains else None
-    return eng.OriginalsTable.from_records(
-        ing.engagement_subset(ing.parse_corpus(args.input)), table)
+    return _merged(ing.fork_map(
+        lambda span: eng.OriginalsTable.from_records(
+            ing.engagement_subset(ing.parse_corpus(args.input, span=span)), table),
+        ing.corpus_spans(args.input)))
 
 
 def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
@@ -289,14 +319,15 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
         if granularity == "domain" and not table:
             log.warning("domain granularity requested without --domains; skipped")
             continue
-        records = eng.aggregate_ae(
+        results[granularity] = eng.aggregate_ae(
             originals, granularity,
             fractional=args.fractional_domains and granularity == "domain",
             drop_zero_impressions=args.drop_zero_impressions,
             stats=stats,
         )
-        results[granularity] = records
-        eng.write_engagement(records, args.out_dir / f"ae_{granularity}.csv")
+    ing.fork_write(eng.write_engagement,
+                   [(records, args.out_dir / f"ae_{granularity}.csv")
+                    for granularity, records in results.items()])
 
     reports = []
     for action in eng.ACTIONS:

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import mediabias as mb
 from .errors import EchoauditError
-from .ingest import TweetRecord, open_atomic, sorted_codes, tally, write_table
+from .ingest import (TweetRecord, intern_ids, open_atomic, sorted_codes, tally,
+                     write_table)
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +60,9 @@ class OriginalsTable:
       Without a domain table every row is empty.
 
     The column views share memory with the growing buffers: while one is
-    alive, :meth:`add` raises ``BufferError``.
+    alive, :meth:`add` and :meth:`extend` raise ``BufferError``.  A pickled
+    table leaves its domain table behind: its domain codes index the
+    profiles of the table it is merged into by :meth:`extend`.
     """
 
     def __init__(self, domains: Optional[Mapping[str, mb.DomainProfile]] = None):
@@ -109,6 +112,26 @@ class OriginalsTable:
                 else:
                     self._url_domains.append(code)
         self._indptr.append(len(self._url_domains))
+
+    def extend(self, other: "OriginalsTable") -> None:
+        """Append ``other``'s records, as if each were added here after this
+        table's own; ``other`` was filled against the same domain table."""
+        for column, vocab, codes, ids in (
+                (self._tweet, self._tweet_vocab, other._tweet, other._tweet_vocab),
+                (self._author, self._author_vocab, other._author, other._author_vocab)):
+            column.frombytes(intern_ids(vocab, ids)[_view(codes)].tobytes())
+        self._impressions.extend(other._impressions)
+        self._followers.extend(other._followers)
+        for a in ACTIONS:
+            self._actions[a].extend(other._actions[a])
+        self.unmatched_urls += other.unmatched_urls
+        self._indptr.frombytes((_view(other._indptr)[1:] + len(self._url_domains)).tobytes())
+        self._url_domains.extend(other._url_domains)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.update(domains=None, _profiles=[], _domain_code={})
+        return state
 
     def __len__(self) -> int:
         return len(self._tweet)

@@ -24,3 +24,7 @@ class ConvergenceError(EchoauditError):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+
+
+class WorkerError(EchoauditError):
+    """A worker process ended without handing back its result."""

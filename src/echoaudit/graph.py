@@ -18,8 +18,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySelectionError, InputError
-from .ingest import (MAX_COUNT, TweetRecord, open_maybe_gzip, read_table,
-                     sorted_codes, write_table)
+from .ingest import (MAX_COUNT, TweetRecord, intern_ids, open_maybe_gzip,
+                     read_table, sorted_codes, write_table)
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +101,14 @@ class RetweetCounts:
         self._src, self._dst, self._weight = array("q"), array("q"), array("q")
         self.skipped = Counter() if skipped is None else skipped
 
+    @classmethod
+    def from_records(cls, records: Iterable[TweetRecord],
+                     skipped: Optional[Counter] = None) -> "RetweetCounts":
+        counts = cls(skipped)
+        for rec in records:
+            counts.add(rec)
+        return counts
+
     def add(self, rec: TweetRecord) -> None:
         if rec.kind != "retweet":
             self.skipped["not_a_retweet"] += 1
@@ -115,6 +123,15 @@ class RetweetCounts:
         self._src.append(vocab.setdefault(src, len(vocab)))
         self._dst.append(vocab.setdefault(dst, len(vocab)))
         self._weight.append(weight)
+
+    def extend(self, other: "RetweetCounts") -> None:
+        """Append ``other``'s edges and skip counts, as if each of its records
+        were added here after this one's own."""
+        codes = intern_ids(self._vocab, other._vocab)
+        for column, theirs in ((self._src, other._src), (self._dst, other._dst)):
+            column.frombytes(codes[np.frombuffer(theirs, dtype=np.int64)].tobytes())
+        self._weight.extend(other._weight)
+        self.skipped.update(other.skipped)
 
     def graph(self, count_self_loops: bool = False) -> RetweetGraph:
         """The graph so far; a pair summing above ``MAX_COUNT`` raises
@@ -164,10 +181,7 @@ def build_graph(
     records lacking a target are skipped and counted.  Self-loops are kept as
     edges; by default they do not contribute to ``unique_in_degree``.
     """
-    counts = RetweetCounts(skipped)
-    for rec in records:
-        counts.add(rec)
-    return counts.graph(count_self_loops)
+    return RetweetCounts.from_records(records, skipped).graph(count_self_loops)
 
 
 def rank_by_in_degree(g: RetweetGraph) -> list[tuple[str, int]]:

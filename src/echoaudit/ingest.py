@@ -30,16 +30,29 @@ per record, copying the line a fixed-layout record was read from.
 JSON artifact of the package, and :func:`read_table` reads the CSV tables
 back; all writers go through :func:`open_atomic`.  :func:`sorted_codes`
 orders interned ids as Python strings for every stage.
+
+A plain (not ``.gz``) corpus is read on every usable CPU:
+:func:`corpus_spans` cuts it into line-aligned byte spans, one per CPU, and
+:func:`fork_map` runs the same per-record code over each span, all but the
+first in a forked child, handing the parts back in file order.
+:func:`open_atomic_parts` gives each span its own output and joins them in
+order, and :func:`fork_write` writes several artifacts at once.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gzip
 import io
 import json
 import logging
 import os
+import pickle
 import re
+import shutil
+import signal
+import sys
+import traceback
 import zlib
 from collections import Counter
 from contextlib import contextmanager
@@ -47,11 +60,11 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import InputError
+from .errors import EchoauditError, InputError, WorkerError
 
 log = logging.getLogger(__name__)
 
@@ -365,11 +378,103 @@ def _record_from_canonical(line: str) -> Optional[TweetRecord]:
     return rec
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask, or 1
+    where the platform has none."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@dataclass(frozen=True)
+class Span:
+    """Bytes ``[start, end)`` of a plain corpus file; its first line is line
+    ``first_line`` of the file."""
+
+    start: int
+    end: int
+    first_line: int
+
+
+def corpus_spans(path: str | Path) -> list[Optional[Span]]:
+    """Line-aligned byte spans of a corpus, one per usable CPU.
+
+    Each cut is the first line start at or after an equal share of the
+    bytes, just after a ``\\n``.  A ``.gz`` file, a single CPU, or a file
+    with no cut short of its end gives ``[None]``: the whole file read as
+    one.  Line numbers count lines as text mode does, so a lone ``\\r``
+    also ends one.
+    """
+    path = Path(path)
+    n = usable_cpus()
+    if n < 2 or path.suffix == ".gz" or not path.is_file():
+        return [None]
+    size = path.stat().st_size
+    spans: list[Optional[Span]] = []
+    start, line = 0, 1
+    with open(path, "rb") as fh:
+        for k in range(1, n):
+            fh.seek(max(size * k // n - 1, start))
+            cut = fh.tell() + len(fh.readline())
+            if cut >= size:
+                break
+            spans.append(Span(start, cut, line))
+            line += _text_line_ends(fh, start, cut)
+            start = cut
+    if not spans:
+        return [None]
+    spans.append(Span(start, size, line))
+    return spans
+
+
+# Bytes read at a time while counting line ends.
+_LINE_COUNT_CHUNK = 1 << 20
+
+
+def _text_line_ends(fh, start: int, end: int) -> int:
+    """Line ends that text mode reads in bytes ``[start, end)`` of a binary
+    file: each ``\\n``, ``\\r\\n`` and lone ``\\r``."""
+    fh.seek(start)
+    count, after_cr = 0, False
+    while start < end:
+        chunk = fh.read(min(_LINE_COUNT_CHUNK, end - start))
+        if not chunk:
+            break
+        start += len(chunk)
+        count += (chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+                  - (after_cr and chunk.startswith(b"\n")))
+        after_cr = chunk.endswith(b"\r")
+    return count
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``[start, end)`` of a file as a raw stream."""
+
+    def __init__(self, path: Path, start: int, end: int):
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(start)
+        self._left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
 @contextmanager
 def open_maybe_gzip(
-    path: str | Path, mode: str = "rt", newline: Optional[str] = None
+    path: str | Path, mode: str = "rt", newline: Optional[str] = None,
+    span: Optional[Span] = None,
 ) -> Iterator[io.TextIOBase]:
-    """Open a UTF-8 text file, through gzip if its name ends in ``.gz``.
+    """Open a UTF-8 text file, through gzip if its name ends in ``.gz``, or
+    only the ``span`` of a plain file.
 
     While reading, bytes that do not decode or gzip data that does not
     decompress raise :class:`InputError` naming the file (and the first bad
@@ -378,6 +483,9 @@ def open_maybe_gzip(
     path = Path(path)
     if path.suffix == ".gz":
         fh = gzip.open(path, mode, encoding="utf-8", newline=newline)
+    elif span is not None:
+        fh = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, span.start, span.end)),
+                              encoding="utf-8", newline=newline)
     else:
         fh = open(path, mode, encoding="utf-8", newline=newline)
     with fh:
@@ -401,7 +509,7 @@ def open_atomic(path: str | Path, newline: Optional[str] = None) -> Iterator[io.
     stage never reads a partial artifact.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.stem}.tmp{path.suffix}")
+    tmp = _temporary(path)
     try:
         with open(tmp, "wb") as raw:
             # A gzip header holding the final name and no time keeps the
@@ -413,6 +521,158 @@ def open_atomic(path: str | Path, newline: Optional[str] = None) -> Iterator[io.
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+def _temporary(path: Path) -> Path:
+    """The hidden file beside ``path`` that :func:`open_atomic` writes first."""
+    return path.with_name(f".{path.stem}.tmp{path.suffix}")
+
+
+@contextmanager
+def open_atomic_parts(path: str | Path,
+                      n: int) -> Iterator[list[io.TextIOBase | Path]]:
+    """``n`` outputs that, one after another, make the file at ``path``,
+    written all at once.
+
+    Output 0 is :func:`open_atomic`'s open text file; output ``k > 0`` is
+    the path of a hidden part file beside ``path``, for a forked child to
+    write with :func:`write_corpus` (itself all at once).  When the block
+    ends cleanly the parts are appended to output 0 in order; on any error
+    ``path`` is left as it was.  No part file, nor its temporary file,
+    outlives the block.
+    """
+    path = Path(path)
+    parts = [path.with_name(f".{path.name}.part{k}") for k in range(1, n)]
+    try:
+        with open_atomic(path) as fh:
+            yield [fh, *parts]
+            for part in parts:
+                with open(part, encoding="utf-8", newline="") as src:
+                    shutil.copyfileobj(src, fh)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
+            _temporary(part).unlink(missing_ok=True)
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def fork_map(work: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """``[work(item) for item in items]``, each item after the first run in a
+    forked child process while this process runs the first.
+
+    A child hands back its result, or its exception, pickled through a pipe,
+    with the log records it made; those are handled here in item order, so
+    the log reads as if every item ran here.  A child leaves only through
+    ``os._exit``, so none of the caller's code after this call runs in it.
+    The exception of the earliest failing item is raised here, and a child
+    that ends without a result raises :class:`WorkerError`.  Every child is
+    reaped before this returns or raises; on an error here the children
+    still running are killed first.
+    """
+    if len(items) < 2:
+        return [work(item) for item in items]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    parent = os.getpid()
+    children: list[tuple[int, io.BufferedReader]] = []
+    statuses: list[int] = []
+    done = False
+    try:
+        for item in items[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, item, write_fd, parent)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [work(items[0])]
+        payloads = [pipe.read() for _, pipe in children]
+        done = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for payload, status in zip(payloads, statuses):
+        if not payload:
+            raise WorkerError("a worker process ended without a result "
+                              f"(exit status {os.waitstatus_to_exitcode(status)})")
+        ok, value, records = pickle.loads(payload)
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+class _KeptRecords(logging.Handler):
+    """Keeps every log record, its message formatted, to be pickled."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _run_child(work: Callable[[T], R], item: T, write_fd: int, parent: int) -> None:
+    """Run one item of :func:`fork_map` in a forked child; never returns."""
+    status = 1
+    try:
+        _die_with(parent)
+        kept = _KeptRecords()
+        logging.root.handlers = [kept]
+        try:
+            outcome = (True, work(item))
+        except Exception as exc:
+            if not isinstance(exc, EchoauditError):
+                traceback.print_exc()
+            outcome = (False, exc)
+        payload = pickle.dumps((*outcome, kept.records), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _die_with(parent: int) -> None:
+    """Have the kernel kill this process when ``parent`` ends, where Linux's
+    ``prctl(PR_SET_PDEATHSIG)`` exists; leave at once if it already has."""
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def fork_write(write: Callable[[T, Path], None],
+               jobs: Sequence[tuple[T, Path]]) -> None:
+    """``write(obj, path)`` for each ``(obj, path)`` job, the jobs dealt in
+    turn to one group per usable CPU and the groups run by :func:`fork_map`.
+
+    ``write`` goes through :func:`open_atomic`.  If a job fails, no
+    temporary file of any job is left once every child is reaped.
+    """
+    n = min(usable_cpus(), len(jobs))
+    try:
+        fork_map(lambda group: [write(*job) for job in group],
+                 [jobs[k::n] for k in range(n)])
+    except BaseException:
+        for _, path in jobs:
+            _temporary(Path(path)).unlink(missing_ok=True)
         raise
 
 
@@ -497,8 +757,10 @@ def parse_corpus(
     path: str | Path,
     schema: str = "flat",
     rejects: Optional[Counter] = None,
+    span: Optional[Span] = None,
 ) -> Iterator[TweetRecord]:
-    """Stream syntactically valid records from a newline-delimited file.
+    """Stream syntactically valid records from a newline-delimited file, or
+    from one :class:`Span` of it.
 
     ``rejects`` (a ``Counter``) is filled with per-reason skip counts as the
     stream is consumed.  An unreadable file raises :class:`InputError`; a
@@ -516,8 +778,9 @@ def parse_corpus(
     fixed_layout = schema == "flat"
 
     def _stream() -> Iterator[TweetRecord]:
-        with open_maybe_gzip(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
+        with open_maybe_gzip(path, span=span) as fh:
+            first_line = 1 if span is None else span.first_line
+            for lineno, line in enumerate(fh, start=first_line):
                 line = line.strip()
                 if not line:
                     continue
@@ -602,29 +865,38 @@ def sorted_codes(vocab: Mapping[str, int]) -> tuple[list[str], np.ndarray]:
     return [ids[i] for i in order], rank
 
 
+def intern_ids(vocab: dict[str, int], ids: Iterable[str]) -> np.ndarray:
+    """The code of each id in ``vocab``, which numbers ids in insertion
+    order; an id not yet in it is added, in the order of ``ids``."""
+    return np.fromiter((vocab.setdefault(i, len(vocab)) for i in ids), dtype=np.int64)
+
+
 def write_count_report(counts: Counter, path: str | Path) -> None:
     """Write a ``reason,count`` CSV, rows sorted by reason for determinism."""
     write_table(path, ("reason", "count"),
                 ((reason, counts[reason]) for reason in sorted(counts)))
 
 
-def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> int:
+def write_corpus(records: Iterable[TweetRecord], out: str | Path | io.TextIOBase) -> int:
     """Serialize records back to the flat schema; returns the record count.
 
-    A record read in the fixed layout is written as the line it was read
-    from, which is the line :func:`flat_line` would write for it.
+    ``out`` is a path, written all at once, or an open text file.  A record
+    read in the fixed layout is written as the line it was read from, which
+    is the line :func:`flat_line` would write for it.
     """
+    if isinstance(out, (str, Path)):
+        with open_atomic(out) as fh:
+            return write_corpus(records, fh)
     n = 0
-    with open_atomic(path) as fh:
-        for rec in records:
-            if rec.line is not None:
-                fh.write(rec.line + "\n")
-            else:
-                fh.write(flat_line(
-                    rec.tweet_id, rec.author_id, format_timestamp(rec.created_at),
-                    rec.lang, rec.kind, rec.retweeted_author_id, rec.impressions,
-                    rec.likes, rec.replies, rec.retweets, rec.quotes, rec.urls,
-                    rec.author_followers,
-                ))
-            n += 1
+    for rec in records:
+        if rec.line is not None:
+            out.write(rec.line + "\n")
+        else:
+            out.write(flat_line(
+                rec.tweet_id, rec.author_id, format_timestamp(rec.created_at),
+                rec.lang, rec.kind, rec.retweeted_author_id, rec.impressions,
+                rec.likes, rec.replies, rec.retweets, rec.quotes, rec.urls,
+                rec.author_followers,
+            ))
+        n += 1
     return n

@@ -661,6 +661,25 @@ class TestPipeline:
             for name in want:
                 assert got[name] == want[name], f"{stage}/{name}"
 
+    def test_same_trees_at_one_and_three_cpus(self, tmp_path, monkeypatch):
+        """``pipeline --preset default``, then the five standalone stages over
+        its plain corpus, write the same bytes (``diff -r``) at one and at
+        three usable CPUs."""
+        trees = []
+        for n in (1, 3):
+            monkeypatch.setattr(ing, "usable_cpus", lambda n=n: n)
+            out = tmp_path / f"cpus{n}"
+            run(["pipeline", "--preset", "default", "--out-dir", out / "piped"])
+            synth_dir = out / "piped" / "synth"
+            assert chain_by_hand(synth_dir / "corpus.jsonl", synth_dir / "seeds.txt",
+                                 synth_dir / "domains.csv", 100,
+                                 out / "hand") == [0] * 5
+            trees.append(tree_bytes(out))
+        one, three = trees
+        assert len(one) > 30 and sorted(one) == sorted(three)
+        for name in one:
+            assert one[name] == three[name], name
+
     def test_corpus_parsed_once_and_nothing_read_back(self, tmp_path, monkeypatch):
         calls = Counter()
 
