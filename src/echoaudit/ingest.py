@@ -50,7 +50,6 @@ import os
 import pickle
 import re
 import shutil
-import signal
 import sys
 import traceback
 import zlib
@@ -60,7 +59,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence,
+                    TypeVar)
 
 import numpy as np
 
@@ -386,8 +386,7 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Bytes ``[start, end)`` of a plain corpus file; its first line is line
     ``first_line`` of the file."""
 
@@ -575,6 +574,7 @@ def fork_map(work: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """
     if len(items) < 2:
         return [work(item) for item in items]
+    import signal  # not at module level: building its enums slows every start
     sys.stdout.flush()
     sys.stderr.flush()
     parent = os.getpid()
@@ -647,6 +647,7 @@ def _run_child(work: Callable[[T], R], item: T, write_fd: int, parent: int) -> N
 def _die_with(parent: int) -> None:
     """Have the kernel kill this process when ``parent`` ends, where Linux's
     ``prctl(PR_SET_PDEATHSIG)`` exists; leave at once if it already has."""
+    import signal
     try:
         prctl = ctypes.CDLL(None, use_errno=True).prctl
     except (OSError, AttributeError):
