@@ -55,6 +55,19 @@ class TestDeterminism:
         for generated, committed in pairs:
             assert generated.read_bytes() == committed.read_bytes(), committed.name
 
+    def test_default_corpus_bytes_pinned(self, default_corpus):
+        """sha256 of the default corpus, several write blocks long, and of its
+        ground truth, as the line-at-a-time writer wrote them."""
+        pins = {
+            default_corpus.corpus_path:
+                "f3c388a0c735949209a366b19bde537871c787b038146b557252d8a0dcec939a",
+            default_corpus.truth_path:
+                "ed6d6d62f8886df2502065e37d49bcd681db9665122398e79af6041a4204c106",
+        }
+        assert default_corpus.n_records == 7586
+        for path, digest in pins.items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+
 
 class TestPolarizedCorpus:
     def test_passes_ingest_with_zero_rejects(self, tmp_path):
@@ -194,6 +207,22 @@ class TestCalibration:
         assert digest == (
             "6a41289f7c538b545e9143cee564fd46e99aa33085837e648d4c8c9c27793333"
         )
+
+    def test_long_corpus_bytes_pinned(self, tmp_path):
+        """sha256 of a corpus several write blocks long, and of its truth."""
+        ae_t, r_t = self.targets()
+        config = synth.CalibrationConfig(
+            seed=5, n_tweets=10_000, ae_targets=ae_t, pearson_targets=r_t
+        )
+        result = synth.generate_calibration(config, tmp_path)
+        pins = {
+            result.corpus_path:
+                "6fcbbdc06a67e5836dff151146ca2c4267e4b294bf395bf03e6da8d8477a1e28",
+            result.truth_path:
+                "60d08bf65cdb0ff90a8ba10d6fc40f9caf18f0224ebd3cf3ac0fb1b6787a5747",
+        }
+        for path, digest in pins.items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
     def test_truth_carries_targets(self, tmp_path):
         ae_t, r_t = self.targets()
