@@ -311,7 +311,7 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
     if (user_scores is None and "ideology" in (args.group_by or [])
             and args.scores and "user" in wanted):
         user_scores, _ = ideo.read_scores(args.scores)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    ing.make_dir(args.out_dir)
     stats: Counter = Counter()
 
     results: dict[str, eng.EngagementTable] = {}
@@ -406,7 +406,7 @@ def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
         g = gr.read_edge_list(args.graph)
     if originals is None:
         originals = _load_originals(args)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    ing.make_dir(args.out_dir)
 
     hist = rep.ideology_histograms(scores, bins=args.hist_bins, g=g,
                                    top_k=args.top_k)
@@ -467,7 +467,7 @@ def cmd_pipeline(args) -> None:
     config = _synth_config(args)
     config.validate()
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    ing.make_dir(out)
     stage_args = _parser().parse_args
 
     synth_dir = out / "synth"
@@ -478,7 +478,7 @@ def cmd_pipeline(args) -> None:
 
     table = mb.load_domain_table(synth_dir / "domains.csv")
     ingest_dir = out / "ingest"
-    ingest_dir.mkdir(exist_ok=True)
+    ing.make_dir(ingest_dir)
     originals, retweets = cmd_ingest(stage_args([
         "ingest", "--input", str(synth_dir / "corpus.jsonl"),
         "--filtered-out", str(ingest_dir / "filtered.jsonl"),
@@ -491,7 +491,7 @@ def cmd_pipeline(args) -> None:
         min_indegree = 20 if args.preset == "mini" else 100
 
     graph_dir = out / "graph"
-    graph_dir.mkdir(exist_ok=True)
+    ing.make_dir(graph_dir)
     g, influencers = cmd_graph(stage_args([
         "graph", "--input", str(ingest_dir / "filtered.jsonl"),
         "--seeds", str(synth_dir / "seeds.txt"),
@@ -504,7 +504,7 @@ def cmd_pipeline(args) -> None:
     del retweets
 
     ideology_dir = out / "ideology"
-    ideology_dir.mkdir(exist_ok=True)
+    ing.make_dir(ideology_dir)
     ideology_argv = [
         "ideology", "--graph", str(graph_dir / "graph.csv"),
         "--influencers", str(graph_dir / "influencers.txt"),

@@ -9,6 +9,10 @@ class InputError(EchoauditError):
     """An input file is missing, unreadable, or structurally unusable."""
 
 
+class OutputError(EchoauditError):
+    """An output file or directory cannot be created."""
+
+
 class EmptySelectionError(EchoauditError):
     """A selection step produced an empty result that later stages require."""
 

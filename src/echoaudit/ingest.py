@@ -21,11 +21,13 @@ timestamp is rejected under ``bad_created_at``; a count above ``2**53 - 1``
 is rejected under ``count_too_large_<field>``.  Files ending in ``.gz`` are
 transparently decompressed.
 
-A ``flat`` line in exactly the layout :func:`flat_line` writes, with values
-that ingest accepts as they stand, is decoded by one fixed-layout pattern;
-every other line is decoded as JSON, which names the reject reasons.
-:func:`write_corpus` writes the ``flat`` schema back, one :func:`flat_line`
-per record, copying the line a fixed-layout record was read from.
+The ``flat`` line layout is defined once, in :func:`flat_lines`, which
+formats a block of rows at a time; :func:`flat_line` is its one-row case.
+A ``flat`` line in exactly that layout, with values that ingest accepts as
+they stand, is decoded by one fixed-layout pattern; every other line is
+decoded as JSON, which names the reject reasons.  :func:`write_corpus`
+writes the ``flat`` schema back, one :func:`flat_line` per record, copying
+the line a fixed-layout record was read from.
 :func:`write_table` and :func:`write_json` write every CSV and
 JSON artifact of the package, and :func:`read_table` reads the CSV tables
 back; all writers go through :func:`open_atomic`.  :func:`sorted_codes`
@@ -64,7 +66,7 @@ from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
 
 import numpy as np
 
-from .errors import EchoauditError, InputError, WorkerError
+from .errors import EchoauditError, InputError, OutputError, WorkerError
 
 log = logging.getLogger(__name__)
 
@@ -284,6 +286,46 @@ def _record_from_api(obj: dict, diagnostics: Counter) -> TweetRecord:
 _SCHEMAS = {"flat": _record_from_flat, "api": _record_from_api}
 
 
+def format_epoch_seconds(seconds: Sequence[int]) -> list[str]:
+    """:func:`format_timestamp` of each of ``seconds``, whole seconds since
+    the epoch within years 1 to 9999, from one NumPy call."""
+    text = np.datetime_as_string(np.asarray(seconds, dtype=np.int64).astype("datetime64[s]"))
+    return [t + "Z" for t in text.tolist()]
+
+
+def flat_lines(created_at: Iterable[str], rows: Iterable[tuple]) -> str:
+    """The ``flat`` corpus lines of ``rows``, newlines included, as one string.
+
+    Each row holds the arguments of :func:`flat_line` in its order, less
+    ``created_at``, whose already formatted text is the matching item of
+    ``created_at``.  Each line's bytes equal ``json.dumps(record,
+    sort_keys=True) + "\\n"`` for its record: keys in sorted order, strings
+    escaped to ASCII, ``null`` for a missing ``retweeted_author_id``.  The
+    counts are ``int``.
+    """
+    esc = encode_basestring_ascii
+    lines = []
+    for ts, (tweet_id, author_id, lang, kind, retweeted_author_id, impressions, likes,
+             replies, retweets, quotes, urls, author_followers) in zip(created_at, rows):
+        retweeted = "null" if retweeted_author_id is None else esc(retweeted_author_id)
+        lines.append(
+            f'{{"author_followers": {author_followers}, '
+            f'"author_id": {esc(author_id)}, '
+            f'"created_at": {esc(ts)}, '
+            f'"impressions": {impressions}, '
+            f'"kind": {esc(kind)}, '
+            f'"lang": {esc(lang)}, '
+            f'"likes": {likes}, '
+            f'"quotes": {quotes}, '
+            f'"replies": {replies}, '
+            f'"retweeted_author_id": {retweeted}, '
+            f'"retweets": {retweets}, '
+            f'"tweet_id": {esc(tweet_id)}, '
+            f'"urls": [{", ".join(map(esc, urls)) if urls else ""}]}}\n'
+        )
+    return "".join(lines)
+
+
 def flat_line(
     tweet_id: str,
     author_id: str,
@@ -299,30 +341,11 @@ def flat_line(
     urls: list[str],
     author_followers: int,
 ) -> str:
-    """One ``flat`` corpus line, newline included.
-
-    The bytes equal ``json.dumps(record, sort_keys=True) + "\\n"`` for the
-    record with these fields: keys in sorted order, strings escaped to ASCII,
-    ``null`` for a missing ``retweeted_author_id``.  ``created_at`` is the
-    already formatted timestamp.
-    """
-    esc = encode_basestring_ascii
-    retweeted = "null" if retweeted_author_id is None else esc(retweeted_author_id)
-    return (
-        f'{{"author_followers": {author_followers:d}, '
-        f'"author_id": {esc(author_id)}, '
-        f'"created_at": {esc(created_at)}, '
-        f'"impressions": {impressions:d}, '
-        f'"kind": {esc(kind)}, '
-        f'"lang": {esc(lang)}, '
-        f'"likes": {likes:d}, '
-        f'"quotes": {quotes:d}, '
-        f'"replies": {replies:d}, '
-        f'"retweeted_author_id": {retweeted}, '
-        f'"retweets": {retweets:d}, '
-        f'"tweet_id": {esc(tweet_id)}, '
-        f'"urls": [{", ".join(map(esc, urls))}]}}\n'
-    )
+    """One ``flat`` corpus line, newline included: the one-row case of
+    :func:`flat_lines`.  ``created_at`` is the already formatted timestamp."""
+    return flat_lines((created_at,), ((
+        tweet_id, author_id, lang, kind, retweeted_author_id, impressions, likes,
+        replies, retweets, quotes, urls, author_followers),))
 
 
 # The exact layout of a :func:`flat_line` line whose every value JSON writes
@@ -505,22 +528,39 @@ def open_atomic(path: str | Path, newline: Optional[str] = None) -> Iterator[io.
     temporary file beside ``path``, which replaces
     ``path`` only when the ``with`` block ends cleanly.  On any error the
     temporary file is removed and ``path`` is left as it was, so a later
-    stage never reads a partial artifact.
+    stage never reads a partial artifact.  A ``path`` that cannot be
+    written raises :class:`OutputError`.
     """
     path = Path(path)
     tmp = _temporary(path)
     try:
-        with open(tmp, "wb") as raw:
+        raw = open(tmp, "wb")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with raw:
             # A gzip header holding the final name and no time keeps the
             # bytes a function of the text alone.
             out = (gzip.GzipFile(path.name, "wb", fileobj=raw, mtime=0)
                    if path.suffix == ".gz" else raw)
             with io.TextIOWrapper(out, encoding="utf-8", newline=newline) as fh:
                 yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def make_dir(path: Path) -> None:
+    """Create the directory ``path`` and any missing parents; one that
+    cannot be created raises :class:`OutputError`."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create directory {path}: {exc.strerror}") from None
 
 
 def _temporary(path: Path) -> Path:

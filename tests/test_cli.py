@@ -434,6 +434,59 @@ class TestErrors:
             run([])
 
 
+class TestUnwritableOutputs:
+    """An output that cannot be written exits 2 with a message naming it;
+    each of these used to end in a traceback."""
+
+    @staticmethod
+    def exit_message(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    def test_filtered_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.jsonl"
+        err = self.exit_message(["ingest", "--input", FIXTURES / "mini_corpus.jsonl",
+                                 "--filtered-out", out], capsys)
+        assert err.startswith(f"error: cannot write {out}: "), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_filtered_out_naming_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        err = self.exit_message(["ingest", "--input", FIXTURES / "mini_corpus.jsonl",
+                                 "--filtered-out", out], capsys)
+        assert err.startswith(f"error: cannot write {out}: "), err
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    def test_ranking_out_in_missing_directory(self, mini_stage_dirs, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        err = self.exit_message([
+            "graph", "--input", mini_stage_dirs / "filtered.jsonl",
+            "--seeds", FIXTURES / "mini_seeds.txt", "--min-indegree", "5",
+            "--graph-out", tmp_path / "graph.csv",
+            "--influencers-out", tmp_path / "influencers.txt",
+            "--ranking-out", out], capsys)
+        assert err.startswith(f"error: cannot write {out}: "), err
+
+    @pytest.mark.parametrize("stage", ["synth", "engagement", "report", "pipeline"])
+    def test_out_dir_naming_a_file(self, mini_stage_dirs, tmp_path, capsys, stage):
+        root = mini_stage_dirs
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        argv = {
+            "synth": ["synth", "--preset", "mini"],
+            "engagement": ["engagement", "--input", root / "filtered.jsonl"],
+            "report": ["report", "--input", root / "filtered.jsonl",
+                       "--graph", root / "graph.csv", "--scores", root / "scores.csv"],
+            "pipeline": ["pipeline", "--preset", "mini"],
+        }[stage]
+        err = self.exit_message(argv + ["--out-dir", out], capsys)
+        assert err.startswith(f"error: cannot create directory {out}: "), err
+        assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+
+
 def run_process(argv):
     """The CLI in a fresh interpreter, so exit status and stderr are real."""
     env = dict(os.environ)

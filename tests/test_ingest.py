@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import itertools
 import json
 import re
 import string
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echoaudit import ingest as ing
+from echoaudit import synth
 from echoaudit.errors import InputError
 
 from _flat_oracle import flat_corpus
@@ -535,7 +537,42 @@ UNUSUAL = make_record(
 )
 
 
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# Whole seconds since the epoch, from 0001-01-01T00:00:00Z to the last
+# second of 9999, with both ends drawn often.
+epoch_seconds = st.sampled_from([-62135596800, 253402300799]) | st.integers(
+    min_value=-62135596800, max_value=253402300799)
+small_counts = st.sampled_from([0, ing.MAX_COUNT]) | st.integers(0, ing.MAX_COUNT)
+# A row of flat_lines, with its time in epoch seconds.
+flat_rows = st.tuples(
+    epoch_seconds,
+    st.tuples(any_text, any_text, any_text, st.sampled_from(ing.KINDS),
+              st.none() | any_text, small_counts, small_counts, small_counts,
+              small_counts, small_counts, st.lists(any_text, max_size=3), small_counts))
+
+
+@st.composite
+def flat_blocks(draw):
+    """0 rows, 1 row, a few, or one more than synth writes in a block."""
+    distinct = draw(st.lists(flat_rows, min_size=1, max_size=4))
+    n = draw(st.sampled_from([0, 1, len(distinct), synth._BLOCK + 1]))
+    block = list(itertools.islice(itertools.cycle(distinct), n))
+    return [seconds for seconds, _ in block], [row for _, row in block]
+
+
 class TestFlatLine:
+    @given(block=flat_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_flat_line_and_json_dumps_oracle(self, block):
+        seconds, rows = block
+        stamps = ing.format_epoch_seconds(seconds)
+        text = ing.flat_lines(stamps, rows)
+        assert text == "".join(ing.flat_line(row[0], row[1], ts, *row[2:])
+                               for ts, row in zip(stamps, rows))
+        records = [ing.TweetRecord(row[0], row[1], EPOCH + timedelta(seconds=s), *row[2:])
+                   for s, row in zip(seconds, rows)]
+        assert text == flat_corpus(records)
+
     @given(records=st.lists(flat_records, max_size=5))
     @example(records=[UNUSUAL, make_record(retweeted_author_id="bob", urls=["a", "b"])])
     @settings(max_examples=200, deadline=None)
