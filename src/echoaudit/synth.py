@@ -327,11 +327,16 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
             followers[inf] = max(1, int(round(10 ** rng.normal(mu, sg))))
 
     # Per group, what each URL and count draw needs: the leaning classes and
-    # their weights, the unreliable outlets, and each action's rate without
-    # and with the boost, in ACTIONS order.
+    # their cumulative weights, the unreliable outlets, and each action's rate
+    # without and with the boost, in ACTIONS order.  A class is drawn as
+    # ``Generator.choice(len(classes), p=weights)`` draws it, from one
+    # ``random()`` searched in the normalised cumulative weights, without
+    # checking and summing the weights again on every call.
     classes = {g: sorted(mix) for g, mix in config.domain_mix.items()}
-    weights = {g: np.asarray([config.domain_mix[g][c] for c in classes[g]])
-               for g in sides}
+    cdf = {}
+    for g in sides:
+        cumulative = np.cumsum([config.domain_mix[g][c] for c in classes[g]])
+        cdf[g] = cumulative / cumulative[-1]
     unreliable = {g: pool.unreliable_for(g) for g in sides}
     probs = {}
     for g in sides:
@@ -382,8 +387,8 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
                     domain = choices[int(rng.integers(len(choices)))]
                     boosted = True
                 else:
-                    cls = classes[group][int(rng.choice(len(classes[group]),
-                                                        p=weights[group]))]
+                    cls = classes[group][int(cdf[group].searchsorted(rng.random(),
+                                                                      side="right"))]
                     choices = pool.reliable[cls]
                     domain = choices[int(rng.integers(len(choices)))]
                 url_serial += 1

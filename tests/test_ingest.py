@@ -553,25 +553,31 @@ flat_rows = st.tuples(
 
 @st.composite
 def flat_blocks(draw):
-    """0 rows, 1 row, a few, or one more than synth writes in a block."""
+    """Up to four distinct rows, and the order of a block that repeats them
+    in turn: 0 rows, 1 row, each once, or one row more than synth writes at
+    a time."""
     distinct = draw(st.lists(flat_rows, min_size=1, max_size=4))
     n = draw(st.sampled_from([0, 1, len(distinct), synth._BLOCK + 1]))
-    block = list(itertools.islice(itertools.cycle(distinct), n))
-    return [seconds for seconds, _ in block], [row for _, row in block]
+    return distinct, list(itertools.islice(itertools.cycle(range(len(distinct))), n))
 
 
 class TestFlatLine:
     @given(block=flat_blocks())
     @settings(max_examples=60, deadline=None)
     def test_block_equals_flat_line_and_json_dumps_oracle(self, block):
-        seconds, rows = block
-        stamps = ing.format_epoch_seconds(seconds)
-        text = ing.flat_lines(stamps, rows)
-        assert text == "".join(ing.flat_line(row[0], row[1], ts, *row[2:])
-                               for ts, row in zip(stamps, rows))
-        records = [ing.TweetRecord(row[0], row[1], EPOCH + timedelta(seconds=s), *row[2:])
-                   for s, row in zip(seconds, rows)]
-        assert text == flat_corpus(records)
+        distinct, order = block
+        stamps = ing.format_epoch_seconds([seconds for seconds, _ in distinct])
+        # Each distinct row's flat_line, checked once against the oracle.
+        lines = []
+        for ts, (seconds, row) in zip(stamps, distinct):
+            line = ing.flat_line(row[0], row[1], ts, *row[2:])
+            record = ing.TweetRecord(row[0], row[1], EPOCH + timedelta(seconds=seconds),
+                                     *row[2:])
+            assert line == flat_corpus([record])
+            lines.append(line)
+        text = ing.flat_lines(ing.format_epoch_seconds([distinct[i][0] for i in order]),
+                              [distinct[i][1] for i in order])
+        assert text == "".join(lines[i] for i in order)
 
     @given(records=st.lists(flat_records, max_size=5))
     @example(records=[UNUSUAL, make_record(retweeted_author_id="bob", urls=["a", "b"])])

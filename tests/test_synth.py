@@ -55,6 +55,33 @@ class TestDeterminism:
         for generated, committed in pairs:
             assert generated.read_bytes() == committed.read_bytes(), committed.name
 
+    def test_write_block_size_does_not_change_bytes(self, tmp_path, monkeypatch):
+        """Lines are formatted and written at most a block at a time; blocks
+        of 7 lines give the committed mini corpus and the pinned calibration
+        corpus."""
+        monkeypatch.setattr(synth, "_BLOCK", 7)
+        blocks = []
+
+        def flat_lines(created_at, rows):
+            rows = list(rows)
+            blocks.append(len(rows))
+            return ing.flat_lines(created_at, rows)
+        monkeypatch.setattr(synth, "flat_lines", flat_lines)
+        result = synth.generate(synth.mini_config(), tmp_path / "mini")
+        assert (result.corpus_path.read_bytes()
+                == (FIXTURES / "mini_corpus.jsonl").read_bytes())
+        assert max(blocks) == 7 and sum(blocks) == result.n_records
+        blocks.clear()
+        ae_t, r_t = TestCalibration().targets()
+        config = synth.CalibrationConfig(
+            seed=5, n_tweets=500, ae_targets=ae_t, pearson_targets=r_t
+        )
+        result = synth.generate_calibration(config, tmp_path / "calibration")
+        assert hashlib.sha256(result.corpus_path.read_bytes()).hexdigest() == (
+            "6a41289f7c538b545e9143cee564fd46e99aa33085837e648d4c8c9c27793333"
+        )
+        assert max(blocks) == 7 and sum(blocks) == 500
+
     def test_default_corpus_bytes_pinned(self, default_corpus):
         """sha256 of the default corpus, several write blocks long, and of its
         ground truth, as the line-at-a-time writer wrote them."""
@@ -78,6 +105,17 @@ class TestPolarizedCorpus:
         records = list(ing.parse_corpus(result.corpus_path, rejects=rejects))
         assert len(records) == result.n_records
         assert {k: v for k, v in rejects.items() if not k.endswith("_kept")} == {}
+
+    def test_class_draw_matches_generator_choice(self):
+        """synth draws a leaning class from one random() searched in the
+        normalised cumulative weights, which is what Generator.choice does."""
+        for weights in ([0.15, 0.4, 0.3, 0.15], [1.0], [0.0, 0.5, 0.5], [0.1] * 10):
+            cumulative = np.cumsum(weights)
+            cdf = cumulative / cumulative[-1]
+            a, b = np.random.default_rng(3), np.random.default_rng(3)
+            for _ in range(1000):
+                assert (a.choice(len(weights), p=weights)
+                        == cdf.searchsorted(b.random(), side="right"))
 
     def test_default_config_headline_counts(self, default_corpus):
         records = list(ing.parse_corpus(default_corpus.corpus_path))
