@@ -17,8 +17,13 @@ Every read of a plain corpus (ingest's input, and the filtered corpus that
 standalone ``graph``, ``engagement`` and ``report`` read) is split into one
 line-aligned span per usable CPU, each span parsed by the same code, all but
 the first in a forked child, and the parts merged in file order; engagement
-writes its ``ae_*.csv`` tables at once the same way.  All outputs are
-deterministic given inputs and flags, whatever the number of CPUs.
+writes its ``ae_*.csv`` tables at once the same way.  With two or more
+usable CPUs, ``pipeline`` also runs synth in a forked child that streams
+each block of its corpus to ingest here as it writes it (ingest commits its
+outputs only once synth has succeeded), and runs report in a forked child
+beside engagement.  With one, its stages run one after another.  All
+outputs are deterministic given inputs and flags, whatever the number of
+CPUs.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ import logging
 import math
 import sys
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import engagement as eng
 from . import graph as gr
@@ -78,13 +84,14 @@ def _synth_config(args):
     return synth.default_config()
 
 
-def cmd_synth(args, config=None) -> synth.SynthResult:
+def cmd_synth(args, config=None, stream: Optional[TextIO] = None) -> synth.SynthResult:
+    """Generate the corpus; each block of its lines also goes to ``stream``."""
     if config is None:
         config = _synth_config(args)
     if isinstance(config, synth.CalibrationConfig):
-        result = synth.generate_calibration(config, args.out_dir)
+        result = synth.generate_calibration(config, args.out_dir, stream)
     else:
-        result = synth.generate(config, args.out_dir)
+        result = synth.generate(config, args.out_dir, stream)
     log.info("wrote %d records to %s", result.n_records, result.corpus_path)
     return result
 
@@ -142,21 +149,25 @@ def _merged(parts: Sequence):
 
 
 def cmd_ingest(args, keep: bool = False,
-               domains: Optional[dict[str, mb.DomainProfile]] = None):
+               domains: Optional[dict[str, mb.DomainProfile]] = None,
+               corpus: Optional[TextIO] = None):
     """Filter the corpus into ``--filtered-out``, one span per usable CPU.
 
     With ``keep``, returns the table of retained original tweets (URLs
     resolved against ``domains``) and the retweet counts, gathered in the
-    same pass that writes the filtered corpus.
+    same pass that writes the filtered corpus.  ``corpus`` is an open text
+    stream of ``--input`` (see :func:`ingest.fork_stream`), read here in one
+    pass instead of the file.
     """
     corpus_filter = _corpus_filter(args)
-    spans = ing.corpus_spans(args.input)
+    source = args.input if corpus is None else corpus
+    spans = ing.corpus_spans(args.input) if corpus is None else [None]
     with ing.open_atomic_parts(args.filtered_out, len(spans)) as outs:
         def ingest_span(k: int):
             rejects: Counter = Counter()
             exclusions: Counter = Counter()
             records = ing.apply_filters(
-                ing.parse_corpus(args.input, schema=args.schema, rejects=rejects,
+                ing.parse_corpus(source, schema=args.schema, rejects=rejects,
                                  span=spans[k]),
                 corpus_filter,
                 exclusions,
@@ -211,16 +222,21 @@ def cmd_graph(args, retweets: Optional[gr.RetweetCounts] = None):
             ing.corpus_spans(args.input)))
     skipped = retweets.skipped
     g = retweets.graph(args.count_self_loops)
-    gr.write_edge_list(g, args.graph_out)
     influencers = gr.select_influencers(
         g, seeds, threshold=args.min_indegree, seed_source=str(args.seeds)
     )
-    with ing.open_atomic(args.influencers_out) as fh:
-        for uid in influencers:
-            fh.write(uid + "\n")
-    if args.ranking_out:
-        ing.write_table(args.ranking_out, ("user_id", "unique_in_degree"),
-                        gr.rank_by_in_degree(g))
+    # Every output is opened before any is committed, so one that cannot be
+    # written leaves none of them behind.
+    with ExitStack() as outputs:
+        graph_out = outputs.enter_context(ing.open_atomic(args.graph_out, newline=""))
+        influencers_out = outputs.enter_context(ing.open_atomic(args.influencers_out))
+        ranking_out = (outputs.enter_context(ing.open_atomic(args.ranking_out, newline=""))
+                       if args.ranking_out else None)
+        gr.write_edge_list(g, graph_out)
+        influencers_out.writelines(uid + "\n" for uid in influencers)
+        if ranking_out:
+            ing.write_table(ranking_out, ("user_id", "unique_in_degree"),
+                            gr.rank_by_in_degree(g))
     log.info("graph: %d nodes, %d edges, %d influencers (skipped %s)",
              g.n_nodes, g.n_edges, len(influencers), dict(skipped))
     return g, influencers
@@ -457,11 +473,14 @@ def _add_pipeline(sub) -> None:
 
 
 def cmd_pipeline(args) -> None:
-    """Run every stage in this process with the flags of the hand-run chain.
+    """Run every stage with the flags of the hand-run chain.
 
     Each stage gets the arguments its subcommand would parse from the argv
     below, and takes from memory what an earlier stage produced: the corpus
-    is parsed once, and the graph and scores are not read back.
+    is parsed once, and the graph and scores are not read back.  With two
+    or more usable CPUs, synth runs in a forked child while ingest reads its
+    corpus here as it is written, and report runs in a forked child while
+    engagement runs here; with one, the stages run one after another.
     """
     # A bad config fails before the output tree exists.
     config = _synth_config(args)
@@ -469,22 +488,40 @@ def cmd_pipeline(args) -> None:
     out = args.out_dir
     ing.make_dir(out)
     stage_args = _parser().parse_args
+    side_by_side = ing.usable_cpus() > 1
 
     synth_dir = out / "synth"
     synth_argv = ["synth", "--out-dir", str(synth_dir), "--preset", args.preset]
     if args.config:
         synth_argv += ["--config", str(args.config)]
-    cmd_synth(stage_args(synth_argv), config)
-
-    table = mb.load_domain_table(synth_dir / "domains.csv")
+    synth_args = stage_args(synth_argv)
     ingest_dir = out / "ingest"
-    ing.make_dir(ingest_dir)
-    originals, retweets = cmd_ingest(stage_args([
+    ingest_args = stage_args([
         "ingest", "--input", str(synth_dir / "corpus.jsonl"),
         "--filtered-out", str(ingest_dir / "filtered.jsonl"),
         "--rejects-out", str(ingest_dir / "rejects.csv"),
         "--exclusions-out", str(ingest_dir / "exclusions.csv"),
-    ]), keep=True, domains=table)
+    ])
+
+    def ingest(corpus: Optional[TextIO] = None):
+        table = mb.load_domain_table(synth_dir / "domains.csv")
+        ing.make_dir(ingest_dir)
+        return cmd_ingest(ingest_args, keep=True, domains=table, corpus=corpus)
+
+    if side_by_side:
+        try:
+            with ing.fork_stream(lambda stream: cmd_synth(synth_args, config, stream),
+                                 ingest_args.input) as corpus:
+                # Synth writes domains.csv before its first corpus line.
+                corpus.buffer.peek(1)
+                originals, retweets = ingest(corpus)
+        except BaseException:
+            # A synth child killed while writing leaves its temporary file.
+            ing.remove_temporaries(synth_dir)
+            raise
+    else:
+        cmd_synth(synth_args, config)
+        originals, retweets = ingest()
 
     min_indegree = args.min_indegree
     if min_indegree is None:
@@ -516,25 +553,36 @@ def cmd_pipeline(args) -> None:
         ideology_argv += ["--anchor", args.anchor]
     scores = cmd_ideology(stage_args(ideology_argv), g, influencers)
 
-    engagement_dir = out / "engagement"
-    cmd_engagement(stage_args([
+    engagement_args = stage_args([
         "engagement", "--input", str(ingest_dir / "filtered.jsonl"),
         "--domains", str(synth_dir / "domains.csv"),
         "--scores", str(ideology_dir / "scores.csv"),
         "--granularity", "all",
         "--group-by", "ideology", "--group-by", "reliability",
         "--group-by", "leaning",
-        "--out-dir", str(engagement_dir),
-    ]), originals, scores.user_scores)
-
+        "--out-dir", str(out / "engagement"),
+    ])
     report_dir = out / "report"
-    cmd_report(stage_args([
+    report_args = stage_args([
         "report", "--input", str(ingest_dir / "filtered.jsonl"),
         "--graph", str(graph_dir / "graph.csv"),
         "--scores", str(ideology_dir / "scores.csv"),
         "--domains", str(synth_dir / "domains.csv"),
         "--out-dir", str(report_dir),
-    ]), originals, g, scores)
+    ])
+    # Engagement runs first (here, as item 0), so its log records come first.
+    last_stages = [lambda: cmd_engagement(engagement_args, originals, scores.user_scores),
+                   lambda: cmd_report(report_args, originals, g, scores)]
+    if side_by_side:
+        try:
+            ing.fork_map(lambda stage: stage(), last_stages)
+        except BaseException:
+            # A report child killed while writing leaves its temporary file.
+            ing.remove_temporaries(report_dir)
+            raise
+    else:
+        for stage in last_stages:
+            stage()
 
 
 def _parser() -> argparse.ArgumentParser:

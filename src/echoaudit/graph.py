@@ -8,6 +8,7 @@ over the same corpus produce identical graphs.
 
 from __future__ import annotations
 
+import io
 import logging
 from array import array
 from collections import Counter
@@ -18,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySelectionError, InputError
-from .ingest import (MAX_COUNT, TweetRecord, intern_ids, open_maybe_gzip,
-                     read_table, sorted_codes, write_table)
+from .ingest import (MAX_COUNT, TweetRecord, intern_ids, open_atomic, open_maybe_gzip,
+                     read_table, sorted_codes)
 
 log = logging.getLogger(__name__)
 
@@ -235,8 +236,31 @@ def read_seeds(path: str | Path) -> list[str]:
         return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
 
-def write_edge_list(g: RetweetGraph, path: str | Path) -> None:
-    write_table(path, EDGE_LIST_HEADER, g.edge_list())
+# Edges formatted at a time by write_edge_list.
+_WRITE_CHUNK = 8192
+
+
+def write_edge_list(g: RetweetGraph, out: str | Path | io.TextIOBase) -> None:
+    """The ``src,dst,weight`` CSV of :meth:`RetweetGraph.edge_list`, the bytes
+    :func:`~echoaudit.ingest.write_table` writes for it.
+
+    ``out`` is a path, written all at once, or a text file opened with
+    ``newline=""``.  The rows are formatted a chunk of the out-CSR columns at
+    a time rather than one generated edge at a time, which takes about a
+    third as long.
+    """
+    if isinstance(out, (str, Path)):
+        with open_atomic(out, newline="") as fh:
+            return write_edge_list(g, fh)
+    out.write(",".join(EDGE_LIST_HEADER) + "\n")
+    ids = g.node_ids
+    sources = np.repeat(np.arange(g.n_nodes), np.diff(g.out_indptr))
+    for lo in range(0, len(sources), _WRITE_CHUNK):
+        hi = lo + _WRITE_CHUNK
+        out.write("".join([f"{src},{dst},{w}\n" for src, dst, w in zip(
+            map(ids.__getitem__, sources[lo:hi].tolist()),
+            map(ids.__getitem__, g.out_targets[lo:hi].tolist()),
+            g.out_weights[lo:hi].tolist())]))
 
 
 def read_edge_list(path: str | Path, count_self_loops: bool = False) -> RetweetGraph:

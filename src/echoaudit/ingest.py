@@ -39,6 +39,9 @@ A plain (not ``.gz``) corpus is read on every usable CPU:
 first in a forked child, handing the parts back in file order.
 :func:`open_atomic_parts` gives each span its own output and joins them in
 order, and :func:`fork_write` writes several artifacts at once.
+:func:`fork_stream` reads, as it is written, the text that a forked child
+writes (``pipeline`` ingests synth's corpus this way), and
+:func:`parse_corpus` reads that stream as it reads the file.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import sys
 import traceback
 import zlib
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -615,20 +618,12 @@ def fork_map(work: Callable[[T], R], items: Sequence[T]) -> list[R]:
     if len(items) < 2:
         return [work(item) for item in items]
     import signal  # not at module level: building its enums slows every start
-    sys.stdout.flush()
-    sys.stderr.flush()
-    parent = os.getpid()
     children: list[tuple[int, io.BufferedReader]] = []
     statuses: list[int] = []
     done = False
     try:
         for item in items[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child(work, item, write_fd, parent)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
+            children.append(_fork(work, item))
         results = [work(items[0])]
         payloads = [pipe.read() for _, pipe in children]
         done = True
@@ -638,17 +633,144 @@ def fork_map(work: Callable[[T], R], items: Sequence[T]) -> list[R]:
             if not done:
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-    for payload, status in zip(payloads, statuses):
-        if not payload:
-            raise WorkerError("a worker process ended without a result "
-                              f"(exit status {os.waitstatus_to_exitcode(status)})")
-        ok, value, records = pickle.loads(payload)
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-        if not ok:
-            raise value
-        results.append(value)
+    results.extend(map(_result, payloads, statuses))
     return results
+
+
+def _fork(work: Callable[[T], R], item: T) -> tuple[int, io.BufferedReader]:
+    """Start ``work(item)`` in a forked child (:func:`_run_child`); returns
+    its pid and the pipe its result comes back through."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _run_child(work, item, write_fd, parent)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _result(payload: bytes, status: int):
+    """A reaped child's result from its ``payload``, its log records handled
+    here; its exception is raised, and no payload raises
+    :class:`WorkerError`."""
+    if not payload:
+        raise WorkerError("a worker process ended without a result "
+                          f"(exit status {os.waitstatus_to_exitcode(status)})")
+    ok, value, records = pickle.loads(payload)
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if not ok:
+        raise value
+    return value
+
+
+# A pipe about the size of a block of synth's corpus (4,096 lines, about
+# 1 MB): the child then draws the next block while this process reads the
+# last one, instead of the two taking turns at every 64 KiB.  Linux caps a
+# pipe at 1 MiB unless the system allows more.
+_PIPE_SIZE = 1 << 20
+
+
+class _ChildText(io.RawIOBase):
+    """What a forked child writes to a pipe, as a raw stream named ``name``.
+
+    The end of the bytes reaps the child: :meth:`readinto` then handles its
+    log records and raises its exception, as :func:`fork_map` does.
+    """
+
+    def __init__(self, fd: int, name: str, pid: int, results: io.BufferedReader):
+        self._fh = open(fd, "rb", buffering=0)
+        self.name = name
+        self.pid = pid
+        self._results = results
+        self.reaped = False
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        if n == 0 and not self.reaped:
+            self.reap(kill=False)
+        return n
+
+    def reap(self, kill: bool) -> None:
+        """Wait for the child, killed first with ``kill``; unless killed,
+        take its result."""
+        import signal
+        try:
+            payload = b"" if kill else self._results.read()
+        finally:
+            self._results.close()
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        status = os.waitpid(self.pid, 0)[1]
+        self.reaped = True
+        if not kill:
+            _result(payload, status)
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+@contextmanager
+def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
+                ) -> Iterator[io.TextIOBase]:
+    """Run ``write(out)`` in a forked child and read what it writes to
+    ``out`` here, as it is written: the ``with`` block gets a text stream
+    named ``name``.
+
+    The child is made and left as in :func:`fork_map`.  At the end of the
+    stream the child is reaped and its log records are handled here; its
+    exception is raised from that read, and a child that ends without a
+    result raises :class:`WorkerError`.  A block that ends cleanly before
+    the end of the stream reads the rest; one that raises kills the child.
+    Either way the child is reaped before this returns or raises.
+    """
+    import fcntl  # not at module level, as signal in fork_map
+    read_fd, write_fd = os.pipe()
+    try:
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
+    except (AttributeError, OSError):
+        pass  # still correct, with the two processes taking turns
+
+    def child(_) -> R:
+        os.close(read_fd)
+        with open(write_fd, "w", encoding="utf-8") as out:
+            return write(out)
+
+    try:
+        pid, results = _fork(child, None)
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    raw = _ChildText(read_fd, str(name), pid, results)
+    try:
+        with io.TextIOWrapper(io.BufferedReader(raw, _PIPE_SIZE),
+                              encoding="utf-8") as text:
+            yield text
+            while raw.read(_PIPE_SIZE):
+                pass
+    finally:
+        if not raw.reaped:
+            raw.reap(kill=True)
+
+
+def remove_temporaries(directory: Path) -> None:
+    """Remove the temporary files of :func:`open_atomic` from
+    ``directory``: what a writer killed before the end of its block left."""
+    for tmp in directory.glob(".*.tmp*"):
+        tmp.unlink(missing_ok=True)
 
 
 class _KeptRecords(logging.Handler):
@@ -717,21 +839,24 @@ def fork_write(write: Callable[[T, Path], None],
         raise
 
 
-def write_table(path: str | Path, header: Sequence[str],
+def write_table(out: str | Path | io.TextIOBase, header: Sequence[str],
                 rows: Iterable[Sequence]) -> None:
-    """Write a CSV table all at once: ``header``, then one line per row.
+    """Write a CSV table: ``header``, then one line per row.
 
-    Each field is written as ``str(field)``, so a Python float gets its
-    shortest round-trip text; ``None`` becomes an empty field.  No field is
-    quoted: ingest rejects ids holding ``,`` or a line break, and every other
-    field is a number or a fixed label.
+    ``out`` is a path, written all at once, or a text file opened with
+    ``newline=""``.  Each field is written as ``str(field)``, so a Python
+    float gets its shortest round-trip text; ``None`` becomes an empty field.
+    No field is quoted: ingest rejects ids holding ``,`` or a line break, and
+    every other field is a number or a fixed label.
     """
-    with open_atomic(path, newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            ",".join(["" if f is None else str(f) for f in row]) + "\n"
-            for row in rows
-        )
+    if isinstance(out, (str, Path)):
+        with open_atomic(out, newline="") as fh:
+            return write_table(fh, header, rows)
+    out.write(",".join(header) + "\n")
+    out.writelines(
+        ",".join(["" if f is None else str(f) for f in row]) + "\n"
+        for row in rows
+    )
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -795,31 +920,37 @@ def _first_undecodable_line(path: Path) -> int:
 
 
 def parse_corpus(
-    path: str | Path,
+    source: str | Path | io.TextIOBase,
     schema: str = "flat",
     rejects: Optional[Counter] = None,
     span: Optional[Span] = None,
 ) -> Iterator[TweetRecord]:
     """Stream syntactically valid records from a newline-delimited file, or
-    from one :class:`Span` of it.
+    from one :class:`Span` of it, or from an open text stream of one.
 
-    ``rejects`` (a ``Counter``) is filled with per-reason skip counts as the
-    stream is consumed.  An unreadable file raises :class:`InputError`; a
-    malformed line is skipped, never fatal.  Output order follows input order.
+    A stream's ``name`` names the file in messages; its lines are numbered
+    from 1.  ``rejects`` (a ``Counter``) is filled with per-reason skip
+    counts as the stream is consumed.  An unreadable file raises
+    :class:`InputError`; a malformed line is skipped, never fatal.  Output
+    order follows input order.
     """
     if schema not in _SCHEMAS:
         raise InputError(f"unknown schema id: {schema!r}")
     build = _SCHEMAS[schema]
     if rejects is None:
         rejects = Counter()
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"corpus file not found: {path}")
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        if not path.is_file():
+            raise InputError(f"corpus file not found: {path}")
+        opened = open_maybe_gzip(path, span=span)
+    else:
+        path, opened = Path(source.name), nullcontext(source)
 
     fixed_layout = schema == "flat"
 
     def _stream() -> Iterator[TweetRecord]:
-        with open_maybe_gzip(path, span=span) as fh:
+        with opened as fh:
             first_line = 1 if span is None else span.first_line
             for lineno, line in enumerate(fh, start=first_line):
                 line = line.strip()

@@ -23,7 +23,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -295,8 +295,13 @@ def _write_domain_table(rows: list[tuple[str, str, str]], path: Path) -> None:
     write_table(path, ("domain", "leaning_label", "reliability"), rows)
 
 
-def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
-    """Emit a polarized corpus, its domain table, hub seeds and ground truth."""
+def generate(config: GeneratorConfig, out_dir: str | Path,
+             stream: Optional[TextIO] = None) -> SynthResult:
+    """Emit a polarized corpus, its domain table, hub seeds and ground truth.
+
+    The domain table is written first, before any corpus line.  Each block of
+    corpus lines also goes to ``stream``, when given, as it is written.
+    """
     config.validate()
     out_dir = Path(out_dir)
     make_dir(out_dir)
@@ -317,6 +322,8 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
             community[inf] = side
 
     pool = _DomainPool(config)
+    domains_path = out_dir / "domains.csv"
+    _write_domain_table(pool.rows(), domains_path)
     followers: dict[str, int] = {}
     for u in users:
         mu, sg = config.follower_log10
@@ -347,12 +354,15 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
     # counts the records.
     corpus_path = out_dir / "corpus.jsonl"
     with open_atomic(corpus_path) as fh:
+        outs = (fh,) if stream is None else (fh, stream)
         tweet_no = 0
         rows: list[tuple] = []
         stamps: list[int] = []
 
         def flush() -> None:
-            fh.write(flat_lines(format_epoch_seconds(stamps), rows))
+            text = flat_lines(format_epoch_seconds(stamps), rows)
+            for out in outs:
+                out.write(text)
             rows.clear()
             stamps.clear()
 
@@ -448,9 +458,6 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
         for inf in hubs:
             fh.write(inf + "\n")
 
-    domains_path = out_dir / "domains.csv"
-    _write_domain_table(pool.rows(), domains_path)
-
     truth = GroundTruth(
         community=community,
         planted_hubs=hubs,
@@ -469,9 +476,11 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> SynthResult:
     )
 
 
-def generate_calibration(config: CalibrationConfig, out_dir: str | Path) -> SynthResult:
+def generate_calibration(config: CalibrationConfig, out_dir: str | Path,
+                         stream: Optional[TextIO] = None) -> SynthResult:
     """Emit an engagement corpus hitting the configured AE and correlation
-    targets.
+    targets.  As in :func:`generate`, the (empty) domain table comes first
+    and ``stream`` gets each block of corpus lines.
 
     The per-tweet action rates are log-normal around each AE target with the
     sample correlation against log10 followers made exact by projecting the
@@ -517,18 +526,23 @@ def generate_calibration(config: CalibrationConfig, out_dir: str | Path) -> Synt
     start, end = _parse_range(config.date_range)
     stamps = rng.integers(start, end, n)
 
+    domains_path = out_dir / "domains.csv"
+    _write_domain_table([], domains_path)
     corpus_path = out_dir / "corpus.jsonl"
     with open_atomic(corpus_path) as fh:
+        outs = (fh,) if stream is None else (fh, stream)
         for lo in range(0, n, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             columns = zip(range(lo, n), impressions[block].tolist(),
                           counts["like"][block].tolist(), counts["reply"][block].tolist(),
                           counts["retweet"][block].tolist(),
                           counts["quote"][block].tolist(), followers[block].tolist())
-            fh.write(flat_lines(format_epoch_seconds(stamps[block]), (
+            text = flat_lines(format_epoch_seconds(stamps[block]), (
                 (f"c{i:07d}", f"cal{i:07d}", "en", "original", None, imps, likes,
                  replies, retweets, quotes, (), n_followers)
-                for i, imps, likes, replies, retweets, quotes, n_followers in columns)))
+                for i, imps, likes, replies, retweets, quotes, n_followers in columns))
+            for out in outs:
+                out.write(text)
 
     truth = GroundTruth(
         community={},
@@ -539,8 +553,6 @@ def generate_calibration(config: CalibrationConfig, out_dir: str | Path) -> Synt
     truth_path = out_dir / "ground_truth.json"
     truth.to_json(truth_path)
 
-    domains_path = out_dir / "domains.csv"
-    _write_domain_table([], domains_path)
     seeds_path = out_dir / "seeds.txt"
     with open_atomic(seeds_path):
         pass

@@ -5,14 +5,19 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
 
 from echoaudit import cli
+from echoaudit import engagement as eng
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
 from echoaudit import ingest as ing
+from echoaudit import report as rep
+from echoaudit import synth
+from echoaudit.errors import InputError, OutputError
 
 from conftest import FIXTURES, ROOT
 
@@ -470,6 +475,22 @@ class TestUnwritableOutputs:
             "--ranking-out", out], capsys)
         assert err.startswith(f"error: cannot write {out}: "), err
 
+    @pytest.mark.parametrize("flag", ["--influencers-out", "--ranking-out"])
+    def test_graph_commits_no_output_if_one_cannot_be_written(
+            self, mini_stage_dirs, tmp_path, capsys, flag):
+        """``graph.csv`` (and ``influencers.txt``) used to be committed before
+        the later output failed."""
+        outputs = {"--graph-out": tmp_path / "graph.csv",
+                   "--influencers-out": tmp_path / "influencers.txt",
+                   "--ranking-out": tmp_path / "ranking.csv"}
+        outputs[flag] = tmp_path / "missing" / outputs[flag].name
+        err = self.exit_message([
+            "graph", "--input", mini_stage_dirs / "filtered.jsonl",
+            "--seeds", FIXTURES / "mini_seeds.txt", "--min-indegree", "5",
+            *(arg for pair in outputs.items() for arg in pair)], capsys)
+        assert err.startswith(f"error: cannot write {outputs[flag]}: "), err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("stage", ["synth", "engagement", "report", "pipeline"])
     def test_out_dir_naming_a_file(self, mini_stage_dirs, tmp_path, capsys, stage):
         root = mini_stage_dirs
@@ -714,24 +735,35 @@ class TestPipeline:
             for name in want:
                 assert got[name] == want[name], f"{stage}/{name}"
 
-    def test_same_trees_at_one_and_three_cpus(self, tmp_path, monkeypatch):
+    def test_same_trees_and_log_at_one_two_and_three_cpus(self, tmp_path, monkeypatch,
+                                                           caplog):
         """``pipeline --preset default``, then the five standalone stages over
-        its plain corpus, write the same bytes (``diff -r``) at one and at
-        three usable CPUs."""
-        trees = []
-        for n in (1, 3):
+        its plain corpus, write the same bytes (``diff -r``) at one, two and
+        three usable CPUs, and the pipeline logs the same lines in the same
+        order."""
+        trees, logs = [], []
+        caplog.set_level(logging.DEBUG, logger="echoaudit")
+        for n in (1, 2, 3):
             monkeypatch.setattr(ing, "usable_cpus", lambda n=n: n)
             out = tmp_path / f"cpus{n}"
+            caplog.clear()
             run(["pipeline", "--preset", "default", "--out-dir", out / "piped"])
+            logs.append([(r.levelname, r.getMessage().replace(str(out), "OUT"))
+                         for r in caplog.records])
             synth_dir = out / "piped" / "synth"
             assert chain_by_hand(synth_dir / "corpus.jsonl", synth_dir / "seeds.txt",
                                  synth_dir / "domains.csv", 100,
                                  out / "hand") == [0] * 5
             trees.append(tree_bytes(out))
-        one, three = trees
-        assert len(one) > 30 and sorted(one) == sorted(three)
-        for name in one:
-            assert one[name] == three[name], name
+        one = trees[0]
+        assert len(one) > 30
+        for other in trees[1:]:
+            assert sorted(one) == sorted(other)
+            for name in one:
+                assert one[name] == other[name], name
+        assert logs[0][0] == ("INFO", "wrote 7586 records to OUT/piped/synth/corpus.jsonl")
+        assert logs[0][1][1].startswith("retained ")
+        assert logs[1] == logs[0] and logs[2] == logs[0]
 
     def test_corpus_parsed_once_and_nothing_read_back(self, tmp_path, monkeypatch):
         calls = Counter()
@@ -782,3 +814,111 @@ class TestPipeline:
             (tmp_path / "run" / "report" / "summary.json").read_text()
         )
         assert summary["diagonal_mass_share"] >= 0.9
+
+
+def hidden_files(root):
+    """Every hidden file or directory under ``root``: temporary and part
+    files are hidden."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob(".*"))
+
+
+class TestPipelineFailures:
+    """With two usable CPUs ``pipeline`` runs synth beside ingest, and report
+    beside engagement.  A failure in any of them exits 2 with its message and
+    leaves no hidden temporary or part file and no child process."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ing, "usable_cpus", lambda: 2)
+
+    @staticmethod
+    def exit_message(out, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["pipeline", "--preset", "mini", "--out-dir", out])
+        assert exc.value.code == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return capsys.readouterr().err
+
+    @staticmethod
+    def synth_blocks(monkeypatch, then):
+        """Synth writes 100-line blocks and calls ``then(k)`` before
+        formatting block ``k``, counted from 0."""
+        format_block = synth.flat_lines
+        calls = []
+
+        def flat_lines(*args):
+            then(len(calls))
+            calls.append(None)
+            return format_block(*args)
+
+        monkeypatch.setattr(synth, "_BLOCK", 100)
+        monkeypatch.setattr(synth, "flat_lines", flat_lines)
+
+    def test_synth_error_partway_through_the_corpus(self, tmp_path, capsys, monkeypatch):
+        def fail_at_third_block(k):
+            if k == 3:
+                raise OutputError("disk full")
+
+        self.synth_blocks(monkeypatch, fail_at_third_block)
+        out = tmp_path / "run"
+        assert self.exit_message(out, capsys) == "error: disk full\n"
+        assert list((out / "ingest").rglob("*")) == []
+        assert hidden_files(out) == []
+
+    def test_synth_error_before_the_first_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "synth").write_text("taken\n")
+        err = self.exit_message(out, capsys)
+        assert err.startswith(f"error: cannot create directory {out / 'synth'}: "), err
+        assert sorted(p.name for p in out.iterdir()) == ["synth"]
+
+    def test_unwritable_ingest_output_stops_synth(self, tmp_path, capsys, monkeypatch):
+        def hang_after_first_block(k):
+            if k == 1:
+                time.sleep(60)
+
+        self.synth_blocks(monkeypatch, hang_after_first_block)
+        out = tmp_path / "run"
+        taken = out / "ingest" / ".filtered.tmp.jsonl"
+        taken.mkdir(parents=True)
+        started = time.monotonic()
+        err = self.exit_message(out, capsys)
+        assert time.monotonic() - started < 30
+        assert err.startswith(f"error: cannot write {out / 'ingest' / 'filtered.jsonl'}: "), err
+        assert not (out / "synth" / ".corpus.tmp.jsonl").exists()
+        assert hidden_files(out) == ["ingest/.filtered.tmp.jsonl"]
+
+    def test_report_error_while_engagement_succeeds(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InputError("report broke")
+
+        monkeypatch.setattr(rep, "neighbor_opinion_grid", broken)
+        out = tmp_path / "run"
+        assert self.exit_message(out, capsys) == "error: report broke\n"
+        assert (out / "engagement" / "engagement_stats.csv").is_file()
+        assert hidden_files(out) == []
+
+    def test_engagement_error_kills_report_mid_write(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        report_tmp = out / "report" / ".ideology_histograms.tmp.csv"
+
+        def hanging_write(hist, path):
+            with ing.open_atomic(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                time.sleep(60)
+
+        def broken(*args):
+            deadline = time.monotonic() + 30
+            while not report_tmp.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise InputError("engagement broke")
+
+        monkeypatch.setattr(rep, "write_histogram", hanging_write)
+        monkeypatch.setattr(eng, "write_correlations", broken)
+        started = time.monotonic()
+        assert self.exit_message(out, capsys) == "error: engagement broke\n"
+        assert time.monotonic() - started < 30
+        assert hidden_files(out) == []

@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -317,3 +318,30 @@ def test_edge_list_round_trip_property(tmp_path_factory, edges, count_self_loops
     path = tmp_path_factory.mktemp("edges") / "graph.csv"
     gr.write_edge_list(g, path)
     assert_same_graph(gr.read_edge_list(path, count_self_loops), g)
+
+
+@given(
+    edges=st.lists(st.one_of(
+        st.tuples(_csv_ids, _csv_ids),
+        _csv_ids.map(lambda uid: (uid, uid)),
+    ), max_size=40),
+    weights=st.lists(st.integers(1, ing.MAX_COUNT) | st.sampled_from([1, ing.MAX_COUNT]),
+                     min_size=40, max_size=40),
+    count_self_loops=st.booleans(),
+    chunk=st.sampled_from([1, 3, gr._WRITE_CHUNK]),
+)
+@settings(max_examples=200, deadline=None)
+def test_edge_list_bytes_match_write_table_property(tmp_path_factory, edges, weights,
+                                                    count_self_loops, chunk):
+    """The columnar writer writes the bytes ``write_table`` writes for
+    ``edge_list()``, for NUL and non-ASCII ids, self-loops and weights up to
+    ``MAX_COUNT``, whatever its chunk size."""
+    counts = gr.RetweetCounts()
+    for (src, dst), w in zip(dict.fromkeys(edges), weights):
+        counts.add_edge(src, dst, w)
+    g = counts.graph(count_self_loops)
+    root = tmp_path_factory.mktemp("edges")
+    with mock.patch.object(gr, "_WRITE_CHUNK", chunk):
+        gr.write_edge_list(g, root / "columns.csv")
+    ing.write_table(root / "rows.csv", gr.EDGE_LIST_HEADER, g.edge_list())
+    assert (root / "columns.csv").read_bytes() == (root / "rows.csv").read_bytes()

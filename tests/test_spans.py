@@ -175,6 +175,71 @@ class TestForkMap:
         assert_no_children()
 
 
+def _write_lines(lines, then=None):
+    """A ``fork_stream`` child that logs, writes ``lines``, then calls
+    ``then``."""
+    def write(out):
+        logging.getLogger("echoaudit.test").warning("child started")
+        for line in lines:
+            out.write(line)
+            out.flush()
+        if then is not None:
+            then()
+        return len(lines)
+    return write
+
+
+class TestForkStream:
+    def test_text_as_written_then_the_child_log(self, caplog, tmp_path):
+        caplog.set_level(logging.WARNING, logger="echoaudit")
+        name = tmp_path / "corpus.jsonl"
+        with ing.fork_stream(_write_lines(["a\n", "b\r\n", "c"]), name) as text:
+            assert text.name == str(name)
+            assert text.readline() == "a\n"
+            assert caplog.records == []
+            assert text.read() == "b\nc"
+            assert [r.getMessage() for r in caplog.records] == ["child started"]
+        assert_no_children()
+
+    def test_child_error_raised_at_the_end(self, tmp_path):
+        def fail():
+            raise InputError("synth broke")
+
+        with pytest.raises(InputError, match="synth broke"):
+            with ing.fork_stream(_write_lines(["a\n"], fail), tmp_path / "c") as text:
+                assert text.readline() == "a\n"
+                text.read()
+        assert_no_children()
+
+    def test_clean_exit_before_the_end_reads_the_rest(self, tmp_path):
+        def fail():
+            raise InputError("late failure")
+
+        with pytest.raises(InputError, match="late failure"):
+            with ing.fork_stream(_write_lines(["a\n"] * 5000, fail), tmp_path / "c"):
+                pass
+        assert_no_children()
+
+    def test_error_here_kills_and_reaps_the_child(self, tmp_path):
+        started = time.monotonic()
+        with pytest.raises(KeyError):
+            with ing.fork_stream(_write_lines(["a\n"], lambda: time.sleep(60)),
+                                 tmp_path / "c") as text:
+                assert text.readline() == "a\n"
+                raise KeyError("reader failed")
+        assert time.monotonic() - started < 30
+        assert_no_children()
+
+    def test_child_ending_without_a_result(self, tmp_path):
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(WorkerError, match=r"exit status -9"):
+            with ing.fork_stream(_write_lines(["a\n"], die), tmp_path / "c") as text:
+                text.read()
+        assert_no_children()
+
+
 # ---------------------------------------------------------------------------
 # Failures through the CLI
 # ---------------------------------------------------------------------------
@@ -422,5 +487,28 @@ def test_span_count_changes_nothing(corpus, n):
         ing.write_count_report(exclusions, tmp / "exclusions.csv")
         for name in ("rejects.csv", "exclusions.csv"):
             assert want[0][name] == (tmp / name).read_bytes()
+    assert got == want
+    assert_no_children()
+
+
+@given(corpus=corpora())
+@settings(max_examples=50, deadline=None)
+def test_stream_of_the_file_reads_as_the_file(corpus):
+    """``parse_corpus`` over a ``fork_stream`` named after the corpus gives
+    the records, kept lines, reject counts and debug lines of the file."""
+    schema, text = corpus
+
+    def parsed(source):
+        rejects = Counter()
+        with debug_log() as messages:
+            records = list(ing.parse_corpus(source, schema, rejects))
+        return records, [r.line for r in records], rejects, messages
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        want = parsed(path)
+        with ing.fork_stream(lambda out: out.write(text), path) as stream:
+            got = parsed(stream)
     assert got == want
     assert_no_children()
