@@ -33,17 +33,16 @@ import logging
 import math
 import sys
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
+from . import blocks as blk
 from . import engagement as eng
 from . import graph as gr
 from . import ideology as ideo
 from . import ingest as ing
 from . import mediabias as mb
-from . import report as rep
-from . import synth
 from .errors import EchoauditError, InputError
 
 log = logging.getLogger("echoaudit")
@@ -77,6 +76,7 @@ def _add_synth(sub) -> None:
 
 
 def _synth_config(args):
+    from . import synth  # not at module level: only synth and pipeline use it
     if args.config:
         return synth.config_from_json(args.config)
     if args.preset == "mini":
@@ -86,6 +86,7 @@ def _synth_config(args):
 
 def cmd_synth(args, config=None, stream: Optional[TextIO] = None) -> synth.SynthResult:
     """Generate the corpus; each block of its lines also goes to ``stream``."""
+    from . import synth
     if config is None:
         config = _synth_config(args)
     if isinstance(config, synth.CalibrationConfig):
@@ -129,15 +130,13 @@ def _corpus_filter(args) -> ing.CorpusFilter:
     return ing.CorpusFilter(**kwargs)
 
 
-def _retain(records: Iterator[ing.TweetRecord], originals: eng.OriginalsTable,
-            retweets: gr.RetweetCounts) -> Iterator[ing.TweetRecord]:
-    """Pass records through, keeping what the later pipeline stages read."""
-    for rec in records:
-        if rec.kind in ing.KINDS_FOR_ENGAGEMENT:
-            originals.add(rec)
-        if rec.kind in ing.KINDS_FOR_NETWORK:
-            retweets.add(rec)
-        yield rec
+def _kept(runs: Iterator[blk.CorpusColumns], originals: eng.OriginalsTable,
+          retweets: gr.RetweetCounts) -> Iterator[blk.CorpusColumns]:
+    """Pass runs through, appending what the later pipeline stages read."""
+    for run in runs:
+        originals.extend_columns(run.of_kinds(ing.KINDS_FOR_ENGAGEMENT))
+        retweets.extend_columns(run.of_kinds(ing.KINDS_FOR_NETWORK))
+        yield run
 
 
 def _merged(parts: Sequence):
@@ -166,17 +165,17 @@ def cmd_ingest(args, keep: bool = False,
         def ingest_span(k: int):
             rejects: Counter = Counter()
             exclusions: Counter = Counter()
-            records = ing.apply_filters(
-                ing.parse_corpus(source, schema=args.schema, rejects=rejects,
-                                 span=spans[k]),
+            runs = blk.filter_columns(
+                blk.corpus_columns(source, schema=args.schema, rejects=rejects,
+                                   span=spans[k]),
                 corpus_filter,
                 exclusions,
             )
             kept = None
             if keep:
                 kept = eng.OriginalsTable(domains), gr.RetweetCounts()
-                records = _retain(records, *kept)
-            return ing.write_corpus(records, outs[k]), rejects, exclusions, kept
+                runs = _kept(runs, *kept)
+            return blk.write_corpus_columns(runs, outs[k]), rejects, exclusions, kept
 
         written, span_rejects, span_exclusions, kept = zip(
             *ing.fork_map(ingest_span, range(len(spans))))
@@ -217,8 +216,9 @@ def cmd_graph(args, retweets: Optional[gr.RetweetCounts] = None):
     seeds = gr.read_seeds(args.seeds)
     if retweets is None:
         retweets = _merged(ing.fork_map(
-            lambda span: gr.RetweetCounts.from_records(
-                ing.network_subset(ing.parse_corpus(args.input, span=span))),
+            lambda span: gr.RetweetCounts.from_columns(
+                run.of_kinds(ing.KINDS_FOR_NETWORK)
+                for run in blk.corpus_columns(args.input, span=span)),
             ing.corpus_spans(args.input)))
     skipped = retweets.skipped
     g = retweets.graph(args.count_self_loops)
@@ -310,8 +310,9 @@ def _load_originals(args) -> eng.OriginalsTable:
     CPU, with the URLs resolved against ``--domains`` when given."""
     table = mb.load_domain_table(args.domains) if args.domains else None
     return _merged(ing.fork_map(
-        lambda span: eng.OriginalsTable.from_records(
-            ing.engagement_subset(ing.parse_corpus(args.input, span=span)), table),
+        lambda span: eng.OriginalsTable.from_columns(
+            (run.of_kinds(ing.KINDS_FOR_ENGAGEMENT)
+             for run in blk.corpus_columns(args.input, span=span)), table),
         ing.corpus_spans(args.input)))
 
 
@@ -390,10 +391,11 @@ def _add_report(sub) -> None:
     p.add_argument("--graph", type=Path, required=True, help="edge-list CSV")
     p.add_argument("--scores", type=Path, required=True, help="ideology scores CSV")
     p.add_argument("--domains", type=Path, default=None)
-    p.add_argument("--bins", type=_AT_LEAST_ONE, default=rep.DEFAULT_GRID_BINS)
-    p.add_argument("--hist-bins", type=_AT_LEAST_ONE, default=rep.DEFAULT_HIST_BINS)
-    p.add_argument("--top-k", type=_NON_NEGATIVE, default=rep.DEFAULT_TOP_INFLUENCERS)
-    p.add_argument("--min-shares", type=_NON_NEGATIVE, default=rep.DEFAULT_MIN_SHARES)
+    # cmd_report fills in these four defaults, so that parsing does not import report.
+    p.add_argument("--bins", type=_AT_LEAST_ONE)
+    p.add_argument("--hist-bins", type=_AT_LEAST_ONE)
+    p.add_argument("--top-k", type=_NON_NEGATIVE)
+    p.add_argument("--min-shares", type=_NON_NEGATIVE)
     p.add_argument("--in-neighbors", action="store_true",
                    help="use in-neighbors for the echo grid")
     p.add_argument("--out-dir", type=Path, required=True)
@@ -412,6 +414,11 @@ def _scores_from_csv(path: Path) -> ideo.IdeologyScores:
 def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
                g: Optional[gr.RetweetGraph] = None,
                scores: Optional[ideo.IdeologyScores] = None) -> None:
+    from . import report as rep  # not at module level: only report uses it
+    bins = rep.DEFAULT_GRID_BINS if args.bins is None else args.bins
+    hist_bins = rep.DEFAULT_HIST_BINS if args.hist_bins is None else args.hist_bins
+    top_k = rep.DEFAULT_TOP_INFLUENCERS if args.top_k is None else args.top_k
+    min_shares = rep.DEFAULT_MIN_SHARES if args.min_shares is None else args.min_shares
     # Read every input before creating the output directory, so a bad input
     # leaves nothing behind.
     if scores is None:
@@ -424,16 +431,15 @@ def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
         originals = _load_originals(args)
     ing.make_dir(args.out_dir)
 
-    hist = rep.ideology_histograms(scores, bins=args.hist_bins, g=g,
-                                   top_k=args.top_k)
+    hist = rep.ideology_histograms(scores, bins=hist_bins, g=g, top_k=top_k)
     rep.write_histogram(hist, args.out_dir / "ideology_histograms.csv")
 
-    grid = rep.neighbor_opinion_grid(scores, g, bins=args.bins,
+    grid = rep.neighbor_opinion_grid(scores, g, bins=bins,
                                      use_in_neighbors=args.in_neighbors)
     rep.write_grid(grid, args.out_dir / "neighbor_grid.csv",
                    args.out_dir / "neighbor_grid.json")
 
-    densities = rep.ae_followers_density(originals, bins=args.bins)
+    densities = rep.ae_followers_density(originals, bins=bins)
     for action, density in sorted(densities.items()):
         rep.write_grid(density, args.out_dir / f"ae_density_{action}.csv",
                        args.out_dir / f"ae_density_{action}.json")
@@ -441,8 +447,7 @@ def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
     if originals.domains is not None:
         class_counts = mb.user_class_counts(originals)
         per_class = rep.leaning_ideology_distributions(
-            scores, class_counts, min_shares=args.min_shares,
-            bins=args.hist_bins,
+            scores, class_counts, min_shares=min_shares, bins=hist_bins,
         )
         for label, series in sorted(per_class.items()):
             rep.write_histogram(
@@ -509,6 +514,7 @@ def cmd_pipeline(args) -> None:
         return cmd_ingest(ingest_args, keep=True, domains=table, corpus=corpus)
 
     if side_by_side:
+        made = not ingest_dir.exists()
         try:
             with ing.fork_stream(lambda stream: cmd_synth(synth_args, config, stream),
                                  ingest_args.input) as corpus:
@@ -516,8 +522,12 @@ def cmd_pipeline(args) -> None:
                 corpus.buffer.peek(1)
                 originals, retweets = ingest(corpus)
         except BaseException:
-            # A synth child killed while writing leaves its temporary file.
+            # A synth child killed while writing leaves its temporary file;
+            # ingest's directory, made before synth ended, goes if empty.
             ing.remove_temporaries(synth_dir)
+            if made:
+                with suppress(OSError):
+                    ingest_dir.rmdir()
             raise
     else:
         cmd_synth(synth_args, config)

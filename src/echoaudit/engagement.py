@@ -8,11 +8,11 @@ exceed 1 on real data (impressions and actions are measured at different
 times); such values are flagged, never clamped.
 
 Original tweets are held as an :class:`OriginalsTable` of NumPy columns,
-filled one record at a time as the corpus streams past, and every consumer
-works on those columns.  Pooled sums are exact: a subject's terms are summed
-with ``math.fsum``, so a result does not depend on record order.  Ingest caps
-every count at ``2**53 - 1``, so the float64 ratios equal Python's correctly
-rounded ``int / int``.
+filled a run of corpus columns at a time as the corpus streams past, and
+every consumer works on those columns.  Pooled sums are exact: a subject's
+terms are summed with ``math.fsum``, so a result does not depend on record
+order.  Ingest caps every count at ``2**53 - 1``, so the float64 ratios
+equal Python's correctly rounded ``int / int``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import mediabias as mb
 from .errors import EchoauditError
-from .ingest import (TweetRecord, intern_ids, open_atomic, sorted_codes, tally,
-                     write_table)
+from .blocks import CorpusColumns
+from .ingest import TweetRecord, intern_ids, open_atomic, sorted_codes, tally, write_table
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +47,8 @@ def _view(column: array) -> np.ndarray:
 
 
 class OriginalsTable:
-    """Original tweets as columns, appended one record at a time.
+    """Original tweets as columns, appended one record (:meth:`add`) or one
+    run of corpus columns (:meth:`extend_columns`) at a time.
 
     * ``tweet_codes``/``author_codes`` number the distinct ids in first-seen
       order (``author_ids`` lists the authors in that order);
@@ -60,7 +61,7 @@ class OriginalsTable:
       Without a domain table every row is empty.
 
     The column views share memory with the growing buffers: while one is
-    alive, :meth:`add` and :meth:`extend` raise ``BufferError``.  A pickled
+    alive, every method that appends raises ``BufferError``.  A pickled
     table leaves its domain table behind: its domain codes index the
     profiles of the table it is merged into by :meth:`extend`.
     """
@@ -92,6 +93,17 @@ class OriginalsTable:
             table.add(rec)
         return table
 
+    @classmethod
+    def from_columns(
+        cls,
+        runs: Iterable[CorpusColumns],
+        domains: Optional[Mapping[str, mb.DomainProfile]] = None,
+    ) -> "OriginalsTable":
+        table = cls(domains)
+        for run in runs:
+            table.extend_columns(run)
+        return table
+
     def add(self, rec: TweetRecord) -> None:
         vocab = self._tweet_vocab
         self._tweet.append(vocab.setdefault(rec.tweet_id, len(vocab)))
@@ -112,6 +124,31 @@ class OriginalsTable:
                 else:
                     self._url_domains.append(code)
         self._indptr.append(len(self._url_domains))
+
+    def extend_columns(self, run: CorpusColumns) -> None:
+        """Append each record of ``run`` in turn, as :meth:`add` does."""
+        for column, vocab, ids in ((self._tweet, self._tweet_vocab, run.tweet_id),
+                                   (self._author, self._author_vocab, run.author_id)):
+            column.frombytes(intern_ids(vocab, ids).tobytes())
+        for column, values in ((self._impressions, run.impressions),
+                               (self._followers, run.author_followers),
+                               (self._actions["retweet"], run.retweets),
+                               (self._actions["reply"], run.replies),
+                               (self._actions["like"], run.likes),
+                               (self._actions["quote"], run.quotes)):
+            column.frombytes(values.tobytes())
+        matched = np.zeros(len(run), dtype=np.int64)
+        if self.domains is not None:
+            url_lists = run.url_lists()
+            codes = [self._domain_code.get(mb.extract_domain(url))
+                     for urls in url_lists for url in urls]
+            found = np.array([code is not None for code in codes], dtype=bool)
+            owners = np.repeat(np.arange(len(run)),
+                               np.fromiter(map(len, url_lists), np.int64, len(run)))
+            matched = np.bincount(owners[found], minlength=len(run))
+            self.unmatched_urls += len(codes) - len(owners[found])
+            self._url_domains.extend([code for code in codes if code is not None])
+        self._indptr.frombytes((self._indptr[-1] + matched.cumsum()).tobytes())
 
     def extend(self, other: "OriginalsTable") -> None:
         """Append ``other``'s records, as if each were added here after this

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import io
 import logging
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptySelectionError, InputError
-from .ingest import (MAX_COUNT, TweetRecord, intern_ids, open_atomic, open_maybe_gzip,
-                     read_table, sorted_codes)
+from .blocks import CorpusColumns, read_table, tally_rows
+from .ingest import (KINDS, MAX_COUNT, TweetRecord, intern_ids, open_atomic, open_maybe_gzip,
+                     sorted_codes)
 
 log = logging.getLogger(__name__)
 
@@ -89,12 +92,13 @@ class RetweetGraph:
 
 
 class RetweetCounts:
-    """Retweet multiplicity per (retweeter, author) pair, one edge at a time.
+    """Retweet multiplicity per (retweeter, author) pair.
 
     Ids are interned in first-seen order; each edge is appended as (source
     code, target code, weight) to int64 columns, and ``graph`` sums repeated
     pairs.  Records that are not retweets, or lack a target, are skipped and
-    counted in ``skipped``.
+    counted in ``skipped``.  Records are added one at a time (:meth:`add`)
+    or a run of columns at a time (:meth:`extend_columns`).
     """
 
     def __init__(self, skipped: Optional[Counter] = None):
@@ -108,6 +112,13 @@ class RetweetCounts:
         counts = cls(skipped)
         for rec in records:
             counts.add(rec)
+        return counts
+
+    @classmethod
+    def from_columns(cls, runs: Iterable[CorpusColumns]) -> "RetweetCounts":
+        counts = cls()
+        for run in runs:
+            counts.extend_columns(run)
         return counts
 
     def add(self, rec: TweetRecord) -> None:
@@ -124,6 +135,27 @@ class RetweetCounts:
         self._src.append(vocab.setdefault(src, len(vocab)))
         self._dst.append(vocab.setdefault(dst, len(vocab)))
         self._weight.append(weight)
+
+    def extend_columns(self, run: CorpusColumns) -> None:
+        """Add each record of ``run`` in turn, as :meth:`add` does."""
+        retweet = run.kind == KINDS.index("retweet")
+        target = np.fromiter(map(bool, run.retweeted_author_id), bool, len(run))
+        tally_rows(self.skipped, not_a_retweet=~retweet,
+                   missing_retweeted_author=retweet & ~target)
+        edges = (retweet & target).tolist()
+        self.add_edges(compress(run.author_id, edges),
+                       compress(run.retweeted_author_id, edges))
+
+    def add_edges(self, src: Iterable[str], dst: Iterable[str],
+                  weights: Optional[np.ndarray] = None) -> None:
+        """:meth:`add_edge` of each ``(src, dst, weight)``; every weight is
+        1 without ``weights``."""
+        codes = intern_ids(self._vocab, list(chain.from_iterable(zip(src, dst))))
+        self._src.frombytes(codes[0::2].tobytes())
+        self._dst.frombytes(codes[1::2].tobytes())
+        if weights is None:
+            weights = np.ones(len(codes) // 2, dtype=np.int64)
+        self._weight.frombytes(weights.astype(np.int64, copy=False).tobytes())
 
     def extend(self, other: "RetweetCounts") -> None:
         """Append ``other``'s edges and skip counts, as if each of its records
@@ -263,23 +295,32 @@ def write_edge_list(g: RetweetGraph, out: str | Path | io.TextIOBase) -> None:
             g.out_weights[lo:hi].tolist())]))
 
 
+# The text of a retweet count that read_edge_list accepts: 1 to 16 ASCII
+# digits.
+_WEIGHT = re.compile("[0-9]{1,16}")
+
+
 def read_edge_list(path: str | Path, count_self_loops: bool = False) -> RetweetGraph:
     """Rebuild a graph from a ``src,dst,weight`` CSV export; rows of one
     pair add up, and neither a row nor a sum may exceed ``MAX_COUNT``."""
     counts = RetweetCounts()
     for lineno, (src, dst, w) in read_table(path, EDGE_LIST_HEADER, "edge list"):
-        # A retweet count: at most 16 ASCII digits, in [1, MAX_COUNT].
-        if (not (w.isascii() and w.isdigit() and len(w) <= 16)
-                or not 1 <= (wt := int(w)) <= MAX_COUNT):
-            raise InputError(f"{path}:{lineno}: weight {w!r} is not an integer "
-                             f"in [1, {MAX_COUNT}]")
-        counts.add_edge(src, dst, wt)
+        digits = "".join(w)
+        ok = digits.isascii() and digits.isdigit() and "" not in w and max(map(len, w)) <= 16
+        weights = (np.fromstring(",".join(w), dtype=np.int64, sep=",") if ok
+                   else np.array([int(x) if _WEIGHT.fullmatch(x) else 0 for x in w]))
+        bad = np.flatnonzero((weights < 1) | (weights > MAX_COUNT))
+        if bad.size:
+            raise InputError(f"{path}:{lineno + bad[0]}: weight {w[bad[0]]!r} is not an "
+                             f"integer in [1, {MAX_COUNT}]")
+        counts.add_edges(src, dst, weights)
     try:
         return counts.graph(count_self_loops)
     except WeightOverflowError as exc:
         # Read the pair's rows again to name the one that passed the bound.
         total = 0
-        for lineno, (src, dst, w) in read_table(path, EDGE_LIST_HEADER, "edge list"):
-            if (src, dst) == exc.pair and (total := total + int(w)) > MAX_COUNT:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+        for lineno, columns in read_table(path, EDGE_LIST_HEADER, "edge list"):
+            for k, (src, dst, w) in enumerate(zip(*columns)):
+                if (src, dst) == exc.pair and (total := total + int(w)) > MAX_COUNT:
+                    raise InputError(f"{path}:{lineno + k}: {exc}") from None
         raise

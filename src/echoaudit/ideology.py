@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +29,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateMatrixError, InputError
 from .graph import RetweetGraph
-from .ingest import read_table, write_table
+from .blocks import read_table
+from .ingest import write_table
 
 log = logging.getLogger(__name__)
 
@@ -353,16 +355,29 @@ def read_scores(path: str | Path) -> tuple[dict[str, float], dict[str, float]]:
     influencers: dict[str, float] = {}
     for lineno, (ident, kind, score, _raw) in read_table(path, SCORES_HEADER,
                                                           "scores file"):
-        if kind == "user":
-            target = users
-        elif kind == "influencer":
-            target = influencers
-        else:
+        try:
+            values = list(map(float, score))
+        except ValueError:
+            values = None
+        if values is None or not {"user", "influencer"}.issuperset(kind):
+            _raise_first_bad_score(path, lineno, kind, score)
+        user = [k == "user" for k in kind]
+        users.update(zip(compress(ident, user), compress(values, user)))
+        other = [not u for u in user]
+        influencers.update(zip(compress(ident, other), compress(values, other)))
+    return users, influencers
+
+
+def _raise_first_bad_score(path: str | Path, lineno: int, kind: Sequence[str],
+                           score: Sequence[str]) -> None:
+    """Raise the error of the first row, from line ``lineno`` on, whose kind
+    or score is not one."""
+    for lineno, (kind, score) in enumerate(zip(kind, score), start=lineno):
+        if kind not in ("user", "influencer"):
             raise InputError(f"{path}:{lineno}: unknown score kind {kind!r}")
         try:
-            target[ident] = float(score)
+            float(score)
         except ValueError:
             raise InputError(
                 f"{path}:{lineno}: score {score!r} is not a number"
             ) from None
-    return users, influencers

@@ -28,20 +28,25 @@ they stand, is decoded by one fixed-layout pattern; every other line is
 decoded as JSON, which names the reject reasons.  :func:`write_corpus`
 writes the ``flat`` schema back, one :func:`flat_line` per record, copying
 the line a fixed-layout record was read from.
-:func:`write_table` and :func:`write_json` write every CSV and
-JSON artifact of the package, and :func:`read_table` reads the CSV tables
-back; all writers go through :func:`open_atomic`.  :func:`sorted_codes`
-orders interned ids as Python strings for every stage.
+
+:func:`parse_corpus` reads a corpus one line at a time.  Every stage reads
+it with :func:`blocks.corpus_columns` instead, a block of text at a time;
+that reader sends each line that is not in the fixed layout through the
+per-line path here, which stays the reference.  :func:`write_table` and
+:func:`write_json` write every CSV and JSON artifact of the package, and
+:func:`blocks.read_table` reads the CSV tables back; all writers go through
+:func:`open_atomic`.  :func:`sorted_codes` orders interned ids as Python
+strings for every stage.
 
 A plain (not ``.gz``) corpus is read on every usable CPU:
 :func:`corpus_spans` cuts it into line-aligned byte spans, one per CPU, and
-:func:`fork_map` runs the same per-record code over each span, all but the
-first in a forked child, handing the parts back in file order.
+:func:`fork_map` runs the same code over each span, all but the first in a
+forked child, handing the parts back in file order.
 :func:`open_atomic_parts` gives each span its own output and joins them in
 order, and :func:`fork_write` writes several artifacts at once.
 :func:`fork_stream` reads, as it is written, the text that a forked child
-writes (``pipeline`` ingests synth's corpus this way), and
-:func:`parse_corpus` reads that stream as it reads the file.
+writes (``pipeline`` ingests synth's corpus this way), and both corpus
+readers read that stream as they read the file.
 """
 
 from __future__ import annotations
@@ -62,10 +67,11 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import count, filterfalse
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence,
-                    TypeVar)
+from typing import (Callable, Collection, ContextManager, Iterable, Iterator, Mapping,
+                    NamedTuple, Optional, Sequence, TypeVar)
 
 import numpy as np
 
@@ -356,11 +362,15 @@ def flat_line(
 # (``[ -~]``) without ``"`` or ``\``; ids are non-empty and also free of ``,``
 # and of spaces at either end (``_check_id``); ``lang`` is non-empty and
 # free of ``A-Z``.  Counts have at most 15 digits, so each is below
-# ``MAX_COUNT``; longer ones go to the JSON path.
+# ``MAX_COUNT``; longer ones go to the JSON path.  The pattern is anchored
+# at the ends of a line in multiline mode, with a first group for the whole
+# line, so one ``findall`` also finds every such line of a block of text
+# (``blocks.corpus_columns``).
 _STR = r'[ !#-\[\]-~]'
 _ID = r'[!#-+\--\[\]-~](?:[ !#-+\--\[\]-~]*[!#-+\--\[\]-~])?'
 _N = r'(0|[1-9][0-9]{0,14})'
 _CANONICAL = re.compile(
+    '^('
     f'{{"author_followers": {_N}, '
     f'"author_id": "({_ID})", '
     r'"created_at": "([0-9]{4}-[0-9]{2}-[0-9]{2}'
@@ -375,7 +385,7 @@ _CANONICAL = re.compile(
     f'"retweets": {_N}, '
     f'"tweet_id": "({_ID})", '
     f'"urls": \\[("{_STR}*"(?:, "{_STR}*")*)?\\]}}'
-)
+    ')$', re.M)
 
 
 def _record_from_canonical(line: str) -> Optional[TweetRecord]:
@@ -388,7 +398,7 @@ def _record_from_canonical(line: str) -> Optional[TweetRecord]:
     m = _CANONICAL.fullmatch(line)
     if m is None:
         return None
-    (followers, author_id, created_at, impressions, kind, lang, likes, quotes,
+    (_, followers, author_id, created_at, impressions, kind, lang, likes, quotes,
      replies, retweeted, retweets, tweet_id, urls) = m.groups()
     try:
         # The time of day is in range, so the date alone can fail (year 0,
@@ -398,10 +408,14 @@ def _record_from_canonical(line: str) -> Optional[TweetRecord]:
         return None
     rec = TweetRecord(tweet_id, author_id, created_at, lang, kind, retweeted,
                       int(impressions), int(likes), int(replies), int(retweets),
-                      int(quotes), urls[1:-1].split('", "') if urls else [],
-                      int(followers))
+                      int(quotes), _split_urls(urls), int(followers))
     rec.line = line
     return rec
+
+
+def _split_urls(text: str) -> list[str]:
+    """The URLs of a fixed-layout line from the text between its brackets."""
+    return text[1:-1].split('", "') if text else []
 
 
 def usable_cpus() -> int:
@@ -671,10 +685,10 @@ def _result(payload: bytes, status: int):
     return value
 
 
-# A pipe about the size of a block of synth's corpus (4,096 lines, about
-# 1 MB): the child then draws the next block while this process reads the
-# last one, instead of the two taking turns at every 64 KiB.  Linux caps a
-# pipe at 1 MiB unless the system allows more.
+# A pipe that holds a whole block of synth's corpus (``synth._BLOCK``
+# lines, about 0.55 MB at 10k users): the child then draws the next block
+# while this process reads the last one, instead of the two taking turns at
+# every 64 KiB.  Linux caps a pipe at 1 MiB unless the system allows more.
 _PIPE_SIZE = 1 << 20
 
 
@@ -866,43 +880,6 @@ def write_json(path: str | Path, obj) -> None:
         fh.write("\n")
 
 
-def read_table(path: str | Path, header: Sequence[str],
-               what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, fields)`` for each non-blank row of a CSV table.
-
-    A missing file, a header other than ``header``, a row with the wrong
-    number of fields and a last line without a line break raise
-    :class:`InputError`; all but the first name the file and line.  Every
-    writer ends each line with a line break, so a file cut short is caught
-    unless the cut falls just after one.  ``what`` names the file in those
-    messages.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"{what} not found: {path}")
-    expected = ",".join(header)
-    with open_maybe_gzip(path) as fh:
-        lineno, line = 1, fh.readline()
-        if line.strip() != expected:
-            raise InputError(f"{path}:1: unexpected {what} header: {line.strip()!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.endswith("\n"):
-                break
-            text = line.strip()
-            if not text:
-                continue
-            fields = text.split(",")
-            if len(fields) != len(header):
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(header)} fields "
-                    f"({expected}), got {len(fields)}"
-                )
-            yield lineno, fields
-        if not line.endswith("\n"):
-            raise InputError(f"{path}:{lineno}: no line break at the end: "
-                             f"the {what} is cut short")
-
-
 def _first_undecodable_line(path: Path) -> int:
     """Number of the first line that is not UTF-8, counting lines as text mode does."""
     lineno = 0
@@ -934,53 +911,64 @@ def parse_corpus(
     :class:`InputError`; a malformed line is skipped, never fatal.  Output
     order follows input order.
     """
-    if schema not in _SCHEMAS:
-        raise InputError(f"unknown schema id: {schema!r}")
-    build = _SCHEMAS[schema]
+    path, opened = _open_corpus(source, schema, span)
     if rejects is None:
         rejects = Counter()
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.is_file():
-            raise InputError(f"corpus file not found: {path}")
-        opened = open_maybe_gzip(path, span=span)
-    else:
-        path, opened = Path(source.name), nullcontext(source)
-
-    fixed_layout = schema == "flat"
 
     def _stream() -> Iterator[TweetRecord]:
         with opened as fh:
             first_line = 1 if span is None else span.first_line
             for lineno, line in enumerate(fh, start=first_line):
-                line = line.strip()
-                if not line:
-                    continue
-                rec = _record_from_canonical(line) if fixed_layout else None
-                if rec is None:
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError:
-                        rejects["invalid_json"] += 1
-                        log.debug("%s:%d: invalid JSON", path, lineno)
-                        continue
-                    if not isinstance(obj, dict):
-                        rejects["not_an_object"] += 1
-                        continue
-                    try:
-                        rec = build(obj, rejects)
-                    except ValueError as exc:
-                        rejects[str(exc)] += 1
-                        log.debug("%s:%d: %s", path, lineno, exc)
-                        continue
-                if rec.is_self_retweet:
-                    rejects["self_retweet_kept"] += 1
-                if rec.kind in ("retweet", "quote") and rec.retweeted_author_id is None:
-                    # Tolerated here; the graph stage skips and counts these.
-                    rejects["retweet_missing_target_kept"] += 1
-                yield rec
+                rec = _parse_line(line, schema, rejects, path, lineno)
+                if rec is not None:
+                    yield rec
 
     return _stream()
+
+
+def _open_corpus(source: str | Path | io.TextIOBase, schema: str,
+                 span: Optional[Span]) -> tuple[Path, ContextManager[io.TextIOBase]]:
+    """The name of a corpus, and a context that opens it for reading."""
+    if schema not in _SCHEMAS:
+        raise InputError(f"unknown schema id: {schema!r}")
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        if not path.is_file():
+            raise InputError(f"corpus file not found: {path}")
+        return path, open_maybe_gzip(path, span=span)
+    return Path(source.name), nullcontext(source)
+
+
+def _parse_line(line: str, schema: str, rejects: Counter, path: Path,
+                lineno: int) -> Optional[TweetRecord]:
+    """The record of one corpus line, or ``None`` for a blank or rejected
+    line, each reject counted in ``rejects``."""
+    line = line.strip()
+    if not line:
+        return None
+    rec = _record_from_canonical(line) if schema == "flat" else None
+    if rec is None:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            rejects["invalid_json"] += 1
+            log.debug("%s:%d: invalid JSON", path, lineno)
+            return None
+        if not isinstance(obj, dict):
+            rejects["not_an_object"] += 1
+            return None
+        try:
+            rec = _SCHEMAS[schema](obj, rejects)
+        except ValueError as exc:
+            rejects[str(exc)] += 1
+            log.debug("%s:%d: %s", path, lineno, exc)
+            return None
+    if rec.is_self_retweet:
+        rejects["self_retweet_kept"] += 1
+    if rec.kind in ("retweet", "quote") and rec.retweeted_author_id is None:
+        # Tolerated here; the graph stage skips and counts these.
+        rejects["retweet_missing_target_kept"] += 1
+    return rec
 
 
 def apply_filters(
@@ -1037,10 +1025,14 @@ def sorted_codes(vocab: Mapping[str, int]) -> tuple[list[str], np.ndarray]:
     return [ids[i] for i in order], rank
 
 
-def intern_ids(vocab: dict[str, int], ids: Iterable[str]) -> np.ndarray:
+def intern_ids(vocab: dict[str, int], ids: Collection[str]) -> np.ndarray:
     """The code of each id in ``vocab``, which numbers ids in insertion
     order; an id not yet in it is added, in the order of ``ids``."""
-    return np.fromiter((vocab.setdefault(i, len(vocab)) for i in ids), dtype=np.int64)
+    # update() adds each pair before it draws the next, so a repeated new
+    # id is in ``vocab`` by its second turn: the new ids get the next
+    # codes in first-seen order, with no loop in Python.
+    vocab.update(zip(filterfalse(vocab.__contains__, ids), count(len(vocab))))
+    return np.fromiter(map(vocab.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
 def write_count_report(counts: Counter, path: str | Path) -> None:

@@ -57,8 +57,10 @@ _AE_BOOST_MAX = 1e6
 
 # Corpus lines formatted and written at a time.  A block's rows are held in
 # memory until then, so it stays small: 65,536-line blocks raise a 10k-user
-# pipeline's peak RSS from 71 to 108 MB.
-_BLOCK = 4096
+# pipeline's peak RSS from 71 to 108 MB.  A block of the 10k-user corpus is
+# about 0.55 MB, so in ``pipeline`` it fits the pipe to ingest
+# (``ingest._PIPE_SIZE``) whole; a 4,096-line block, about 1.1 MB, did not.
+_BLOCK = 2048
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:

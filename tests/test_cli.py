@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from echoaudit import blocks as blk
 from echoaudit import cli
 from echoaudit import engagement as eng
 from echoaudit import graph as gr
@@ -777,10 +778,11 @@ class TestPipeline:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(ing, "parse_corpus")
+        counted(blk, "corpus_columns")
         counted(gr, "read_edge_list")
         counted(ideo, "read_scores")
         run(["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"])
-        assert calls == Counter({"parse_corpus": 1})
+        assert calls == Counter({"corpus_columns": 1})
 
     def test_every_artifact_parses(self, tmp_path):
         """Each CSV row has its header's field count and numbers in its
@@ -855,15 +857,18 @@ class TestPipelineFailures:
         monkeypatch.setattr(synth, "_BLOCK", 100)
         monkeypatch.setattr(synth, "flat_lines", flat_lines)
 
-    def test_synth_error_partway_through_the_corpus(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_synth_error_partway_through_the_corpus(self, tmp_path, capsys, monkeypatch,
+                                                    n_cpus):
         def fail_at_third_block(k):
             if k == 3:
                 raise OutputError("disk full")
 
+        monkeypatch.setattr(ing, "usable_cpus", lambda: n_cpus)
         self.synth_blocks(monkeypatch, fail_at_third_block)
         out = tmp_path / "run"
         assert self.exit_message(out, capsys) == "error: disk full\n"
-        assert list((out / "ingest").rglob("*")) == []
+        assert not (out / "ingest").exists()
         assert hidden_files(out) == []
 
     def test_synth_error_before_the_first_line(self, tmp_path, capsys):

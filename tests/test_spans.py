@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echoaudit import blocks as blk
 from echoaudit import cli
 from echoaudit import engagement as eng
 from echoaudit import ingest as ing
@@ -288,16 +289,18 @@ def test_parts_join_into_the_one_span_bytes(tmp_path, name):
 
 
 def test_child_killed_mid_span_leaves_nothing(tmp_path, capsys, monkeypatch):
-    parse = ing.parse_corpus
+    parse = blk.corpus_columns
     parent = os.getpid()
 
     def dying_parse(*args, **kwargs):
-        for n, rec in enumerate(parse(*args, **kwargs)):
-            if os.getpid() != parent and n == 50:
+        for n, run in enumerate(parse(*args, **kwargs)):
+            if os.getpid() != parent and n == 1:
                 os.kill(os.getpid(), signal.SIGKILL)
-            yield rec
+            yield run
 
-    monkeypatch.setattr(ing, "parse_corpus", dying_parse)
+    # Blocks of about ten lines, so each span reads several.
+    monkeypatch.setattr(blk, "_BLOCK_CHARS", 3000)
+    monkeypatch.setattr(blk, "corpus_columns", dying_parse)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes((FIXTURES / "mini_corpus.jsonl").read_bytes())
     with cpus(3), pytest.raises(SystemExit) as exc:
@@ -491,20 +494,27 @@ def test_span_count_changes_nothing(corpus, n):
     assert_no_children()
 
 
-@given(corpus=corpora())
+@given(corpus=corpora(), read=st.sampled_from(["rows", "blocks"]),
+       block_chars=st.sampled_from([1 << 20, 7, 300]))
 @settings(max_examples=50, deadline=None)
-def test_stream_of_the_file_reads_as_the_file(corpus):
-    """``parse_corpus`` over a ``fork_stream`` named after the corpus gives
-    the records, kept lines, reject counts and debug lines of the file."""
+def test_stream_of_the_file_reads_as_the_file(corpus, read, block_chars):
+    """``parse_corpus``, or ``corpus_columns`` in blocks of ``block_chars``
+    characters, over a ``fork_stream`` named after the corpus gives the
+    records, kept lines, reject counts and debug lines of the file."""
     schema, text = corpus
 
     def parsed(source):
         rejects = Counter()
         with debug_log() as messages:
-            records = list(ing.parse_corpus(source, schema, rejects))
-        return records, [r.line for r in records], rejects, messages
+            if read == "rows":
+                records = list(ing.parse_corpus(source, schema, rejects))
+                return records, [r.line for r in records], rejects, messages
+            runs = list(blk.corpus_columns(source, schema, rejects))
+        return ("".join(run.text() for run in runs),
+                [k for run in runs for k in run.kind.tolist()], rejects, messages)
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(blk, "_BLOCK_CHARS", block_chars):
         path = Path(tmp) / "corpus.jsonl"
         path.write_bytes(text.encode("utf-8"))
         want = parsed(path)
