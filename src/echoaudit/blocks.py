@@ -2,7 +2,7 @@
 
 :func:`corpus_columns` gives the records of :func:`ingest.parse_corpus` as
 runs of :class:`CorpusColumns`.  It reads the text in blocks of whole
-lines, of at most ``_BLOCK_CHARS`` characters unless one line is longer.
+lines, each ``_BLOCK_CHARS`` characters and the rest of its last line.
 One multiline match of the fixed layout (``ingest._CANONICAL``) per block
 finds the lines that the per-line path decodes by that layout, and each
 run of them is decoded at once into NumPy and list columns: ids, kinds,
@@ -42,9 +42,10 @@ from .ingest import (_CANONICAL, KINDS, CorpusFilter, Span, TweetRecord, _open_c
                      _parse_line, _split_urls, flat_lines, format_epoch_seconds, open_atomic,
                      open_maybe_gzip)
 
-# Characters of text decoded and matched at a time by the block readers.
-# Larger blocks decode no faster and hold more at once: with 1 MiB blocks
-# each standalone stage peaked 4 to 13 MB higher on a 5,000-user corpus.
+# Characters of text decoded and matched at a time by the block readers,
+# before the rest of the last line.  Larger blocks decode no faster and
+# hold more at once: with 1 MiB blocks each standalone stage peaked 4 to
+# 13 MB higher on a 5,000-user corpus.
 _BLOCK_CHARS = 1 << 16
 
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
@@ -181,19 +182,13 @@ def _datetime64_or_nat(text: str) -> np.datetime64:
 
 
 def _line_blocks(fh: io.TextIOBase) -> Iterator[str]:
-    """The text of ``fh`` in blocks of whole lines, each at most
-    ``_BLOCK_CHARS`` characters unless it is one longer line; only the last
-    block may end without a line break."""
-    rest = ""
-    while chunk := fh.read(_BLOCK_CHARS - len(rest) if len(rest) < _BLOCK_CHARS
-                           else _BLOCK_CHARS):
-        text = rest + chunk
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield text[:cut]
-        rest = text[cut:]
-    if rest:
-        yield rest
+    """The text of ``fh`` in blocks of whole lines: ``_BLOCK_CHARS``
+    characters and the rest of the line they end in.  Only the last block
+    may end without a line break."""
+    while block := fh.read(_BLOCK_CHARS):
+        if not block.endswith("\n"):
+            block += fh.readline()
+        yield block
 
 
 def corpus_columns(
