@@ -64,7 +64,7 @@ class CorpusColumns:
     of each kind in :data:`KINDS`; the counts are ``int64``.  An empty or
     ``None`` ``retweeted_author_id`` means no target.  ``line`` holds, as
     :attr:`TweetRecord.line` does, each record's corpus line when it was read
-    in the fixed layout of :func:`flat_line`, else ``None``; for such a line
+    in the fixed layout of :func:`flat_lines`, else ``None``; for such a line
     ``urls`` holds the text between the brackets of its URL list, which
     :meth:`url_lists` splits only when asked.
     """

@@ -30,7 +30,7 @@ import numpy as np
 from . import mediabias as mb
 from .errors import EchoauditError
 from .blocks import CorpusColumns
-from .ingest import TweetRecord, intern_ids, open_atomic, sorted_codes, tally, write_table
+from .ingest import intern_ids, open_atomic, sorted_codes, tally, write_table
 
 log = logging.getLogger(__name__)
 
@@ -47,8 +47,8 @@ def _view(column: array) -> np.ndarray:
 
 
 class OriginalsTable:
-    """Original tweets as columns, appended one record (:meth:`add`) or one
-    run of corpus columns (:meth:`extend_columns`) at a time.
+    """Original tweets as columns, appended one run of corpus columns at a
+    time (:meth:`extend_columns`).
 
     * ``tweet_codes``/``author_codes`` number the distinct ids in first-seen
       order (``author_ids`` lists the authors in that order);
@@ -83,17 +83,6 @@ class OriginalsTable:
         self._url_domains = array("q")
 
     @classmethod
-    def from_records(
-        cls,
-        records: Iterable[TweetRecord],
-        domains: Optional[Mapping[str, mb.DomainProfile]] = None,
-    ) -> "OriginalsTable":
-        table = cls(domains)
-        for rec in records:
-            table.add(rec)
-        return table
-
-    @classmethod
     def from_columns(
         cls,
         runs: Iterable[CorpusColumns],
@@ -104,29 +93,8 @@ class OriginalsTable:
             table.extend_columns(run)
         return table
 
-    def add(self, rec: TweetRecord) -> None:
-        vocab = self._tweet_vocab
-        self._tweet.append(vocab.setdefault(rec.tweet_id, len(vocab)))
-        vocab = self._author_vocab
-        self._author.append(vocab.setdefault(rec.author_id, len(vocab)))
-        self._impressions.append(rec.impressions)
-        self._followers.append(rec.author_followers)
-        actions = self._actions
-        actions["retweet"].append(rec.retweets)
-        actions["reply"].append(rec.replies)
-        actions["like"].append(rec.likes)
-        actions["quote"].append(rec.quotes)
-        if self.domains is not None:
-            for url in rec.urls:
-                code = self._domain_code.get(mb.extract_domain(url))
-                if code is None:
-                    self.unmatched_urls += 1
-                else:
-                    self._url_domains.append(code)
-        self._indptr.append(len(self._url_domains))
-
     def extend_columns(self, run: CorpusColumns) -> None:
-        """Append each record of ``run`` in turn, as :meth:`add` does."""
+        """Append the records of ``run`` in order."""
         for column, vocab, ids in ((self._tweet, self._tweet_vocab, run.tweet_id),
                                    (self._author, self._author_vocab, run.author_id)):
             column.frombytes(intern_ids(vocab, ids).tobytes())

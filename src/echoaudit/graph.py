@@ -83,13 +83,6 @@ class RetweetGraph:
         lo, hi = self.out_indptr[node_index], self.out_indptr[node_index + 1]
         return self.out_targets[lo:hi], self.out_weights[lo:hi]
 
-    def edge_list(self) -> Iterable[tuple[str, str, int]]:
-        """Yield ``(src_id, dst_id, weight)`` sorted by (src, dst)."""
-        for src in range(self.n_nodes):
-            dsts, ws = self.out_edges(src)
-            for dst, w in zip(dsts.tolist(), ws.tolist()):
-                yield self.node_ids[src], self.node_ids[dst], w
-
 
 class RetweetCounts:
     """Retweet multiplicity per (retweeter, author) pair.
@@ -97,8 +90,8 @@ class RetweetCounts:
     Ids are interned in first-seen order; each edge is appended as (source
     code, target code, weight) to int64 columns, and ``graph`` sums repeated
     pairs.  Records that are not retweets, or lack a target, are skipped and
-    counted in ``skipped``.  Records are added one at a time (:meth:`add`)
-    or a run of columns at a time (:meth:`extend_columns`).
+    counted in ``skipped``.  Records are added a run of columns at a time
+    (:meth:`extend_columns`), edges a batch at a time (:meth:`add_edges`).
     """
 
     def __init__(self, skipped: Optional[Counter] = None):
@@ -107,37 +100,15 @@ class RetweetCounts:
         self.skipped = Counter() if skipped is None else skipped
 
     @classmethod
-    def from_records(cls, records: Iterable[TweetRecord],
-                     skipped: Optional[Counter] = None) -> "RetweetCounts":
-        counts = cls(skipped)
-        for rec in records:
-            counts.add(rec)
-        return counts
-
-    @classmethod
     def from_columns(cls, runs: Iterable[CorpusColumns]) -> "RetweetCounts":
         counts = cls()
         for run in runs:
             counts.extend_columns(run)
         return counts
 
-    def add(self, rec: TweetRecord) -> None:
-        if rec.kind != "retweet":
-            self.skipped["not_a_retweet"] += 1
-        elif not rec.retweeted_author_id:
-            self.skipped["missing_retweeted_author"] += 1
-        else:
-            self.add_edge(rec.author_id, rec.retweeted_author_id)
-
-    def add_edge(self, src: str, dst: str, weight: int = 1) -> None:
-        """Add ``weight`` (at most ``MAX_COUNT``) retweets of ``dst`` by ``src``."""
-        vocab = self._vocab
-        self._src.append(vocab.setdefault(src, len(vocab)))
-        self._dst.append(vocab.setdefault(dst, len(vocab)))
-        self._weight.append(weight)
-
     def extend_columns(self, run: CorpusColumns) -> None:
-        """Add each record of ``run`` in turn, as :meth:`add` does."""
+        """Add the edge of each retweet in ``run`` that has a target, and
+        count every other record in ``skipped``."""
         retweet = run.kind == KINDS.index("retweet")
         target = np.fromiter(map(bool, run.retweeted_author_id), bool, len(run))
         tally_rows(self.skipped, not_a_retweet=~retweet,
@@ -148,8 +119,9 @@ class RetweetCounts:
 
     def add_edges(self, src: Iterable[str], dst: Iterable[str],
                   weights: Optional[np.ndarray] = None) -> None:
-        """:meth:`add_edge` of each ``(src, dst, weight)``; every weight is
-        1 without ``weights``."""
+        """Add ``weight`` (at most ``MAX_COUNT``) retweets of ``dst`` by
+        ``src`` for each ``(src, dst, weight)``, in order; every weight is 1
+        without ``weights``."""
         codes = intern_ids(self._vocab, list(chain.from_iterable(zip(src, dst))))
         self._src.frombytes(codes[0::2].tobytes())
         self._dst.frombytes(codes[1::2].tobytes())
@@ -214,7 +186,10 @@ def build_graph(
     records lacking a target are skipped and counted.  Self-loops are kept as
     edges; by default they do not contribute to ``unique_in_degree``.
     """
-    return RetweetCounts.from_records(records, skipped).graph(count_self_loops)
+    # Per record for the tests' reference; perfbench/tracer.py wraps it by name.
+    counts = RetweetCounts(skipped)
+    counts.extend_columns(CorpusColumns.of_records(list(records)))
+    return counts.graph(count_self_loops)
 
 
 def rank_by_in_degree(g: RetweetGraph) -> list[tuple[str, int]]:
@@ -273,8 +248,8 @@ _WRITE_CHUNK = 8192
 
 
 def write_edge_list(g: RetweetGraph, out: str | Path | io.TextIOBase) -> None:
-    """The ``src,dst,weight`` CSV of :meth:`RetweetGraph.edge_list`, the bytes
-    :func:`~echoaudit.ingest.write_table` writes for it.
+    """The ``src,dst,weight`` CSV of the edges in (src, dst) order, the bytes
+    :func:`~echoaudit.ingest.write_table` writes for those rows.
 
     ``out`` is a path, written all at once, or a text file opened with
     ``newline=""``.  The rows are formatted a chunk of the out-CSR columns at

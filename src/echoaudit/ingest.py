@@ -18,25 +18,27 @@ Ids must survive the CSV files of later stages: an id containing ``,``, a
 line break or a lone surrogate, or starting or ending with whitespace, is
 rejected under ``id_not_csv_safe``; a ``created_at`` that is not an ISO-8601
 timestamp is rejected under ``bad_created_at``; a count above ``2**53 - 1``
-is rejected under ``count_too_large_<field>``.  Files ending in ``.gz`` are
-transparently decompressed.
+is rejected under ``count_too_large_<field>``; a line nested too deep for
+the JSON decoder is rejected under ``json_too_deep``.  Files ending in
+``.gz`` are transparently decompressed.
 
 The ``flat`` line layout is defined once, in :func:`flat_lines`, which
-formats a block of rows at a time; :func:`flat_line` is its one-row case.
-A ``flat`` line in exactly that layout, with values that ingest accepts as
-they stand, is decoded by one fixed-layout pattern; every other line is
-decoded as JSON, which names the reject reasons.  :func:`write_corpus`
-writes the ``flat`` schema back, one :func:`flat_line` per record, copying
-the line a fixed-layout record was read from.
+formats a block of rows at a time.  A ``flat`` line in exactly that layout,
+with values that ingest accepts as they stand, is decoded by one
+fixed-layout pattern; every other line is decoded as JSON, which names the
+reject reasons.  :func:`write_corpus` writes the ``flat`` schema back, one
+:func:`flat_lines` row per record, copying the line a fixed-layout record
+was read from.
 
-:func:`parse_corpus` reads a corpus one line at a time.  Every stage reads
-it with :func:`blocks.corpus_columns` instead, a block of text at a time;
-that reader sends each line that is not in the fixed layout through the
-per-line path here, which stays the reference.  :func:`write_table` and
-:func:`write_json` write every CSV and JSON artifact of the package, and
-:func:`blocks.read_table` reads the CSV tables back; all writers go through
-:func:`open_atomic`.  :func:`sorted_codes` orders interned ids as Python
-strings for every stage.
+:func:`parse_corpus`, :func:`apply_filters` and :func:`write_corpus` handle
+one record at a time.  Every stage reads and writes with
+:func:`blocks.corpus_columns` and its companions instead, a block of text
+at a time; that reader sends each line that is not in the fixed layout
+through the per-line path here, which stays the reference.
+:func:`write_table` and :func:`write_json` write every CSV and JSON
+artifact of the package, and :func:`blocks.read_table` reads the CSV tables
+back; all writers go through :func:`open_atomic`.  :func:`sorted_codes`
+orders interned ids as Python strings for every stage.
 
 A plain (not ``.gz``) corpus is read on every usable CPU:
 :func:`corpus_spans` cuts it into line-aligned byte spans, one per CPU, and
@@ -108,7 +110,7 @@ class TweetRecord:
     urls: list[str]
     author_followers: int
     # The record's corpus line without its newline, kept when it was read in
-    # exactly the layout :func:`flat_line` writes for these fields, so
+    # exactly the layout :func:`flat_lines` writes for these fields, so
     # :func:`write_corpus` can copy it.  ``dataclasses.replace`` drops it;
     # code that changes a field in place must set it to ``None``.
     line: Optional[str] = field(default=None, init=False, compare=False, repr=False)
@@ -305,8 +307,9 @@ def format_epoch_seconds(seconds: Sequence[int]) -> list[str]:
 def flat_lines(created_at: Iterable[str], rows: Iterable[tuple]) -> str:
     """The ``flat`` corpus lines of ``rows``, newlines included, as one string.
 
-    Each row holds the arguments of :func:`flat_line` in its order, less
-    ``created_at``, whose already formatted text is the matching item of
+    Each row holds ``(tweet_id, author_id, lang, kind, retweeted_author_id,
+    impressions, likes, replies, retweets, quotes, urls, author_followers)``;
+    its ``created_at``, already formatted, is the matching item of
     ``created_at``.  Each line's bytes equal ``json.dumps(record,
     sort_keys=True) + "\\n"`` for its record: keys in sorted order, strings
     escaped to ASCII, ``null`` for a missing ``retweeted_author_id``.  The
@@ -335,29 +338,7 @@ def flat_lines(created_at: Iterable[str], rows: Iterable[tuple]) -> str:
     return "".join(lines)
 
 
-def flat_line(
-    tweet_id: str,
-    author_id: str,
-    created_at: str,
-    lang: str,
-    kind: str,
-    retweeted_author_id: Optional[str],
-    impressions: int,
-    likes: int,
-    replies: int,
-    retweets: int,
-    quotes: int,
-    urls: list[str],
-    author_followers: int,
-) -> str:
-    """One ``flat`` corpus line, newline included: the one-row case of
-    :func:`flat_lines`.  ``created_at`` is the already formatted timestamp."""
-    return flat_lines((created_at,), ((
-        tweet_id, author_id, lang, kind, retweeted_author_id, impressions, likes,
-        replies, retweets, quotes, urls, author_followers),))
-
-
-# The exact layout of a :func:`flat_line` line whose every value JSON writes
+# The exact layout of a :func:`flat_lines` line whose every value JSON writes
 # as itself and ingest accepts as it stands.  Strings are printable ASCII
 # (``[ -~]``) without ``"`` or ``\``; ids are non-empty and also free of ``,``
 # and of spaces at either end (``_check_id``); ``lang`` is non-empty and
@@ -389,7 +370,7 @@ _CANONICAL = re.compile(
 
 
 def _record_from_canonical(line: str) -> Optional[TweetRecord]:
-    """The record of a line in the fixed layout of :func:`flat_line`, or
+    """The record of a line in the fixed layout of :func:`flat_lines`, or
     ``None`` for any other line, which is then decoded as JSON.
 
     The record equals what the JSON path builds from the line, and keeps the
@@ -896,6 +877,7 @@ def _first_undecodable_line(path: Path) -> int:
     return lineno
 
 
+# Per record for the tests' reference; perfbench/tracer.py wraps it by name.
 def parse_corpus(
     source: str | Path | io.TextIOBase,
     schema: str = "flat",
@@ -954,6 +936,10 @@ def _parse_line(line: str, schema: str, rejects: Counter, path: Path,
             rejects["invalid_json"] += 1
             log.debug("%s:%d: invalid JSON", path, lineno)
             return None
+        except RecursionError:
+            rejects["json_too_deep"] += 1
+            log.debug("%s:%d: JSON nested too deep", path, lineno)
+            return None
         if not isinstance(obj, dict):
             rejects["not_an_object"] += 1
             return None
@@ -971,6 +957,8 @@ def _parse_line(line: str, schema: str, rejects: Counter, path: Path,
     return rec
 
 
+# Per record, like the two filters below: the tests' reference, and
+# perfbench/tracer.py wraps each by name.
 def apply_filters(
     records: Iterable[TweetRecord],
     corpus_filter: CorpusFilter = CorpusFilter(),
@@ -1041,12 +1029,13 @@ def write_count_report(counts: Counter, path: str | Path) -> None:
                 ((reason, counts[reason]) for reason in sorted(counts)))
 
 
+# Per record for the tests' reference; perfbench/tracer.py wraps it by name.
 def write_corpus(records: Iterable[TweetRecord], out: str | Path | io.TextIOBase) -> int:
     """Serialize records back to the flat schema; returns the record count.
 
     ``out`` is a path, written all at once, or an open text file.  A record
     read in the fixed layout is written as the line it was read from, which
-    is the line :func:`flat_line` would write for it.
+    is the line :func:`flat_lines` would write for it.
     """
     if isinstance(out, (str, Path)):
         with open_atomic(out) as fh:
@@ -1056,11 +1045,9 @@ def write_corpus(records: Iterable[TweetRecord], out: str | Path | io.TextIOBase
         if rec.line is not None:
             out.write(rec.line + "\n")
         else:
-            out.write(flat_line(
-                rec.tweet_id, rec.author_id, format_timestamp(rec.created_at),
-                rec.lang, rec.kind, rec.retweeted_author_id, rec.impressions,
-                rec.likes, rec.replies, rec.retweets, rec.quotes, rec.urls,
-                rec.author_followers,
-            ))
+            out.write(flat_lines((format_timestamp(rec.created_at),), ((
+                rec.tweet_id, rec.author_id, rec.lang, rec.kind, rec.retweeted_author_id,
+                rec.impressions, rec.likes, rec.replies, rec.retweets, rec.quotes,
+                rec.urls, rec.author_followers),)))
         n += 1
     return n

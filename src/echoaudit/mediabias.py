@@ -196,42 +196,46 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
     table: dict[str, DomainProfile] = {}
     with open_maybe_gzip(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"domain", "leaning_label", "reliability"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise InputError(
-                f"domain table must have columns {sorted(required)}; "
-                f"got {reader.fieldnames}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            domain = (row["domain"] or "").strip().lower()
-            if not domain:
-                log.warning("%s:%d: empty domain; row skipped", path, row_no)
-                continue
-            reliability = _canon_reliability(row["reliability"] or "")
-            if reliability is None:
-                log.warning(
-                    "%s:%d: unknown reliability %r; row skipped",
-                    path, row_no, row["reliability"],
+        try:
+            required = {"domain", "leaning_label", "reliability"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise InputError(
+                    f"domain table must have columns {sorted(required)}; "
+                    f"got {reader.fieldnames}"
                 )
-                continue
-            raw_label = (row["leaning_label"] or "").strip()
-            label: Optional[str] = None
-            if raw_label:
-                label = _canon_leaning(raw_label)
-                if label is None:
+            for row_no, row in enumerate(reader, start=2):
+                domain = (row["domain"] or "").strip().lower()
+                if not domain:
+                    log.warning("%s:%d: empty domain; row skipped", path, row_no)
+                    continue
+                reliability = _canon_reliability(row["reliability"] or "")
+                if reliability is None:
                     log.warning(
-                        "%s:%d: unknown leaning label %r; row skipped",
-                        path, row_no, raw_label,
+                        "%s:%d: unknown reliability %r; row skipped",
+                        path, row_no, row["reliability"],
                     )
                     continue
-            if domain in table:
-                log.warning("duplicate domain %r; keeping the last row", domain)
-            table[domain] = DomainProfile(
-                domain=domain,
-                leaning_label=label,
-                leaning_score=None if label is None else LEANING_SCORES[label],
-                reliability=reliability,
-            )
+                raw_label = (row["leaning_label"] or "").strip()
+                label: Optional[str] = None
+                if raw_label:
+                    label = _canon_leaning(raw_label)
+                    if label is None:
+                        log.warning(
+                            "%s:%d: unknown leaning label %r; row skipped",
+                            path, row_no, raw_label,
+                        )
+                        continue
+                if domain in table:
+                    log.warning("duplicate domain %r; keeping the last row", domain)
+                table[domain] = DomainProfile(
+                    domain=domain,
+                    leaning_label=label,
+                    leaning_score=None if label is None else LEANING_SCORES[label],
+                    reliability=reliability,
+                )
+        except csv.Error as exc:
+            # The inner reader has counted the line it failed on.
+            raise InputError(f"{path}:{reader.reader.line_num}: {exc}") from None
     return table
 
 

@@ -619,9 +619,10 @@ def _describe(template, plural: bool = False) -> str:
 def config_from_json(path: str | Path):
     """Load either generator config from a JSON file (``mode`` selects).
 
-    A missing or unreadable file, invalid JSON, a value that is not an
-    object, an unknown mode, an unknown key and a value whose JSON type does
-    not match its field all raise :class:`InputError`.  An integer counts as
+    A missing or unreadable file, invalid JSON (nesting too deep for the
+    decoder included), a value that is not an object, an unknown mode, an
+    unknown key and a value whose JSON type does not match its field all
+    raise :class:`InputError`.  An integer counts as
     a number; ``true``/``false`` do not.
     """
     path = Path(path)
@@ -630,7 +631,7 @@ def config_from_json(path: str | Path):
             raw = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc.strerror}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError(f"{path}: config must be a JSON object")

@@ -9,6 +9,8 @@ from echoaudit import ideology as ideo
 from echoaudit.errors import InputError
 from echoaudit.ingest import MAX_COUNT, open_maybe_gzip
 
+from _record_oracle import add_edge
+
 
 def read_table(path, header, what):
     """Yield ``(lineno, fields)`` for each non-blank row of a CSV table."""
@@ -45,7 +47,7 @@ def read_edge_list(path, count_self_loops=False):
                 or not 1 <= (wt := int(w)) <= MAX_COUNT):
             raise InputError(f"{path}:{lineno}: weight {w!r} is not an integer "
                              f"in [1, {MAX_COUNT}]")
-        counts.add_edge(src, dst, wt)
+        add_edge(counts, src, dst, wt)
     try:
         return counts.graph(count_self_loops)
     except gr.WeightOverflowError as exc:

@@ -1,7 +1,7 @@
 """Dict-and-``json.dumps`` oracle for the flat corpus line.
 
 This is the original form of the flat writer: build one dict per record and
-hand it to ``json.dumps(..., sort_keys=True)``.  ``ingest.flat_line`` writes
+hand it to ``json.dumps(..., sort_keys=True)``.  ``ingest.flat_lines`` writes
 the same bytes from a fixed layout; tests compare the two.  The timestamp is
 formatted here with ``isoformat`` rather than ``ingest.format_timestamp``, so
 the oracle does not share that code either.

@@ -3,7 +3,7 @@ small test cases."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,3 +48,11 @@ def to_dense(m: InteractionMatrix) -> np.ndarray:
 
 def total_weight(g: RetweetGraph) -> int:
     return int(g.in_weights.sum())
+
+
+def edge_list(g: RetweetGraph) -> Iterator[tuple[str, str, int]]:
+    """Yield ``(src_id, dst_id, weight)`` sorted by (src, dst)."""
+    for src in range(g.n_nodes):
+        dsts, ws = g.out_edges(src)
+        for dst, w in zip(dsts.tolist(), ws.tolist()):
+            yield g.node_ids[src], g.node_ids[dst], w

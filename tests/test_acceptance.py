@@ -23,6 +23,7 @@ from echoaudit import synth
 import _engagement_oracle as oracle
 from _ca_oracle import dense_ca_oracle
 from _matrix_helpers import from_dense
+from _tables import originals_table
 from conftest import make_record, random_count_matrix
 
 
@@ -168,7 +169,7 @@ def test_criterion_4_table1_fixture_reproduction(tmp_path):
     truth = synth.GroundTruth.from_json(result.truth_path)
 
     means = oracle.tweet_level_mean_ae(records)
-    originals = eng.OriginalsTable.from_records(records)
+    originals = originals_table(records)
     worst_rel = 0.0
     worst_abs = 0.0
     details = []
@@ -203,7 +204,7 @@ def test_criterion_5_ae_definition_exactness():
             impressions=imps, retweets=rts, replies=reps_, likes=likes,
             quotes=quotes,
         )
-        tweet = eng.aggregate_ae(eng.OriginalsTable.from_records([rec]), "tweet")
+        tweet = eng.aggregate_ae(originals_table([rec]), "tweet")
         ratios = {a: float(tweet.ae[a][0]) for a in eng.ACTIONS}
         for action, count in (
             ("retweet", rts), ("reply", reps_), ("like", likes), ("quote", quotes),
@@ -211,7 +212,7 @@ def test_criterion_5_ae_definition_exactness():
             exact = Fraction(count, imps)
             worst = max(worst, abs(ratios[action] - float(exact)))
     zero = eng.aggregate_ae(
-        eng.OriginalsTable.from_records([make_record(impressions=0, likes=5)]), "tweet")
+        originals_table([make_record(impressions=0, likes=5)]), "tweet")
     absent = len(zero) == 0
     ok = worst <= 1e-15 and absent
     report_line(
@@ -243,7 +244,7 @@ def test_criterion_6_leaning_mapping_exactness(tmp_path):
     def mean_for(labels):
         urls = [f"https://{label.lower()}.test/x" for label in labels]
         (ul,) = mb.user_leaning(
-            eng.OriginalsTable.from_records([make_record(urls=urls)], table))
+            originals_table([make_record(urls=urls)], table))
         return ul.score
 
     hand_cases = [

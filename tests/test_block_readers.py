@@ -25,6 +25,8 @@ from echoaudit import mediabias as mb
 from echoaudit.errors import InputError
 
 import _csv_oracle as oracle
+from _record_oracle import counts_by_record, originals_by_record
+from _tables import flat_line
 from conftest import ROOT
 from test_spans import _DOMAINS, corpora, debug_log, graph_state, table_state
 
@@ -50,12 +52,12 @@ def outcome(fn):
 _SPECIAL = [
     # Trailing spaces, year 0000, a 15-digit count, a fractional second and
     # a self-retweet.
-    ing.flat_line("x1", "u0", "2023-01-05T12:00:00Z", "en", "original", None,
-                  10**15 - 1, 0, 0, 0, 0, [], 1).rstrip("\n") + "  ",
-    ing.flat_line("x2", "u0", "0000-06-01T00:00:00Z", "en", "original", None,
-                  0, 0, 0, 0, 0, [], 1).rstrip("\n"),
-    ing.flat_line("x3", "u1", "2023-01-05T12:00:01Z", "en", "retweet", "u1",
-                  1, 0, 0, 0, 0, ["https://a.test/x"], 0).rstrip("\n"),
+    flat_line("x1", "u0", "2023-01-05T12:00:00Z", "en", "original", None,
+              10**15 - 1, 0, 0, 0, 0, [], 1).rstrip("\n") + "  ",
+    flat_line("x2", "u0", "0000-06-01T00:00:00Z", "en", "original", None,
+              0, 0, 0, 0, 0, [], 1).rstrip("\n"),
+    flat_line("x3", "u1", "2023-01-05T12:00:01Z", "en", "retweet", "u1",
+              1, 0, 0, 0, 0, ["https://a.test/x"], 0).rstrip("\n"),
     json.dumps({"author_followers": 0, "author_id": "u2",
                 "created_at": "2023-01-05T12:00:00.500000Z", "impressions": 3,
                 "kind": "original", "lang": "en", "likes": 1, "quotes": 0,
@@ -159,9 +161,9 @@ def test_tables_by_blocks_equal_by_rows(corpus, n):
              r.quotes, r.urls, r.author_followers, r.line) for r in records]
     assert got == want
     assert (table_state(eng.OriginalsTable.from_columns(runs, table))
-            == table_state(eng.OriginalsTable.from_records(records, table)))
+            == table_state(originals_by_record(records, table)))
     assert (graph_state(gr.RetweetCounts.from_columns(runs))
-            == graph_state(gr.RetweetCounts.from_records(records)))
+            == graph_state(counts_by_record(records)))
 
 
 # ---------------------------------------------------------------------------

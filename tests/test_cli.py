@@ -240,6 +240,8 @@ class TestSynthConfigErrors:
          "impressions_log10 sd must be in [0, "),
         ('{"mode": "calibration", "ae_log10_sigma": -1}',
          "ae_log10_sigma must be in [0, "),
+        # Nested deeper than any JSON decoder recurses.
+        pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="too-deep"),
     ])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    command, content, message):
@@ -667,6 +669,21 @@ class TestCorruptIntermediates:
         proc = run_process(argv)
         assert proc.returncode == 2, proc.stderr
         assert f"error: {bad}:{line}: not valid UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / stage).exists()
+
+    @pytest.mark.parametrize("stage", ["engagement", "report"])
+    def test_domain_field_over_the_csv_limit(self, mini_stage_dirs, tmp_path, stage):
+        """A field longer than the csv module reads is an input error."""
+        domains = tmp_path / "domains.csv"
+        domains.write_text("domain,leaning_label,reliability\n"
+                           + "a" * 131_073 + ".test,Left,reliable\n", encoding="utf-8")
+        argv = self.stage_argv(stage, mini_stage_dirs, mini_stage_dirs / "graph.csv",
+                               mini_stage_dirs / "scores.csv")
+        argv[-2:] = ["--domains", domains, "--out-dir", tmp_path / stage]
+        proc = run_process(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {domains}:2: field larger than field limit" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / stage).exists()
 

@@ -17,6 +17,7 @@ from echoaudit import report as rep
 from echoaudit.errors import EchoauditError
 
 import _engagement_oracle as oracle
+from _tables import originals_table as table
 from conftest import make_record, retweet
 
 CUTOFF = "2022-12-15T00:00:00Z"
@@ -27,10 +28,6 @@ def tweet(imps, likes=0, replies=0, retweets=0, quotes=0, **kw):
         impressions=imps, likes=likes, replies=replies,
         retweets=retweets, quotes=quotes, **kw,
     )
-
-
-def table(records, domains=None):
-    return eng.OriginalsTable.from_records(records, domains)
 
 
 def domain_table(*names):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from echoaudit import graph as gr
 from echoaudit import ingest as ing
+from echoaudit.blocks import CorpusColumns
 from echoaudit.errors import EmptySelectionError, InputError
 
 from _graph_oracle import _assemble as graph_oracle
-from _matrix_helpers import total_weight
+from _matrix_helpers import edge_list, total_weight
+from _record_oracle import counts_by_record
+from _tables import edge_counts
 from conftest import make_record, retweet
 
 GRAPH_ARRAYS = ("in_indptr", "in_sources", "in_weights", "out_indptr",
@@ -41,7 +44,7 @@ def simple_graph():
 class TestBuildGraph:
     def test_definition_forced_example(self):
         g = simple_graph()
-        assert set(g.edge_list()) == {("A", "B", 2), ("C", "B", 1)}
+        assert set(edge_list(g)) == {("A", "B", 2), ("C", "B", 1)}
         assert g.unique_in_degree[g.index_of("B")] == 2
         assert g.unique_in_degree[g.index_of("A")] == 0
 
@@ -71,7 +74,7 @@ class TestBuildGraph:
                                                            mini_graph):
         counts = gr.RetweetCounts()
         for rec in mini_retained:
-            counts.add(rec)
+            counts.extend_columns(CorpusColumns.of_records([rec]))
         assert counts.skipped["not_a_retweet"] == sum(
             r.kind != "retweet" for r in mini_retained)
         assert_same_graph(counts.graph(), mini_graph)
@@ -106,7 +109,7 @@ class TestBuildGraph:
 
     def test_self_loop_kept_as_edge_but_not_in_degree(self):
         g = gr.build_graph([retweet("A", "A"), retweet("B", "A")])
-        assert ("A", "A", 1) in set(g.edge_list())
+        assert ("A", "A", 1) in set(edge_list(g))
         assert g.unique_in_degree[g.index_of("A")] == 1
 
     def test_self_loop_counted_with_flag(self):
@@ -221,7 +224,7 @@ class TestEdgeListIO:
         path.write_text(f"src,dst,weight\nu,v,{ing.MAX_COUNT - 1}\nu,v,1\n",
                         encoding="utf-8")
         g = gr.read_edge_list(path)
-        assert list(g.edge_list()) == [("u", "v", ing.MAX_COUNT)]
+        assert list(edge_list(g)) == [("u", "v", ing.MAX_COUNT)]
 
     def test_duplicate_rows_above_the_limit_name_the_crossing_line(self, tmp_path):
         """1025 rows at the limit would wrap an int64 sum around."""
@@ -263,7 +266,7 @@ def test_graph_permutation_invariance_property(edges, seed):
     rng = np.random.default_rng(seed)
     g2 = gr.build_graph([records[i] for i in rng.permutation(len(records))])
     assert g1.node_ids == g2.node_ids
-    assert list(g1.edge_list()) == list(g2.edge_list())
+    assert list(edge_list(g1)) == list(edge_list(g2))
     assert total_weight(g1) == len(records)
 
 
@@ -289,12 +292,42 @@ def test_counts_match_dict_oracle_property(edges, count_self_loops):
     weights = {}
     for src, dst, w in edges:
         if w is None:
-            counts.add(retweet(src, dst))
+            counts.extend_columns(CorpusColumns.of_records([retweet(src, dst)]))
         else:
-            counts.add_edge(src, dst, w)
+            counts.add_edges([src], [dst], np.array([w]))
         weights[(src, dst)] = weights.get((src, dst), 0) + (w or 1)
     assert_same_graph(counts.graph(count_self_loops),
                       graph_oracle(weights, count_self_loops))
+
+
+@given(
+    records=st.lists(st.one_of(
+        st.tuples(_tricky_ids, _tricky_ids).map(lambda e: retweet(*e)),
+        _tricky_ids.map(lambda uid: retweet(uid, uid)),
+        st.tuples(_tricky_ids, st.sampled_from([None, ""])).map(lambda e: retweet(*e)),
+        st.tuples(_tricky_ids, st.sampled_from(["original", "quote", "reply"]),
+                  st.none() | _tricky_ids).map(
+            lambda e: make_record(author_id=e[0], kind=e[1], retweeted_author_id=e[2])),
+    ), max_size=40),
+    count_self_loops=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_build_graph_matches_dict_oracle_property(records, count_self_loops):
+    """Non-retweets, retweets without a target, self-loops and repeated
+    pairs: the graph is the one the dict-of-pairs oracle assembles, and the
+    caller's ``skipped`` gets the per-record oracle's counts."""
+    skipped = Counter(earlier=2)
+    g = gr.build_graph(records, skipped=skipped, count_self_loops=count_self_loops)
+    weights = Counter((r.author_id, r.retweeted_author_id) for r in records
+                      if r.kind == "retweet" and r.retweeted_author_id)
+    assert_same_graph(g, graph_oracle(weights, count_self_loops))
+    want = counts_by_record(records, Counter(earlier=2)).skipped
+    assert skipped == want
+    assert want == Counter(
+        earlier=2,
+        not_a_retweet=sum(r.kind != "retweet" for r in records),
+        missing_retweeted_author=sum(r.kind == "retweet" and not r.retweeted_author_id
+                                     for r in records))
 
 
 # Ids as ingest accepts them: no comma, line break or lone surrogate, and
@@ -311,10 +344,7 @@ _csv_ids = st.text(
 )
 @settings(max_examples=200, deadline=None)
 def test_edge_list_round_trip_property(tmp_path_factory, edges, count_self_loops):
-    counts = gr.RetweetCounts()
-    for src, dst, w in edges:
-        counts.add_edge(src, dst, w)
-    g = counts.graph(count_self_loops)
+    g = edge_counts(edges).graph(count_self_loops)
     path = tmp_path_factory.mktemp("edges") / "graph.csv"
     gr.write_edge_list(g, path)
     assert_same_graph(gr.read_edge_list(path, count_self_loops), g)
@@ -334,14 +364,12 @@ def test_edge_list_round_trip_property(tmp_path_factory, edges, count_self_loops
 def test_edge_list_bytes_match_write_table_property(tmp_path_factory, edges, weights,
                                                     count_self_loops, chunk):
     """The columnar writer writes the bytes ``write_table`` writes for
-    ``edge_list()``, for NUL and non-ASCII ids, self-loops and weights up to
+    ``edge_list(g)``, for NUL and non-ASCII ids, self-loops and weights up to
     ``MAX_COUNT``, whatever its chunk size."""
-    counts = gr.RetweetCounts()
-    for (src, dst), w in zip(dict.fromkeys(edges), weights):
-        counts.add_edge(src, dst, w)
-    g = counts.graph(count_self_loops)
+    g = edge_counts((src, dst, w) for (src, dst), w
+                    in zip(dict.fromkeys(edges), weights)).graph(count_self_loops)
     root = tmp_path_factory.mktemp("edges")
     with mock.patch.object(gr, "_WRITE_CHUNK", chunk):
         gr.write_edge_list(g, root / "columns.csv")
-    ing.write_table(root / "rows.csv", gr.EDGE_LIST_HEADER, g.edge_list())
+    ing.write_table(root / "rows.csv", gr.EDGE_LIST_HEADER, edge_list(g))
     assert (root / "columns.csv").read_bytes() == (root / "rows.csv").read_bytes()

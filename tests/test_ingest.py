@@ -17,6 +17,7 @@ from echoaudit import ingest as ing
 from echoaudit import synth
 from echoaudit.errors import InputError
 
+import _tables as tables
 from _flat_oracle import flat_corpus
 from conftest import make_record
 
@@ -567,10 +568,10 @@ class TestFlatLine:
     def test_block_equals_flat_line_and_json_dumps_oracle(self, block):
         distinct, order = block
         stamps = ing.format_epoch_seconds([seconds for seconds, _ in distinct])
-        # Each distinct row's flat_line, checked once against the oracle.
+        # Each distinct row's line, checked once against the oracle.
         lines = []
         for ts, (seconds, row) in zip(stamps, distinct):
-            line = ing.flat_line(row[0], row[1], ts, *row[2:])
+            line = tables.flat_line(row[0], row[1], ts, *row[2:])
             record = ing.TweetRecord(row[0], row[1], EPOCH + timedelta(seconds=seconds),
                                      *row[2:])
             assert line == flat_corpus([record])
@@ -617,7 +618,7 @@ class TestFlatLine:
         assert not rejects
 
 
-# Ordinary values that flat_line writes as they are, and for each field
+# Ordinary values that flat_lines writes as they are, and for each field
 # values at and just past the edges of that fixed layout: what it copies,
 # what it escapes, and what only the JSON path accepts or rejects.
 _ids = st.text(string.ascii_letters + string.digits + "_-.:", min_size=1, max_size=8)
@@ -631,7 +632,7 @@ _ORDINARY = {
     "urls": st.lists(st.sampled_from(["https://a.test/x", "", "a, b", "x y"]), max_size=3),
     **{name: st.integers(min_value=0, max_value=10**9) for name in _COUNTS},
 }
-# Printable ASCII, the characters flat_line escapes, and whitespace that
+# Printable ASCII, the characters flat_lines escapes, and whitespace that
 # str.strip removes.
 _edge_text = st.text(string.printable + '"\\\x00\x1f\x7f\x85\xa0é中\u2028\U0001f600',
                      max_size=4)
@@ -701,13 +702,13 @@ _MUTATIONS = (_leading_zero, _raw_control_character, _reordered_keys,
 
 @st.composite
 def corpus_lines(draw):
-    """A flat_line, often with one edge value, and often changed after it was
-    written."""
+    """A flat_lines line, often with one edge value, and often changed after
+    it was written."""
     fields = draw(st.fixed_dictionaries(_ORDINARY))
     edge = draw(st.none() | st.sampled_from(sorted(_EDGES)))
     if edge is not None:
         fields[edge] = draw(_EDGES[edge])
-    line = ing.flat_line(**fields).rstrip("\n")
+    line = tables.flat_line(**fields).rstrip("\n")
     mutate = draw(st.none() | st.sampled_from(_MUTATIONS))
     return line if mutate is None else mutate(line)
 
@@ -748,8 +749,8 @@ def _count_calls(monkeypatch, module, name):
 
 class TestFixedLayout:
     @given(lines=st.lists(corpus_lines(), min_size=1, max_size=6))
-    @example(lines=[ing.flat_line("t1", "bob", "2023-01-05T12:00:00Z", "en", "retweet",
-                                  "bob", ing.MAX_COUNT, 0, 0, 0, 0, ["a", ""], 1)
+    @example(lines=[tables.flat_line("t1", "bob", "2023-01-05T12:00:00Z", "en", "retweet",
+                                     "bob", ing.MAX_COUNT, 0, 0, 0, 0, ["a", ""], 1)
                     .rstrip("\n")])
     @settings(max_examples=500, deadline=None)
     def test_same_records_and_rejects_as_the_json_path(self, tmp_path_factory, lines):
@@ -771,7 +772,7 @@ class TestFixedLayout:
     def test_unchanged_records_written_without_encoding(
             self, mini_corpus_path, tmp_path, monkeypatch):
         records = list(ing.parse_corpus(mini_corpus_path))
-        calls = _count_calls(monkeypatch, ing, "flat_line")
+        calls = _count_calls(monkeypatch, ing, "flat_lines")
         out = tmp_path / "again.jsonl"
         assert ing.write_corpus(records, out) == 962 and calls == []
         assert out.read_bytes() == mini_corpus_path.read_bytes()

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echoaudit import engagement as eng
 from echoaudit import mediabias as mb
 from echoaudit.errors import InputError
 
+from _tables import originals_table as originals
 from conftest import make_record
 
 EXPECTED_MAPPING = {
@@ -170,10 +170,6 @@ def leaning_table(tmp_path):
 
 def rec_with_urls(urls, author="alice"):
     return make_record(author_id=author, urls=[f"https://{u}/x" for u in urls])
-
-
-def originals(records, table):
-    return eng.OriginalsTable.from_records(records, table)
 
 
 def leaning(records, table, **kwargs):

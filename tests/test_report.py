@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echoaudit import engagement as eng
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
 from echoaudit import report as rep
@@ -16,11 +15,8 @@ from echoaudit.dip import dip_statistic
 from _dip_lp_oracle import lp_dip
 from _graph_oracle import _assemble as graph_oracle
 from _grid_oracle import loop_neighbor_opinion_grid
+from _tables import originals_table as table
 from conftest import make_record, retweet
-
-
-def table(records):
-    return eng.OriginalsTable.from_records(records)
 
 
 def scores_obj(user_scores, influencer_scores):
@@ -303,9 +299,9 @@ class TestLeaningDistributions:
     ):
         from echoaudit import mediabias as mb
 
-        table = mb.load_domain_table(fixtures_dir / "mini_domains.csv")
-        originals = eng.OriginalsTable.from_records(
-            (rec for rec in mini_retained if rec.kind == "original"), table)
+        domains = mb.load_domain_table(fixtures_dir / "mini_domains.csv")
+        originals = table(
+            [rec for rec in mini_retained if rec.kind == "original"], domains)
         class_counts = mb.user_class_counts(originals)
         out = rep.leaning_ideology_distributions(mini_scores, class_counts)
         assert out["Left"].meta["user_median"] < 0

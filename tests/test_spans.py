@@ -29,6 +29,7 @@ from echoaudit import ingest as ing
 from echoaudit import mediabias as mb
 from echoaudit.errors import EmptySelectionError, InputError, WorkerError
 
+from _tables import flat_line
 from conftest import FIXTURES, ROOT
 from test_ingest import corpus_lines
 
@@ -274,6 +275,41 @@ def test_invalid_utf8_in_second_span_names_file_and_line(tmp_path, capsys, stage
     assert_no_children()
 
 
+# A line nested deeper than any JSON decoder recurses.
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("schema", ["flat", "api"])
+def test_line_nested_too_deep_is_a_counted_reject(tmp_path, schema):
+    """The line reader, the block reader and a two-span ingest each count
+    the line under ``json_too_deep`` and log its ``file:line``."""
+    lines = (FIXTURES / "mini_corpus.jsonl").read_text().split("\n")
+    lines[900] = _TOO_DEEP
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines))
+    deep = ("echoaudit.ingest", "DEBUG", f"{corpus}:901: JSON nested too deep")
+    rejects = Counter()
+    with debug_log() as messages:
+        records = list(ing.parse_corpus(corpus, schema, rejects))
+    assert rejects["json_too_deep"] == 1 and deep in messages
+    assert len(records) == (961 if schema == "flat" else 0)
+    block_rejects = Counter()
+    with debug_log() as block_messages:
+        runs = list(blk.corpus_columns(corpus, schema, block_rejects))
+    assert (block_rejects, block_messages) == (rejects, messages)
+    assert sum(map(len, runs)) == len(records)
+    ing.write_count_report(rejects, tmp_path / "want.csv")
+    with cpus(2), debug_log() as span_messages:
+        first, second = ing.corpus_spans(corpus)
+        assert second.first_line < 901
+        assert cli.main(["ingest", "--input", str(corpus), "--schema", schema,
+                         "--filtered-out", str(tmp_path / "filtered.jsonl"),
+                         "--rejects-out", str(tmp_path / "rejects.csv")]) == 0
+    assert (tmp_path / "rejects.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert deep in span_messages
+    assert_no_children()
+
+
 @pytest.mark.parametrize("name", ["filtered.jsonl", "filtered.jsonl.gz"])
 def test_parts_join_into_the_one_span_bytes(tmp_path, name):
     outs = []
@@ -384,9 +420,9 @@ def api_line(f):
     return json.dumps(obj, sort_keys=f["kind"] == "reply")
 
 
-_canonical = pooled_fields().map(lambda f: ing.flat_line(**f).rstrip("\n"))
+_canonical = pooled_fields().map(lambda f: flat_line(**f).rstrip("\n"))
 _reordered = pooled_fields().map(
-    lambda f: json.dumps(dict(reversed(json.loads(ing.flat_line(**f)).items()))))
+    lambda f: json.dumps(dict(reversed(json.loads(flat_line(**f)).items()))))
 _flat = st.one_of(_canonical, _canonical, _reordered, corpus_lines(),
                   st.sampled_from(_JUNK))
 _api = st.one_of(pooled_fields().map(api_line), pooled_fields().map(api_line),

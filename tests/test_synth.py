@@ -2,6 +2,10 @@ import filecmp
 import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -16,8 +20,20 @@ from echoaudit.errors import DegenerateMatrixError, InputError
 
 import _engagement_oracle as oracle
 from _ca_oracle import dense_ca_oracle, jacobi_svd
-from _matrix_helpers import from_dense
-from conftest import FIXTURES, random_count_matrix
+from _matrix_helpers import edge_list, from_dense
+from _tables import originals_table
+from conftest import FIXTURES, ROOT, random_count_matrix
+
+
+# What tools/build_fixtures.py prints for the committed fixtures: the counts
+# that the suite freezes for them.
+MINI_SUMMARY = (
+    "records=962 pre_cutoff=27 non_english_post=27 retained=908\n"
+    "originals=357 retweets=539 graph_nodes=157 graph_edges=403\n"
+    "influencers_at_thr5=10 matrix_shape=(129, 10) nnz=385\n"
+)
+MINI_FILES = ("mini_corpus.jsonl", "mini_domains.csv", "mini_ground_truth.json",
+              "mini_seeds.txt")
 
 
 def small_config(**overrides):
@@ -54,6 +70,22 @@ class TestDeterminism:
         ]
         for generated, committed in pairs:
             assert generated.read_bytes() == committed.read_bytes(), committed.name
+
+    def test_fixture_builder_reproduces_fixtures(self, tmp_path):
+        """The builder, run in a copy of ``tools/`` and ``src/``, writes the
+        committed fixtures byte for byte and prints the frozen counts."""
+        for name in ("tools", "src"):
+            shutil.copytree(ROOT / name, tmp_path / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, str(tmp_path / "tools" / "build_fixtures.py")],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == MINI_SUMMARY
+        assert sorted(p.name for p in (tmp_path / "fixtures").iterdir()) == list(MINI_FILES)
+        for name in MINI_FILES:
+            assert ((tmp_path / "fixtures" / name).read_bytes()
+                    == (FIXTURES / name).read_bytes()), name
 
     def test_write_block_size_does_not_change_bytes(self, tmp_path, monkeypatch):
         """Lines are formatted and written at most a block at a time; blocks
@@ -159,7 +191,7 @@ class TestPolarizedCorpus:
         )
         g = gr.build_graph(records)
         ng = nx.Graph()
-        for src, dst, w in g.edge_list():
+        for src, dst, w in edge_list(g):
             if ng.has_edge(src, dst):
                 ng[src][dst]["weight"] += w
             else:
@@ -227,7 +259,7 @@ class TestCalibration:
         records = list(ing.engagement_subset(ing.parse_corpus(result.corpus_path)))
         assert len(records) == 8000
         means = oracle.tweet_level_mean_ae(records)
-        originals = eng.OriginalsTable.from_records(records)
+        originals = originals_table(records)
         for action in eng.ACTIONS:
             mean, _ = means[action]
             assert abs(mean - ae_t[action]) / ae_t[action] < 0.05

@@ -2,8 +2,9 @@
 """Regenerate the committed fixtures under fixtures/.
 
 The mini corpus comes from the mini generator preset; rerunning this script
-must reproduce every file byte-for-byte (a test asserts that).  The summary
-printed at the end is the source for the frozen counts in the test suite.
+must reproduce every file byte-for-byte (``tests/test_synth.py`` runs it in
+a copy of ``tools/`` and ``src/`` and asserts that).  The summary printed at
+the end is the source for the frozen counts in the test suite.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from echoaudit import blocks as blk        # noqa: E402
 from echoaudit import graph as gr          # noqa: E402
 from echoaudit import ideology as ideo     # noqa: E402
 from echoaudit import ingest as ing        # noqa: E402
@@ -50,8 +52,10 @@ def main() -> None:
     print(f"originals={n_orig} retweets={n_rt} "
           f"graph_nodes={len(nodes)} graph_edges={len(pairs)}")
 
-    g = gr.build_graph(ing.network_subset(
-        ing.apply_filters(ing.parse_corpus(out / "mini_corpus.jsonl"))))
+    g = gr.RetweetCounts.from_columns(
+        run.of_kinds(ing.KINDS_FOR_NETWORK)
+        for run in blk.filter_columns(blk.corpus_columns(out / "mini_corpus.jsonl"))
+    ).graph()
     truth = synth.GroundTruth.from_json(out / "mini_ground_truth.json")
     infl = gr.select_influencers(g, truth.planted_hubs, threshold=5)
     matrix = ideo.build_interaction_matrix(g, infl, min_distinct=2)
