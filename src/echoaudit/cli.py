@@ -17,7 +17,8 @@ Every read of a plain corpus (ingest's input, and the filtered corpus that
 standalone ``graph``, ``engagement`` and ``report`` read) is split into one
 line-aligned span per usable CPU, each span parsed by the same code, all but
 the first in a forked child, and the parts merged in file order; engagement
-writes its ``ae_*.csv`` tables at once the same way.  With two or more
+deals its granularities out the same way, each worker aggregating and
+writing one ``ae_*.csv`` table at a time.  With two or more
 usable CPUs, ``pipeline`` also runs synth in a forked child that streams
 each block of its corpus to ingest here as it writes it (ingest commits its
 outputs only once synth has succeeded), and runs report in a forked child
@@ -318,6 +319,14 @@ def _load_originals(args) -> eng.OriginalsTable:
 
 def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
                    user_scores: Optional[dict[str, float]] = None) -> None:
+    """Write the AE tables, the correlations and the group summaries.
+
+    The granularities are dealt in turn to one group per usable CPU, each
+    group run by :func:`ingest.fork_map`.  A worker aggregates and writes
+    one table at a time and drops it before the next, so no process holds
+    two tables; it hands back its counters and, for a granularity that a
+    ``--group-by`` reads, the subject ids and AE columns.
+    """
     wanted = (["tweet", "user", "domain"] if args.granularity == "all"
               else [args.granularity])
     # Read every input before creating the output directory, so a bad input
@@ -329,22 +338,40 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
             and args.scores and "user" in wanted):
         user_scores, _ = ideo.read_scores(args.scores)
     ing.make_dir(args.out_dir)
-    stats: Counter = Counter()
+    if "domain" in wanted and not table:
+        log.warning("domain granularity requested without --domains; skipped")
+        wanted.remove("domain")
+    # The tables that a --group-by reads.
+    grouped = {"user" if by == "ideology" else "domain" for by in args.group_by or []}
 
-    results: dict[str, eng.EngagementTable] = {}
-    for granularity in wanted:
-        if granularity == "domain" and not table:
-            log.warning("domain granularity requested without --domains; skipped")
-            continue
-        results[granularity] = eng.aggregate_ae(
-            originals, granularity,
-            fractional=args.fractional_domains and granularity == "domain",
-            drop_zero_impressions=args.drop_zero_impressions,
-            stats=stats,
-        )
-    ing.fork_write(eng.write_engagement,
-                   [(records, args.out_dir / f"ae_{granularity}.csv")
-                    for granularity, records in results.items()])
+    def aggregate(granularities: list[str]):
+        stats: Counter = Counter()
+        kept: dict[str, eng.SubjectAE] = {}
+        for granularity in granularities:
+            records = eng.aggregate_ae(
+                originals, granularity,
+                fractional=args.fractional_domains and granularity == "domain",
+                drop_zero_impressions=args.drop_zero_impressions,
+                stats=stats,
+            )
+            eng.write_engagement(records, args.out_dir / f"ae_{granularity}.csv")
+            if granularity in grouped:
+                kept[granularity] = eng.SubjectAE(records.subject_ids, records.ae)
+            del records  # before the next table is made
+        return stats, kept
+
+    n = min(ing.usable_cpus(), len(wanted))
+    try:
+        parts = ing.fork_map(aggregate, [wanted[k::n] for k in range(n)])
+    except BaseException:
+        # A worker killed while writing leaves its temporary file.
+        ing.remove_temporaries(args.out_dir)
+        raise
+    stats: Counter = Counter()
+    results: dict[str, eng.SubjectAE] = {}
+    for part_stats, kept in parts:
+        stats.update(part_stats)
+        results.update(kept)
 
     reports = []
     for action in eng.ACTIONS:

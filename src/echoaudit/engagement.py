@@ -22,8 +22,9 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +39,10 @@ ACTIONS = ("retweet", "reply", "like", "quote")
 
 GRANULARITIES = ("tweet", "user", "domain")
 
-# Rows per chunk of the engagement CSV writer.
-_WRITE_CHUNK = 8192
+# Subjects per chunk of the engagement CSV writer.  A chunk's text and the
+# lists it is built from take about 1 MB at 2,048 subjects; at 8,192 they
+# added some 4 MB to the peak of every process that writes a table.
+_WRITE_CHUNK = 2048
 
 
 def _view(column: array) -> np.ndarray:
@@ -201,6 +204,14 @@ class EngagementTable:
         return len(self.subject_ids)
 
 
+class SubjectAE(NamedTuple):
+    """What :func:`group_ae` reads of an :class:`EngagementTable`: a small
+    part to keep once the table is written."""
+
+    subject_ids: list[str]
+    ae: dict[str, np.ndarray]
+
+
 def _fsum_groups(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per-group ``math.fsum`` of values laid out group by group.
 
@@ -245,7 +256,7 @@ def aggregate_ae(
         stats = Counter()
     n = len(originals)
     impressions = originals.impressions
-    keep = np.ones(n, dtype=bool)
+    keep = None
     if drop_zero_impressions:
         keep = impressions != 0
         tally(stats, "zero_impression_tweets_dropped", n - int(np.count_nonzero(keep)))
@@ -257,12 +268,14 @@ def aggregate_ae(
         names = [p.domain for p in originals.profiles()]
         width = max(len(names), 1)
         owners, codes = originals.matched_urls()
-        pairs = np.unique(owners * width + codes)
-        row, key = pairs // width, pairs % width
-        n_keys = np.bincount(row, minlength=n)
-        tally(stats, "unkeyed_records", int(np.count_nonzero(keep & (n_keys == 0))))
+        row, key = np.divmod(np.unique(owners * width + codes), width)
+        del owners, codes
+        unkeyed = np.bincount(row, minlength=n) == 0
+        if keep is not None:
+            unkeyed &= keep
+        tally(stats, "unkeyed_records", int(np.count_nonzero(unkeyed)))
         if fractional:
-            weight = 1.0 / n_keys[row]
+            weight = 1.0 / np.bincount(row, minlength=n)[row]
     else:
         if granularity == "tweet":
             names, rank = originals.sorted_tweets()
@@ -270,18 +283,27 @@ def aggregate_ae(
         else:
             names, rank = originals.sorted_authors()
             key = rank[originals.author_codes]
+        del rank
         row = np.arange(n)
     # Kept occurrences, grouped by subject; rows stay ascending in a group.
-    sel = np.flatnonzero(keep[row])
-    sel = sel[np.argsort(key[sel], kind="stable")]
-    row, key = row[sel], key[sel]
+    if keep is not None:
+        sel = np.flatnonzero(keep[row])
+        row, key = row[sel], key[sel]
+        if weight is not None:
+            weight = weight[sel]
+        del sel
+    order = np.argsort(key, kind="stable")
+    row, key = row[order], key[order]
     if weight is not None:
-        weight = weight[sel]
+        weight = weight[order]
+    del order
     if not row.size:
         none = {a: np.zeros(0) for a in ACTIONS}
         return EngagementTable(granularity, [], np.zeros(0), none, none, none,
                                np.zeros(0, dtype=np.int64))
     starts, sizes = _groups(key)
+    subject_keys = key[starts]
+    del key
 
     def pooled(column: np.ndarray) -> np.ndarray:
         terms = column[row]
@@ -290,42 +312,50 @@ def aggregate_ae(
         return _fsum_groups(terms, starts, sizes)
 
     imp = pooled(impressions)
-    totals = {a: pooled(originals.action_counts(a)) for a in ACTIONS}
+    counts = {a: pooled(originals.action_counts(a)) for a in ACTIONS}
+    del weight
 
-    # Per-tweet ratios, pooled over the tweets that have impressions.
-    has_ratio = impressions[row] != 0
-    ratio_row, ratio_key = row[has_ratio], key[has_ratio]
-    ratio_n = np.zeros(starts.size, dtype=np.int64)
-    ratio_sums = {a: np.zeros(starts.size) for a in ACTIONS}
-    if ratio_row.size:
-        ratio_starts, ratio_sizes = _groups(ratio_key)
-        slot = np.searchsorted(key[starts], ratio_key[ratio_starts])
-        ratio_n[slot] = ratio_sizes
-        ratio_imp = impressions[ratio_row]
-        for a in ACTIONS:
-            ratios = originals.action_counts(a)[ratio_row] / ratio_imp
-            ratio_sums[a][slot] = _fsum_groups(ratios, ratio_starts, ratio_sizes)
+    # Per-tweet ratios, pooled over the tweets that have impressions.  A
+    # tweet without impressions adds an exact 0.0 to its subject's sum,
+    # which leaves the sum as it is.
+    row_imp = impressions[row]
+    has_ratio = row_imp != 0
+    ratio_n = np.add.reduceat(has_ratio, starts, dtype=np.int64)
+    ratio_sums = {}
+    for a in ACTIONS:
+        ratios = np.divide(originals.action_counts(a)[row], row_imp,
+                           out=np.zeros(row.size), where=has_ratio)
+        ratio_sums[a] = _fsum_groups(ratios, starts, sizes)
+    del row, row_imp, has_ratio, ratios
 
     nonzero = imp != 0
-    tally(stats, "zero_impression_subjects_omitted", int(np.count_nonzero(~nonzero)))
-    imp = imp[nonzero]
-    counts = {a: totals[a][nonzero] for a in ACTIONS}
-    ae = {a: counts[a] / imp for a in ACTIONS}
+    omitted = imp.size - int(np.count_nonzero(nonzero))
+    tally(stats, "zero_impression_subjects_omitted", omitted)
+    if omitted:
+        imp, sizes, ratio_n, subject_keys = (
+            imp[nonzero], sizes[nonzero], ratio_n[nonzero], subject_keys[nonzero])
+        counts = {a: counts[a][nonzero] for a in ACTIONS}
+        ratio_sums = {a: ratio_sums[a][nonzero] for a in ACTIONS}
+    no_ratio = ratio_n == 0
+    ae, mean_ae = {}, {}
     for a in ACTIONS:
+        ae[a] = counts[a] / imp
         tally(stats, f"ae_over_unity_{a}", int(np.count_nonzero(ae[a] > 1.0)))
-    ratio_n = ratio_n[nonzero]
-    with np.errstate(invalid="ignore"):
-        mean_ae = {a: np.where(ratio_n > 0, ratio_sums[a][nonzero] / ratio_n, np.nan)
-                   for a in ACTIONS}
-    subject_keys = key[starts][nonzero].tolist()
+        with np.errstate(invalid="ignore"):
+            mean_ae[a] = ratio_sums.pop(a) / ratio_n
+        mean_ae[a][no_ratio] = np.nan
+    if subject_keys.size < len(names):
+        present = np.zeros(len(names), dtype=bool)
+        present[subject_keys] = True
+        names = list(compress(names, present.tolist()))
     return EngagementTable(
         granularity=granularity,
-        subject_ids=[names[k] for k in subject_keys],
+        subject_ids=names,
         impressions=imp,
         counts=counts,
         ae=ae,
         mean_ae=mean_ae,
-        n_tweets=sizes[nonzero],
+        n_tweets=sizes,
     )
 
 
@@ -389,7 +419,7 @@ class GroupSummary:
 
 
 def group_ae(
-    records: EngagementTable,
+    records: EngagementTable | SubjectAE,
     groups: Mapping[str, str],
     stats: Optional[Counter] = None,
 ) -> list[GroupSummary]:

@@ -45,7 +45,8 @@ A plain (not ``.gz``) corpus is read on every usable CPU:
 :func:`fork_map` runs the same code over each span, all but the first in a
 forked child, handing the parts back in file order.
 :func:`open_atomic_parts` gives each span its own output and joins them in
-order, and :func:`fork_write` writes several artifacts at once.
+order.  ``engagement`` deals its granularities to :func:`fork_map` too, and
+:func:`remove_temporaries` clears what a killed writer left.
 :func:`fork_stream` reads, as it is written, the text that a forked child
 writes (``pipeline`` ingests synth's corpus this way), and both corpus
 readers read that stream as they read the file.
@@ -816,24 +817,6 @@ def _die_with(parent: int) -> None:
         os._exit(1)
 
 
-def fork_write(write: Callable[[T, Path], None],
-               jobs: Sequence[tuple[T, Path]]) -> None:
-    """``write(obj, path)`` for each ``(obj, path)`` job, the jobs dealt in
-    turn to one group per usable CPU and the groups run by :func:`fork_map`.
-
-    ``write`` goes through :func:`open_atomic`.  If a job fails, no
-    temporary file of any job is left once every child is reaped.
-    """
-    n = min(usable_cpus(), len(jobs))
-    try:
-        fork_map(lambda group: [write(*job) for job in group],
-                 [jobs[k::n] for k in range(n)])
-    except BaseException:
-        for _, path in jobs:
-            _temporary(Path(path)).unlink(missing_ok=True)
-        raise
-
-
 def write_table(out: str | Path | io.TextIOBase, header: Sequence[str],
                 rows: Iterable[Sequence]) -> None:
     """Write a CSV table: ``header``, then one line per row.
@@ -1006,11 +989,12 @@ def sorted_codes(vocab: Mapping[str, int]) -> tuple[list[str], np.ndarray]:
     sorted as Python strings, not as NumPy ``U`` arrays.  The graph's node
     order and the originals table's subject order both come from here.
     """
-    ids = list(vocab)
-    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = sorted(vocab)
+    # The codes come from the dict's own values, so no int is made per id.
+    codes = np.fromiter(map(vocab.__getitem__, ids), dtype=np.int64, count=len(ids))
     rank = np.empty(len(ids), dtype=np.int64)
-    rank[order] = np.arange(len(ids))
-    return [ids[i] for i in order], rank
+    rank[codes] = np.arange(len(ids))
+    return ids, rank
 
 
 def intern_ids(vocab: dict[str, int], ids: Collection[str]) -> np.ndarray:

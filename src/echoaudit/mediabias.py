@@ -187,35 +187,48 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
     """Load the ``domain,leaning_label,reliability`` CSV.
 
     Domains are lowercased and deduplicated (last row wins, with a warning);
-    rows with an unknown label or reliability are skipped and logged.  An
-    empty leaning label is allowed and yields a profile without a score.
+    rows with an unknown label or reliability, or with a domain that holds
+    whitespace or a line break (no URL host can), are skipped and logged.
+    An empty leaning label is allowed and yields a profile without a score.
+    Each warning names the line its row starts on: a quoted field may span
+    lines.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"domain table not found: {path}")
     table: dict[str, DomainProfile] = {}
     with open_maybe_gzip(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
+            columns = next(reader, None)
             required = {"domain", "leaning_label", "reliability"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            if columns is None or not required.issubset(columns):
                 raise InputError(
                     f"domain table must have columns {sorted(required)}; "
-                    f"got {reader.fieldnames}"
+                    f"got {columns}"
                 )
-            for row_no, row in enumerate(reader, start=2):
-                domain = (row["domain"] or "").strip().lower()
+            next_line = reader.line_num + 1
+            for fields in reader:
+                row_no, next_line = next_line, reader.line_num + 1
+                if not fields:
+                    continue
+                row = dict(zip(columns, fields))
+                domain = (row.get("domain") or "").strip().lower()
                 if not domain:
                     log.warning("%s:%d: empty domain; row skipped", path, row_no)
                     continue
-                reliability = _canon_reliability(row["reliability"] or "")
+                if len(domain.split()) > 1:
+                    log.warning("%s:%d: domain %r holds whitespace; row skipped",
+                                path, row_no, domain)
+                    continue
+                reliability = _canon_reliability(row.get("reliability") or "")
                 if reliability is None:
                     log.warning(
                         "%s:%d: unknown reliability %r; row skipped",
-                        path, row_no, row["reliability"],
+                        path, row_no, row.get("reliability"),
                     )
                     continue
-                raw_label = (row["leaning_label"] or "").strip()
+                raw_label = (row.get("leaning_label") or "").strip()
                 label: Optional[str] = None
                 if raw_label:
                     label = _canon_leaning(raw_label)
@@ -226,7 +239,8 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
                         )
                         continue
                 if domain in table:
-                    log.warning("duplicate domain %r; keeping the last row", domain)
+                    log.warning("%s:%d: duplicate domain %r; keeping the last row",
+                                path, row_no, domain)
                 table[domain] = DomainProfile(
                     domain=domain,
                     leaning_label=label,
@@ -234,8 +248,8 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
                     reliability=reliability,
                 )
         except csv.Error as exc:
-            # The inner reader has counted the line it failed on.
-            raise InputError(f"{path}:{reader.reader.line_num}: {exc}") from None
+            # The reader has counted the line it failed on.
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     return table
 
 

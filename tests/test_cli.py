@@ -3,9 +3,11 @@ import gzip
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -833,6 +835,79 @@ class TestPipeline:
             (tmp_path / "run" / "report" / "summary.json").read_text()
         )
         assert summary["diagonal_mass_share"] >= 0.9
+
+
+class TestEngagementWorkers:
+    """Standalone ``engagement`` deals its granularities to one worker per
+    usable CPU; each worker aggregates and writes one table at a time."""
+
+    def test_same_tree_and_log_at_one_two_and_three_cpus(self, mini_stage_dirs, tmp_path,
+                                                          monkeypatch, caplog):
+        """Every granularity and every ``--group-by`` write the same bytes and
+        log the same lines in the same order, warnings included."""
+        corpus = tmp_path / "filtered.jsonl"
+        corpus.write_text(re.sub(r'"quotes": \d+', '"quotes": 0',
+                                 (mini_stage_dirs / "filtered.jsonl").read_text()))
+        domains = tmp_path / "domains.csv"
+        domains.write_text((FIXTURES / "mini_domains.csv").read_text().replace(
+            "deep-rumors-0.test", "unseen-rumors.test"))
+        caplog.set_level(logging.DEBUG, logger="echoaudit")
+        trees, logs = [], []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(ing, "usable_cpus", lambda n=n: n)
+            out = tmp_path / f"cpus{n}"
+            caplog.clear()
+            assert run(["engagement", "--input", corpus, "--domains", domains,
+                        "--scores", mini_stage_dirs / "scores.csv",
+                        "--granularity", "all", "--group-by", "ideology",
+                        "--group-by", "reliability", "--group-by", "leaning",
+                        "--out-dir", out]) == 0
+            logs.append([(r.levelname, r.getMessage()) for r in caplog.records])
+            trees.append(tree_bytes(out))
+        assert sorted(trees[0]) == sorted(
+            [f"ae_{g}.csv" for g in eng.GRANULARITIES] + ["correlations.csv",
+             "engagement_stats.csv", "user_leanings.csv"]
+            + [f"groups_{by}.csv" for by in ("ideology", "reliability", "leaning")])
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+        assert logs[0] == [
+            ("WARNING", "correlation for quote unavailable: "
+                        "correlation needs at least 2 points, got 0"),
+            ("WARNING", "group 'conspiracy_pseudoscience' has no engagement records; "
+                        "omitted"),
+        ]
+        assert logs[1] == logs[0] and logs[2] == logs[0]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("command", ["engagement", "pipeline"])
+    def test_no_process_holds_two_tables(self, mini_stage_dirs, tmp_path, monkeypatch,
+                                         n_cpus, command):
+        """Each call of ``aggregate_ae`` finds every table made before it in
+        the same process freed."""
+        aggregate = eng.aggregate_ae
+        made = []
+
+        def tracked(*args, **kwargs):
+            alive = [ref().granularity for pid, ref in made
+                     if pid == os.getpid() and ref() is not None]
+            assert not alive, f"process {os.getpid()} still holds {alive}"
+            table = aggregate(*args, **kwargs)
+            made.append((os.getpid(), weakref.ref(table)))
+            return table
+
+        monkeypatch.setattr(eng, "aggregate_ae", tracked)
+        monkeypatch.setattr(ing, "usable_cpus", lambda: n_cpus)
+        if command == "engagement":
+            argv = ["engagement", "--input", mini_stage_dirs / "filtered.jsonl",
+                    "--domains", FIXTURES / "mini_domains.csv",
+                    "--scores", mini_stage_dirs / "scores.csv",
+                    "--group-by", "ideology", "--group-by", "reliability",
+                    "--group-by", "leaning"]
+        else:
+            argv = ["pipeline", "--preset", "mini"]
+        assert run([*argv, "--out-dir", tmp_path / "run"]) == 0
+        # With two CPUs this process aggregates tweets and domains, and a
+        # worker the users.
+        assert len([pid for pid, _ in made if pid == os.getpid()]) == 4 - n_cpus
 
 
 def hidden_files(root):

@@ -1,4 +1,5 @@
 from collections import Counter, defaultdict
+from unittest import mock
 
 import dataclasses
 import math
@@ -450,6 +451,59 @@ class TestExports:
         assert len(lines) == 1 + 4
 
 
+_csv_ids = st.text(
+    st.characters(exclude_categories=["Cs"], exclude_characters=",\n\r"),
+    min_size=1, max_size=4,
+) | st.sampled_from(["\x00", "é", "日本", "u 1"])
+_amounts = st.sampled_from([0.0, 5e-324, 1e16, 0.5, 1 / 3, float(ing.MAX_COUNT)]) | st.floats(
+    min_value=0.0, max_value=1e17, allow_nan=False)
+_counts = st.integers(0, ing.MAX_COUNT).map(float) | st.sampled_from(
+    [0.0, 2.5, float(ing.MAX_COUNT)])
+
+
+@st.composite
+def engagement_rows(draw):
+    """One subject: impressions, and per action a count, an AE and a mean
+    that is the AE, NaN or another value."""
+    subject = draw(_csv_ids)
+    impressions = draw(_amounts)
+    per_action = []
+    for _ in eng.ACTIONS:
+        ae = draw(_amounts)
+        mean = draw(st.sampled_from([ae, math.nan]) | _amounts)
+        per_action.append((draw(_counts), ae, mean))
+    return subject, impressions, per_action
+
+
+@given(subjects=st.lists(engagement_rows(), max_size=12),
+       granularity=st.sampled_from(eng.GRANULARITIES),
+       chunk=st.sampled_from([1, 3, eng._WRITE_CHUNK]))
+@settings(max_examples=200, deadline=None)
+def test_engagement_bytes_match_write_table_property(tmp_path_factory, subjects,
+                                                     granularity, chunk):
+    """The chunked writer writes the bytes ``write_table`` writes one row at
+    a time, a NaN mean as an empty field, whatever its chunk size."""
+    def column(k):
+        return {a: np.array([per_action[i][k] for _, _, per_action in subjects])
+                for i, a in enumerate(eng.ACTIONS)}
+
+    records = eng.EngagementTable(
+        granularity=granularity, subject_ids=[s for s, _, _ in subjects],
+        impressions=np.array([imp for _, imp, _ in subjects]),
+        counts=column(0), ae=column(1), mean_ae=column(2),
+        n_tweets=np.ones(len(subjects), dtype=np.int64))
+    root = tmp_path_factory.mktemp("engagement")
+    with mock.patch.object(eng, "_WRITE_CHUNK", chunk):
+        eng.write_engagement(records, root / "columns.csv")
+    ing.write_table(
+        root / "rows.csv",
+        ("subject", "granularity", "action", "impressions", "count", "ae", "mean_ae"),
+        ((subject, granularity, a, imp, count, ae, None if math.isnan(mean) else mean)
+         for subject, imp, per_action in subjects
+         for a, (count, ae, mean) in zip(eng.ACTIONS, per_action)))
+    assert (root / "columns.csv").read_bytes() == (root / "rows.csv").read_bytes()
+
+
 class Boom:
     """A value whose text form raises, to fail a writer part-way."""
 
@@ -460,7 +514,7 @@ class Boom:
 
 
 def engagement_table_failing_late():
-    n = 2 * 8192 + 5
+    n = 2 * eng._WRITE_CHUNK + 5
     zeros = np.zeros(n)
     ids = [f"s{i:05d}" for i in range(n)]
     ids[-1] = Boom()

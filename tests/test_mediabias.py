@@ -98,7 +98,24 @@ class TestLoadDomainTable:
         with caplog.at_level("WARNING"):
             table = mb.load_domain_table(path)
         assert table["dup.test"].leaning_label == "Right"
-        assert any("dup.test" in m for m in caplog.messages)
+        assert caplog.messages == [
+            f"{path}:3: duplicate domain 'dup.test'; keeping the last row"]
+
+    def test_warnings_name_the_line_a_row_starts_on(self, tmp_path, caplog):
+        """A quoted domain holding a line break is skipped, and the rows
+        after it keep their line numbers; blank lines count too."""
+        path = tmp_path / "d4.csv"
+        path.write_text('domain,leaning_label,reliability\n"a.test\nb",Left,reliable\n'
+                        "x.test,Left,bogus\n\n\"  tab\tsep.test  \",Left,reliable\n"
+                        "ok.test,Left,reliable\n")
+        with caplog.at_level("WARNING"):
+            table = mb.load_domain_table(path)
+        assert set(table) == {"ok.test"}
+        assert caplog.messages == [
+            f"{path}:2: domain 'a.test\\nb' holds whitespace; row skipped",
+            f"{path}:4: unknown reliability 'bogus'; row skipped",
+            f"{path}:6: domain 'tab\\tsep.test' holds whitespace; row skipped",
+        ]
 
     def test_thirty_row_fixture(self, fixtures_dir):
         path = fixtures_dir / "domains_fixture.csv"
