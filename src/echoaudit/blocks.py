@@ -3,14 +3,14 @@
 :func:`corpus_columns` gives the records of :func:`ingest.parse_corpus` as
 runs of :class:`CorpusColumns`.  It reads the text in blocks of whole
 lines, each ``_BLOCK_CHARS`` characters and the rest of its last line.
-One multiline match of the fixed layout (``ingest._CANONICAL``) per block
-finds the lines that the per-line path decodes by that layout, and each
-run of them is decoded at once into NumPy and list columns: ids, kinds,
-``datetime64`` times, int64 counts, URL lists and the line text.  Every
-other line goes through the per-line path of :func:`ingest.parse_corpus`,
-which stays the reference and names ``file:line``, and each run of those
-lines gives the columns of its records.  Rejects and log lines are those of
-the per-line path.
+One multiline match of the fixed layout of :func:`ingest.flat_lines`
+(``_CANONICAL``, its only decoder) per block finds the lines in that layout
+with a real date, and each run of them is decoded at once into NumPy and
+list columns: ids, kinds, ``datetime64`` times, int64 counts, URL lists and
+the line text.  Every other line is decoded as JSON by the per-line code of
+:func:`ingest.parse_corpus`, the reference, which names ``file:line``; each
+run of those lines gives the columns of its records.  Rejects and log lines
+are those of :func:`ingest.parse_corpus`.
 
 :func:`filter_columns` and :func:`write_corpus_columns` are
 :func:`ingest.apply_filters` and :func:`ingest.write_corpus` over those
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import timezone
@@ -38,9 +39,38 @@ from typing import Generator, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .ingest import (_CANONICAL, KINDS, CorpusFilter, Span, TweetRecord, _open_corpus,
-                     _parse_line, _split_urls, flat_lines, format_epoch_seconds, open_atomic,
-                     open_maybe_gzip)
+from .ingest import (KINDS, CorpusFilter, Span, TweetRecord, _open_corpus, _parse_line,
+                     flat_lines, format_epoch_seconds, open_atomic, open_maybe_gzip)
+
+# The exact layout of a :func:`flat_lines` line whose every value JSON writes
+# as itself and ingest accepts as it stands.  Strings are printable ASCII
+# (``[ -~]``) without ``"`` or ``\``; ids are non-empty and also free of ``,``
+# and of spaces at either end (``ingest._check_id``); ``lang`` is non-empty and
+# free of ``A-Z``.  Counts have at most 15 digits, so each is below
+# ``MAX_COUNT``; longer ones go to the JSON path.  The pattern is anchored
+# at the ends of a line in multiline mode, with a first group for the whole
+# line, so one ``findall`` finds every such line of a block of text.
+_STR = r'[ !#-\[\]-~]'
+_ID = r'[!#-+\--\[\]-~](?:[ !#-+\--\[\]-~]*[!#-+\--\[\]-~])?'
+_N = r'(0|[1-9][0-9]{0,14})'
+_CANONICAL = re.compile(
+    '^('
+    f'{{"author_followers": {_N}, '
+    f'"author_id": "({_ID})", '
+    r'"created_at": "([0-9]{4}-[0-9]{2}-[0-9]{2}'
+    r'T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9])Z", '
+    f'"impressions": {_N}, '
+    f'"kind": "(original|retweet|quote|reply)", '
+    r'"lang": "([ !#-@\[\]-~]+)", '
+    f'"likes": {_N}, '
+    f'"quotes": {_N}, '
+    f'"replies": {_N}, '
+    f'"retweeted_author_id": (?:null|"({_ID})"), '
+    f'"retweets": {_N}, '
+    f'"tweet_id": "({_ID})", '
+    f'"urls": \\[("{_STR}*"(?:, "{_STR}*")*)?\\]}}'
+    ')$', re.M)
+
 
 # Characters of text decoded and matched at a time by the block readers,
 # before the rest of the last line.  Larger blocks decode no faster and
@@ -62,11 +92,11 @@ class CorpusColumns:
 
     ``created_at`` is UTC ``datetime64[us]``; ``kind`` is the ``int8`` index
     of each kind in :data:`KINDS`; the counts are ``int64``.  An empty or
-    ``None`` ``retweeted_author_id`` means no target.  ``line`` holds, as
-    :attr:`TweetRecord.line` does, each record's corpus line when it was read
-    in the fixed layout of :func:`flat_lines`, else ``None``; for such a line
-    ``urls`` holds the text between the brackets of its URL list, which
-    :meth:`url_lists` splits only when asked.
+    ``None`` ``retweeted_author_id`` means no target.  ``line`` holds each
+    record's corpus line when it was read in the fixed layout of
+    :func:`flat_lines`, else ``None``; for such a line ``urls`` holds the
+    text between the brackets of its URL list, which :meth:`url_lists`
+    splits only when asked.
     """
 
     tweet_id: Sequence[str]
@@ -100,7 +130,7 @@ class CorpusColumns:
             [r.lang for r in records],
             np.array([_KIND_CODES[r.kind] for r in records], dtype=np.int8),
             [r.retweeted_author_id for r in records], *counts[:5],
-            [r.urls for r in records], counts[5], [r.line for r in records])
+            [r.urls for r in records], counts[5], [None] * len(records))
 
     def take(self, rows: np.ndarray) -> "CorpusColumns":
         """The records where the boolean array ``rows`` is true."""
@@ -116,8 +146,10 @@ class CorpusColumns:
         return self.take(np.array([kind in kinds for kind in KINDS])[self.kind])
 
     def url_lists(self) -> list[list[str]]:
-        """Each record's URLs."""
-        return [urls if isinstance(urls, list) else _split_urls(urls) for urls in self.urls]
+        """Each record's URLs, those of a fixed-layout line split from the
+        text between its brackets."""
+        return [urls if isinstance(urls, list) else urls[1:-1].split('", "') if urls else []
+                for urls in self.urls]
 
     def text(self) -> str:
         """The records' ``flat`` corpus lines, newlines included, as
@@ -201,9 +233,9 @@ def corpus_columns(
     and log lines, as runs of :class:`CorpusColumns` in file order.
 
     The text is read in blocks of whole lines.  In a ``flat`` corpus one
-    multiline match of the fixed layout per block finds the lines that
-    :func:`parse_corpus` decodes by that layout, and each run of them is
-    decoded into columns at once; every other line goes through
+    multiline match of the fixed layout per block finds the lines in that
+    layout whose date ``datetime`` holds, and each run of them is decoded
+    into columns at once; every other line is decoded as JSON by
     :func:`parse_corpus`'s own per-line code, and each run of those lines
     gives the columns of its records.
     """

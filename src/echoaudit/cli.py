@@ -162,7 +162,11 @@ def cmd_ingest(args, keep: bool = False,
     corpus_filter = _corpus_filter(args)
     source = args.input if corpus is None else corpus
     spans = ing.corpus_spans(args.input) if corpus is None else [None]
-    with ing.open_atomic_parts(args.filtered_out, len(spans)) as outs:
+    # No output is committed before every one is open, and the reports open
+    # after the read, so an input error still comes first.
+    with ExitStack() as outputs:
+        outs = outputs.enter_context(ing.open_atomic_parts(args.filtered_out, len(spans)))
+
         def ingest_span(k: int):
             rejects: Counter = Counter()
             exclusions: Counter = Counter()
@@ -180,14 +184,14 @@ def cmd_ingest(args, keep: bool = False,
 
         written, span_rejects, span_exclusions, kept = zip(
             *ing.fork_map(ingest_span, range(len(spans))))
-    rejects, exclusions = Counter(), Counter()
-    for part_rejects, part_exclusions in zip(span_rejects, span_exclusions):
-        rejects.update(part_rejects)
-        exclusions.update(part_exclusions)
-    if args.rejects_out:
-        ing.write_count_report(rejects, args.rejects_out)
-    if args.exclusions_out:
-        ing.write_count_report(exclusions, args.exclusions_out)
+        rejects, exclusions = Counter(), Counter()
+        for part_rejects, part_exclusions in zip(span_rejects, span_exclusions):
+            rejects.update(part_rejects)
+            exclusions.update(part_exclusions)
+        for counts, path in ((rejects, args.rejects_out), (exclusions, args.exclusions_out)):
+            if path:
+                ing.write_count_report(counts, outputs.enter_context(
+                    ing.open_atomic(path, newline="")))
     log.info("retained %d records (%s)", sum(written), dict(exclusions))
     if not keep:
         return None
@@ -274,16 +278,19 @@ def cmd_ideology(args, g: Optional[gr.RetweetGraph] = None,
     )
     anchor = args.anchor or matrix.col_ids[0]
     scores = ideo.score_users_and_influencers(norm, triplet, anchor)
-    ideo.write_scores(scores, args.scores_out)
-    if args.meta_out:
-        ing.write_json(args.meta_out, {
-            "sigma1": scores.sigma1,
-            "anchor_id": scores.anchor_id,
-            "iterations": scores.iterations,
-            "residual": scores.residual,
-            "matrix_shape": list(matrix.shape),
-            "nnz": matrix.nnz,
-        })
+    # No output is committed before every one is open, as in cmd_ingest.
+    with ExitStack() as outputs:
+        ideo.write_scores(scores, outputs.enter_context(
+            ing.open_atomic(args.scores_out, newline="")))
+        if args.meta_out:
+            ing.write_json(outputs.enter_context(ing.open_atomic(args.meta_out)), {
+                "sigma1": scores.sigma1,
+                "anchor_id": scores.anchor_id,
+                "iterations": scores.iterations,
+                "residual": scores.residual,
+                "matrix_shape": list(matrix.shape),
+                "nnz": matrix.nnz,
+            })
     log.info("scored %d users, %d influencers (sigma1=%g, %d iterations)",
              len(scores.user_scores), len(scores.influencer_scores),
              scores.sigma1, scores.iterations)

@@ -20,10 +20,11 @@ its retweeters' scores.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -336,8 +337,9 @@ def score_users_and_influencers(
     )
 
 
-def write_scores(scores: IdeologyScores, path: str | Path) -> None:
-    """CSV export: ``id,kind,score,raw_score`` sorted by (kind, id)."""
+def write_scores(scores: IdeologyScores, out: str | Path | TextIO) -> None:
+    """CSV export: ``id,kind,score,raw_score`` sorted by (kind, id), to
+    ``out`` as :func:`ingest.write_table` does."""
     rows = [
         (cid, "influencer", scores.influencer_scores[cid], scores.raw_influencer_scores[cid])
         for cid in scores.influencer_scores
@@ -346,11 +348,12 @@ def write_scores(scores: IdeologyScores, path: str | Path) -> None:
         for uid in scores.user_scores
     ]
     rows.sort(key=lambda t: (t[1], t[0]))
-    write_table(path, SCORES_HEADER, rows)
+    write_table(out, SCORES_HEADER, rows)
 
 
 def read_scores(path: str | Path) -> tuple[dict[str, float], dict[str, float]]:
-    """Read a score CSV back into (user_scores, influencer_scores)."""
+    """Read a score CSV back into (user_scores, influencer_scores); every
+    score must be finite, as :func:`write_scores` writes them."""
     users: dict[str, float] = {}
     influencers: dict[str, float] = {}
     for lineno, (ident, kind, score, _raw) in read_table(path, SCORES_HEADER,
@@ -359,7 +362,8 @@ def read_scores(path: str | Path) -> tuple[dict[str, float], dict[str, float]]:
             values = list(map(float, score))
         except ValueError:
             values = None
-        if values is None or not {"user", "influencer"}.issuperset(kind):
+        if (values is None or not all(map(math.isfinite, values))
+                or not {"user", "influencer"}.issuperset(kind)):
             _raise_first_bad_score(path, lineno, kind, score)
         user = [k == "user" for k in kind]
         users.update(zip(compress(ident, user), compress(values, user)))
@@ -376,8 +380,10 @@ def _raise_first_bad_score(path: str | Path, lineno: int, kind: Sequence[str],
         if kind not in ("user", "influencer"):
             raise InputError(f"{path}:{lineno}: unknown score kind {kind!r}")
         try:
-            float(score)
+            value = float(score)
         except ValueError:
             raise InputError(
                 f"{path}:{lineno}: score {score!r} is not a number"
             ) from None
+        if not math.isfinite(value):
+            raise InputError(f"{path}:{lineno}: score {score!r} is not a finite number")

@@ -23,18 +23,16 @@ the JSON decoder is rejected under ``json_too_deep``.  Files ending in
 ``.gz`` are transparently decompressed.
 
 The ``flat`` line layout is defined once, in :func:`flat_lines`, which
-formats a block of rows at a time.  A ``flat`` line in exactly that layout,
-with values that ingest accepts as they stand, is decoded by one
-fixed-layout pattern; every other line is decoded as JSON, which names the
-reject reasons.  :func:`write_corpus` writes the ``flat`` schema back, one
-:func:`flat_lines` row per record, copying the line a fixed-layout record
-was read from.
+formats a block of rows at a time.
 
 :func:`parse_corpus`, :func:`apply_filters` and :func:`write_corpus` handle
-one record at a time.  Every stage reads and writes with
+one record at a time: :func:`parse_corpus` decodes every line as JSON,
+which names the reject reasons, and :func:`write_corpus` writes one
+:func:`flat_lines` row per record.  Every stage reads and writes with
 :func:`blocks.corpus_columns` and its companions instead, a block of text
-at a time; that reader sends each line that is not in the fixed layout
-through the per-line path here, which stays the reference.
+at a time.  That reader decodes the lines in the fixed layout of
+:func:`flat_lines` itself and sends every other line through the per-line
+path here, which stays the reference.
 :func:`write_table` and :func:`write_json` write every CSV and JSON
 artifact of the package, and :func:`blocks.read_table` reads the CSV tables
 back; all writers go through :func:`open_atomic`.  :func:`sorted_codes`
@@ -49,7 +47,8 @@ order.  ``engagement`` deals its granularities to :func:`fork_map` too, and
 :func:`remove_temporaries` clears what a killed writer left.
 :func:`fork_stream` reads, as it is written, the text that a forked child
 writes (``pipeline`` ingests synth's corpus this way), and both corpus
-readers read that stream as they read the file.
+readers read that stream as they read the file.  Both fork helpers start,
+kill and reap each child through one :class:`_Worker` handle.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ import traceback
 import zlib
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import count, filterfalse
 from json.encoder import encode_basestring_ascii
@@ -110,11 +109,6 @@ class TweetRecord:
     quotes: int
     urls: list[str]
     author_followers: int
-    # The record's corpus line without its newline, kept when it was read in
-    # exactly the layout :func:`flat_lines` writes for these fields, so
-    # :func:`write_corpus` can copy it.  ``dataclasses.replace`` drops it;
-    # code that changes a field in place must set it to ``None``.
-    line: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def is_self_retweet(self) -> bool:
@@ -339,67 +333,6 @@ def flat_lines(created_at: Iterable[str], rows: Iterable[tuple]) -> str:
     return "".join(lines)
 
 
-# The exact layout of a :func:`flat_lines` line whose every value JSON writes
-# as itself and ingest accepts as it stands.  Strings are printable ASCII
-# (``[ -~]``) without ``"`` or ``\``; ids are non-empty and also free of ``,``
-# and of spaces at either end (``_check_id``); ``lang`` is non-empty and
-# free of ``A-Z``.  Counts have at most 15 digits, so each is below
-# ``MAX_COUNT``; longer ones go to the JSON path.  The pattern is anchored
-# at the ends of a line in multiline mode, with a first group for the whole
-# line, so one ``findall`` also finds every such line of a block of text
-# (``blocks.corpus_columns``).
-_STR = r'[ !#-\[\]-~]'
-_ID = r'[!#-+\--\[\]-~](?:[ !#-+\--\[\]-~]*[!#-+\--\[\]-~])?'
-_N = r'(0|[1-9][0-9]{0,14})'
-_CANONICAL = re.compile(
-    '^('
-    f'{{"author_followers": {_N}, '
-    f'"author_id": "({_ID})", '
-    r'"created_at": "([0-9]{4}-[0-9]{2}-[0-9]{2}'
-    r'T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9])Z", '
-    f'"impressions": {_N}, '
-    f'"kind": "(original|retweet|quote|reply)", '
-    r'"lang": "([ !#-@\[\]-~]+)", '
-    f'"likes": {_N}, '
-    f'"quotes": {_N}, '
-    f'"replies": {_N}, '
-    f'"retweeted_author_id": (?:null|"({_ID})"), '
-    f'"retweets": {_N}, '
-    f'"tweet_id": "({_ID})", '
-    f'"urls": \\[("{_STR}*"(?:, "{_STR}*")*)?\\]}}'
-    ')$', re.M)
-
-
-def _record_from_canonical(line: str) -> Optional[TweetRecord]:
-    """The record of a line in the fixed layout of :func:`flat_lines`, or
-    ``None`` for any other line, which is then decoded as JSON.
-
-    The record equals what the JSON path builds from the line, and keeps the
-    line for :func:`write_corpus`.  ``None`` never means a reject.
-    """
-    m = _CANONICAL.fullmatch(line)
-    if m is None:
-        return None
-    (_, followers, author_id, created_at, impressions, kind, lang, likes, quotes,
-     replies, retweeted, retweets, tweet_id, urls) = m.groups()
-    try:
-        # The time of day is in range, so the date alone can fail (year 0,
-        # February 30), and a parsed timestamp formats back to the same text.
-        created_at = datetime.fromisoformat(created_at + "+00:00")
-    except ValueError:
-        return None
-    rec = TweetRecord(tweet_id, author_id, created_at, lang, kind, retweeted,
-                      int(impressions), int(likes), int(replies), int(retweets),
-                      int(quotes), _split_urls(urls), int(followers))
-    rec.line = line
-    return rec
-
-
-def _split_urls(text: str) -> list[str]:
-    """The URLs of a fixed-layout line from the text between its brackets."""
-    return text[1:-1].split('", "') if text else []
-
-
 def usable_cpus() -> int:
     """The CPUs this process may run on: the size of its affinity mask, or 1
     where the platform has none."""
@@ -490,10 +423,8 @@ class _ByteRange(io.RawIOBase):
 
 
 @contextmanager
-def open_maybe_gzip(
-    path: str | Path, mode: str = "rt", newline: Optional[str] = None,
-    span: Optional[Span] = None,
-) -> Iterator[io.TextIOBase]:
+def open_maybe_gzip(path: str | Path, newline: Optional[str] = None,
+                    span: Optional[Span] = None) -> Iterator[io.TextIOBase]:
     """Open a UTF-8 text file, through gzip if its name ends in ``.gz``, or
     only the ``span`` of a plain file.
 
@@ -503,12 +434,12 @@ def open_maybe_gzip(
     """
     path = Path(path)
     if path.suffix == ".gz":
-        fh = gzip.open(path, mode, encoding="utf-8", newline=newline)
+        fh = gzip.open(path, "rt", encoding="utf-8", newline=newline)
     elif span is not None:
         fh = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, span.start, span.end)),
                               encoding="utf-8", newline=newline)
     else:
-        fh = open(path, mode, encoding="utf-8", newline=newline)
+        fh = open(path, encoding="utf-8", newline=newline)
     with fh:
         try:
             yield fh
@@ -608,63 +539,67 @@ def fork_map(work: Callable[[T], R], items: Sequence[T]) -> list[R]:
     ``os._exit``, so none of the caller's code after this call runs in it.
     The exception of the earliest failing item is raised here, and a child
     that ends without a result raises :class:`WorkerError`.  Every child is
-    reaped before this returns or raises; on an error here the children
-    still running are killed first.
+    reaped before this returns or raises; on an error the children not yet
+    reaped are killed first.
     """
     if len(items) < 2:
         return [work(item) for item in items]
-    import signal  # not at module level: building its enums slows every start
-    children: list[tuple[int, io.BufferedReader]] = []
-    statuses: list[int] = []
-    done = False
+    workers: list[_Worker] = []
     try:
         for item in items[1:]:
-            children.append(_fork(work, item))
-        results = [work(items[0])]
-        payloads = [pipe.read() for _, pipe in children]
-        done = True
+            workers.append(_Worker(work, item))
+        return [work(items[0]), *(worker.reap() for worker in workers)]
     finally:
-        for pid, pipe in children:
-            pipe.close()
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    results.extend(map(_result, payloads, statuses))
-    return results
+        for worker in workers:
+            worker.reap(kill=True)
 
 
-def _fork(work: Callable[[T], R], item: T) -> tuple[int, io.BufferedReader]:
-    """Start ``work(item)`` in a forked child (:func:`_run_child`); returns
-    its pid and the pipe its result comes back through."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
+class _Worker:
+    """``work(item)`` started in a forked child (:func:`_run_child`): its
+    pid, and the pipe its result comes back through."""
+
+    def __init__(self, work: Callable[[T], R], item: T):
+        sys.stdout.flush()
+        sys.stderr.flush()
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            _run_child(work, item, write_fd, parent)
         os.close(write_fd)
-        raise
-    if pid == 0:
-        _run_child(work, item, write_fd, parent)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+        self.pid = pid
+        self._results = open(read_fd, "rb")
+        self.reaped = False
 
-
-def _result(payload: bytes, status: int):
-    """A reaped child's result from its ``payload``, its log records handled
-    here; its exception is raised, and no payload raises
-    :class:`WorkerError`."""
-    if not payload:
-        raise WorkerError("a worker process ended without a result "
-                          f"(exit status {os.waitstatus_to_exitcode(status)})")
-    ok, value, records = pickle.loads(payload)
-    for record in records:
-        logging.getLogger(record.name).handle(record)
-    if not ok:
-        raise value
-    return value
+    def reap(self, kill: bool = False):
+        """Wait for the child, killed first with ``kill``, and unless killed
+        return its result: its log records are handled here, its exception
+        is raised, and no result raises :class:`WorkerError`.  Once the
+        child is reaped, this does nothing."""
+        if self.reaped:
+            return None
+        import signal  # not at module level: building its enums slows every start
+        payload = b"" if kill else self._results.read()
+        self._results.close()
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        status = os.waitpid(self.pid, 0)[1]
+        self.reaped = True
+        if payload:
+            ok, value, records = pickle.loads(payload)
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if not ok:
+                raise value
+            return value
+        if not kill:
+            raise WorkerError("a worker process ended without a result "
+                              f"(exit status {os.waitstatus_to_exitcode(status)})")
 
 
 # A pipe that holds a whole block of synth's corpus (``synth._BLOCK``
@@ -677,40 +612,23 @@ _PIPE_SIZE = 1 << 20
 class _ChildText(io.RawIOBase):
     """What a forked child writes to a pipe, as a raw stream named ``name``.
 
-    The end of the bytes reaps the child: :meth:`readinto` then handles its
-    log records and raises its exception, as :func:`fork_map` does.
+    The end of the bytes reaps the child's :class:`_Worker`, so
+    :meth:`readinto` then handles its log records and raises its exception.
     """
 
-    def __init__(self, fd: int, name: str, pid: int, results: io.BufferedReader):
+    def __init__(self, fd: int, name: str, worker: _Worker):
         self._fh = open(fd, "rb", buffering=0)
         self.name = name
-        self.pid = pid
-        self._results = results
-        self.reaped = False
+        self._worker = worker
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
         n = self._fh.readinto(buffer)
-        if n == 0 and not self.reaped:
-            self.reap(kill=False)
+        if n == 0:
+            self._worker.reap()
         return n
-
-    def reap(self, kill: bool) -> None:
-        """Wait for the child, killed first with ``kill``; unless killed,
-        take its result."""
-        import signal
-        try:
-            payload = b"" if kill else self._results.read()
-        finally:
-            self._results.close()
-        if kill:
-            os.kill(self.pid, signal.SIGKILL)
-        status = os.waitpid(self.pid, 0)[1]
-        self.reaped = True
-        if not kill:
-            _result(payload, status)
 
     def close(self) -> None:
         self._fh.close()
@@ -731,7 +649,7 @@ def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
     the end of the stream reads the rest; one that raises kills the child.
     Either way the child is reaped before this returns or raises.
     """
-    import fcntl  # not at module level, as signal in fork_map
+    import fcntl  # not at module level, as signal in _Worker.reap
     read_fd, write_fd = os.pipe()
     try:
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
@@ -744,13 +662,13 @@ def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
             return write(out)
 
     try:
-        pid, results = _fork(child, None)
+        worker = _Worker(child, None)
     except BaseException:
         os.close(read_fd)
         raise
     finally:
         os.close(write_fd)
-    raw = _ChildText(read_fd, str(name), pid, results)
+    raw = _ChildText(read_fd, str(name), worker)
     try:
         with io.TextIOWrapper(io.BufferedReader(raw, _PIPE_SIZE),
                               encoding="utf-8") as text:
@@ -758,8 +676,7 @@ def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
             while raw.read(_PIPE_SIZE):
                 pass
     finally:
-        if not raw.reaped:
-            raw.reap(kill=True)
+        worker.reap(kill=True)
 
 
 def remove_temporaries(directory: Path) -> None:
@@ -837,11 +754,14 @@ def write_table(out: str | Path | io.TextIOBase, header: Sequence[str],
     )
 
 
-def write_json(path: str | Path, obj) -> None:
-    """Write ``obj`` all at once as indented JSON with sorted keys."""
-    with open_atomic(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(out: str | Path | io.TextIOBase, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys to ``out``: a path,
+    written all at once, or an open text file."""
+    if isinstance(out, (str, Path)):
+        with open_atomic(out) as fh:
+            return write_json(fh, obj)
+    json.dump(obj, out, indent=2, sort_keys=True)
+    out.write("\n")
 
 
 def _first_undecodable_line(path: Path) -> int:
@@ -911,27 +831,25 @@ def _parse_line(line: str, schema: str, rejects: Counter, path: Path,
     line = line.strip()
     if not line:
         return None
-    rec = _record_from_canonical(line) if schema == "flat" else None
-    if rec is None:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            rejects["invalid_json"] += 1
-            log.debug("%s:%d: invalid JSON", path, lineno)
-            return None
-        except RecursionError:
-            rejects["json_too_deep"] += 1
-            log.debug("%s:%d: JSON nested too deep", path, lineno)
-            return None
-        if not isinstance(obj, dict):
-            rejects["not_an_object"] += 1
-            return None
-        try:
-            rec = _SCHEMAS[schema](obj, rejects)
-        except ValueError as exc:
-            rejects[str(exc)] += 1
-            log.debug("%s:%d: %s", path, lineno, exc)
-            return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        rejects["invalid_json"] += 1
+        log.debug("%s:%d: invalid JSON", path, lineno)
+        return None
+    except RecursionError:
+        rejects["json_too_deep"] += 1
+        log.debug("%s:%d: JSON nested too deep", path, lineno)
+        return None
+    if not isinstance(obj, dict):
+        rejects["not_an_object"] += 1
+        return None
+    try:
+        rec = _SCHEMAS[schema](obj, rejects)
+    except ValueError as exc:
+        rejects[str(exc)] += 1
+        log.debug("%s:%d: %s", path, lineno, exc)
+        return None
     if rec.is_self_retweet:
         rejects["self_retweet_kept"] += 1
     if rec.kind in ("retweet", "quote") and rec.retweeted_author_id is None:
@@ -1007,9 +925,10 @@ def intern_ids(vocab: dict[str, int], ids: Collection[str]) -> np.ndarray:
     return np.fromiter(map(vocab.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
-def write_count_report(counts: Counter, path: str | Path) -> None:
-    """Write a ``reason,count`` CSV, rows sorted by reason for determinism."""
-    write_table(path, ("reason", "count"),
+def write_count_report(counts: Counter, out: str | Path | io.TextIOBase) -> None:
+    """Write a ``reason,count`` CSV, rows sorted by reason for determinism,
+    to ``out`` as :func:`write_table` does."""
+    write_table(out, ("reason", "count"),
                 ((reason, counts[reason]) for reason in sorted(counts)))
 
 
@@ -1017,21 +936,17 @@ def write_count_report(counts: Counter, path: str | Path) -> None:
 def write_corpus(records: Iterable[TweetRecord], out: str | Path | io.TextIOBase) -> int:
     """Serialize records back to the flat schema; returns the record count.
 
-    ``out`` is a path, written all at once, or an open text file.  A record
-    read in the fixed layout is written as the line it was read from, which
-    is the line :func:`flat_lines` would write for it.
+    ``out`` is a path, written all at once, or an open text file; each
+    record is one :func:`flat_lines` line.
     """
     if isinstance(out, (str, Path)):
         with open_atomic(out) as fh:
             return write_corpus(records, fh)
     n = 0
     for rec in records:
-        if rec.line is not None:
-            out.write(rec.line + "\n")
-        else:
-            out.write(flat_lines((format_timestamp(rec.created_at),), ((
-                rec.tweet_id, rec.author_id, rec.lang, rec.kind, rec.retweeted_author_id,
-                rec.impressions, rec.likes, rec.replies, rec.retweets, rec.quotes,
-                rec.urls, rec.author_followers),)))
+        out.write(flat_lines((format_timestamp(rec.created_at),), ((
+            rec.tweet_id, rec.author_id, rec.lang, rec.kind, rec.retweeted_author_id,
+            rec.impressions, rec.likes, rec.replies, rec.retweets, rec.quotes,
+            rec.urls, rec.author_followers),)))
         n += 1
     return n

@@ -198,18 +198,18 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
         raise InputError(f"domain table not found: {path}")
     table: dict[str, DomainProfile] = {}
     with open_maybe_gzip(path, newline="") as fh:
-        reader = csv.reader(fh)
+        rows = csv.reader(fh)
         try:
-            columns = next(reader, None)
+            columns = next(rows, None)
             required = {"domain", "leaning_label", "reliability"}
             if columns is None or not required.issubset(columns):
                 raise InputError(
                     f"domain table must have columns {sorted(required)}; "
                     f"got {columns}"
                 )
-            next_line = reader.line_num + 1
-            for fields in reader:
-                row_no, next_line = next_line, reader.line_num + 1
+            next_line = rows.line_num + 1
+            for fields in rows:
+                row_no, next_line = next_line, rows.line_num + 1
                 if not fields:
                     continue
                 row = dict(zip(columns, fields))
@@ -249,7 +249,7 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
                 )
         except csv.Error as exc:
             # The reader has counted the line it failed on.
-            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+            raise InputError(f"{path}:{rows.line_num}: {exc}") from None
     return table
 
 

@@ -2,6 +2,7 @@
 that the block readers ``graph.read_edge_list`` and
 ``ideology.read_scores`` must match, value for value and error for error."""
 
+import math
 from pathlib import Path
 
 from echoaudit import graph as gr
@@ -69,7 +70,10 @@ def read_scores(path):
         else:
             raise InputError(f"{path}:{lineno}: unknown score kind {kind!r}")
         try:
-            target[ident] = float(score)
+            value = float(score)
         except ValueError:
             raise InputError(f"{path}:{lineno}: score {score!r} is not a number") from None
+        if not math.isfinite(value):
+            raise InputError(f"{path}:{lineno}: score {score!r} is not a finite number")
+        target[ident] = value
     return users, influencers

@@ -139,7 +139,7 @@ def test_ingest_by_blocks_equals_by_rows(corpus, min_date, langs, n):
 @settings(max_examples=200, deadline=None)
 def test_tables_by_blocks_equal_by_rows(corpus, n):
     """The originals table and the retweet counts, filled with every kind of
-    record, and the runs' columns and ``line``s."""
+    record, the runs' columns, and the text they write."""
     schema, text = corpus
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
@@ -155,11 +155,14 @@ def test_tables_by_blocks_equal_by_rows(corpus, n):
         [ing.KINDS[k] for k in run.kind], [t or None for t in run.retweeted_author_id],
         run.impressions.tolist(), run.likes.tolist(), run.replies.tolist(),
         run.retweets.tolist(), run.quotes.tolist(), run.url_lists(),
-        run.author_followers.tolist(), run.line)]
+        run.author_followers.tolist())]
     want = [(r.tweet_id, r.author_id, r.created_at.replace(tzinfo=None), r.lang, r.kind,
              r.retweeted_author_id or None, r.impressions, r.likes, r.replies, r.retweets,
-             r.quotes, r.urls, r.author_followers, r.line) for r in records]
+             r.quotes, r.urls, r.author_followers) for r in records]
     assert got == want
+    written = io.StringIO()
+    ing.write_corpus(records, written)
+    assert "".join(run.text() for run in runs) == written.getvalue()
     assert (table_state(eng.OriginalsTable.from_columns(runs, table))
             == table_state(originals_by_record(records, table)))
     assert (graph_state(gr.RetweetCounts.from_columns(runs))
@@ -177,9 +180,9 @@ _line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 _WEIGHTS = (["1", "7", "01", str(ing.MAX_COUNT), "9" * 15],
             [str(ing.MAX_COUNT + 1), "0", "9" * 16, "9" * 17, " 1", "1 ", "+1", "1.0",
              "١", ""])
-_SCORES = (["0.5", "-0.25", "1e-05", "-1.5e+16", "0.0", "-0.0", "inf", "-inf", "nan", "1",
-            "1e5", " 0.5", "0.5 ", "1_0", "5e-324", "1E5", "0.5e1", "-nan"],
-           ["x", "", "1e", "--1"])
+_SCORES = (["0.5", "-0.25", "1e-05", "-1.5e+16", "0.0", "-0.0", "1", "1e5", " 0.5",
+            "0.5 ", "1_0", "5e-324", "1E5", "0.5e1", "1.7976931348623157e308"],
+           ["x", "", "1e", "--1", "nan", "inf", "-inf", "1e999", "-nan", "Infinity"])
 _KINDS = (["user", "influencer"], ["other", " user", "User", ""])
 _EDITS = ([None] * 3 + ["blank", "spaces", "pad"], ["extra", "short"])
 
@@ -227,7 +230,7 @@ def edge_state(g):
 
 
 def score_state(scores):
-    # NaN is not equal to itself; compare its text.
+    # -0.0 equals 0.0; compare the text.
     return [[(k, repr(v)) for k, v in part.items()] for part in scores]
 
 

@@ -496,6 +496,35 @@ class TestUnwritableOutputs:
         assert err.startswith(f"error: cannot write {outputs[flag]}: "), err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--rejects-out", "--exclusions-out"])
+    def test_ingest_commits_no_output_if_one_cannot_be_written(self, tmp_path, capsys,
+                                                               flag):
+        """``filtered.jsonl`` (and ``rejects.csv``) used to be committed
+        before the later output failed."""
+        outputs = {"--filtered-out": tmp_path / "filtered.jsonl",
+                   "--rejects-out": tmp_path / "rejects.csv",
+                   "--exclusions-out": tmp_path / "exclusions.csv"}
+        outputs[flag] = tmp_path / "missing" / outputs[flag].name
+        err = self.exit_message([
+            "ingest", "--input", FIXTURES / "mini_corpus.jsonl",
+            *(arg for pair in outputs.items() for arg in pair)], capsys)
+        assert err.startswith(f"error: cannot write {outputs[flag]}: "), err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--scores-out", "--meta-out"])
+    def test_ideology_commits_no_output_if_one_cannot_be_written(
+            self, mini_stage_dirs, tmp_path, capsys, flag):
+        """``scores.csv`` used to be committed before ``meta.json`` failed."""
+        outputs = {"--scores-out": tmp_path / "scores.csv",
+                   "--meta-out": tmp_path / "meta.json"}
+        outputs[flag] = tmp_path / "missing" / outputs[flag].name
+        err = self.exit_message([
+            "ideology", "--graph", mini_stage_dirs / "graph.csv",
+            "--influencers", mini_stage_dirs / "influencers.txt",
+            *(arg for pair in outputs.items() for arg in pair)], capsys)
+        assert err.startswith(f"error: cannot write {outputs[flag]}: "), err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("stage", ["synth", "engagement", "report", "pipeline"])
     def test_out_dir_naming_a_file(self, mini_stage_dirs, tmp_path, capsys, stage):
         root = mini_stage_dirs
@@ -628,6 +657,26 @@ class TestCorruptIntermediates:
         assert f"error: {scores}:" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("stage", ["report", "engagement"])
+    def test_non_finite_user_score(self, mini_stage_dirs, tmp_path, stage, value):
+        """A NaN score used to be counted as positive, and report computed
+        the dip over it."""
+        graph = tmp_path / "graph.csv"
+        graph.write_bytes((mini_stage_dirs / "graph.csv").read_bytes())
+        lines = (mini_stage_dirs / "scores.csv").read_text(encoding="utf-8").split("\n")
+        k = next(k for k, line in enumerate(lines) if ",user," in line)
+        ident, kind, _score, raw = lines[k].split(",")
+        lines[k] = f"{ident},{kind},{value},{raw}"
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(lines), encoding="utf-8")
+        proc = run_process(self.stage_argv(stage, mini_stage_dirs, graph, scores))
+        assert proc.returncode == 2, proc.stderr
+        assert (f"error: {scores}:{k + 1}: score {value!r} is not a finite number"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / stage).exists()
 
     @pytest.mark.parametrize("stage,damaged,line", [
         ("ingest", "corpus.jsonl", 3),

@@ -1,4 +1,5 @@
 import logging
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -378,8 +379,9 @@ class TestScoreIO:
            influencers=st.dictionaries(_csv_ids, st.floats(), max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, tmp_path_factory, users, influencers):
-        """Every float, NaN, infinities and -0.0 included, reads back as
-        written; an id may be both a user and an influencer."""
+        """Every finite float, -0.0 included, reads back as written, and a
+        NaN or an infinity is refused; an id may be both a user and an
+        influencer."""
         scores = ideo.IdeologyScores(
             user_scores=users, influencer_scores=influencers,
             raw_user_scores=users, raw_influencer_scores=influencers,
@@ -387,6 +389,10 @@ class TestScoreIO:
         )
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
         ideo.write_scores(scores, path)
+        if not all(map(math.isfinite, [*users.values(), *influencers.values()])):
+            with pytest.raises(InputError, match="is not a finite number"):
+                ideo.read_scores(path)
+            return
         got_users, got_influencers = ideo.read_scores(path)
         assert {k: repr(v) for k, v in got_users.items()} == \
             {k: repr(v) for k, v in users.items()}

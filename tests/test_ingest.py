@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from echoaudit import blocks as blk
+from echoaudit import cli
 from echoaudit import ingest as ing
 from echoaudit import synth
 from echoaudit.errors import InputError
@@ -747,41 +749,74 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def column_records(runs):
+    """The records of runs of ``blocks.CorpusColumns``, with no target for
+    an empty ``retweeted_author_id``, as the columns read it."""
+    return [ing.TweetRecord(t, a, c.replace(tzinfo=timezone.utc), lang, ing.KINDS[k],
+                            r or None, *counts, urls, followers)
+            for run in runs for t, a, c, lang, k, r, *counts, urls, followers in zip(
+                run.tweet_id, run.author_id, run.created_at.tolist(), run.lang,
+                run.kind.tolist(), run.retweeted_author_id, run.impressions.tolist(),
+                run.likes.tolist(), run.replies.tolist(), run.retweets.tolist(),
+                run.quotes.tolist(), run.url_lists(), run.author_followers.tolist())]
+
+
+_padding = st.sampled_from(["", "", "", " ", "\t", " \t "])
+
+
 class TestFixedLayout:
-    @given(lines=st.lists(corpus_lines(), min_size=1, max_size=6))
+    """The block reader's fixed-layout decoder against the JSON path."""
+
+    @given(lines=st.lists(st.tuples(_padding, corpus_lines(), _padding).map("".join),
+                          min_size=1, max_size=6))
     @example(lines=[tables.flat_line("t1", "bob", "2023-01-05T12:00:00Z", "en", "retweet",
                                      "bob", ing.MAX_COUNT, 0, 0, 0, 0, ["a", ""], 1)
                     .rstrip("\n")])
+    @example(lines=[" \t" + tables.flat_line("t1", "bob", "2023-01-05T12:00:00Z", "en",
+                                             "original", None, 1, 0, 0, 0, 0, [], 1)
+                    .rstrip("\n") + "\t "])
     @settings(max_examples=500, deadline=None)
     def test_same_records_and_rejects_as_the_json_path(self, tmp_path_factory, lines):
         path = write_lines(tmp_path_factory.mktemp("layout") / "c.jsonl", lines)
         rejects = Counter()
-        records = list(ing.parse_corpus(path, rejects=rejects))
+        runs = list(blk.corpus_columns(path, rejects=rejects))
         want_records, want_rejects = decoded_as_json(lines)
         assert rejects == want_rejects
-        assert records == want_records
+        assert column_records(runs) == [
+            dataclasses.replace(r, retweeted_author_id=r.retweeted_author_id or None)
+            for r in want_records]
         out = path.with_name("out.jsonl")
-        ing.write_corpus(records, out)
-        assert out.read_bytes() == flat_corpus(records).encode("ascii")
+        blk.write_corpus_columns(runs, out)
+        assert out.read_bytes() == flat_corpus(want_records).encode("ascii")
 
     def test_mini_fixture_decodes_without_json(self, mini_corpus_path, monkeypatch):
         calls = _count_calls(monkeypatch, json, "loads")
-        records = list(ing.parse_corpus(mini_corpus_path))
-        assert len(records) == 962 and calls == []
+        runs = list(blk.corpus_columns(mini_corpus_path))
+        assert sum(map(len, runs)) == 962 and calls == []
 
     def test_unchanged_records_written_without_encoding(
             self, mini_corpus_path, tmp_path, monkeypatch):
-        records = list(ing.parse_corpus(mini_corpus_path))
-        calls = _count_calls(monkeypatch, ing, "flat_lines")
+        runs = list(blk.corpus_columns(mini_corpus_path))
+        calls = _count_calls(monkeypatch, blk, "flat_lines")
         out = tmp_path / "again.jsonl"
-        assert ing.write_corpus(records, out) == 962 and calls == []
+        assert blk.write_corpus_columns(runs, out) == 962 and calls == []
         assert out.read_bytes() == mini_corpus_path.read_bytes()
 
-    def test_replaced_record_is_encoded_again(self, mini_corpus_path, tmp_path):
-        rec = next(ing.parse_corpus(mini_corpus_path))
-        changed = dataclasses.replace(rec, lang="fr")
-        assert rec.line is not None and changed.line is None
-        out = tmp_path / "changed.jsonl"
-        ing.write_corpus([changed], out)
-        assert out.read_text(encoding="ascii") == flat_corpus([changed])
-        assert '"lang": "fr"' in out.read_text(encoding="ascii")
+    def test_padded_lines_ingest_as_unpadded(self, mini_corpus_path, tmp_path):
+        """Padded fixed-layout lines are decoded as JSON and written in the
+        fixed layout again: standalone ingest writes the same files."""
+        lines = mini_corpus_path.read_text(encoding="utf-8").splitlines()
+        padded = write_lines(tmp_path / "padded.jsonl", [
+            ("", " ", "\t", " \t")[k % 4] + line + ("\t", "", "  ", " ")[k % 4]
+            for k, line in enumerate(lines)])
+        trees = []
+        for corpus in (mini_corpus_path, padded):
+            out = tmp_path / corpus.stem
+            out.mkdir()
+            assert cli.main(["ingest", "--input", str(corpus),
+                             "--filtered-out", str(out / "filtered.jsonl"),
+                             "--rejects-out", str(out / "rejects.csv"),
+                             "--exclusions-out", str(out / "exclusions.csv")]) == 0
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert trees[1] == trees[0]
+        assert len(trees[0]["filtered.jsonl"].splitlines()) > 0

@@ -137,6 +137,32 @@ class TestForkMap:
             ing.fork_map(work, range(3))
         assert_no_children()
 
+    def test_child_error_kills_a_later_child(self):
+        """Item 1's error is raised at once, while item 2 still runs: item 2
+        is killed, not waited for.  Run apart, since a wait never ends."""
+        script = (
+            "import os, signal\n"
+            "from echoaudit import ingest as ing\n"
+            "from echoaudit.errors import InputError\n"
+            "def work(k):\n"
+            "    if k == 1:\n"
+            "        raise InputError('item one')\n"
+            "    if k == 2:\n"
+            "        signal.pause()\n"
+            "try:\n"
+            "    ing.fork_map(work, range(3))\n"
+            "except InputError as exc:\n"
+            "    print(exc)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "item one\nno child\n"
+
     @pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux's")
     def test_children_die_with_a_killed_parent(self, tmp_path):
         script = (
@@ -536,7 +562,7 @@ def test_span_count_changes_nothing(corpus, n):
 def test_stream_of_the_file_reads_as_the_file(corpus, read, block_chars):
     """``parse_corpus``, or ``corpus_columns`` in blocks of ``block_chars``
     characters, over a ``fork_stream`` named after the corpus gives the
-    records, kept lines, reject counts and debug lines of the file."""
+    records, written text, reject counts and debug lines of the file."""
     schema, text = corpus
 
     def parsed(source):
@@ -544,7 +570,9 @@ def test_stream_of_the_file_reads_as_the_file(corpus, read, block_chars):
         with debug_log() as messages:
             if read == "rows":
                 records = list(ing.parse_corpus(source, schema, rejects))
-                return records, [r.line for r in records], rejects, messages
+                written = io.StringIO()
+                ing.write_corpus(records, written)
+                return records, written.getvalue(), rejects, messages
             runs = list(blk.corpus_columns(source, schema, rejects))
         return ("".join(run.text() for run in runs),
                 [k for run in runs for k in run.kind.tolist()], rejects, messages)
