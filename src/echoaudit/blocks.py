@@ -17,6 +17,8 @@ are those of :func:`ingest.parse_corpus`.
 runs, with the same counts and bytes.  :func:`read_table` reads the CSV
 tables of later stages the same way: a block whose every row is plain is
 split into columns at once, any other block row by row.
+:func:`write_columns` is its mirror, the CSV writer of every table but
+the AE tables of :func:`engagement.write_engagement`.
 
 These readers live apart from :mod:`ingest` to keep each module small: a
 process compiles every module from source when no bytecode is cached, and
@@ -30,11 +32,11 @@ import io
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import timezone
 from itertools import chain, compress, groupby, repeat
 from pathlib import Path
-from typing import Generator, Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -383,3 +385,52 @@ def read_table(path: str | Path, header: Sequence[str],
                              f"the {what} is cut short")
 
 
+# Rows formatted at a time by write_columns.
+_WRITE_CHUNK = 8192
+
+
+class Codes(NamedTuple):
+    """A column of strings given as int ``codes`` into ``names``."""
+    names: Sequence[str]
+    codes: np.ndarray
+
+
+def write_columns(out: str | Path | io.TextIOBase, header: Sequence[str],
+                  columns: Sequence[np.ndarray | Sequence | Codes]) -> None:
+    """Write a CSV table: ``header``, then one line per row of the equally
+    long ``columns``, to a path all at once or to a text file opened with
+    ``newline=""``.  Each field is ``str`` of its value (an integer's
+    digits, a Python float's shortest round-trip text); ``None`` in a list
+    is an empty field.  No field is quoted: ingest rejects ids holding ``,``
+    or a line break.  Rows, and the names of :class:`Codes`, are formatted
+    ``_WRITE_CHUNK`` at a time.
+    """
+    if isinstance(out, (str, Path)):
+        with open_atomic(out, newline="") as fh:
+            return write_columns(fh, header, columns)
+    out.write(",".join(header) + "\n")
+    for lo in range(0, len(getattr(columns[0], "codes", columns[0])), _WRITE_CHUNK):
+        rows = slice(lo, lo + _WRITE_CHUNK)
+        out.write("\n".join(map(",".join, zip(*[_texts(c, rows) for c in columns]))) + "\n")
+
+
+def _texts(column: np.ndarray | Sequence | Codes, rows: slice) -> Iterable[str]:
+    if isinstance(column, Codes):
+        return map(column.names.__getitem__, column.codes[rows].tolist())
+    values = column[rows]
+    if isinstance(values, np.ndarray):
+        return map(str, values.tolist())
+    return ["" if v is None else str(v) for v in values]
+
+
+def write_fields(out: str | Path | io.TextIOBase, records: Sequence, cls: type) -> None:
+    """:func:`write_columns` of one column per field of the dataclass ``cls``,
+    headed by the field names."""
+    names = [f.name for f in fields(cls)]
+    write_columns(out, names, [[getattr(r, name) for r in records] for name in names])
+
+
+def write_count_report(counts: Counter, out: str | Path | io.TextIOBase) -> None:
+    """Write a ``reason,count`` CSV sorted by reason, as :func:`write_columns` does."""
+    reasons = sorted(counts)
+    write_columns(out, ("reason", "count"), [reasons, [counts[r] for r in reasons]])

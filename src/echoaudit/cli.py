@@ -190,7 +190,7 @@ def cmd_ingest(args, keep: bool = False,
             exclusions.update(part_exclusions)
         for counts, path in ((rejects, args.rejects_out), (exclusions, args.exclusions_out)):
             if path:
-                ing.write_count_report(counts, outputs.enter_context(
+                blk.write_count_report(counts, outputs.enter_context(
                     ing.open_atomic(path, newline="")))
     log.info("retained %d records (%s)", sum(written), dict(exclusions))
     if not keep:
@@ -240,8 +240,9 @@ def cmd_graph(args, retweets: Optional[gr.RetweetCounts] = None):
         gr.write_edge_list(g, graph_out)
         influencers_out.writelines(uid + "\n" for uid in influencers)
         if ranking_out:
-            ing.write_table(ranking_out, ("user_id", "unique_in_degree"),
-                            gr.rank_by_in_degree(g))
+            order = gr.rank_by_in_degree(g)
+            blk.write_columns(ranking_out, ("user_id", "unique_in_degree"),
+                              [blk.Codes(g.node_ids, order), g.unique_in_degree[order]])
     log.info("graph: %d nodes, %d edges, %d influencers (skipped %s)",
              g.n_nodes, g.n_edges, len(influencers), dict(skipped))
     return g, influencers
@@ -389,8 +390,8 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
     eng.write_correlations(reports, args.out_dir / "correlations.csv")
 
     if table:
-        mb.write_user_leanings(mb.user_leaning(originals),
-                               args.out_dir / "user_leanings.csv")
+        blk.write_fields(args.out_dir / "user_leanings.csv", mb.user_leaning(originals),
+                         mb.UserLeaning)
 
     for group_by in args.group_by or []:
         if group_by == "ideology":
@@ -416,7 +417,7 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
             summaries = eng.group_ae(results["domain"], groups)
         eng.write_group_summaries(summaries, args.out_dir / f"groups_{group_by}.csv")
 
-    ing.write_count_report(stats, args.out_dir / "engagement_stats.csv")
+    blk.write_count_report(stats, args.out_dir / "engagement_stats.csv")
 
 
 def _add_report(sub) -> None:

@@ -21,9 +21,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySelectionError, InputError
-from .blocks import CorpusColumns, read_table, tally_rows
-from .ingest import (KINDS, MAX_COUNT, TweetRecord, intern_ids, open_atomic, open_maybe_gzip,
-                     sorted_codes)
+from .blocks import Codes, CorpusColumns, read_table, tally_rows, write_columns
+from .ingest import KINDS, MAX_COUNT, TweetRecord, intern_ids, open_maybe_gzip, sorted_codes
 
 log = logging.getLogger(__name__)
 
@@ -192,15 +191,13 @@ def build_graph(
     return counts.graph(count_self_loops)
 
 
-def rank_by_in_degree(g: RetweetGraph) -> list[tuple[str, int]]:
-    """All nodes, descending by unique in-degree, ties broken by user id.
+def rank_by_in_degree(g: RetweetGraph) -> np.ndarray:
+    """The node indices by descending unique in-degree, ties broken by id.
 
     Node indices follow sorted user id, so a stable sort on degree alone
     breaks ties by id.
     """
-    order = np.argsort(-g.unique_in_degree, kind="stable")
-    return [(g.node_ids[i], int(d))
-            for i, d in zip(order.tolist(), g.unique_in_degree[order].tolist())]
+    return np.argsort(-g.unique_in_degree, kind="stable")
 
 
 def select_influencers(
@@ -219,10 +216,9 @@ def select_influencers(
     for s in missing:
         log.warning("influencer seed %r not present in graph", s)
 
-    members = tuple(
-        uid for uid, deg in rank_by_in_degree(g)
-        if uid in seed_set and deg >= threshold
-    )
+    order = rank_by_in_degree(g)
+    ranked = order[g.unique_in_degree[order] >= threshold].tolist()
+    members = tuple(uid for uid in map(g.node_ids.__getitem__, ranked) if uid in seed_set)
     below = len(seed_set) - len(missing) - len(members)
     if below:
         log.info("%d seed(s) below the in-degree threshold %d", below, threshold)
@@ -243,31 +239,12 @@ def read_seeds(path: str | Path) -> list[str]:
         return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
 
-# Edges formatted at a time by write_edge_list.
-_WRITE_CHUNK = 8192
-
-
 def write_edge_list(g: RetweetGraph, out: str | Path | io.TextIOBase) -> None:
-    """The ``src,dst,weight`` CSV of the edges in (src, dst) order, the bytes
-    :func:`~echoaudit.ingest.write_table` writes for those rows.
-
-    ``out`` is a path, written all at once, or a text file opened with
-    ``newline=""``.  The rows are formatted a chunk of the out-CSR columns at
-    a time rather than one generated edge at a time, which takes about a
-    third as long.
-    """
-    if isinstance(out, (str, Path)):
-        with open_atomic(out, newline="") as fh:
-            return write_edge_list(g, fh)
-    out.write(",".join(EDGE_LIST_HEADER) + "\n")
-    ids = g.node_ids
+    """The ``src,dst,weight`` CSV of the edges in (src, dst) order, to
+    ``out`` as :func:`~echoaudit.blocks.write_columns` writes it."""
     sources = np.repeat(np.arange(g.n_nodes), np.diff(g.out_indptr))
-    for lo in range(0, len(sources), _WRITE_CHUNK):
-        hi = lo + _WRITE_CHUNK
-        out.write("".join([f"{src},{dst},{w}\n" for src, dst, w in zip(
-            map(ids.__getitem__, sources[lo:hi].tolist()),
-            map(ids.__getitem__, g.out_targets[lo:hi].tolist()),
-            g.out_weights[lo:hi].tolist())]))
+    write_columns(out, EDGE_LIST_HEADER, [Codes(g.node_ids, sources),
+                                          Codes(g.node_ids, g.out_targets), g.out_weights])
 
 
 # The text of a retweet count that read_edge_list accepts: 1 to 16 ASCII

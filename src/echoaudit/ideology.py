@@ -24,14 +24,13 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateMatrixError, InputError
 from .graph import RetweetGraph
-from .blocks import read_table
-from .ingest import write_table
+from .blocks import read_table, write_columns
 
 log = logging.getLogger(__name__)
 
@@ -338,52 +337,51 @@ def score_users_and_influencers(
 
 
 def write_scores(scores: IdeologyScores, out: str | Path | TextIO) -> None:
-    """CSV export: ``id,kind,score,raw_score`` sorted by (kind, id), to
-    ``out`` as :func:`ingest.write_table` does."""
-    rows = [
-        (cid, "influencer", scores.influencer_scores[cid], scores.raw_influencer_scores[cid])
-        for cid in scores.influencer_scores
-    ] + [
-        (uid, "user", scores.user_scores[uid], scores.raw_user_scores[uid])
-        for uid in scores.user_scores
-    ]
-    rows.sort(key=lambda t: (t[1], t[0]))
-    write_table(out, SCORES_HEADER, rows)
+    """CSV export ``id,kind,score,raw_score`` sorted by (kind, id)."""
+    influencers, users = sorted(scores.influencer_scores), sorted(scores.user_scores)
+    write_columns(out, SCORES_HEADER, [
+        influencers + users, ["influencer"] * len(influencers) + ["user"] * len(users),
+        *([of_influencer[i] for i in influencers] + [of_user[u] for u in users]
+          for of_influencer, of_user in ((scores.influencer_scores, scores.user_scores),
+                                         (scores.raw_influencer_scores, scores.raw_user_scores)))])
 
 
 def read_scores(path: str | Path) -> tuple[dict[str, float], dict[str, float]]:
     """Read a score CSV back into (user_scores, influencer_scores); every
-    score must be finite, as :func:`write_scores` writes them."""
-    users: dict[str, float] = {}
-    influencers: dict[str, float] = {}
-    for lineno, (ident, kind, score, _raw) in read_table(path, SCORES_HEADER,
-                                                          "scores file"):
+    score must be finite and no id may come twice as one kind, as
+    :func:`write_scores` writes them."""
+    scores: dict[str, dict[str, float]] = {"user": {}, "influencer": {}}
+    for _, (ident, kind, score, _raw) in read_table(path, SCORES_HEADER, "scores file"):
         try:
             values = list(map(float, score))
         except ValueError:
-            values = None
-        if (values is None or not all(map(math.isfinite, values))
-                or not {"user", "influencer"}.issuperset(kind)):
-            _raise_first_bad_score(path, lineno, kind, score)
-        user = [k == "user" for k in kind]
-        users.update(zip(compress(ident, user), compress(values, user)))
-        other = [not u for u in user]
-        influencers.update(zip(compress(ident, other), compress(values, other)))
-    return users, influencers
+            _raise_first_bad_score(path)
+        known = sum(map(len, scores.values()))
+        for name, of_kind in scores.items():
+            mine = [k == name for k in kind]
+            of_kind.update(zip(compress(ident, mine), compress(values, mine)))
+        # A row of neither kind, or of an id already read as its kind, adds none.
+        if (sum(map(len, scores.values())) != known + len(ident)
+                or not all(map(math.isfinite, values))):
+            _raise_first_bad_score(path)
+    return scores["user"], scores["influencer"]
 
 
-def _raise_first_bad_score(path: str | Path, lineno: int, kind: Sequence[str],
-                           score: Sequence[str]) -> None:
-    """Raise the error of the first row, from line ``lineno`` on, whose kind
-    or score is not one."""
-    for lineno, (kind, score) in enumerate(zip(kind, score), start=lineno):
-        if kind not in ("user", "influencer"):
-            raise InputError(f"{path}:{lineno}: unknown score kind {kind!r}")
-        try:
-            value = float(score)
-        except ValueError:
-            raise InputError(
-                f"{path}:{lineno}: score {score!r} is not a number"
-            ) from None
-        if not math.isfinite(value):
-            raise InputError(f"{path}:{lineno}: score {score!r} is not a finite number")
+def _raise_first_bad_score(path: str | Path) -> NoReturn:
+    """Read ``path`` again and raise the error of its first row whose kind
+    or score is not one, or whose id came before as the same kind."""
+    seen = set()
+    for first, columns in read_table(path, SCORES_HEADER, "scores file"):
+        for lineno, (ident, kind, score, _) in enumerate(zip(*columns), start=first):
+            if kind not in ("user", "influencer"):
+                raise InputError(f"{path}:{lineno}: unknown score kind {kind!r}")
+            try:
+                value = float(score)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: score {score!r} is not a number") from None
+            if not math.isfinite(value):
+                raise InputError(f"{path}:{lineno}: score {score!r} is not a finite number")
+            if (kind, ident) in seen:
+                raise InputError(f"{path}:{lineno}: repeated {kind} id {ident!r}")
+            seen.add((kind, ident))
+    raise InputError(f"{path}: changed while it was read")

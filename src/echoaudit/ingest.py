@@ -33,10 +33,10 @@ which names the reject reasons, and :func:`write_corpus` writes one
 at a time.  That reader decodes the lines in the fixed layout of
 :func:`flat_lines` itself and sends every other line through the per-line
 path here, which stays the reference.
-:func:`write_table` and :func:`write_json` write every CSV and JSON
-artifact of the package, and :func:`blocks.read_table` reads the CSV tables
-back; all writers go through :func:`open_atomic`.  :func:`sorted_codes`
-orders interned ids as Python strings for every stage.
+:func:`blocks.write_columns` writes every CSV artifact but the AE tables
+of :func:`engagement.write_engagement`, :func:`write_json` every JSON one,
+and all go through :func:`open_atomic`.  :func:`sorted_codes` orders
+interned ids as Python strings for every stage.
 
 A plain (not ``.gz``) corpus is read on every usable CPU:
 :func:`corpus_spans` cuts it into line-aligned byte spans, one per CPU, and
@@ -734,26 +734,6 @@ def _die_with(parent: int) -> None:
         os._exit(1)
 
 
-def write_table(out: str | Path | io.TextIOBase, header: Sequence[str],
-                rows: Iterable[Sequence]) -> None:
-    """Write a CSV table: ``header``, then one line per row.
-
-    ``out`` is a path, written all at once, or a text file opened with
-    ``newline=""``.  Each field is written as ``str(field)``, so a Python
-    float gets its shortest round-trip text; ``None`` becomes an empty field.
-    No field is quoted: ingest rejects ids holding ``,`` or a line break, and
-    every other field is a number or a fixed label.
-    """
-    if isinstance(out, (str, Path)):
-        with open_atomic(out, newline="") as fh:
-            return write_table(fh, header, rows)
-    out.write(",".join(header) + "\n")
-    out.writelines(
-        ",".join(["" if f is None else str(f) for f in row]) + "\n"
-        for row in rows
-    )
-
-
 def write_json(out: str | Path | io.TextIOBase, obj) -> None:
     """Write ``obj`` as indented JSON with sorted keys to ``out``: a path,
     written all at once, or an open text file."""
@@ -923,13 +903,6 @@ def intern_ids(vocab: dict[str, int], ids: Collection[str]) -> np.ndarray:
     # codes in first-seen order, with no loop in Python.
     vocab.update(zip(filterfalse(vocab.__contains__, ids), count(len(vocab))))
     return np.fromiter(map(vocab.__getitem__, ids), dtype=np.int64, count=len(ids))
-
-
-def write_count_report(counts: Counter, out: str | Path | io.TextIOBase) -> None:
-    """Write a ``reason,count`` CSV, rows sorted by reason for determinism,
-    to ``out`` as :func:`write_table` does."""
-    write_table(out, ("reason", "count"),
-                ((reason, counts[reason]) for reason in sorted(counts)))
 
 
 # Per record for the tests' reference; perfbench/tracer.py wraps it by name.

@@ -27,7 +27,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import InputError
-from .ingest import open_maybe_gzip, tally, write_table
+from .ingest import open_maybe_gzip, tally
 
 if TYPE_CHECKING:
     from .engagement import OriginalsTable
@@ -49,14 +49,11 @@ LEANING_ORDER = tuple(LEANING_SCORES)  # left to right
 RELIABILITY_CLASSES = ("reliable", "questionable", "conspiracy_pseudoscience")
 
 _NORM = re.compile(r"[^a-z]+")
+_LEANING_BY_KEY = {label.lower(): label for label in LEANING_SCORES}
 
 
 def _canon_leaning(label: str) -> Optional[str]:
-    key = _NORM.sub("", label.lower())
-    for canonical in LEANING_SCORES:
-        if key == canonical.lower():
-            return canonical
-    return None
+    return _LEANING_BY_KEY.get(_NORM.sub("", label.lower()))
 
 
 def _canon_reliability(value: str) -> Optional[str]:
@@ -312,10 +309,3 @@ def user_class_counts(originals: "OriginalsTable") -> dict[str, dict[str, int]]:
         if any(row):
             out[uid] = {label: n for label, n in zip(LEANING_ORDER, row) if n}
     return out
-
-
-def write_user_leanings(leanings: Iterable[UserLeaning], path: str | Path) -> None:
-    """CSV export ``user_id,n_urls,score`` sorted by user id; blank = no score."""
-    rows = sorted(leanings, key=lambda ul: ul.user_id)
-    write_table(path, ("user_id", "n_urls", "score"),
-                ((ul.user_id, ul.n_urls, ul.score) for ul in rows))

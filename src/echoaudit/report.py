@@ -23,7 +23,8 @@ from .dip import dip_statistic
 from .engagement import ACTIONS, OriginalsTable
 from .graph import RetweetGraph
 from .ideology import IdeologyScores
-from .ingest import tally, write_json, write_table
+from .blocks import write_columns
+from .ingest import tally, write_json
 
 log = logging.getLogger(__name__)
 
@@ -350,11 +351,8 @@ def ae_followers_density(
 def write_grid(grid: DensityGrid, csv_path: str | Path, sidecar_path: str | Path) -> None:
     """Long-form CSV ``x_bin,y_bin,count,log_density`` plus a JSON sidecar."""
     x_bin, y_bin = np.indices(grid.counts.shape)
-    write_table(
-        csv_path, ("x_bin", "y_bin", "count", "log_density"),
-        zip(x_bin.ravel().tolist(), y_bin.ravel().tolist(),
-            grid.counts.ravel().tolist(), grid.log_density.ravel().tolist()),
-    )
+    write_columns(csv_path, ("x_bin", "y_bin", "count", "log_density"),
+                  [x_bin.ravel(), y_bin.ravel(), grid.counts.ravel(), grid.log_density.ravel()])
     write_json(sidecar_path, {
         "x_label": grid.x_label,
         "y_label": grid.y_label,
@@ -368,9 +366,8 @@ def write_grid(grid: DensityGrid, csv_path: str | Path, sidecar_path: str | Path
 def write_histogram(hist: HistogramSeries, path: str | Path) -> None:
     """CSV ``bin_left,bin_right,series,count`` with series in sorted order."""
     edges = hist.bin_edges.tolist()
-    write_table(
-        path, ("bin_left", "bin_right", "series", "count"),
-        ((left, right, name, count)
-         for name in sorted(hist.series)
-         for left, right, count in zip(edges, edges[1:], hist.series[name].tolist())),
-    )
+    names = sorted(hist.series)
+    write_columns(path, ("bin_left", "bin_right", "series", "count"), [
+        edges[:-1] * len(names), edges[1:] * len(names),
+        [name for name in names for _ in edges[1:]],
+        [count for name in names for count in hist.series[name].tolist()]])

@@ -28,8 +28,9 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .errors import InputError
+from .blocks import write_columns
 from .ingest import (IMPRESSIONS_AVAILABLE_FROM, flat_lines, format_epoch_seconds,
-                     make_dir, open_atomic, parse_timestamp, write_json, write_table)
+                     make_dir, open_atomic, parse_timestamp, write_json)
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _CUTOFF = int((IMPRESSIONS_AVAILABLE_FROM - _EPOCH).total_seconds())
@@ -278,23 +279,18 @@ class _DomainPool:
         self.conspiracy = ["deep-rumors-0.test"]
 
     def rows(self) -> list[tuple[str, str, str]]:
-        rows = []
-        for cls in sorted(self.reliable):
-            for d in self.reliable[cls]:
-                rows.append((d, cls, "reliable"))
-        for group in sorted(self.questionable):
-            for d, label in self.questionable[group]:
-                rows.append((d, label, "questionable"))
-        for d in self.conspiracy:
-            rows.append((d, "", "conspiracy_pseudoscience"))
-        return sorted(rows)
+        return sorted([(d, cls, "reliable") for cls, ds in self.reliable.items() for d in ds]
+                      + [(d, label, "questionable")
+                         for pairs in self.questionable.values() for d, label in pairs]
+                      + [(d, "", "conspiracy_pseudoscience") for d in self.conspiracy])
 
     def unreliable_for(self, group: str) -> list[str]:
         return [d for d, _ in self.questionable[group]] + self.conspiracy
 
 
 def _write_domain_table(rows: list[tuple[str, str, str]], path: Path) -> None:
-    write_table(path, ("domain", "leaning_label", "reliability"), rows)
+    write_columns(path, ("domain", "leaning_label", "reliability"),
+                  [[row[k] for row in rows] for k in range(3)])
 
 
 def generate(config: GeneratorConfig, out_dir: str | Path,

@@ -1,6 +1,8 @@
 """Row-at-a-time readers of ``graph.csv`` and ``scores.csv``: the reference
 that the block readers ``graph.read_edge_list`` and
-``ideology.read_scores`` must match, value for value and error for error."""
+``ideology.read_scores`` must match, value for value and error for error;
+and the row-at-a-time CSV writer whose bytes ``blocks.write_columns`` must
+write."""
 
 import math
 from pathlib import Path
@@ -8,9 +10,26 @@ from pathlib import Path
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
 from echoaudit.errors import InputError
-from echoaudit.ingest import MAX_COUNT, open_maybe_gzip
+from echoaudit.ingest import MAX_COUNT, open_atomic, open_maybe_gzip
 
 from _record_oracle import add_edge
+
+
+def write_table(out, header, rows):
+    """Write a CSV table: ``header``, then one line per row.
+
+    ``out`` is a path, written all at once, or a text file opened with
+    ``newline=""``.  Each field is written as ``str(field)``, so a Python
+    float gets its shortest round-trip text; ``None`` becomes an empty field.
+    """
+    if isinstance(out, (str, Path)):
+        with open_atomic(out, newline="") as fh:
+            return write_table(fh, header, rows)
+    out.write(",".join(header) + "\n")
+    out.writelines(
+        ",".join(["" if f is None else str(f) for f in row]) + "\n"
+        for row in rows
+    )
 
 
 def read_table(path, header, what):
@@ -75,5 +94,7 @@ def read_scores(path):
             raise InputError(f"{path}:{lineno}: score {score!r} is not a number") from None
         if not math.isfinite(value):
             raise InputError(f"{path}:{lineno}: score {score!r} is not a finite number")
+        if ident in target:
+            raise InputError(f"{path}:{lineno}: repeated {kind} id {ident!r}")
         target[ident] = value
     return users, influencers

@@ -1,11 +1,16 @@
-"""The block readers give what the row-at-a-time readers give.
+"""The block readers give what the row-at-a-time readers give, and the
+column writer writes what the row-at-a-time writer writes.
 
-Each property cuts its input into blocks of a few characters as well as of
-the default size, so a block ends at every position of a line.
+Each reader property cuts its input into blocks of a few characters as well
+as of the default size, so a block ends at every position of a line; the
+writer property writes chunks of 1 and 3 rows as well as of the default
+size.
 """
 
+import ast
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -13,6 +18,8 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +32,11 @@ from echoaudit import mediabias as mb
 from echoaudit.errors import InputError
 
 import _csv_oracle as oracle
+from _matrix_helpers import edge_list
 from _record_oracle import counts_by_record, originals_by_record
-from _tables import flat_line
+from _tables import edge_counts, flat_line
 from conftest import ROOT
+from test_graph import _csv_ids
 from test_spans import _DOMAINS, corpora, debug_log, graph_state, table_state
 
 block_chars = st.sampled_from([1 << 20, 1, 2]) | st.integers(3, 400)
@@ -92,7 +101,7 @@ def corpus_bytes(draw):
 
 
 def count_report(counts, path):
-    ing.write_count_report(counts, path)
+    blk.write_count_report(counts, path)
     return path.read_bytes()
 
 
@@ -258,6 +267,113 @@ def test_scores_by_blocks_equal_by_rows(text, n):
         with blocks(n):
             got = outcome(lambda: score_state(ideo.read_scores(path)))
     assert got == want
+
+
+def scores_text(rows):
+    return "id,kind,score,raw_score\n" + "".join(f"{row}\n" for row in rows)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("first", [0, 4995])
+def test_repeated_score_id_names_the_second_row(tmp_path, padded, first):
+    """A repeat in the same 64 KiB block as the first row or in a later one,
+    on a block split at once or, with a padded row, row by row; the same id
+    as a user and as an influencer is no repeat."""
+    rows = ["a,influencer,0.5,0.5", "a,user,0.5,0.5"]
+    rows += [f"u{k:05d},user,0.5,0.5" for k in range(5000)]
+    rows.append(f"u{first:05d},user,-0.25,0.5")
+    if padded:
+        rows[-1] = f" {rows[-1]} "
+    path = tmp_path / "scores.csv"
+    path.write_text(scores_text(rows), encoding="utf-8")
+    assert path.stat().st_size > blk._BLOCK_CHARS
+    want = f"error: {path}:{len(rows) + 1}: repeated user id 'u{first:05d}'"
+    assert outcome(lambda: ideo.read_scores(path)) == want
+    assert outcome(lambda: oracle.read_scores(path)) == want
+
+
+# ---------------------------------------------------------------------------
+# write_columns
+# ---------------------------------------------------------------------------
+
+_ints = st.sampled_from([0, 1, -1, ing.MAX_COUNT, 2**63 - 1, -2**63]) | st.integers(
+    -2**63, 2**63 - 1)
+_floats = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1, 1 / 3, math.nan, math.inf,
+                           -math.inf]) | st.floats()
+_values = st.none() | _ints | _floats | _csv_ids
+
+
+@st.composite
+def column_tables(draw):
+    """A header, the columns of :func:`blk.write_columns` in a drawn order
+    (int64, float64, strings, values or ``None``, and codes into names), and
+    the same table as rows of Python values."""
+    n = draw(st.integers(0, 12))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    ints, floats, texts, values = map(column, (_ints, _floats, _csv_ids, _values))
+    names = draw(st.lists(_csv_ids, min_size=1, max_size=4))
+    codes = column(st.integers(0, len(names) - 1))
+    pairs = draw(st.permutations([
+        (np.array(ints, dtype=np.int64), ints), (np.array(floats, dtype=np.float64), floats),
+        (texts, texts), (values, values),
+        (blk.Codes(names, np.array(codes, dtype=np.int64)), [names[c] for c in codes])]))
+    header = [f"c{k}" for k in range(len(pairs))]
+    return header, [c for c, _ in pairs], list(zip(*[rows for _, rows in pairs]))
+
+
+@given(
+    table=column_tables(),
+    edges=st.lists(st.one_of(
+        st.tuples(_csv_ids, _csv_ids),
+        _csv_ids.map(lambda uid: (uid, uid)),
+    ), max_size=40),
+    weights=st.lists(st.integers(1, ing.MAX_COUNT) | st.sampled_from([1, ing.MAX_COUNT]),
+                     min_size=40, max_size=40),
+    count_self_loops=st.booleans(),
+    chunk=st.sampled_from([1, 3, blk._WRITE_CHUNK]),
+)
+@settings(max_examples=300, deadline=None)
+def test_write_columns_bytes_match_write_table_property(tmp_path_factory, table, edges,
+                                                        weights, count_self_loops, chunk):
+    """``write_columns`` writes the bytes of the row-at-a-time ``write_table``
+    for every kind of column, NUL and non-ASCII ids, signed zeros,
+    subnormals, large and small floats, NaN, infinities and the int64
+    extremes, whatever its chunk size; so does ``write_edge_list`` for
+    ``edge_list(g)``, self-loops and weights up to ``MAX_COUNT`` included."""
+    header, columns, rows = table
+    g = edge_counts((src, dst, w) for (src, dst), w
+                    in zip(dict.fromkeys(edges), weights)).graph(count_self_loops)
+    root = tmp_path_factory.mktemp("columns")
+    with mock.patch.object(blk, "_WRITE_CHUNK", chunk):
+        blk.write_columns(root / "columns.csv", header, columns)
+        gr.write_edge_list(g, root / "edges.csv")
+    oracle.write_table(root / "rows.csv", header, rows)
+    oracle.write_table(root / "edge_rows.csv", gr.EDGE_LIST_HEADER, edge_list(g))
+    assert (root / "columns.csv").read_bytes() == (root / "rows.csv").read_bytes()
+    assert (root / "edges.csv").read_bytes() == (root / "edge_rows.csv").read_bytes()
+
+
+def test_src_has_one_csv_writer():
+    """No module of ``src/echoaudit/`` defines, imports or calls a
+    ``write_table``, the row-at-a-time writer that ``tests/_csv_oracle.py``
+    keeps as the reference, and only ``blocks.py`` (``write_columns``) and
+    ``engagement.py`` (``write_engagement``) size a chunk of CSV rows with a
+    ``_WRITE_CHUNK``."""
+    found = []
+    for path in sorted((ROOT / "src" / "echoaudit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("name", "asname", "attr", "id")}
+            if "write_table" in names:
+                found.append(f"{path.name}:{node.lineno}: write_table")
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            if (path.name not in ("blocks.py", "engagement.py")
+                    and any(getattr(t, "id", None) == "_WRITE_CHUNK" for t in targets)):
+                found.append(f"{path.name}:{node.lineno}: _WRITE_CHUNK")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echoaudit import blocks as blk
 from echoaudit import engagement as eng
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
@@ -18,6 +19,7 @@ from echoaudit import report as rep
 from echoaudit.errors import EchoauditError
 
 import _engagement_oracle as oracle
+from _csv_oracle import write_table
 from _tables import originals_table as table
 from conftest import make_record, retweet
 
@@ -495,7 +497,7 @@ def test_engagement_bytes_match_write_table_property(tmp_path_factory, subjects,
     root = tmp_path_factory.mktemp("engagement")
     with mock.patch.object(eng, "_WRITE_CHUNK", chunk):
         eng.write_engagement(records, root / "columns.csv")
-    ing.write_table(
+    write_table(
         root / "rows.csv",
         ("subject", "granularity", "action", "impressions", "count", "ae", "mean_ae"),
         ((subject, granularity, a, imp, count, ae, None if math.isnan(mean) else mean)
@@ -551,7 +553,7 @@ def scores_failing_late():
 
 def graph_failing_late():
     g = gr.build_graph([retweet("A", "B", "t1"), retweet("C", "B", "t2")])
-    return dataclasses.replace(g, node_ids=("A", "B", Boom()))
+    return dataclasses.replace(g, out_weights=np.array([1, Boom()], dtype=object))
 
 
 class BoomDict(dict):
@@ -578,9 +580,9 @@ class TestAtomicWriters:
         (eng.write_group_summaries, lambda: [
             eng.GroupSummary("g", "like", 1, *[0.5] * 6),
             eng.GroupSummary("g", "quote", 1, Boom(), *[0.5] * 5)]),
-        (mb.write_user_leanings, lambda: [
+        (lambda rows, path: blk.write_fields(path, rows, mb.UserLeaning), lambda: [
             mb.UserLeaning("a", 1, 0.5), mb.UserLeaning("b", 1, Boom())]),
-        (ing.write_count_report, lambda: Counter({"a": 1, "b": Boom()})),
+        (blk.write_count_report, lambda: Counter({"a": 1, "b": Boom()})),
         (write_grid, grid_failing_late),
         (rep.write_histogram, histogram_failing_late),
         (ideo.write_scores, scores_failing_late),

@@ -1,5 +1,4 @@
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,21 +118,26 @@ class TestBuildGraph:
         assert g.unique_in_degree[g.index_of("A")] == 2
 
 
+def ranking(g):
+    """The (id, unique in-degree) pairs in the order of ``rank_by_in_degree``."""
+    return [(g.node_ids[i], int(g.unique_in_degree[i]))
+            for i in gr.rank_by_in_degree(g).tolist()]
+
+
 class TestRanking:
     def test_rank_with_ties_broken_lexicographically(self):
         g = simple_graph()
-        assert gr.rank_by_in_degree(g) == [("B", 2), ("A", 0), ("C", 0)]
+        assert ranking(g) == [("B", 2), ("A", 0), ("C", 0)]
 
     def test_single_node(self):
         g = gr.build_graph([retweet("A", "B")])
-        ranking = gr.rank_by_in_degree(g)
-        assert ranking == [("B", 1), ("A", 0)]
+        assert ranking(g) == [("B", 1), ("A", 0)]
 
     def test_total_order(self, mini_graph):
-        ranking = gr.rank_by_in_degree(mini_graph)
-        assert len(ranking) == mini_graph.n_nodes
-        assert len({uid for uid, _ in ranking}) == mini_graph.n_nodes
-        degrees = [d for _, d in ranking]
+        ranked = ranking(mini_graph)
+        assert len(ranked) == mini_graph.n_nodes
+        assert len({uid for uid, _ in ranked}) == mini_graph.n_nodes
+        degrees = [d for _, d in ranked]
         assert degrees == sorted(degrees, reverse=True)
 
     def test_matches_sort_by_degree_then_id(self, mini_graph):
@@ -142,10 +146,10 @@ class TestRanking:
             ((uid, int(g.unique_in_degree[i])) for i, uid in enumerate(g.node_ids)),
             key=lambda t: (-t[1], t[0]),
         )
-        assert gr.rank_by_in_degree(g) == expected
+        assert ranking(g) == expected
 
     def test_mini_top_is_a_planted_hub(self, mini_graph, mini_truth):
-        top_id, top_deg = gr.rank_by_in_degree(mini_graph)[0]
+        top_id, top_deg = ranking(mini_graph)[0]
         assert top_id in mini_truth.planted_hubs
         assert top_deg >= 5
 
@@ -348,28 +352,3 @@ def test_edge_list_round_trip_property(tmp_path_factory, edges, count_self_loops
     path = tmp_path_factory.mktemp("edges") / "graph.csv"
     gr.write_edge_list(g, path)
     assert_same_graph(gr.read_edge_list(path, count_self_loops), g)
-
-
-@given(
-    edges=st.lists(st.one_of(
-        st.tuples(_csv_ids, _csv_ids),
-        _csv_ids.map(lambda uid: (uid, uid)),
-    ), max_size=40),
-    weights=st.lists(st.integers(1, ing.MAX_COUNT) | st.sampled_from([1, ing.MAX_COUNT]),
-                     min_size=40, max_size=40),
-    count_self_loops=st.booleans(),
-    chunk=st.sampled_from([1, 3, gr._WRITE_CHUNK]),
-)
-@settings(max_examples=200, deadline=None)
-def test_edge_list_bytes_match_write_table_property(tmp_path_factory, edges, weights,
-                                                    count_self_loops, chunk):
-    """The columnar writer writes the bytes ``write_table`` writes for
-    ``edge_list(g)``, for NUL and non-ASCII ids, self-loops and weights up to
-    ``MAX_COUNT``, whatever its chunk size."""
-    g = edge_counts((src, dst, w) for (src, dst), w
-                    in zip(dict.fromkeys(edges), weights)).graph(count_self_loops)
-    root = tmp_path_factory.mktemp("edges")
-    with mock.patch.object(gr, "_WRITE_CHUNK", chunk):
-        gr.write_edge_list(g, root / "columns.csv")
-    ing.write_table(root / "rows.csv", gr.EDGE_LIST_HEADER, edge_list(g))
-    assert (root / "columns.csv").read_bytes() == (root / "rows.csv").read_bytes()

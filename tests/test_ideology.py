@@ -381,7 +381,7 @@ class TestScoreIO:
     def test_round_trip_property(self, tmp_path_factory, users, influencers):
         """Every finite float, -0.0 included, reads back as written, and a
         NaN or an infinity is refused; an id may be both a user and an
-        influencer."""
+        influencer.  Rows come in (kind, id) order whatever the dicts' order."""
         scores = ideo.IdeologyScores(
             user_scores=users, influencer_scores=influencers,
             raw_user_scores=users, raw_influencer_scores=influencers,
@@ -389,6 +389,10 @@ class TestScoreIO:
         )
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
         ideo.write_scores(scores, path)
+        keys = [tuple(line.split(",")[1::-1])
+                for line in path.read_bytes().decode("utf-8").split("\n")[1:-1]]
+        assert keys == sorted(("influencer", i) for i in influencers) + \
+            sorted(("user", u) for u in users)
         if not all(map(math.isfinite, [*users.values(), *influencers.values()])):
             with pytest.raises(InputError, match="is not a finite number"):
                 ideo.read_scores(path)

@@ -509,7 +509,7 @@ class TestOpenAtomic:
 
 def test_count_report_format(tmp_path):
     out = tmp_path / "rejects.csv"
-    ing.write_count_report(Counter({"b_reason": 2, "a_reason": 5}), out)
+    blk.write_count_report(Counter({"b_reason": 2, "a_reason": 5}), out)
     assert out.read_text() == "reason,count\na_reason,5\nb_reason,2\n"
 
 

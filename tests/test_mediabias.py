@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echoaudit import blocks as blk
 from echoaudit import mediabias as mb
 from echoaudit.errors import InputError
 
@@ -289,13 +290,14 @@ class TestUserClassCounts:
 
 def test_write_user_leanings(tmp_path):
     table = leaning_table(tmp_path)
-    # Unsorted on purpose: the writer sorts.
+    # Authors out of order on purpose: user_leaning sorts them, and the
+    # writer keeps its order.
     rows = mb.user_leaning(originals([
         rec_with_urls(["leftie.test"], author="b"),
         rec_with_urls(["unknown.test"], author="a"),
-    ], table))[::-1]
+    ], table))
     out = tmp_path / "leanings.csv"
-    mb.write_user_leanings(rows, out)
+    blk.write_fields(out, rows, mb.UserLeaning)
     text = out.read_text().splitlines()
     assert text[0] == "user_id,n_urls,score"
     assert text[1] == "a,0,"

@@ -324,7 +324,7 @@ def test_line_nested_too_deep_is_a_counted_reject(tmp_path, schema):
         runs = list(blk.corpus_columns(corpus, schema, block_rejects))
     assert (block_rejects, block_messages) == (rejects, messages)
     assert sum(map(len, runs)) == len(records)
-    ing.write_count_report(rejects, tmp_path / "want.csv")
+    blk.write_count_report(rejects, tmp_path / "want.csv")
     with cpus(2), debug_log() as span_messages:
         first, second = ing.corpus_spans(corpus)
         assert second.first_line < 901
@@ -548,8 +548,8 @@ def test_span_count_changes_nothing(corpus, n):
         for _ in ing.apply_filters(ing.parse_corpus(path, schema, rejects),
                                    exclusions=exclusions):
             pass
-        ing.write_count_report(rejects, tmp / "rejects.csv")
-        ing.write_count_report(exclusions, tmp / "exclusions.csv")
+        blk.write_count_report(rejects, tmp / "rejects.csv")
+        blk.write_count_report(exclusions, tmp / "exclusions.csv")
         for name in ("rejects.csv", "exclusions.csv"):
             assert want[0][name] == (tmp / name).read_bytes()
     assert got == want
