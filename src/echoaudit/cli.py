@@ -21,10 +21,16 @@ deals its granularities out the same way, each worker aggregating and
 writing one ``ae_*.csv`` table at a time.  With two or more
 usable CPUs, ``pipeline`` also runs synth in a forked child that streams
 each block of its corpus to ingest here as it writes it (ingest commits its
-outputs only once synth has succeeded), and runs report in a forked child
-beside engagement.  With one, its stages run one after another.  All
-outputs are deterministic given inputs and flags, whatever the number of
-CPUs.
+outputs only once synth has succeeded), makes the AE tables in one forked
+worker while graph and ideology run here, and runs report in a forked child
+beside the rest of engagement.  With one, its stages run one after another.
+
+Given inputs and flags, every output is deterministic.  Counters, log lines
+and each artifact that no BLAS reduction feeds are also the same at any
+number of CPUs; the solver's scores, what is computed from them and the
+log-Pearson correlations can differ in their last digits, since OpenBLAS
+splits a long dot product or norm across as many threads as the CPU
+affinity mask allows (README, "Cores").
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import shutil
 import sys
 from collections import Counter
 from contextlib import ExitStack, suppress
@@ -325,28 +332,21 @@ def _load_originals(args) -> eng.OriginalsTable:
         ing.corpus_spans(args.input)))
 
 
-def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
-                   user_scores: Optional[dict[str, float]] = None) -> None:
-    """Write the AE tables, the correlations and the group summaries.
+def _ae_tables(args, originals: eng.OriginalsTable,
+               processes: int) -> tuple[Counter, dict[str, eng.SubjectAE]]:
+    """Create ``--out-dir`` and write the AE table of each granularity that
+    ``args`` asks for; returns the aggregation counters and, for each
+    granularity that a ``--group-by`` reads, the subject ids and AE columns.
 
-    The granularities are dealt in turn to one group per usable CPU, each
-    group run by :func:`ingest.fork_map`.  A worker aggregates and writes
-    one table at a time and drops it before the next, so no process holds
-    two tables; it hands back its counters and, for a granularity that a
-    ``--group-by`` reads, the subject ids and AE columns.
+    The granularities are dealt in turn to one group per process, up to
+    ``processes``, each group run by :func:`ingest.fork_map`.  A process
+    aggregates and writes one table at a time and drops it before the next,
+    so no process holds two tables.
     """
     wanted = (["tweet", "user", "domain"] if args.granularity == "all"
               else [args.granularity])
-    # Read every input before creating the output directory, so a bad input
-    # leaves nothing behind.
-    if originals is None:
-        originals = _load_originals(args)
-    table = originals.domains
-    if (user_scores is None and "ideology" in (args.group_by or [])
-            and args.scores and "user" in wanted):
-        user_scores, _ = ideo.read_scores(args.scores)
     ing.make_dir(args.out_dir)
-    if "domain" in wanted and not table:
+    if "domain" in wanted and not originals.domains:
         log.warning("domain granularity requested without --domains; skipped")
         wanted.remove("domain")
     # The tables that a --group-by reads.
@@ -368,7 +368,7 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
             del records  # before the next table is made
         return stats, kept
 
-    n = min(ing.usable_cpus(), len(wanted))
+    n = min(processes, len(wanted))
     try:
         parts = ing.fork_map(aggregate, [wanted[k::n] for k in range(n)])
     except BaseException:
@@ -380,6 +380,28 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
     for part_stats, kept in parts:
         stats.update(part_stats)
         results.update(kept)
+    return stats, results
+
+
+def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
+                   user_scores: Optional[dict[str, float]] = None,
+                   tables: Optional[ing.Worker] = None) -> None:
+    """Write the AE tables, the correlations and the group summaries.
+
+    The AE tables are made by :func:`_ae_tables`, here or, given
+    ``tables``, by that worker, started earlier on the same arguments and
+    reaped here.
+    """
+    # Read every input before creating the output directory, so a bad input
+    # leaves nothing behind.
+    if originals is None:
+        originals = _load_originals(args)
+    table = originals.domains
+    if (user_scores is None and "ideology" in (args.group_by or [])
+            and args.scores and args.granularity in ("user", "all")):
+        user_scores, _ = ideo.read_scores(args.scores)
+    stats, results = (_ae_tables(args, originals, ing.usable_cpus()) if tables is None
+                      else tables.reap())
 
     reports = []
     for action in eng.ACTIONS:
@@ -519,8 +541,10 @@ def cmd_pipeline(args) -> None:
     below, and takes from memory what an earlier stage produced: the corpus
     is parsed once, and the graph and scores are not read back.  With two
     or more usable CPUs, synth runs in a forked child while ingest reads its
-    corpus here as it is written, and report runs in a forked child while
-    engagement runs here; with one, the stages run one after another.
+    corpus here as it is written; a forked worker makes the AE tables while
+    graph and ideology run here; and report runs in a forked child while
+    the rest of engagement runs here, after reaping the table worker.  With
+    one, the stages run one after another.
     """
     # A bad config fails before the output tree exists.
     config = _synth_config(args)
@@ -573,31 +597,9 @@ def cmd_pipeline(args) -> None:
         min_indegree = 20 if args.preset == "mini" else 100
 
     graph_dir = out / "graph"
-    ing.make_dir(graph_dir)
-    g, influencers = cmd_graph(stage_args([
-        "graph", "--input", str(ingest_dir / "filtered.jsonl"),
-        "--seeds", str(synth_dir / "seeds.txt"),
-        "--min-indegree", str(min_indegree),
-        "--graph-out", str(graph_dir / "graph.csv"),
-        "--influencers-out", str(graph_dir / "influencers.txt"),
-        "--ranking-out", str(graph_dir / "ranking.csv"),
-    ]), retweets)
-    # The graph holds all that later stages need of the counts.
-    del retweets
-
     ideology_dir = out / "ideology"
-    ing.make_dir(ideology_dir)
-    ideology_argv = [
-        "ideology", "--graph", str(graph_dir / "graph.csv"),
-        "--influencers", str(graph_dir / "influencers.txt"),
-        "--seed", str(args.seed),
-        "--scores-out", str(ideology_dir / "scores.csv"),
-        "--meta-out", str(ideology_dir / "meta.json"),
-    ]
-    if args.anchor:
-        ideology_argv += ["--anchor", args.anchor]
-    scores = cmd_ideology(stage_args(ideology_argv), g, influencers)
-
+    engagement_dir = out / "engagement"
+    report_dir = out / "report"
     engagement_args = stage_args([
         "engagement", "--input", str(ingest_dir / "filtered.jsonl"),
         "--domains", str(synth_dir / "domains.csv"),
@@ -605,9 +607,49 @@ def cmd_pipeline(args) -> None:
         "--granularity", "all",
         "--group-by", "ideology", "--group-by", "reliability",
         "--group-by", "leaning",
-        "--out-dir", str(out / "engagement"),
+        "--out-dir", str(engagement_dir),
     ])
-    report_dir = out / "report"
+    # The AE tables need only the originals: with two or more usable CPUs
+    # one worker makes them while the graph and the scores are made here.
+    made = not engagement_dir.exists()
+    tables = (ing.Worker(lambda flags: _ae_tables(flags, originals, 1), engagement_args)
+              if side_by_side else None)
+    try:
+        ing.make_dir(graph_dir)
+        g, influencers = cmd_graph(stage_args([
+            "graph", "--input", str(ingest_dir / "filtered.jsonl"),
+            "--seeds", str(synth_dir / "seeds.txt"),
+            "--min-indegree", str(min_indegree),
+            "--graph-out", str(graph_dir / "graph.csv"),
+            "--influencers-out", str(graph_dir / "influencers.txt"),
+            "--ranking-out", str(graph_dir / "ranking.csv"),
+        ]), retweets)
+        # The graph holds all that later stages need of the counts.
+        del retweets
+
+        ing.make_dir(ideology_dir)
+        ideology_argv = [
+            "ideology", "--graph", str(graph_dir / "graph.csv"),
+            "--influencers", str(graph_dir / "influencers.txt"),
+            "--seed", str(args.seed),
+            "--scores-out", str(ideology_dir / "scores.csv"),
+            "--meta-out", str(ideology_dir / "meta.json"),
+        ]
+        if args.anchor:
+            ideology_argv += ["--anchor", args.anchor]
+        scores = cmd_ideology(stage_args(ideology_argv), g, influencers)
+    except BaseException:
+        if tables is not None:
+            # Engagement has not begun, so what the table worker made goes,
+            # as if it had never run: the directory if this run made it,
+            # else the temporary file that a kill while writing leaves.
+            tables.reap(kill=True)
+            if made:
+                shutil.rmtree(engagement_dir, ignore_errors=True)
+            else:
+                ing.remove_temporaries(engagement_dir)
+        raise
+
     report_args = stage_args([
         "report", "--input", str(ingest_dir / "filtered.jsonl"),
         "--graph", str(graph_dir / "graph.csv"),
@@ -615,14 +657,19 @@ def cmd_pipeline(args) -> None:
         "--domains", str(synth_dir / "domains.csv"),
         "--out-dir", str(report_dir),
     ])
-    # Engagement runs first (here, as item 0), so its log records come first.
-    last_stages = [lambda: cmd_engagement(engagement_args, originals, scores.user_scores),
-                   lambda: cmd_report(report_args, originals, g, scores)]
+    # Engagement runs first (here, as item 0), so its log records, the
+    # table worker's among them, come first.
+    last_stages = [
+        lambda: cmd_engagement(engagement_args, originals, scores.user_scores, tables),
+        lambda: cmd_report(report_args, originals, g, scores)]
     if side_by_side:
         try:
             ing.fork_map(lambda stage: stage(), last_stages)
         except BaseException:
-            # A report child killed while writing leaves its temporary file.
+            # A report child or the table worker, killed while writing,
+            # leaves its temporary file.
+            tables.reap(kill=True)
+            ing.remove_temporaries(engagement_dir)
             ing.remove_temporaries(report_dir)
             raise
     else:

@@ -22,7 +22,7 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -59,8 +59,10 @@ class OriginalsTable:
     * given a domain table, each record's URLs whose registrable domain is
       in the table, as a CSR row of domain codes in URL order and with
       multiplicity (:meth:`matched_urls`); a code indexes :meth:`profiles`.
-      Each URL occurrence goes through :func:`mediabias.extract_domain` once,
-      as it is added; ``unmatched_urls`` counts the URLs outside the table.
+      A URL of the form :data:`mediabias.PLAIN_URL` matches is resolved once
+      per distinct host, every other URL occurrence through
+      :func:`mediabias.extract_domain` as it is added; ``unmatched_urls``
+      counts the URLs outside the table.
       Without a domain table every row is empty.
 
     The column views share memory with the growing buffers: while one is
@@ -81,6 +83,7 @@ class OriginalsTable:
         names = sorted(domains) if domains is not None else []
         self._profiles = [domains[d] for d in names]
         self._domain_code = {d: i for i, d in enumerate(names)}
+        self._host_code: dict[str, Optional[int]] = {}
         self.unmatched_urls = 0
         self._indptr = array("q", [0])
         self._url_domains = array("q")
@@ -111,8 +114,7 @@ class OriginalsTable:
         matched = np.zeros(len(run), dtype=np.int64)
         if self.domains is not None:
             url_lists = run.url_lists()
-            codes = [self._domain_code.get(mb.extract_domain(url))
-                     for urls in url_lists for url in urls]
+            codes = list(map(self._url_code, chain.from_iterable(url_lists)))
             found = np.array([code is not None for code in codes], dtype=bool)
             owners = np.repeat(np.arange(len(run)),
                                np.fromiter(map(len, url_lists), np.int64, len(run)))
@@ -120,6 +122,16 @@ class OriginalsTable:
             self.unmatched_urls += len(codes) - len(owners[found])
             self._url_domains.extend([code for code in codes if code is not None])
         self._indptr.frombytes((self._indptr[-1] + matched.cumsum()).tobytes())
+
+    def _url_code(self, url: str) -> Optional[int]:
+        """The code of the domain of ``url``, or None outside the table."""
+        plain = mb.PLAIN_URL.match(url)
+        if plain is None:
+            return self._domain_code.get(mb.extract_domain(url))
+        host = plain[1]
+        if host not in self._host_code:
+            self._host_code[host] = self._domain_code.get(mb.extract_domain(url))
+        return self._host_code[host]
 
     def extend(self, other: "OriginalsTable") -> None:
         """Append ``other``'s records, as if each were added here after this
@@ -138,7 +150,7 @@ class OriginalsTable:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.update(domains=None, _profiles=[], _domain_code={})
+        state.update(domains=None, _profiles=[], _domain_code={}, _host_code={})
         return state
 
     def __len__(self) -> int:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -29,14 +29,6 @@ log = logging.getLogger(__name__)
 DEFAULT_MIN_UNIQUE_IN_DEGREE = 100
 
 EDGE_LIST_HEADER = ("src", "dst", "weight")
-
-
-class WeightOverflowError(InputError):
-    """The summed weight of one (src, dst) pair is above ``MAX_COUNT``."""
-
-    def __init__(self, src: str, dst: str):
-        super().__init__(f"summed weight of {src},{dst} is above {MAX_COUNT}")
-        self.pair = (src, dst)
 
 
 @dataclass(frozen=True)
@@ -138,21 +130,17 @@ class RetweetCounts:
         self.skipped.update(other.skipped)
 
     def graph(self, count_self_loops: bool = False) -> RetweetGraph:
-        """The graph so far; a pair summing above ``MAX_COUNT`` raises
-        :class:`WeightOverflowError`."""
+        """The graph so far."""
         node_ids, rank = sorted_codes(self._vocab)
         n = len(node_ids)
         src, dst, w = (np.frombuffer(c, dtype=np.int64)
                        for c in (self._src, self._dst, self._weight))
         # Sorted keys run in (src, dst) order: the out-adjacency.
         keys, pair = np.unique(rank[src] * n + rank[dst], return_inverse=True)
-        # Each weight, and each partial sum up to MAX_COUNT, is an exact
-        # float64; a sum beyond it rounds to at least 2**53.
+        # Every sum is an exact float64: the edges of a corpus weigh 1 each,
+        # and read_edge_list adds each pair once, at most MAX_COUNT.
         sums = np.bincount(pair, weights=w, minlength=len(keys))
         out_sources, out_targets = np.divmod(keys, n)
-        if len(keys) and sums.max() > MAX_COUNT:
-            k = sums.argmax()
-            raise WeightOverflowError(node_ids[out_sources[k]], node_ids[out_targets[k]])
         out_weights = sums.astype(np.int64)
         # A stable sort by dst of (src, dst) order gives (dst, src) order.
         order_in = np.argsort(out_targets, kind="stable")
@@ -253,26 +241,41 @@ _WEIGHT = re.compile("[0-9]{1,16}")
 
 
 def read_edge_list(path: str | Path, count_self_loops: bool = False) -> RetweetGraph:
-    """Rebuild a graph from a ``src,dst,weight`` CSV export; rows of one
-    pair add up, and neither a row nor a sum may exceed ``MAX_COUNT``."""
-    counts = RetweetCounts()
-    for lineno, (src, dst, w) in read_table(path, EDGE_LIST_HEADER, "edge list"):
-        digits = "".join(w)
-        ok = digits.isascii() and digits.isdigit() and "" not in w and max(map(len, w)) <= 16
-        weights = (np.fromstring(",".join(w), dtype=np.int64, sep=",") if ok
-                   else np.array([int(x) if _WEIGHT.fullmatch(x) else 0 for x in w]))
-        bad = np.flatnonzero((weights < 1) | (weights > MAX_COUNT))
-        if bad.size:
-            raise InputError(f"{path}:{lineno + bad[0]}: weight {w[bad[0]]!r} is not an "
-                             f"integer in [1, {MAX_COUNT}]")
-        counts.add_edges(src, dst, weights)
+    """Rebuild a graph from a ``src,dst,weight`` CSV export: each weight an
+    integer in [1, ``MAX_COUNT``] and each (src, dst) pair on one row, as
+    :func:`write_edge_list` writes them."""
+    counts, rows = RetweetCounts(), 0
     try:
-        return counts.graph(count_self_loops)
-    except WeightOverflowError as exc:
-        # Read the pair's rows again to name the one that passed the bound.
-        total = 0
-        for lineno, columns in read_table(path, EDGE_LIST_HEADER, "edge list"):
-            for k, (src, dst, w) in enumerate(zip(*columns)):
-                if (src, dst) == exc.pair and (total := total + int(w)) > MAX_COUNT:
-                    raise InputError(f"{path}:{lineno + k}: {exc}") from None
-        raise
+        for _, (src, dst, w) in read_table(path, EDGE_LIST_HEADER, "edge list"):
+            digits = "".join(w)
+            if not (digits.isascii() and digits.isdigit() and "" not in w
+                    and max(map(len, w)) <= 16):
+                break
+            weights = np.fromstring(",".join(w), dtype=np.int64, sep=",")
+            if ((weights < 1) | (weights > MAX_COUNT)).any():
+                break
+            counts.add_edges(src, dst, weights)
+            rows += len(weights)
+        else:
+            g = counts.graph(count_self_loops)
+            if g.n_edges == rows:
+                return g
+    except InputError:
+        pass  # read again below, so that an earlier repeated pair comes first
+    _raise_first_bad_edge(path)
+
+
+def _raise_first_bad_edge(path: str | Path) -> NoReturn:
+    """Read ``path`` again and raise the error of its first row that breaks
+    a rule of :func:`read_edge_list`: its weight, or a pair that came
+    before; or the error that the table itself raises first."""
+    seen = set()
+    for first, columns in read_table(path, EDGE_LIST_HEADER, "edge list"):
+        for lineno, (src, dst, w) in enumerate(zip(*columns), start=first):
+            if not (_WEIGHT.fullmatch(w) and 1 <= int(w) <= MAX_COUNT):
+                raise InputError(f"{path}:{lineno}: weight {w!r} is not an integer "
+                                 f"in [1, {MAX_COUNT}]")
+            if (src, dst) in seen:
+                raise InputError(f"{path}:{lineno}: repeated edge {src},{dst}")
+            seen.add((src, dst))
+    raise InputError(f"{path}: changed while it was read")

@@ -48,7 +48,7 @@ order.  ``engagement`` deals its granularities to :func:`fork_map` too, and
 :func:`fork_stream` reads, as it is written, the text that a forked child
 writes (``pipeline`` ingests synth's corpus this way), and both corpus
 readers read that stream as they read the file.  Both fork helpers start,
-kill and reap each child through one :class:`_Worker` handle.
+kill and reap each child through one :class:`Worker` handle.
 """
 
 from __future__ import annotations
@@ -295,8 +295,8 @@ _SCHEMAS = {"flat": _record_from_flat, "api": _record_from_api}
 def format_epoch_seconds(seconds: Sequence[int]) -> list[str]:
     """:func:`format_timestamp` of each of ``seconds``, whole seconds since
     the epoch within years 1 to 9999, from one NumPy call."""
-    text = np.datetime_as_string(np.asarray(seconds, dtype=np.int64).astype("datetime64[s]"))
-    return [t + "Z" for t in text.tolist()]
+    return np.datetime_as_string(np.asarray(seconds, dtype=np.int64).astype("datetime64[s]"),
+                                 timezone="UTC").tolist()
 
 
 def flat_lines(created_at: Iterable[str], rows: Iterable[tuple]) -> str:
@@ -544,17 +544,17 @@ def fork_map(work: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """
     if len(items) < 2:
         return [work(item) for item in items]
-    workers: list[_Worker] = []
+    workers: list[Worker] = []
     try:
         for item in items[1:]:
-            workers.append(_Worker(work, item))
+            workers.append(Worker(work, item))
         return [work(items[0]), *(worker.reap() for worker in workers)]
     finally:
         for worker in workers:
             worker.reap(kill=True)
 
 
-class _Worker:
+class Worker:
     """``work(item)`` started in a forked child (:func:`_run_child`): its
     pid, and the pipe its result comes back through."""
 
@@ -612,11 +612,11 @@ _PIPE_SIZE = 1 << 20
 class _ChildText(io.RawIOBase):
     """What a forked child writes to a pipe, as a raw stream named ``name``.
 
-    The end of the bytes reaps the child's :class:`_Worker`, so
+    The end of the bytes reaps the child's :class:`Worker`, so
     :meth:`readinto` then handles its log records and raises its exception.
     """
 
-    def __init__(self, fd: int, name: str, worker: _Worker):
+    def __init__(self, fd: int, name: str, worker: Worker):
         self._fh = open(fd, "rb", buffering=0)
         self.name = name
         self._worker = worker
@@ -649,7 +649,7 @@ def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
     the end of the stream reads the rest; one that raises kills the child.
     Either way the child is reaped before this returns or raises.
     """
-    import fcntl  # not at module level, as signal in _Worker.reap
+    import fcntl  # not at module level, as signal in Worker.reap
     read_fd, write_fd = os.pipe()
     try:
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
@@ -662,7 +662,7 @@ def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
             return write(out)
 
     try:
-        worker = _Worker(child, None)
+        worker = Worker(child, None)
     except BaseException:
         os.close(read_fd)
         raise

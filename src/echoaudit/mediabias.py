@@ -155,6 +155,14 @@ def _suffixes() -> PublicSuffixes:
     return _bundled_suffixes
 
 
+# The common form of a URL: ``http://`` or ``https://``, a host of lower-case
+# ASCII letters, digits, dots and hyphens (so no userinfo, port or brackets),
+# then a path, query or fragment, or the end.  Its host is the
+# ``urlsplit(url).hostname`` that extract_domain resolves, so URLs of one
+# such host share a domain.
+PLAIN_URL = re.compile(r"https?://([a-z0-9.-]+)(?:[/?#]|\Z)")
+
+
 def extract_domain(url: str, suffixes: Optional[PublicSuffixes] = None) -> Optional[str]:
     """Registrable domain of an absolute URL, or None when unresolvable.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -293,6 +294,77 @@ def _write_domain_table(rows: list[tuple[str, str, str]], path: Path) -> None:
                   [[row[k] for row in rows] for k in range(3)])
 
 
+class _Words:
+    """Draws of a PCG64 ``Generator`` made here from the 64-bit words of its
+    ``bit_generator.random_raw`` (:attr:`next`), each exactly as the
+    ``Generator`` method it stands for would make it, at a fraction of the
+    cost of a call to that method.
+
+    ``Generator.random()`` reads one word ``w`` and returns
+    ``(w >> 11) * 2**-53``, so ``random() < p`` holds exactly when
+    ``w < cut(p)`` (:meth:`cut`).  ``Generator.integers`` is
+    :meth:`integers`.  The ``Generator`` methods left in use draw whole
+    words too, so they interleave with these; a ``Generator.integers`` call
+    would not (see :meth:`integers`).
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.next = rng.bit_generator.random_raw
+        self._half = -1     # the buffered high half-word, or -1
+
+    @staticmethod
+    def cut(p: float) -> int:
+        """The bound below which a word makes ``random() < p``, for
+        ``0 <= p <= 1``."""
+        return math.ceil(p * 2.0 ** 53) << 11
+
+    def integers(self, lo: int, hi: int) -> int:
+        """``int(rng.integers(lo, hi))``, drawn as NumPy draws it.
+
+        A span ``hi - lo`` of 1 draws nothing.  One of up to ``2**32``
+        takes a 32-bit half of a word, the low half first, as PCG64's
+        ``next_uint32`` does, and keeps the high half for the next such
+        draw: the half-word buffer lives here, not in the bit generator, so
+        a ``Generator.integers`` call on the same generator, which uses the
+        bit generator's own, would put the two out of step.  A larger span
+        takes a whole word.  Either way Lemire's multiply-and-reject method
+        maps it into the span.
+        """
+        span = hi - lo
+        if span > 0x1_0000_0000:
+            threshold = (1 << 64) % span
+            scaled = self.next() * span
+            while scaled & 0xFFFF_FFFF_FFFF_FFFF < threshold:
+                scaled = self.next() * span
+            return lo + (scaled >> 64)
+        if span == 1:
+            return lo
+        threshold = 0x1_0000_0000 % span
+        while True:
+            half = self._half
+            if half < 0:
+                word = self.next()
+                self._half = word >> 32
+                half = word & 0xFFFF_FFFF
+            else:
+                self._half = -1
+            scaled = half * span
+            if scaled & 0xFFFF_FFFF >= threshold:
+                return lo + (scaled >> 32)
+
+
+def _write_lines(outs: Sequence[TextIO], stamps: list[int], rows: list[tuple],
+                 whole_blocks: bool) -> None:
+    """Format the lines held in ``stamps`` and ``rows`` (see ``flat_lines``)
+    a block of ``_BLOCK`` at a time, write each to every one of ``outs``,
+    and drop them; with ``whole_blocks``, a last part block stays held."""
+    while rows and (len(rows) >= _BLOCK or not whole_blocks):
+        text = flat_lines(format_epoch_seconds(stamps[:_BLOCK]), rows[:_BLOCK])
+        for out in outs:
+            out.write(text)
+        del stamps[:_BLOCK], rows[:_BLOCK]
+
+
 def generate(config: GeneratorConfig, out_dir: str | Path,
              stream: Optional[TextIO] = None) -> SynthResult:
     """Emit a polarized corpus, its domain table, hub seeds and ground truth.
@@ -331,126 +403,110 @@ def generate(config: GeneratorConfig, out_dir: str | Path,
             mu, sg = config.influencer_follower_log10
             followers[inf] = max(1, int(round(10 ** rng.normal(mu, sg))))
 
-    # Per group, what each URL and count draw needs: the leaning classes and
-    # their cumulative weights, the unreliable outlets, and each action's rate
-    # without and with the boost, in ACTIONS order.  A class is drawn as
-    # ``Generator.choice(len(classes), p=weights)`` draws it, from one
-    # ``random()`` searched in the normalised cumulative weights, without
-    # checking and summing the weights again on every call.
-    classes = {g: sorted(mix) for g, mix in config.domain_mix.items()}
-    unreliable = {g: pool.unreliable_for(g) for g in sides}
-    cdf, probs = {}, {}
+    # Per group, what each URL and count draw needs: the leaning classes with
+    # the outlets of each and their cumulative weights, the unreliable
+    # outlets, and each action's rate without and with the boost, in ACTIONS
+    # order.  A class is drawn as ``Generator.choice(len(classes), p=weights)``
+    # draws it, from one ``random()`` searched in the normalised cumulative
+    # weights, without checking and summing the weights again on every call.
+    outlets, cdf, unreliable, probs = {}, {}, {}, {}
     for g in sides:
-        cumulative = np.cumsum([config.domain_mix[g][c] for c in classes[g]])
-        cdf[g] = cumulative / cumulative[-1]
+        classes = sorted(config.domain_mix[g])
+        outlets[g] = [pool.reliable[c] for c in classes]
+        cumulative = np.cumsum([config.domain_mix[g][c] for c in classes])
+        cdf[g] = (cumulative / cumulative[-1]).tolist()
+        unreliable[g] = pool.unreliable_for(g)
         rates = config.base_rates(g)
         probs[g] = tuple(tuple(min(1.0, rates[a] * factor) for a in ACTIONS)
                          for factor in (1.0, config.unreliable_ae_boost))
+    imps_mu, imps_sg = config.impressions_log10
+    hubs = [inf for side in sides for inf in influencers[side]]
+    hub_counts = dict.fromkeys(hubs, 0)
+    # Every draw of the loop below comes from these.
+    random, normal, poisson, binomial = rng.random, rng.normal, rng.poisson, rng.binomial
+    words = _Words(rng)
+    word, integers, cut = words.next, words.integers, words.cut
+    url_cut, second_url_cut, reply_cut = map(
+        cut, (config.url_prob, config.second_url_prob, config.reply_prob))
+    unreliable_cut = {g: cut(p) for g, p in config.unreliable_url_prob.items()}
+    edge_cuts = {g: ((g, cut(config.p_in)), ("B" if g == "A" else "A", cut(config.p_cross)))
+                 for g in sides}
 
-    # Lines are formatted and written a block at a time: each record's fields
-    # wait in ``rows``, its time as epoch seconds in ``stamps``.  tweet_no
-    # counts the records.
+    # Influencers post their originals first (they are also retweet
+    # targets); then each user posts originals, retweets influencers and
+    # sometimes replies.  Each record's fields wait in ``rows`` (as
+    # flat_lines takes them), its time as epoch seconds in ``stamps``, until
+    # a block of lines is written; tweet_no counts the records, url_serial
+    # the URLs.
     corpus_path = out_dir / "corpus.jsonl"
     with open_atomic(corpus_path) as fh:
         outs = (fh,) if stream is None else (fh, stream)
-        tweet_no = 0
         rows: list[tuple] = []
         stamps: list[int] = []
-
-        def flush() -> None:
-            text = flat_lines(format_epoch_seconds(stamps), rows)
-            for out in outs:
-                out.write(text)
-            rows.clear()
-            stamps.clear()
-
-        def emit(author: str, kind: str, stamp: int, lang: str = "en",
-                 retweeted: Optional[str] = None, impressions: int = 0,
-                 counts: tuple[int, ...] = (0, 0, 0, 0), urls: Sequence[str] = ()):
-            nonlocal tweet_no
-            tweet_no += 1
-            retweet_count, replies, likes, quotes = counts    # ACTIONS order
-            rows.append((f"t{tweet_no:07d}", author, lang, kind, retweeted, impressions,
-                         likes, replies, retweet_count, quotes, urls, followers[author]))
-            stamps.append(stamp)
-            if len(rows) == _BLOCK:
-                flush()
-
-        def draw_stamp(lo: int, hi: int) -> int:
-            return int(rng.integers(lo, hi))
-
-        url_serial = 0
-
-        def draw_urls(group: str) -> tuple[list[str], bool]:
-            nonlocal url_serial
-            if rng.random() >= config.url_prob:
-                return [], False
-            n_urls = 2 if rng.random() < config.second_url_prob else 1
-            urls, boosted = [], False
-            for _ in range(n_urls):
-                if rng.random() < config.unreliable_url_prob[group]:
-                    choices = unreliable[group]
-                    domain = choices[int(rng.integers(len(choices)))]
-                    boosted = True
-                else:
-                    cls = classes[group][int(cdf[group].searchsorted(rng.random(),
-                                                                      side="right"))]
-                    choices = pool.reliable[cls]
-                    domain = choices[int(rng.integers(len(choices)))]
-                url_serial += 1
-                urls.append(f"https://www.{domain}/story/{url_serial}")
-            return urls, boosted
-
-        def emit_original(author: str, group: str) -> None:
-            mu, sg = config.impressions_log10
-            imps = max(1, int(round(10 ** rng.normal(mu, sg))))
-            urls, boosted = draw_urls(group)
-            counts = tuple(int(rng.binomial(imps, p)) for p in probs[group][boosted])
-            emit(author, "original", draw_stamp(post_lo, end),
-                 impressions=imps, counts=counts, urls=urls)
-
-        # Influencer originals first (they are also retweet targets).
-        for side in sides:
-            for inf in influencers[side]:
-                for _ in range(config.influencer_originals):
-                    emit_original(inf, side)
-
-        # Per-user content: originals, retweets of influencers, occasional replies.
-        hub_counts: dict[str, int] = {}
-        for u in users:
-            group = community[u]
-            other = "B" if group == "A" else "A"
-            for _ in range(int(rng.poisson(config.originals_per_user_mean))):
-                emit_original(u, group)
-            for side, p_edge in ((group, config.p_in), (other, config.p_cross)):
+        tweet_no = url_serial = 0
+        for k, author in enumerate(hubs + users):
+            is_user = k >= len(hubs)
+            group = community[author]
+            n_followers = followers[author]
+            n_originals = (int(poisson(config.originals_per_user_mean)) if is_user
+                           else config.influencer_originals)
+            for _ in range(n_originals):
+                imps = max(1, int(round(10 ** normal(imps_mu, imps_sg))))
+                urls, boosted = [], False
+                if word() < url_cut:
+                    for _ in range(2 if word() < second_url_cut else 1):
+                        if word() < unreliable_cut[group]:
+                            choices, boosted = unreliable[group], True
+                        else:
+                            choices = outlets[group][bisect_right(cdf[group], random())]
+                        url_serial += 1
+                        urls.append(f"https://www.{choices[integers(0, len(choices))]}"
+                                    f"/story/{url_serial}")
+                retweets, replies, likes, quotes = [int(binomial(imps, p))
+                                                    for p in probs[group][boosted]]
+                tweet_no += 1
+                rows.append((f"t{tweet_no:07d}", author, "en", "original", None, imps,
+                             likes, replies, retweets, quotes, urls, n_followers))
+                stamps.append(integers(post_lo, end))
+            if not is_user:
+                continue
+            for side, edge_cut in edge_cuts[group]:
                 for inf in influencers[side]:
-                    if rng.random() < p_edge:
-                        weight = 1 + int(rng.poisson(config.retweet_extra_mean))
-                        hub_counts[inf] = hub_counts.get(inf, 0) + 1
-                        for _ in range(weight):
-                            emit(u, "retweet", draw_stamp(post_lo, end), retweeted=inf)
-            if rng.random() < config.reply_prob:
-                emit(u, "reply", draw_stamp(post_lo, end),
-                     impressions=int(rng.integers(1, 200)))
+                    if word() < edge_cut:
+                        hub_counts[inf] += 1
+                        for _ in range(1 + int(poisson(config.retweet_extra_mean))):
+                            tweet_no += 1
+                            rows.append((f"t{tweet_no:07d}", author, "en", "retweet", inf,
+                                         0, 0, 0, 0, 0, (), n_followers))
+                            stamps.append(integers(post_lo, end))
+            if word() < reply_cut:
+                tweet_no += 1
+                # The time is drawn before the impressions, here and below.
+                stamps.append(integers(post_lo, end))
+                rows.append((f"t{tweet_no:07d}", author, "en", "reply", None,
+                             integers(1, 200), 0, 0, 0, 0, (), n_followers))
+            _write_lines(outs, stamps, rows, whole_blocks=True)
 
         # Flavor records exercising the date and language filters.
         n_pre = int(round(config.pre_cutoff_fraction * tweet_no))
         n_foreign = int(round(config.non_english_fraction * tweet_no))
-        if start < _CUTOFF:
-            for k in range(n_pre):
-                u = users[int(rng.integers(len(users)))]
-                emit(u, "original", draw_stamp(start, _CUTOFF))
+        for _ in range(n_pre if start < _CUTOFF else 0):
+            u = users[integers(0, len(users))]
+            tweet_no += 1
+            stamps.append(integers(start, _CUTOFF))
+            rows.append((f"t{tweet_no:07d}", u, "en", "original", None,
+                         0, 0, 0, 0, 0, (), followers[u]))
+            _write_lines(outs, stamps, rows, whole_blocks=True)
         for k in range(n_foreign):
-            u = users[int(rng.integers(len(users)))]
-            lang = ("de", "fr", "es")[k % 3]
-            emit(u, "original", draw_stamp(post_lo, end), lang=lang,
-                 impressions=int(rng.integers(1, 500)))
-        flush()
+            u = users[integers(0, len(users))]
+            tweet_no += 1
+            stamps.append(integers(post_lo, end))
+            rows.append((f"t{tweet_no:07d}", u, ("de", "fr", "es")[k % 3], "original", None,
+                         integers(1, 500), 0, 0, 0, 0, (), followers[u]))
+            _write_lines(outs, stamps, rows, whole_blocks=True)
+        _write_lines(outs, stamps, rows, whole_blocks=False)
 
-    hubs = sorted(
-        (inf for side in sides for inf in influencers[side]),
-        key=lambda inf: (-hub_counts.get(inf, 0), inf),
-    )
+    hubs.sort(key=lambda inf: (-hub_counts[inf], inf))
     seeds_path = out_dir / "seeds.txt"
     with open_atomic(seeds_path) as fh:
         for inf in hubs:

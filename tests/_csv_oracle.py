@@ -61,21 +61,17 @@ def read_table(path, header, what):
 
 
 def read_edge_list(path, count_self_loops=False):
-    counts = gr.RetweetCounts()
+    counts, seen = gr.RetweetCounts(), set()
     for lineno, (src, dst, w) in read_table(path, gr.EDGE_LIST_HEADER, "edge list"):
         if (not (w.isascii() and w.isdigit() and len(w) <= 16)
                 or not 1 <= (wt := int(w)) <= MAX_COUNT):
             raise InputError(f"{path}:{lineno}: weight {w!r} is not an integer "
                              f"in [1, {MAX_COUNT}]")
+        if (src, dst) in seen:
+            raise InputError(f"{path}:{lineno}: repeated edge {src},{dst}")
+        seen.add((src, dst))
         add_edge(counts, src, dst, wt)
-    try:
-        return counts.graph(count_self_loops)
-    except gr.WeightOverflowError as exc:
-        total = 0
-        for lineno, (src, dst, w) in read_table(path, gr.EDGE_LIST_HEADER, "edge list"):
-            if (src, dst) == exc.pair and (total := total + int(w)) > MAX_COUNT:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-        raise
+    return counts.graph(count_self_loops)
 
 
 def read_scores(path):

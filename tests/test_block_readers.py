@@ -292,6 +292,25 @@ def test_repeated_score_id_names_the_second_row(tmp_path, padded, first):
     assert outcome(lambda: oracle.read_scores(path)) == want
 
 
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("first", [0, 4995])
+def test_repeated_edge_names_the_second_row(tmp_path, padded, first):
+    """A repeat in the same 64 KiB block as the first row or in a later one,
+    on a block split at once or, with a padded row, row by row; the reverse
+    pair is no repeat."""
+    rows = ["a,b,1", "b,a,1"] + [f"user{k:05d},a,2" for k in range(5000)]
+    rows.append(f"user{first:05d},a,3")
+    if padded:
+        rows[-1] = f" {rows[-1]} "
+    path = tmp_path / "graph.csv"
+    path.write_text("src,dst,weight\n" + "".join(f"{row}\n" for row in rows),
+                    encoding="utf-8")
+    assert path.stat().st_size > blk._BLOCK_CHARS
+    want = f"error: {path}:{len(rows) + 1}: repeated edge user{first:05d},a"
+    assert outcome(lambda: gr.read_edge_list(path)) == want
+    assert outcome(lambda: oracle.read_edge_list(path)) == want
+
+
 # ---------------------------------------------------------------------------
 # write_columns
 # ---------------------------------------------------------------------------

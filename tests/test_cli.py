@@ -696,6 +696,25 @@ class TestCorruptIntermediates:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / stage).exists()
 
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("stage", ["ideology", "report"])
+    def test_repeated_edge(self, mini_stage_dirs, tmp_path, stage, padded):
+        """A pair on two rows of ``graph.csv`` used to add up; a padded
+        repeat takes the row-by-row path of the block reader."""
+        text = (mini_stage_dirs / "graph.csv").read_text(encoding="utf-8")
+        row = text.split("\n")[1]
+        graph = tmp_path / "graph.csv"
+        graph.write_text(text + (f" {row} \n" if padded else f"{row}\n"), encoding="utf-8")
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes((mini_stage_dirs / "scores.csv").read_bytes())
+        proc = run_process(self.stage_argv(stage, mini_stage_dirs, graph, scores))
+        assert proc.returncode == 2, proc.stderr
+        assert (f"error: {graph}:{text.count(chr(10)) + 1}: repeated edge {row.rsplit(',', 1)[0]}"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        out = {"ideology": "out_scores.csv"}.get(stage, stage)
+        assert not (tmp_path / out).exists()
+
     @pytest.mark.parametrize("stage,damaged,line", [
         ("ingest", "corpus.jsonl", 3),
         ("ingest", "corpus.jsonl.gz", 3),
@@ -1050,9 +1069,11 @@ class TestEngagementWorkers:
         else:
             argv = ["pipeline", "--preset", "mini"]
         assert run([*argv, "--out-dir", tmp_path / "run"]) == 0
-        # With two CPUs this process aggregates tweets and domains, and a
-        # worker the users.
-        assert len([pid for pid, _ in made if pid == os.getpid()]) == 4 - n_cpus
+        # With two CPUs standalone engagement aggregates tweets and domains
+        # here and the users in a worker, and pipeline all three in its
+        # table worker.
+        here = len([pid for pid, _ in made if pid == os.getpid()])
+        assert here == (3 if n_cpus == 1 else 2 if command == "engagement" else 0)
 
 
 def hidden_files(root):
@@ -1062,18 +1083,19 @@ def hidden_files(root):
 
 
 class TestPipelineFailures:
-    """With two usable CPUs ``pipeline`` runs synth beside ingest, and report
-    beside engagement.  A failure in any of them exits 2 with its message and
-    leaves no hidden temporary or part file and no child process."""
+    """With two usable CPUs ``pipeline`` runs synth beside ingest, the AE
+    tables beside graph and ideology, and report beside engagement.  A
+    failure in any of them exits 2 with its message and leaves no hidden
+    temporary or part file and no child process."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(ing, "usable_cpus", lambda: 2)
 
     @staticmethod
-    def exit_message(out, capsys):
+    def exit_message(out, capsys, *flags):
         with pytest.raises(SystemExit) as exc:
-            run(["pipeline", "--preset", "mini", "--out-dir", out])
+            run(["pipeline", "--preset", "mini", "--out-dir", out, *flags])
         assert exc.value.code == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1163,4 +1185,56 @@ class TestPipelineFailures:
         started = time.monotonic()
         assert self.exit_message(out, capsys) == "error: engagement broke\n"
         assert time.monotonic() - started < 30
+        assert hidden_files(out) == []
+
+    @pytest.mark.parametrize("engagement_dir", ["made", "existing"])
+    def test_graph_error_kills_the_table_worker_mid_write(self, tmp_path, capsys,
+                                                          monkeypatch, engagement_dir):
+        """``engagement/`` goes, as one CPU would never have made it; one
+        that was there before the run keeps what it held."""
+        out = tmp_path / "run"
+        ae_tmp = out / "engagement" / ".ae_tweet.tmp.csv"
+        if engagement_dir == "existing":
+            (out / "engagement").mkdir(parents=True)
+            (out / "engagement" / "notes.txt").write_text("kept\n")
+
+        def hanging_write(records, path):
+            with ing.open_atomic(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                time.sleep(60)
+
+        def select_late(*args, **kwargs):
+            deadline = time.monotonic() + 30
+            while not ae_tmp.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return select(*args, **kwargs)
+
+        select = gr.select_influencers
+        monkeypatch.setattr(eng, "write_engagement", hanging_write)
+        monkeypatch.setattr(gr, "select_influencers", select_late)
+        started = time.monotonic()
+        err = self.exit_message(out, capsys, "--min-indegree", "1000000")
+        assert time.monotonic() - started < 30
+        assert err == (f"error: no seed from {out / 'synth' / 'seeds.txt'} has unique "
+                       "in-degree >= 1000000; ideology estimation cannot run\n")
+        assert not (out / "ideology").exists()
+        if engagement_dir == "made":
+            assert not (out / "engagement").exists()
+        else:
+            assert [p.name for p in (out / "engagement").iterdir()] == ["notes.txt"]
+        assert hidden_files(out) == []
+
+    def test_table_worker_error_comes_after_ideology(self, tmp_path, capsys, monkeypatch,
+                                                     caplog):
+        def broken(records, path):
+            raise OutputError(f"tables broke at {path.name}")
+
+        monkeypatch.setattr(eng, "write_engagement", broken)
+        caplog.set_level(logging.INFO, logger="echoaudit")
+        out = tmp_path / "run"
+        assert self.exit_message(out, capsys) == "error: tables broke at ae_tweet.csv\n"
+        assert (out / "ideology" / "scores.csv").is_file()
+        assert caplog.records[-1].getMessage().startswith("scored ")
+        assert sorted(p.name for p in (out / "engagement").iterdir()) == []
         assert hidden_files(out) == []

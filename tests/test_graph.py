@@ -223,21 +223,25 @@ class TestEdgeListIO:
             gr.read_edge_list(path)
         assert str(exc.value).startswith(f"{path}:3:")
 
-    def test_duplicate_rows_add_up_to_the_limit(self, tmp_path):
+    @pytest.mark.parametrize("later", ["", "u,x,0\n", "u,x\n", "u,x,1"],
+                             ids=["alone", "bad-weight-after", "short-row-after",
+                                  "cut-short-after"])
+    def test_repeated_pair_names_the_second_row(self, tmp_path, later):
+        """A pair on a second row is refused, even at weights that would sum
+        within ``MAX_COUNT``, and named before a later bad weight, a later
+        short row or a cut-short last line."""
         path = tmp_path / "edges.csv"
-        path.write_text(f"src,dst,weight\nu,v,{ing.MAX_COUNT - 1}\nu,v,1\n",
+        path.write_text(f"src,dst,weight\nu,v,{ing.MAX_COUNT - 1}\nu,w,5\n\nu,v,1\n{later}",
                         encoding="utf-8")
-        g = gr.read_edge_list(path)
-        assert list(edge_list(g)) == [("u", "v", ing.MAX_COUNT)]
-
-    def test_duplicate_rows_above_the_limit_name_the_crossing_line(self, tmp_path):
-        """1025 rows at the limit would wrap an int64 sum around."""
-        path = tmp_path / "edges.csv"
-        path.write_text(f"src,dst,weight\nu,v,{ing.MAX_COUNT}\nu,w,5\n\n"
-                        + f"u,v,{ing.MAX_COUNT}\n" * 1024, encoding="utf-8")
-        with pytest.raises(InputError, match="summed weight of u,v") as exc:
+        with pytest.raises(InputError) as exc:
             gr.read_edge_list(path)
-        assert str(exc.value).startswith(f"{path}:5:")
+        assert str(exc.value) == f"{path}:5: repeated edge u,v"
+
+    def test_same_pair_reversed_is_no_repeat(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\nu,v,2\nv,u,3\nu,u,1\n", encoding="utf-8")
+        assert list(edge_list(gr.read_edge_list(path))) == [
+            ("u", "u", 1), ("u", "v", 2), ("v", "u", 3)]
 
     def test_index_lookup(self):
         g = simple_graph()

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,62 @@ _labels = st.sampled_from(["com", "co", "uk", "jp", "kawasaki", "city", "ck",
                            "xn--p1ai", "UK", "Www"]) | st.text("ab.-1Z", max_size=4)
 _hosts = st.lists(_labels, min_size=1, max_size=5).map(".".join) | st.sampled_from(
     ["192.168.0.1", "[::1]", ".example.com.", "a..b.com", "é.com"])
+
+
+# Hosts of a few labels that the domain table below holds, in forms that
+# PLAIN_URL takes and forms it must leave to extract_domain.
+_url_hosts = st.sampled_from(["example.com", "www.example.com", "news.example.co.uk",
+                              "example.co.uk", "co.uk", "deep-rumors-0.test",
+                              "www.left-news-0.test", "192.168.0.1", "a..b.com",
+                              "example.com.", "EXAMPLE.com", "Www.Example.Com",
+                              "xn--bcher-kva.de", "bücher.de", "ex_ample.com"]) | _hosts
+_url_hosts_plus = st.one_of(
+    _url_hosts,
+    st.tuples(_url_hosts | st.just("u"), st.sampled_from(["@", ":pw@"]),
+              _url_hosts).map("".join),
+    st.tuples(_url_hosts, st.sampled_from([":80", ":", ":443x", ":0"])).map("".join),
+    st.sampled_from(["[::1]", "[2001:db8::1]:8080", "[::1", "::1]", "[v1.x]"]))
+_urls = st.tuples(
+    st.sampled_from(["", " ", "\t", "\n"]),
+    st.sampled_from(["https://", "http://", "HTTPS://", "Http://", "ftp://", "//", "",
+                     "https:/", "https:///"]),
+    _url_hosts_plus,
+    st.sampled_from(["", "/", "/story/1", "?q=1", "#top", "/a b", "\\x", ":8/",
+                     "/x\n", "\t/"]),
+    st.sampled_from(["", " ", "\n", "\r\n"]),
+).map("".join) | st.text(max_size=12)
+
+_URL_DOMAINS = ("domain,leaning_label,reliability\n"
+                "example.com,Left,reliable\nexample.co.uk,Right,reliable\n"
+                "deep-rumors-0.test,,conspiracy_pseudoscience\n"
+                "left-news-0.test,Left,reliable\nxn--bcher-kva.de,LeastBiased,reliable\n"
+                "b.com,Right,questionable\n")
+
+
+@given(url_lists=st.lists(st.lists(_urls, max_size=4), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_url_codes_equal_extract_domain_property(tmp_path_factory, url_lists):
+    """Each URL's domain code in the originals table, whether its host was
+    resolved once for every URL of that host or the URL went through
+    ``extract_domain`` alone, is the code of ``extract_domain``'s domain:
+    userinfo, ports, IPv6 literals, upper case, IDN labels, surrounding
+    whitespace, and ``//`` and scheme-less forms included."""
+    path = tmp_path_factory.mktemp("urls") / "domains.csv"
+    path.write_text(_URL_DOMAINS, encoding="utf-8")
+    domains = mb.load_domain_table(path)
+    table = originals([make_record(tweet_id=f"t{k}", urls=list(urls))
+                       for k, urls in enumerate(url_lists + url_lists)], domains)
+    codes = {d: k for k, d in enumerate(sorted(domains))}
+    want = [[codes.get(mb.extract_domain(url)) for url in urls]
+            for urls in url_lists + url_lists]
+    owners, got = table.matched_urls()
+    assert [[int(c) for o, c in zip(owners, got) if o == k] for k in range(len(want))] == \
+        [[c for c in row if c is not None] for row in want]
+    assert table.unmatched_urls == sum(row.count(None) for row in want)
+    # What the table relies on: a plain URL's domain is its host's.
+    for url in chain.from_iterable(url_lists):
+        if plain := mb.PLAIN_URL.match(url):
+            assert mb.extract_domain(url) == mb.extract_domain(f"http://{plain[1]}/"), url
 
 
 class TestExtractDomain:

@@ -1,3 +1,4 @@
+import ast
 import filecmp
 import hashlib
 import json
@@ -10,6 +11,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echoaudit import engagement as eng
 from echoaudit import graph as gr
@@ -126,6 +129,82 @@ class TestDeterminism:
         assert default_corpus.n_records == 7586
         for path, digest in pins.items():
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+
+
+_SPANS = st.sampled_from([1, 2, 3, 7, 199, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1,
+                          2**32, 2**32 + 1, 2**33 + 5, 2**63, 2**64 - 1, 2**64])
+_PROBS = st.sampled_from([0.0, 5e-324, 2**-53, 0.0175, 0.35, 0.5, 1 - 2**-53, 1.0])
+
+
+@st.composite
+def _draw_ops(draw):
+    """One draw of a ``synth._Words``-backed generator: a span and its low
+    end for ``integers``, a probability for a word compared with ``cut``, or
+    the arguments of a ``Generator`` method that ``synth.generate`` calls."""
+    kind = draw(st.sampled_from(["integers", "cut", "random", "poisson", "binomial",
+                                 "normal"]))
+    if kind == "integers":
+        span = draw(_SPANS | st.integers(1, 2**64))
+        return kind, draw(st.integers(-2**63, 2**63 - span)), span
+    if kind == "cut":
+        return kind, draw(_PROBS | st.floats(0.0, 1.0))
+    if kind == "poisson":
+        return kind, draw(st.sampled_from([0.0, 0.35, 2.2, 15.0]))
+    if kind == "binomial":
+        return kind, draw(st.integers(0, 10**7)), draw(_PROBS)
+    if kind == "normal":
+        return kind, *draw(st.sampled_from([(2.5, 0.5), (0.0, 0.0), (3.5, 0.35)]))
+    return (kind,)
+
+
+@given(seed=st.integers(0, 2**32), ops=st.lists(_draw_ops(), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_words_draw_as_the_generator_methods_property(seed, ops):
+    """Interleaved with the ``Generator`` methods that ``generate`` keeps,
+    ``_Words.integers`` gives ``Generator.integers`` and a word below
+    ``_Words.cut(p)`` gives ``random() < p``, draw for draw, over spans of
+    1, 2, small, 2**31, 2**32 - 1, 2**32 and above."""
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    words = synth._Words(got_rng)
+    want, got = [], []
+    for op in ops:
+        kind, *params = op
+        if kind == "integers":
+            lo, span = params
+            want.append(int(want_rng.integers(lo, lo + span)))
+            got.append(words.integers(lo, lo + span))
+        elif kind == "cut":
+            want.append(want_rng.random() < params[0])
+            got.append(words.next() < words.cut(params[0]))
+        else:
+            want.append(getattr(want_rng, kind)(*params))
+            got.append(getattr(got_rng, kind)(*params))
+    assert got == want
+
+
+@given(p=_PROBS | st.floats(0.0, 1.0), step=st.integers(-2, 2), low=st.sampled_from([0, 2047]))
+def test_words_cut_is_exact_at_the_boundary(p, step, low):
+    """Words next to the bound, which random draws almost never hit: a word
+    ``w`` is below ``cut(p)`` exactly when ``(w >> 11) * 2**-53 < p``."""
+    m = min(max(math.floor(p * 2**53) + step, 0), 2**53 - 1)
+    word = m << 11 | low
+    assert (word < synth._Words.cut(p)) == ((word >> 11) * 2**-53 < p)
+
+
+def test_generate_calls_no_generator_integers():
+    """In ``synth.generate`` the ``Generator`` only makes ``_Words`` and
+    lends its ``random``, ``normal``, ``poisson`` and ``binomial``: one
+    ``Generator.integers`` call would use the bit generator's half-word
+    buffer, not ``_Words``', and put every later bounded draw out of step."""
+    tree = ast.parse((ROOT / "src" / "echoaudit" / "synth.py").read_text(encoding="utf-8"))
+    generate = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "generate")
+    used = {node.attr for node in ast.walk(generate)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "rng"}
+    assert used == {"random", "normal", "poisson", "binomial"}
+    assert not [node.lineno for node in ast.walk(generate)
+                if isinstance(node, ast.Name) and node.id in ("getattr", "vars")]
 
 
 class TestPolarizedCorpus:
