@@ -16,27 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
-    """Greatest-convex-minorant touch points (indices into xs)."""
+def _hull(xs: np.ndarray, ys: np.ndarray, lower: bool) -> list[int]:
+    """Touch points (indices into xs) of the greatest convex minorant if
+    ``lower``, else of the least concave majorant."""
     hull: list[int] = []
     for i in range(len(xs)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
-            if (ys[b] - ys[a]) * (xs[i] - xs[a]) >= (ys[i] - ys[a]) * (xs[b] - xs[a]):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
-
-
-def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
-    """Least-concave-majorant touch points (indices into xs)."""
-    hull: list[int] = []
-    for i in range(len(xs)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (ys[b] - ys[a]) * (xs[i] - xs[a]) <= (ys[i] - ys[a]) * (xs[b] - xs[a]):
+            turn = (ys[b] - ys[a]) * (xs[i] - xs[a])
+            chord = (ys[i] - ys[a]) * (xs[b] - xs[a])
+            if (turn >= chord) if lower else (turn <= chord):
                 hull.pop()
             else:
                 break
@@ -73,8 +62,8 @@ def dip_statistic(values) -> float:
     best = 1.0 / n                 # tube must at least span one cdf jump
     while True:
         seg = slice(lo, hi + 1)
-        gcm = [lo + j for j in _lower_hull(x[seg], yl[seg])]
-        lcm = [lo + j for j in _upper_hull(x[seg], yr[seg])]
+        gcm = [lo + j for j in _hull(x[seg], yl[seg], lower=True)]
+        lcm = [lo + j for j in _hull(x[seg], yr[seg], lower=False)]
 
         # Largest gap between the two envelope curves, tracked with the
         # envelope vertices that bracket it (the next modal interval).

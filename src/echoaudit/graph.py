@@ -33,21 +33,20 @@ EDGE_LIST_HEADER = ("src", "dst", "weight")
 
 @dataclass(frozen=True)
 class RetweetGraph:
-    """Immutable weighted digraph in compressed sparse form.
+    """Immutable weighted digraph in compressed sparse row form.
 
-    Adjacency is stored keyed by destination (the dominant query is "who
-    retweeted user j") with a transposed copy keyed by source for neighbor
-    lookups.  ``unique_in_degree`` counts distinct retweeters per node; by
+    Each edge is stored once, keyed by source in (src, dst) order: the
+    edges of node i are ``out_targets`` and ``out_weights`` from
+    ``out_indptr[i]`` to ``out_indptr[i + 1]``.  The edges into a node are
+    those whose target it is, and they come in ascending source order.
+    ``unique_in_degree`` counts distinct retweeters per node; by
     construction it may include or exclude self-loops (see ``build_graph``).
     """
 
     node_ids: tuple[str, ...]                # sorted user ids; index = position
-    in_indptr: np.ndarray                    # int64, per-destination slices
-    in_sources: np.ndarray                   # int64, source index per in-edge
-    in_weights: np.ndarray                   # int64, retweet multiplicity
     out_indptr: np.ndarray                   # int64, per-source slices
-    out_targets: np.ndarray                  # int64, destination index per out-edge
-    out_weights: np.ndarray                  # int64
+    out_targets: np.ndarray                  # int64, destination index per edge
+    out_weights: np.ndarray                  # int64, retweet multiplicity
     unique_in_degree: np.ndarray             # int64 per node
     counts_self_loops: bool
     index: dict[str, int] = field(compare=False, repr=False)  # id -> position
@@ -58,7 +57,7 @@ class RetweetGraph:
 
     @property
     def n_edges(self) -> int:
-        return int(self.in_sources.shape[0])
+        return int(self.out_targets.shape[0])
 
     def index_of(self, user_id: str) -> int:
         return self.index[user_id]
@@ -66,28 +65,43 @@ class RetweetGraph:
     def __contains__(self, user_id: str) -> bool:
         return user_id in self.index
 
-    def in_edges(self, node_index: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.in_indptr[node_index], self.in_indptr[node_index + 1]
-        return self.in_sources[lo:hi], self.in_weights[lo:hi]
-
     def out_edges(self, node_index: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.out_indptr[node_index], self.out_indptr[node_index + 1]
         return self.out_targets[lo:hi], self.out_weights[lo:hi]
 
 
-class RetweetCounts:
-    """Retweet multiplicity per (retweeter, author) pair.
+def _assemble(node_ids: Sequence[str], keys: np.ndarray, weights: np.ndarray,
+              count_self_loops: bool) -> RetweetGraph:
+    """The graph on ``node_ids`` whose edges are ``keys``, each
+    ``src * n + dst`` by position in ``node_ids``, sorted and unique, with
+    ``weights`` retweets each."""
+    n = len(node_ids)
+    sources, targets = np.divmod(keys, n)
+    retweeters = targets[(sources != targets) | count_self_loops]
+    return RetweetGraph(
+        node_ids=tuple(node_ids),
+        out_indptr=np.concatenate(([0], np.bincount(sources, minlength=n).cumsum())),
+        out_targets=targets,
+        out_weights=weights,
+        unique_in_degree=np.bincount(retweeters, minlength=n),
+        counts_self_loops=count_self_loops,
+        index=dict(zip(node_ids, range(n))),
+    )
 
-    Ids are interned in first-seen order; each edge is appended as (source
-    code, target code, weight) to int64 columns, and ``graph`` sums repeated
-    pairs.  Records that are not retweets, or lack a target, are skipped and
-    counted in ``skipped``.  Records are added a run of columns at a time
-    (:meth:`extend_columns`), edges a batch at a time (:meth:`add_edges`).
+
+class RetweetCounts:
+    """The (retweeter, author) pair of every retweet so far.
+
+    Ids are interned in first-seen order and each edge is appended as a
+    (source code, target code) pair to int64 columns; ``graph`` weighs each
+    pair by the number of times it came.  Records that are not retweets, or
+    lack a target, are skipped and counted in ``skipped``.  Records are
+    added a run of columns at a time (:meth:`extend_columns`).
     """
 
     def __init__(self, skipped: Optional[Counter] = None):
         self._vocab: dict[str, int] = {}
-        self._src, self._dst, self._weight = array("q"), array("q"), array("q")
+        self._src, self._dst = array("q"), array("q")
         self.skipped = Counter() if skipped is None else skipped
 
     @classmethod
@@ -108,17 +122,11 @@ class RetweetCounts:
         self.add_edges(compress(run.author_id, edges),
                        compress(run.retweeted_author_id, edges))
 
-    def add_edges(self, src: Iterable[str], dst: Iterable[str],
-                  weights: Optional[np.ndarray] = None) -> None:
-        """Add ``weight`` (at most ``MAX_COUNT``) retweets of ``dst`` by
-        ``src`` for each ``(src, dst, weight)``, in order; every weight is 1
-        without ``weights``."""
+    def add_edges(self, src: Iterable[str], dst: Iterable[str]) -> None:
+        """Add an edge from ``src`` to ``dst`` for each pair, in order."""
         codes = intern_ids(self._vocab, list(chain.from_iterable(zip(src, dst))))
         self._src.frombytes(codes[0::2].tobytes())
         self._dst.frombytes(codes[1::2].tobytes())
-        if weights is None:
-            weights = np.ones(len(codes) // 2, dtype=np.int64)
-        self._weight.frombytes(weights.astype(np.int64, copy=False).tobytes())
 
     def extend(self, other: "RetweetCounts") -> None:
         """Append ``other``'s edges and skip counts, as if each of its records
@@ -126,40 +134,21 @@ class RetweetCounts:
         codes = intern_ids(self._vocab, other._vocab)
         for column, theirs in ((self._src, other._src), (self._dst, other._dst)):
             column.frombytes(codes[np.frombuffer(theirs, dtype=np.int64)].tobytes())
-        self._weight.extend(other._weight)
         self.skipped.update(other.skipped)
+
+    def _keys(self) -> tuple[list[str], np.ndarray]:
+        """The ids in sorted order, and the key ``src * n + dst`` of each
+        edge so far by position in them, in the order the edges came."""
+        node_ids, rank = sorted_codes(self._vocab)
+        src, dst = (rank[np.frombuffer(c, dtype=np.int64)] for c in (self._src, self._dst))
+        return node_ids, src * len(node_ids) + dst
 
     def graph(self, count_self_loops: bool = False) -> RetweetGraph:
         """The graph so far."""
-        node_ids, rank = sorted_codes(self._vocab)
-        n = len(node_ids)
-        src, dst, w = (np.frombuffer(c, dtype=np.int64)
-                       for c in (self._src, self._dst, self._weight))
-        # Sorted keys run in (src, dst) order: the out-adjacency.
-        keys, pair = np.unique(rank[src] * n + rank[dst], return_inverse=True)
-        # Every sum is an exact float64: the edges of a corpus weigh 1 each,
-        # and read_edge_list adds each pair once, at most MAX_COUNT.
-        sums = np.bincount(pair, weights=w, minlength=len(keys))
-        out_sources, out_targets = np.divmod(keys, n)
-        out_weights = sums.astype(np.int64)
-        # A stable sort by dst of (src, dst) order gives (dst, src) order.
-        order_in = np.argsort(out_targets, kind="stable")
-        in_indptr, out_indptr = (
-            np.concatenate(([0], np.bincount(heads, minlength=n).cumsum()))
-            for heads in (out_targets, out_sources))
-        retweeters = out_targets[(out_sources != out_targets) | count_self_loops]
-        return RetweetGraph(
-            node_ids=tuple(node_ids),
-            in_indptr=in_indptr,
-            in_sources=out_sources[order_in],
-            in_weights=out_weights[order_in],
-            out_indptr=out_indptr,
-            out_targets=out_targets,
-            out_weights=out_weights,
-            unique_in_degree=np.bincount(retweeters, minlength=n),
-            counts_self_loops=count_self_loops,
-            index={uid: i for i, uid in enumerate(node_ids)},
-        )
+        node_ids, keys = self._keys()
+        # Sorted keys run in (src, dst) order; a pair weighs its run length.
+        keys, weights = np.unique(keys, return_counts=True)
+        return _assemble(node_ids, keys, weights, count_self_loops)
 
 
 def build_graph(
@@ -243,23 +232,27 @@ _WEIGHT = re.compile("[0-9]{1,16}")
 def read_edge_list(path: str | Path, count_self_loops: bool = False) -> RetweetGraph:
     """Rebuild a graph from a ``src,dst,weight`` CSV export: each weight an
     integer in [1, ``MAX_COUNT``] and each (src, dst) pair on one row, as
-    :func:`write_edge_list` writes them."""
-    counts, rows = RetweetCounts(), 0
+    :func:`write_edge_list` writes them, in any order."""
+    edges, weights = RetweetCounts(), array("q")
     try:
         for _, (src, dst, w) in read_table(path, EDGE_LIST_HEADER, "edge list"):
             digits = "".join(w)
             if not (digits.isascii() and digits.isdigit() and "" not in w
                     and max(map(len, w)) <= 16):
                 break
-            weights = np.fromstring(",".join(w), dtype=np.int64, sep=",")
-            if ((weights < 1) | (weights > MAX_COUNT)).any():
+            block = np.fromstring(",".join(w), dtype=np.int64, sep=",")
+            if ((block < 1) | (block > MAX_COUNT)).any():
                 break
-            counts.add_edges(src, dst, weights)
-            rows += len(weights)
+            edges.add_edges(src, dst)
+            weights.frombytes(block.tobytes())
         else:
-            g = counts.graph(count_self_loops)
-            if g.n_edges == rows:
-                return g
+            node_ids, keys = edges._keys()
+            # Stable, so linear on the (src, dst) order that graph writes.
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            if (np.diff(keys) > 0).all():
+                return _assemble(node_ids, keys, np.frombuffer(weights, dtype=np.int64)[order],
+                                 count_self_loops)
     except InputError:
         pass  # read again below, so that an earlier repeated pair comes first
     _raise_first_bad_edge(path)

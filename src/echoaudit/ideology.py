@@ -129,8 +129,10 @@ class NormalizedMatrix:
 
     Rows are canonicalized (sorted by row id) at construction so that any
     physical row permutation of the input yields bit-identical arithmetic.
-    Both products sum over the stored entries in that row-major order, so
-    results do not depend on threading or BLAS configuration.
+    Both products sum the stored entries with ``np.bincount`` in that
+    row-major order, which no thread count changes; the rank-one terms
+    ``sqrt_c @ v`` and ``sqrt_r @ u`` are BLAS dot products, whose last
+    digits can follow the thread count (README "Cores").
     """
 
     def __init__(self, m: InteractionMatrix):

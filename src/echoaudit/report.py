@@ -123,9 +123,9 @@ def neighbor_opinion_grid(
     Binned on [-1, 1]^2.  The share of mass in the two sign-agreeing
     quadrants lands in ``meta["diagonal_mass_share"]``.
 
-    The per-user sums run over the adjacency arrays with ``np.bincount``,
-    which adds each user's edges in adjacency order, so the means are
-    bit-identical to a per-user loop over ``g.out_edges``/``g.in_edges``.
+    The per-user sums run over the edge arrays with ``np.bincount``, which
+    adds each user's edges in (src, dst) order, so the means are
+    bit-identical to a per-user loop over its neighbors in id order.
     """
     if stats is None:
         stats = Counter()
@@ -144,11 +144,10 @@ def neighbor_opinion_grid(
             score[node] = s
             has_score[node] = True
 
+    owner = np.repeat(np.arange(g.n_nodes), np.diff(g.out_indptr))
+    neigh, weights = g.out_targets, g.out_weights
     if use_in_neighbors:
-        indptr, neigh, weights = g.in_indptr, g.in_sources, g.in_weights
-    else:
-        indptr, neigh, weights = g.out_indptr, g.out_targets, g.out_weights
-    owner = np.repeat(np.arange(g.n_nodes), np.diff(indptr))
+        owner, neigh = neigh, owner
     keep = has_score[neigh]
     owner, neigh, weights = owner[keep], neigh[keep], weights[keep]
     with np.errstate(invalid="ignore"):
@@ -212,9 +211,11 @@ def ideology_histograms(
 ) -> HistogramSeries:
     """User and influencer score histograms on shared [-1, 1] edges.
 
-    When a graph is supplied, per-influencer retweeter-score histograms are
-    added for the ``top_k`` influencers by unique in-degree, as series named
-    ``retweeters:<influencer id>``.  The user series' dip statistic is
+    When a graph is supplied, a histogram of the user scores of each
+    influencer's distinct retweeters (itself included, if it retweeted
+    itself) is added for the ``top_k`` influencers in the graph by unique
+    in-degree, ties by id, as series named ``retweeters:<influencer id>``.
+    The user series' dip statistic is
     recorded in the metadata for the bimodality check.
     """
     edges = _edges(-1.0, 1.0, bins)
@@ -236,7 +237,9 @@ def ideology_histograms(
             key=lambda cid: (-int(g.unique_in_degree[g.index_of(cid)]), cid),
         )
         for cid in ranked[:top_k]:
-            sources, _ = g.in_edges(g.index_of(cid))
+            # The source of each edge into cid: the slice that holds it.
+            into = np.flatnonzero(g.out_targets == g.index_of(cid))
+            sources = np.searchsorted(g.out_indptr, into, side="right") - 1
             vals = [
                 scores.user_scores[g.node_ids[s]]
                 for s in sources.tolist()

@@ -12,7 +12,7 @@ from echoaudit import ideology as ideo
 from echoaudit.errors import InputError
 from echoaudit.ingest import MAX_COUNT, open_atomic, open_maybe_gzip
 
-from _record_oracle import add_edge
+from _graph_oracle import _assemble as graph_oracle
 
 
 def write_table(out, header, rows):
@@ -61,17 +61,16 @@ def read_table(path, header, what):
 
 
 def read_edge_list(path, count_self_loops=False):
-    counts, seen = gr.RetweetCounts(), set()
+    weights = {}
     for lineno, (src, dst, w) in read_table(path, gr.EDGE_LIST_HEADER, "edge list"):
         if (not (w.isascii() and w.isdigit() and len(w) <= 16)
                 or not 1 <= (wt := int(w)) <= MAX_COUNT):
             raise InputError(f"{path}:{lineno}: weight {w!r} is not an integer "
                              f"in [1, {MAX_COUNT}]")
-        if (src, dst) in seen:
+        if (src, dst) in weights:
             raise InputError(f"{path}:{lineno}: repeated edge {src},{dst}")
-        seen.add((src, dst))
-        add_edge(counts, src, dst, wt)
-    return counts.graph(count_self_loops)
+        weights[src, dst] = wt
+    return graph_oracle(weights, count_self_loops)
 
 
 def read_scores(path):

@@ -4,8 +4,9 @@ This is the original ``graph._assemble``: it takes the summed weight of each
 ``(src, dst)`` pair as a dict keyed by id strings, numbers the nodes in
 sorted id order and fills the edge arrays one pair at a time.  The
 production ``RetweetCounts.graph`` interns ids, keeps the edges as int64
-columns and sums repeated pairs with ``np.unique``; tests compare the two
-array by array.
+columns and counts repeated pairs with ``np.unique``, and
+``read_edge_list`` sorts the rows of a file by their pair; tests compare
+each with this one array by array.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ def _assemble(
         dst_idx[k] = index[d]
         w[k] = wt
 
-    # Destination-major order (ties by source) for the in-adjacency.
-    order_in = np.lexsort((src_idx, dst_idx))
-    in_sources = src_idx[order_in]
-    in_weights = w[order_in]
-    in_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(in_indptr, dst_idx + 1, 1)
-    np.cumsum(in_indptr, out=in_indptr)
-
     order_out = np.lexsort((dst_idx, src_idx))
     out_targets = dst_idx[order_out]
     out_weights = w[order_out]
@@ -50,19 +43,15 @@ def _assemble(
     np.add.at(out_indptr, src_idx + 1, 1)
     np.cumsum(out_indptr, out=out_indptr)
 
-    dst_per_in_edge = np.repeat(np.arange(n), np.diff(in_indptr))
     if count_self_loops:
         keep = np.ones(m, dtype=bool)
     else:
-        keep = in_sources != dst_per_in_edge
+        keep = src_idx != dst_idx
     uid_counts = np.zeros(n, dtype=np.int64)
-    np.add.at(uid_counts, dst_per_in_edge[keep], 1)
+    np.add.at(uid_counts, dst_idx[keep], 1)
 
     return RetweetGraph(
         node_ids=node_ids,
-        in_indptr=in_indptr,
-        in_sources=in_sources,
-        in_weights=in_weights,
         out_indptr=out_indptr,
         out_targets=out_targets,
         out_weights=out_weights,

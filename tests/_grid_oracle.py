@@ -2,10 +2,11 @@
 
 This is the original, one-user-at-a-time form of
 ``report.neighbor_opinion_grid``: for every scored user it looks the node up
-by id, walks its adjacency slice in order and accumulates the edge-weighted
-neighbour mean in Python floats.  The production function computes the same
-sums with array operations; tests compare the two on counts, metadata and the
-skip counter.
+by id, walks its neighbours in id order (out-neighbours from its adjacency
+slice, in-neighbours from a map of each id's retweeters) and accumulates
+the edge-weighted neighbour mean in Python floats.  The production function
+computes the same sums with array operations; tests compare the two on
+counts, metadata and the skip counter.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import numpy as np
 from echoaudit.graph import RetweetGraph
 from echoaudit.ideology import IdeologyScores
 from echoaudit.report import DensityGrid
+
+from _matrix_helpers import edge_list
 
 
 def _edges(lo: float, hi: float, bins: int) -> np.ndarray:
@@ -49,6 +52,11 @@ def loop_neighbor_opinion_grid(
     y_edges = _edges(-1.0, 1.0, bins)
     counts = np.zeros((bins, bins), dtype=np.int64)
 
+    # Each node's retweeters with their weights, in ascending id order.
+    retweeters: dict[str, list[tuple[str, int]]] = {}
+    for src, dst, w in edge_list(g):
+        retweeters.setdefault(dst, []).append((src, w))
+
     influencer_ids = set(scores.influencer_scores)
     for uid, own in scores.user_scores.items():
         if uid in influencer_ids:
@@ -60,13 +68,14 @@ def loop_neighbor_opinion_grid(
             stats["scored_user_not_in_graph"] += 1
             continue
         if use_in_neighbors:
-            neigh, weights = g.in_edges(node)
+            neighbors = retweeters.get(uid, [])
         else:
             neigh, weights = g.out_edges(node)
+            neighbors = zip(map(g.node_ids.__getitem__, neigh.tolist()), weights.tolist())
         total_w = 0.0
         acc = 0.0
-        for nb, w in zip(neigh.tolist(), weights.tolist()):
-            ns = neighbor_score.get(g.node_ids[nb])
+        for nb, w in neighbors:
+            ns = neighbor_score.get(nb)
             if ns is None:
                 continue
             acc += w * ns

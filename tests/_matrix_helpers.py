@@ -47,7 +47,7 @@ def to_dense(m: InteractionMatrix) -> np.ndarray:
 
 
 def total_weight(g: RetweetGraph) -> int:
-    return int(g.in_weights.sum())
+    return int(g.out_weights.sum())
 
 
 def edge_list(g: RetweetGraph) -> Iterator[tuple[str, str, int]]:

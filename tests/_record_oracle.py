@@ -50,12 +50,11 @@ def originals_by_record(
     return table
 
 
-def add_edge(counts: RetweetCounts, src: str, dst: str, weight: int = 1) -> None:
-    """Add ``weight`` retweets of ``dst`` by ``src``."""
+def add_edge(counts: RetweetCounts, src: str, dst: str) -> None:
+    """Add a retweet of ``dst`` by ``src``."""
     vocab = counts._vocab
     counts._src.append(vocab.setdefault(src, len(vocab)))
     counts._dst.append(vocab.setdefault(dst, len(vocab)))
-    counts._weight.append(weight)
 
 
 def add_retweet(counts: RetweetCounts, rec: TweetRecord) -> None:

@@ -34,7 +34,7 @@ from echoaudit.errors import InputError
 import _csv_oracle as oracle
 from _matrix_helpers import edge_list
 from _record_oracle import counts_by_record, originals_by_record
-from _tables import edge_counts, flat_line
+from _tables import edge_graph, flat_line
 from conftest import ROOT
 from test_graph import _csv_ids
 from test_spans import _DOMAINS, corpora, debug_log, graph_state, table_state
@@ -234,8 +234,7 @@ def score_rows(values):
 
 def edge_state(g):
     return (g.node_ids, g.out_indptr.tolist(), g.out_targets.tolist(),
-            g.out_weights.tolist(), g.in_indptr.tolist(), g.in_sources.tolist(),
-            g.in_weights.tolist(), g.unique_in_degree.tolist())
+            g.out_weights.tolist(), g.unique_in_degree.tolist())
 
 
 def score_state(scores):
@@ -363,8 +362,8 @@ def test_write_columns_bytes_match_write_table_property(tmp_path_factory, table,
     extremes, whatever its chunk size; so does ``write_edge_list`` for
     ``edge_list(g)``, self-loops and weights up to ``MAX_COUNT`` included."""
     header, columns, rows = table
-    g = edge_counts((src, dst, w) for (src, dst), w
-                    in zip(dict.fromkeys(edges), weights)).graph(count_self_loops)
+    g = edge_graph(((src, dst, w) for (src, dst), w in zip(dict.fromkeys(edges), weights)),
+                   count_self_loops)
     root = tmp_path_factory.mktemp("columns")
     with mock.patch.object(blk, "_WRITE_CHUNK", chunk):
         blk.write_columns(root / "columns.csv", header, columns)

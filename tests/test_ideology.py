@@ -15,7 +15,7 @@ from echoaudit.errors import ConvergenceError, DegenerateMatrixError, InputError
 import _ideology_oracle as oracle
 from _ca_oracle import dense_ca_oracle
 from _matrix_helpers import from_dense, to_dense
-from _tables import edge_counts
+from _tables import edge_graph
 from conftest import dense_residual, random_count_matrix, retweet
 
 
@@ -496,7 +496,7 @@ class TestMatchesOracle:
         """Self-loops, absent and duplicate influencers and influencers
         nobody retweets: the CSR slice equals the per-node builder, array
         by array and dtype by dtype, with the same warnings and errors."""
-        g = edge_counts(edges).graph(count_self_loops)
+        g = edge_graph(edges, count_self_loops)
         got, got_log, got_err = _outcome(
             ideo.build_interaction_matrix, g, tuple(influencers), min_distinct)
         want, want_log, want_err = _outcome(

@@ -256,6 +256,50 @@ class TestIdeologyHistograms:
         assert hist.meta["user_dip"] > rep.dip_threshold(n, alpha=0.01)
 
 
+_hist_ids = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@given(
+    pairs=st.lists(st.tuples(_hist_ids, _hist_ids), max_size=25),
+    users=st.dictionaries(_hist_ids | st.just("ghost_u"), st.floats(-1.0, 1.0),
+                          max_size=6),
+    influencers=st.lists(_hist_ids | st.just("ghost_i"), max_size=6, unique=True),
+    top_k=st.integers(0, 4),
+    count_self_loops=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_top_influencer_retweeter_series_property(pairs, users, influencers, top_k,
+                                                  count_self_loops):
+    """Ties, self-retweets, repeated retweets and influencers outside the
+    graph: the top-k influencers, ranked by (-unique in-degree, id), and
+    each one's histogram of the user scores of its distinct retweeters are
+    those of a dict-of-pairs oracle."""
+    g = gr.build_graph([retweet(src, dst) for src, dst in pairs],
+                       count_self_loops=count_self_loops)
+    scores = scores_obj(users, dict.fromkeys(influencers, 0.0))
+    hist = rep.ideology_histograms(scores, bins=8, g=g, top_k=top_k)
+
+    distinct = set(pairs)
+    nodes = {uid for pair in distinct for uid in pair}
+
+    def retweeters(cid):
+        return {src for src, dst in distinct if dst == cid}
+
+    def degree(cid):
+        return sum(count_self_loops or src != cid for src in retweeters(cid))
+
+    ranked = sorted((cid for cid in influencers if cid in nodes),
+                    key=lambda cid: (-degree(cid), cid))[:top_k]
+    want = {f"retweeters:{cid}": np.histogram(
+                [users[src] for src in retweeters(cid) if src in users],
+                bins=hist.bin_edges)[0].tolist()
+            for cid in ranked}
+    got = {name: counts.tolist() for name, counts in hist.series.items()
+           if name.startswith("retweeters:")}
+    assert list(got) == list(want)
+    assert got == want
+
+
 class TestLeaningDistributions:
     def scores(self):
         return scores_obj(

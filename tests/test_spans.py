@@ -496,8 +496,7 @@ def table_state(t):
 
 def graph_state(retweets):
     g = retweets.graph()
-    return (g.node_ids, g.in_indptr.tolist(), g.in_sources.tolist(),
-            g.in_weights.tolist(), g.out_indptr.tolist(), g.out_targets.tolist(),
+    return (g.node_ids, g.out_indptr.tolist(), g.out_targets.tolist(),
             g.out_weights.tolist(), g.unique_in_degree.tolist(),
             list(retweets.skipped.items()))
 
