@@ -300,7 +300,7 @@ def cmd_ideology(args, g: Optional[gr.RetweetGraph] = None,
                 "nnz": matrix.nnz,
             })
     log.info("scored %d users, %d influencers (sigma1=%g, %d iterations)",
-             len(scores.user_scores), len(scores.influencer_scores),
+             len(scores.user_ids), len(scores.influencer_ids),
              scores.sigma1, scores.iterations)
     return scores
 
@@ -384,7 +384,7 @@ def _ae_tables(args, originals: eng.OriginalsTable,
 
 
 def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
-                   user_scores: Optional[dict[str, float]] = None,
+                   scores: Optional[ideo.IdeologyScores] = None,
                    tables: Optional[ing.Worker] = None) -> None:
     """Write the AE tables, the correlations and the group summaries.
 
@@ -397,9 +397,9 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
     if originals is None:
         originals = _load_originals(args)
     table = originals.domains
-    if (user_scores is None and "ideology" in (args.group_by or [])
+    if (scores is None and "ideology" in (args.group_by or [])
             and args.scores and args.granularity in ("user", "all")):
-        user_scores, _ = ideo.read_scores(args.scores)
+        scores = ideo.read_scores(args.scores)
     stats, results = (_ae_tables(args, originals, ing.usable_cpus()) if tables is None
                       else tables.reap())
 
@@ -417,12 +417,12 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
 
     for group_by in args.group_by or []:
         if group_by == "ideology":
-            if user_scores is None:
+            if scores is None:
                 log.warning("--group-by ideology needs --scores and user granularity")
                 continue
             groups = {
                 uid: ("negative" if score < 0 else "positive")
-                for uid, score in user_scores.items()
+                for uid, score in zip(scores.user_ids, scores.user_score.tolist())
             }
             summaries = eng.group_ae(results["user"], groups)
         else:
@@ -459,15 +459,6 @@ def _add_report(sub) -> None:
     p.set_defaults(func=cmd_report)
 
 
-def _scores_from_csv(path: Path) -> ideo.IdeologyScores:
-    users, influencers = ideo.read_scores(path)
-    return ideo.IdeologyScores(
-        user_scores=users, influencer_scores=influencers,
-        raw_user_scores={}, raw_influencer_scores={},
-        sigma1=float("nan"), anchor_id="", iterations=0, residual=float("nan"),
-    )
-
-
 def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
                g: Optional[gr.RetweetGraph] = None,
                scores: Optional[ideo.IdeologyScores] = None) -> None:
@@ -479,8 +470,8 @@ def cmd_report(args, originals: Optional[eng.OriginalsTable] = None,
     # Read every input before creating the output directory, so a bad input
     # leaves nothing behind.
     if scores is None:
-        scores = _scores_from_csv(args.scores)
-    if not scores.user_scores:
+        scores = ideo.read_scores(args.scores)
+    if not scores.user_ids:
         raise InputError(f"{args.scores}: no user scores; nothing to report")
     if g is None:
         g = gr.read_edge_list(args.graph)
@@ -660,7 +651,7 @@ def cmd_pipeline(args) -> None:
     # Engagement runs first (here, as item 0), so its log records, the
     # table worker's among them, come first.
     last_stages = [
-        lambda: cmd_engagement(engagement_args, originals, scores.user_scores, tables),
+        lambda: cmd_engagement(engagement_args, originals, scores, tables),
         lambda: cmd_report(report_args, originals, g, scores)]
     if side_by_side:
         try:

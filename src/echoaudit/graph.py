@@ -48,7 +48,6 @@ class RetweetGraph:
     out_targets: np.ndarray                  # int64, destination index per edge
     out_weights: np.ndarray                  # int64, retweet multiplicity
     unique_in_degree: np.ndarray             # int64 per node
-    counts_self_loops: bool
     index: dict[str, int] = field(compare=False, repr=False)  # id -> position
 
     @property
@@ -65,10 +64,6 @@ class RetweetGraph:
     def __contains__(self, user_id: str) -> bool:
         return user_id in self.index
 
-    def out_edges(self, node_index: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.out_indptr[node_index], self.out_indptr[node_index + 1]
-        return self.out_targets[lo:hi], self.out_weights[lo:hi]
-
 
 def _assemble(node_ids: Sequence[str], keys: np.ndarray, weights: np.ndarray,
               count_self_loops: bool) -> RetweetGraph:
@@ -84,7 +79,6 @@ def _assemble(node_ids: Sequence[str], keys: np.ndarray, weights: np.ndarray,
         out_targets=targets,
         out_weights=weights,
         unique_in_degree=np.bincount(retweeters, minlength=n),
-        counts_self_loops=count_self_loops,
         index=dict(zip(node_ids, range(n))),
     )
 

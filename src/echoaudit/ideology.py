@@ -24,13 +24,13 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import NoReturn, Sequence, TextIO
+from typing import NoReturn, Optional, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateMatrixError, InputError
 from .graph import RetweetGraph
-from .blocks import read_table, write_columns
+from .blocks import Codes, read_table, write_columns
 
 log = logging.getLogger(__name__)
 
@@ -46,9 +46,11 @@ SCORES_HEADER = ("id", "kind", "score", "raw_score")
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """Sparse non-negative user-by-influencer retweet counts (CSR)."""
+    """Sparse non-negative user-by-influencer retweet counts (CSR); row ``i``
+    is the user ``node_ids[row_codes[i]]``, ids in ``str`` order."""
 
-    row_ids: tuple[str, ...]
+    node_ids: Sequence[str]
+    row_codes: np.ndarray  # int64, code into node_ids per row
     col_ids: tuple[str, ...]
     indptr: np.ndarray    # int64, len n_rows + 1
     indices: np.ndarray   # int64, column index per stored entry
@@ -56,7 +58,7 @@ class InteractionMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.row_ids), len(self.col_ids))
+        return (len(self.row_codes), len(self.col_ids))
 
     @property
     def nnz(self) -> int:
@@ -110,7 +112,8 @@ def build_interaction_matrix(
 
     kept = np.flatnonzero(keep)
     m = InteractionMatrix(
-        row_ids=tuple(g.node_ids[i] for i in kept.tolist()),
+        node_ids=g.node_ids,
+        row_codes=kept,
         col_ids=tuple(col_ids),
         indptr=np.concatenate(([0], hits[kept].cumsum())).astype(np.int64),
         indices=indices,
@@ -127,8 +130,8 @@ def build_interaction_matrix(
 class NormalizedMatrix:
     """The standardized residual operator S, held in sparse factored form.
 
-    Rows are canonicalized (sorted by row id) at construction so that any
-    physical row permutation of the input yields bit-identical arithmetic.
+    Rows are canonicalized (sorted by code, so by id) at construction so
+    that any physical row permutation of the input yields bit-identical arithmetic.
     Both products sum the stored entries with ``np.bincount`` in that
     row-major order, which no thread count changes; the rank-one terms
     ``sqrt_c @ v`` and ``sqrt_r @ u`` are BLAS dot products, whose last
@@ -136,8 +139,9 @@ class NormalizedMatrix:
     """
 
     def __init__(self, m: InteractionMatrix):
-        order = np.argsort(np.asarray(m.row_ids, dtype=object), kind="stable")
-        self.row_ids: tuple[str, ...] = tuple(m.row_ids[i] for i in order.tolist())
+        order = np.argsort(m.row_codes, kind="stable")
+        self.node_ids = m.node_ids
+        self.row_codes = m.row_codes[order]
         self.col_ids: tuple[str, ...] = m.col_ids
 
         n_rows, n_cols = m.shape
@@ -164,7 +168,7 @@ class NormalizedMatrix:
         zero_rows = np.flatnonzero(r == 0)
         if zero_rows.size:
             raise DegenerateMatrixError(
-                f"zero row mass for user {self.row_ids[int(zero_rows[0])]!r}"
+                f"zero row mass for user {self.node_ids[self.row_codes[zero_rows[0]]]!r}"
             )
         zero_cols = np.flatnonzero(c == 0)
         if zero_cols.size:
@@ -187,13 +191,13 @@ class NormalizedMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.row_ids), len(self.col_ids))
+        return (len(self.row_codes), len(self.col_ids))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """S v = W v - sqrt_r (sqrt_c . v)"""
         v = np.ascontiguousarray(v, dtype=np.float64)
         y = np.bincount(self.rows, weights=self._scaled * v[self.indices],
-                        minlength=len(self.row_ids))
+                        minlength=len(self.row_codes))
         y -= self.sqrt_r * float(self.sqrt_c @ v)
         return y
 
@@ -277,14 +281,20 @@ def leading_singular_triplet(
 
 @dataclass(frozen=True)
 class IdeologyScores:
-    user_scores: dict[str, float]          # rescaled to [-1, 1]
-    influencer_scores: dict[str, float]    # median of retweeter scores
-    raw_user_scores: dict[str, float]      # sign-anchored u1 entries, unrescaled
-    raw_influencer_scores: dict[str, float]
-    sigma1: float
-    anchor_id: str
-    iterations: int
-    residual: float
+    """User and influencer ids in ``str`` order, each with float64 scores
+    rescaled to [-1, 1] and raw (sign-anchored, unrescaled) ones; a table
+    from :func:`read_scores` has no raw scores and no solver metadata."""
+
+    user_ids: list[str]
+    user_score: np.ndarray
+    influencer_ids: list[str]
+    influencer_score: np.ndarray
+    raw_user_score: Optional[np.ndarray] = None
+    raw_influencer_score: Optional[np.ndarray] = None
+    sigma1: float = math.nan
+    anchor_id: str = ""
+    iterations: int = 0
+    residual: float = math.nan
 
 
 def score_users_and_influencers(
@@ -308,9 +318,9 @@ def score_users_and_influencers(
     # column lists each influencer's retweeter rows, one slice per column.
     by_col = n.rows[np.argsort(n.indices, kind="stable")]
     ends = np.bincount(n.indices, minlength=len(n.col_ids)).cumsum()
-    retweeters = dict(zip(n.col_ids, np.split(by_col, ends[:-1])))
+    retweeters = np.split(by_col, ends[:-1])
 
-    anchor_median = float(np.median(raw[retweeters[anchor_id]]))
+    anchor_median = float(np.median(raw[retweeters[n.col_ids.index(anchor_id)]]))
     if anchor_median == 0.0:
         raise DegenerateMatrixError(
             f"anchor influencer {anchor_id!r} has a zero median score; "
@@ -324,13 +334,15 @@ def score_users_and_influencers(
         raise DegenerateMatrixError("all user scores are zero")
     scaled = raw / peak
 
+    # Canonical rows already run in id order; the columns are sorted here.
+    cols = sorted(range(len(n.col_ids)), key=n.col_ids.__getitem__)
     return IdeologyScores(
-        user_scores=dict(zip(n.row_ids, scaled.tolist())),
-        influencer_scores={cid: float(np.median(scaled[rows]))
-                           for cid, rows in retweeters.items()},
-        raw_user_scores=dict(zip(n.row_ids, raw.tolist())),
-        raw_influencer_scores={cid: float(np.median(raw[rows]))
-                               for cid, rows in retweeters.items()},
+        user_ids=list(map(n.node_ids.__getitem__, n.row_codes.tolist())),
+        user_score=scaled,
+        influencer_ids=[n.col_ids[j] for j in cols],
+        influencer_score=np.array([np.median(scaled[retweeters[j]]) for j in cols]),
+        raw_user_score=raw,
+        raw_influencer_score=np.array([np.median(raw[retweeters[j]]) for j in cols]),
         sigma1=triplet.sigma,
         anchor_id=anchor_id,
         iterations=triplet.iterations,
@@ -339,39 +351,46 @@ def score_users_and_influencers(
 
 
 def write_scores(scores: IdeologyScores, out: str | Path | TextIO) -> None:
-    """CSV export ``id,kind,score,raw_score`` sorted by (kind, id)."""
-    influencers, users = sorted(scores.influencer_scores), sorted(scores.user_scores)
+    """CSV export ``id,kind,score,raw_score`` of solver scores, sorted by (kind, id)."""
+    influencers, users = scores.influencer_ids, scores.user_ids
     write_columns(out, SCORES_HEADER, [
-        influencers + users, ["influencer"] * len(influencers) + ["user"] * len(users),
-        *([of_influencer[i] for i in influencers] + [of_user[u] for u in users]
-          for of_influencer, of_user in ((scores.influencer_scores, scores.user_scores),
-                                         (scores.raw_influencer_scores, scores.raw_user_scores)))])
+        influencers + users,
+        Codes(("influencer", "user"), np.repeat([0, 1], [len(influencers), len(users)])),
+        np.concatenate((scores.influencer_score, scores.user_score)),
+        np.concatenate((scores.raw_influencer_score, scores.raw_user_score))])
 
 
-def read_scores(path: str | Path) -> tuple[dict[str, float], dict[str, float]]:
-    """Read a score CSV back into (user_scores, influencer_scores); every
-    score must be finite and no id may come twice as one kind, as
-    :func:`write_scores` writes them."""
-    scores: dict[str, dict[str, float]] = {"user": {}, "influencer": {}}
-    for _, (ident, kind, score, _raw) in read_table(path, SCORES_HEADER, "scores file"):
-        try:
-            values = list(map(float, score))
-        except ValueError:
-            _raise_first_bad_score(path)
-        known = sum(map(len, scores.values()))
-        for name, of_kind in scores.items():
-            mine = [k == name for k in kind]
-            of_kind.update(zip(compress(ident, mine), compress(values, mine)))
-        # A row of neither kind, or of an id already read as its kind, adds none.
-        if (sum(map(len, scores.values())) != known + len(ident)
-                or not all(map(math.isfinite, values))):
-            _raise_first_bad_score(path)
-    return scores["user"], scores["influencer"]
+def read_scores(path: str | Path) -> IdeologyScores:
+    """Read a score CSV back, its rows in any order, each kind sorted by
+    id; every score must be finite and no id may come twice as one kind,
+    as :func:`write_scores` writes them."""
+    ids, kinds, values = [], [], []
+    try:
+        for _, (ident, kind, score, _raw) in read_table(path, SCORES_HEADER, "scores file"):
+            ids += ident
+            kinds += kind
+            values += map(float, score)
+    except (InputError, ValueError):
+        _raise_first_bad_score(path)
+    columns = []
+    for name in ("influencer", "user"):
+        mine = [k == name for k in kinds]
+        of_kind = list(compress(ids, mine))
+        order = sorted(range(len(of_kind)), key=of_kind.__getitem__)
+        columns += [[of_kind[i] for i in order], np.array(list(compress(values, mine)))[order]]
+    influencer_ids, influencer_score, user_ids, user_score = columns
+    # Sorted, a repeated id sits next to its first.
+    if (len(influencer_ids) + len(user_ids) != len(ids) or not np.isfinite(values).all()
+            or any(map(str.__eq__, influencer_ids, influencer_ids[1:]))
+            or any(map(str.__eq__, user_ids, user_ids[1:]))):
+        _raise_first_bad_score(path)
+    return IdeologyScores(user_ids, user_score, influencer_ids, influencer_score)
 
 
 def _raise_first_bad_score(path: str | Path) -> NoReturn:
     """Read ``path`` again and raise the error of its first row whose kind
-    or score is not one, or whose id came before as the same kind."""
+    or score is not one, or whose id came before as the same kind; or the
+    error that the table itself raises first."""
     seen = set()
     for first, columns in read_table(path, SCORES_HEADER, "scores file"):
         for lineno, (ident, kind, score, _) in enumerate(zip(*columns), start=first):

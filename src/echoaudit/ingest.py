@@ -506,7 +506,7 @@ def open_atomic_parts(path: str | Path,
 
     Output 0 is :func:`open_atomic`'s open text file; output ``k > 0`` is
     the path of a hidden part file beside ``path``, for a forked child to
-    write with :func:`write_corpus` (itself all at once).  When the block
+    write with :func:`blocks.write_corpus_columns` (itself all at once).  When the block
     ends cleanly the parts are appended to output 0 in order; on any error
     ``path`` is left as it was.  No part file, nor its temporary file,
     outlives the block.

@@ -14,8 +14,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -108,6 +109,17 @@ def _edges(lo: float, hi: float, bins: int) -> np.ndarray:
     return np.linspace(lo, hi, bins + 1)
 
 
+def _scatter(g: RetweetGraph, ids: Sequence[str], values: np.ndarray,
+             score: np.ndarray, has_score: np.ndarray) -> np.ndarray:
+    """Set ``score`` and ``has_score`` at the node of each id in ``g``;
+    return the node of each id, -1 for one not in ``g``."""
+    nodes = np.fromiter(map(g.index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+    found = nodes >= 0
+    score[nodes[found]] = values[found]
+    has_score[nodes[found]] = True
+    return nodes
+
+
 def neighbor_opinion_grid(
     scores: IdeologyScores,
     g: RetweetGraph,
@@ -129,20 +141,16 @@ def neighbor_opinion_grid(
     """
     if stats is None:
         stats = Counter()
-    neighbor_score = dict(scores.user_scores)
-    neighbor_score.update(scores.influencer_scores)
 
     x_edges = _edges(-1.0, 1.0, bins)
     y_edges = _edges(-1.0, 1.0, bins)
 
-    # Score per node plus a mask, so a NaN score still counts as scored.
+    # Score per node plus a mask, so a NaN score still counts as scored;
+    # an id scored as both kinds takes its influencer score.
     score = np.zeros(g.n_nodes, dtype=np.float64)
     has_score = np.zeros(g.n_nodes, dtype=bool)
-    for uid, s in neighbor_score.items():
-        node = g.index.get(uid)
-        if node is not None:
-            score[node] = s
-            has_score[node] = True
+    user_nodes = _scatter(g, scores.user_ids, scores.user_score, score, has_score)
+    _scatter(g, scores.influencer_ids, scores.influencer_score, score, has_score)
 
     owner = np.repeat(np.arange(g.n_nodes), np.diff(g.out_indptr))
     neigh, weights = g.out_targets, g.out_weights
@@ -154,12 +162,9 @@ def neighbor_opinion_grid(
         acc = np.bincount(owner, weights=weights * score[neigh], minlength=g.n_nodes)
     total_w = np.bincount(owner, weights=weights, minlength=g.n_nodes)
 
-    influencer_ids = scores.influencer_scores.keys()
-    users = [uid for uid in scores.user_scores if uid not in influencer_ids]
-    nodes = np.fromiter((g.index.get(uid, -1) for uid in users),
-                        dtype=np.int64, count=len(users))
-    own = np.fromiter((scores.user_scores[uid] for uid in users),
-                      dtype=np.float64, count=len(users))
+    excluded = np.fromiter(map(set(scores.influencer_ids).__contains__, scores.user_ids),
+                           dtype=bool, count=len(scores.user_ids))
+    nodes, own = user_nodes[~excluded], scores.user_score[~excluded]
     in_graph = nodes >= 0
     nodes, own = nodes[in_graph], own[in_graph]
     binned = total_w[nodes] != 0.0
@@ -174,7 +179,7 @@ def neighbor_opinion_grid(
     counts = counts.reshape(bins, bins).astype(np.int64, copy=False)
 
     for key, n in (
-        ("influencers_excluded", len(scores.user_scores) - len(users)),
+        ("influencers_excluded", int(np.count_nonzero(excluded))),
         ("scored_user_not_in_graph", int(np.count_nonzero(~in_graph))),
         ("users_without_scored_neighbors", int(np.count_nonzero(~binned))),
         ("users_binned", int(nodes.size)),
@@ -219,8 +224,8 @@ def ideology_histograms(
     recorded in the metadata for the bimodality check.
     """
     edges = _edges(-1.0, 1.0, bins)
-    user_vals = np.asarray(sorted(scores.user_scores.values()))
-    infl_vals = np.asarray(sorted(scores.influencer_scores.values()))
+    user_vals = np.sort(scores.user_score, kind="stable")
+    infl_vals = np.sort(scores.influencer_score, kind="stable")
     series = {
         "users": np.histogram(user_vals, bins=edges)[0].astype(np.int64),
         "influencers": np.histogram(infl_vals, bins=edges)[0].astype(np.int64),
@@ -232,21 +237,19 @@ def ideology_histograms(
     }
 
     if g is not None and top_k > 0:
+        user_score = np.zeros(g.n_nodes, dtype=np.float64)
+        is_user = np.zeros(g.n_nodes, dtype=bool)
+        _scatter(g, scores.user_ids, scores.user_score, user_score, is_user)
         ranked = sorted(
-            (cid for cid in scores.influencer_scores if cid in g),
+            (cid for cid in scores.influencer_ids if cid in g),
             key=lambda cid: (-int(g.unique_in_degree[g.index_of(cid)]), cid),
         )
         for cid in ranked[:top_k]:
             # The source of each edge into cid: the slice that holds it.
             into = np.flatnonzero(g.out_targets == g.index_of(cid))
             sources = np.searchsorted(g.out_indptr, into, side="right") - 1
-            vals = [
-                scores.user_scores[g.node_ids[s]]
-                for s in sources.tolist()
-                if g.node_ids[s] in scores.user_scores
-            ]
             series[f"retweeters:{cid}"] = np.histogram(
-                np.asarray(vals), bins=edges
+                user_score[sources[is_user[sources]]], bins=edges
             )[0].astype(np.int64)
 
     return HistogramSeries(bin_edges=edges, series=series, meta=meta)
@@ -265,6 +268,8 @@ def leaning_ideology_distributions(
     influencers form separate series on shared edges.
     """
     edges = _edges(-1.0, 1.0, bins)
+    influencer_score = dict(zip(scores.influencer_ids, scores.influencer_score.tolist()))
+    user_score = dict(zip(scores.user_ids, scores.user_score.tolist()))
     out: dict[str, HistogramSeries] = {}
     members: dict[str, tuple[list[float], list[float]]] = {}
     for account, counts in class_counts.items():
@@ -272,10 +277,10 @@ def leaning_ideology_distributions(
             if n < min_shares:
                 continue
             users, infl = members.setdefault(label, ([], []))
-            if account in scores.influencer_scores:
-                infl.append(scores.influencer_scores[account])
-            elif account in scores.user_scores:
-                users.append(scores.user_scores[account])
+            if account in influencer_score:
+                infl.append(influencer_score[account])
+            elif account in user_score:
+                users.append(user_score[account])
     for label in sorted(members):
         users, infl = members[label]
         out[label] = HistogramSeries(

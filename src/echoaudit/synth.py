@@ -228,17 +228,6 @@ class GroundTruth:
         # Shallow: ``asdict`` would deep-copy every mapping first.
         write_json(path, {f.name: getattr(self, f.name) for f in fields(self)})
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "GroundTruth":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(
-            community=raw["community"],
-            planted_hubs=raw["planted_hubs"],
-            target_ae_by_group=raw["target_ae_by_group"],
-            target_log_pearson=raw["target_log_pearson"],
-        )
-
 
 @dataclass(frozen=True)
 class SynthResult:

@@ -13,6 +13,7 @@ from echoaudit.errors import InputError
 from echoaudit.ingest import MAX_COUNT, open_atomic, open_maybe_gzip
 
 from _graph_oracle import _assemble as graph_oracle
+from _matrix_helpers import scores_of
 
 
 def write_table(out, header, rows):
@@ -92,4 +93,4 @@ def read_scores(path):
         if ident in target:
             raise InputError(f"{path}:{lineno}: repeated {kind} id {ident!r}")
         target[ident] = value
-    return users, influencers
+    return scores_of(users, influencers)

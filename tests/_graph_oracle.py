@@ -56,6 +56,5 @@ def _assemble(
         out_targets=out_targets,
         out_weights=out_weights,
         unique_in_degree=uid_counts,
-        counts_self_loops=count_self_loops,
         index=index,
     )

@@ -21,7 +21,7 @@ from echoaudit.graph import RetweetGraph
 from echoaudit.ideology import IdeologyScores
 from echoaudit.report import DensityGrid
 
-from _matrix_helpers import edge_list
+from _matrix_helpers import edge_list, influencer_scores, out_edges, user_scores
 
 
 def _edges(lo: float, hi: float, bins: int) -> np.ndarray:
@@ -45,8 +45,9 @@ def loop_neighbor_opinion_grid(
 ) -> DensityGrid:
     if stats is None:
         stats = Counter()
-    neighbor_score = dict(scores.user_scores)
-    neighbor_score.update(scores.influencer_scores)
+    users = user_scores(scores)
+    neighbor_score = dict(users)
+    neighbor_score.update(influencer_scores(scores))
 
     x_edges = _edges(-1.0, 1.0, bins)
     y_edges = _edges(-1.0, 1.0, bins)
@@ -57,8 +58,8 @@ def loop_neighbor_opinion_grid(
     for src, dst, w in edge_list(g):
         retweeters.setdefault(dst, []).append((src, w))
 
-    influencer_ids = set(scores.influencer_scores)
-    for uid, own in scores.user_scores.items():
+    influencer_ids = set(scores.influencer_ids)
+    for uid, own in users.items():
         if uid in influencer_ids:
             stats["influencers_excluded"] += 1
             continue
@@ -70,7 +71,7 @@ def loop_neighbor_opinion_grid(
         if use_in_neighbors:
             neighbors = retweeters.get(uid, [])
         else:
-            neigh, weights = g.out_edges(node)
+            neigh, weights = out_edges(g, node)
             neighbors = zip(map(g.node_ids.__getitem__, neigh.tolist()), weights.tolist())
         total_w = 0.0
         acc = 0.0

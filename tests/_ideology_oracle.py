@@ -11,14 +11,15 @@ from the operator's own entry arrays; tests compare the two.
 from __future__ import annotations
 
 import logging
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from echoaudit.errors import DegenerateMatrixError, InputError
 from echoaudit.graph import RetweetGraph
-from echoaudit.ideology import (IdeologyScores, InteractionMatrix,
-                                NormalizedMatrix, SingularTriplet)
+from echoaudit.ideology import InteractionMatrix, NormalizedMatrix, SingularTriplet
+
+from _matrix_helpers import out_edges
 
 log = logging.getLogger("echoaudit.ideology")
 
@@ -40,9 +41,9 @@ def build_interaction_matrix(
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
-    row_ids: list[str] = []
+    row_codes: list[int] = []
     for node in range(g.n_nodes):
-        targets, weights = g.out_edges(node)
+        targets, weights = out_edges(g, node)
         cols = [
             (col_of_node[t], float(w))
             for t, w in zip(targets.tolist(), weights.tolist())
@@ -51,7 +52,7 @@ def build_interaction_matrix(
         if len(cols) < min_distinct or not cols:
             continue
         cols.sort()
-        row_ids.append(g.node_ids[node])
+        row_codes.append(node)
         indices.extend(c for c, _ in cols)
         data.extend(w for _, w in cols)
         indptr.append(len(indices))
@@ -70,7 +71,8 @@ def build_interaction_matrix(
         col_ids = keep_cols
 
     m = InteractionMatrix(
-        row_ids=tuple(row_ids),
+        node_ids=g.node_ids,
+        row_codes=np.asarray(row_codes, dtype=np.int64),
         col_ids=tuple(col_ids),
         indptr=np.asarray(indptr, dtype=np.int64),
         indices=indices_arr,
@@ -84,25 +86,38 @@ def build_interaction_matrix(
     return m
 
 
+class DictScores(NamedTuple):
+    user_scores: dict[str, float]
+    influencer_scores: dict[str, float]
+    raw_user_scores: dict[str, float]
+    raw_influencer_scores: dict[str, float]
+    sigma1: float
+    anchor_id: str
+    iterations: int
+    residual: float
+
+
 def score_users_and_influencers(
     m: InteractionMatrix,
     n: NormalizedMatrix,
     triplet: SingularTriplet,
     anchor_id: str,
-) -> IdeologyScores:
-    """The dict-based scorer; ``n`` supplies the canonical row and column
-    ids that ``triplet.u`` is ordered by."""
+) -> DictScores:
+    """The dict-based scorer; ``triplet.u`` runs in canonical row order,
+    which is the order of the rows' ids as Python strings, and ``n``
+    supplies the column ids."""
     if anchor_id not in n.col_ids:
         raise InputError(f"anchor influencer {anchor_id!r} is not a matrix column")
 
-    row_pos = {uid: i for i, uid in enumerate(n.row_ids)}
+    row_ids = [m.node_ids[code] for code in m.row_codes.tolist()]
+    row_pos = {uid: i for i, uid in enumerate(sorted(row_ids))}
     raw = np.asarray(triplet.u, dtype=np.float64).copy()
 
     # Retweeter rows per column, via the matrix's own id maps.
     col_rows: dict[str, list[int]] = {cid: [] for cid in m.col_ids}
     rows_of_entries = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     for entry, col in zip(rows_of_entries.tolist(), m.indices.tolist()):
-        col_rows[m.col_ids[col]].append(row_pos[m.row_ids[entry]])
+        col_rows[m.col_ids[col]].append(row_pos[row_ids[entry]])
 
     def column_median(values: np.ndarray, cid: str) -> Optional[float]:
         rows = col_rows.get(cid, [])
@@ -138,7 +153,7 @@ def score_users_and_influencers(
         influencer_scores[cid] = med
         raw_influencer_scores[cid] = column_median(raw, cid)
 
-    return IdeologyScores(
+    return DictScores(
         user_scores=user_scores,
         influencer_scores=influencer_scores,
         raw_user_scores=raw_user_scores,

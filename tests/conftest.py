@@ -14,6 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 
 
+def read_truth(path) -> synth.GroundTruth:
+    """The ground truth that :meth:`synth.GroundTruth.to_json` wrote."""
+    with open(path, encoding="utf-8") as fh:
+        return synth.GroundTruth(**json.load(fh))
+
+
 def make_record(
     tweet_id="t1",
     author_id="alice",
@@ -94,7 +100,7 @@ def mini_raw(mini_corpus_path) -> list[dict]:
 
 @pytest.fixture(scope="session")
 def mini_truth() -> synth.GroundTruth:
-    return synth.GroundTruth.from_json(FIXTURES / "mini_ground_truth.json")
+    return read_truth(FIXTURES / "mini_ground_truth.json")
 
 
 @pytest.fixture(scope="session")

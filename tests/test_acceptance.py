@@ -22,9 +22,9 @@ from echoaudit import synth
 
 import _engagement_oracle as oracle
 from _ca_oracle import dense_ca_oracle
-from _matrix_helpers import from_dense
+from _matrix_helpers import from_dense, influencer_scores, user_scores
 from _tables import originals_table
-from conftest import make_record, random_count_matrix
+from conftest import make_record, random_count_matrix, read_truth
 
 
 def report_line(criterion: str, ok: bool, detail: str) -> None:
@@ -51,7 +51,7 @@ TABLE1_LOG_PEARSON = {
 
 def analyse_default_corpus(result: synth.SynthResult):
     """ingest -> graph -> influencers -> matrix -> scores on a synth corpus."""
-    truth = synth.GroundTruth.from_json(result.truth_path)
+    truth = read_truth(result.truth_path)
     retained = list(ing.apply_filters(ing.parse_corpus(result.corpus_path)))
     g = gr.build_graph(r for r in retained if r.kind == "retweet")
     influencers = gr.select_influencers(g, truth.planted_hubs, threshold=100)
@@ -115,15 +115,15 @@ def test_criterion_2_scale_and_permutation_invariance():
     worst = 0.0
     for k in (2, 5, 10):
         scaled = scores_for(a * k, row_ids)
-        for uid, val in base.user_scores.items():
-            worst = max(worst, abs(scaled.user_scores[uid] - val))
-        for cid, val in base.influencer_scores.items():
-            worst = max(worst, abs(scaled.influencer_scores[cid] - val))
+        for of_kind in (user_scores, influencer_scores):
+            got = of_kind(scaled)
+            for uid, val in of_kind(base).items():
+                worst = max(worst, abs(got[uid] - val))
 
     perm = rng.permutation(25)
     permuted = scores_for(a[perm], [row_ids[i] for i in perm])
-    exact = (permuted.user_scores == base.user_scores
-             and permuted.influencer_scores == base.influencer_scores)
+    exact = (user_scores(permuted) == user_scores(base)
+             and influencer_scores(permuted) == influencer_scores(base))
 
     ok = worst <= 1e-12 and exact
     report_line(
@@ -136,7 +136,7 @@ def test_criterion_2_scale_and_permutation_invariance():
 def test_criterion_3_community_recovery(default_analysis):
     truth, _, scores, gen_elapsed = default_analysis
     started = time.perf_counter()
-    users = [(u, s) for u, s in scores.user_scores.items()
+    users = [(u, s) for u, s in user_scores(scores).items()
              if u in truth.community]
     # anchor alignment: the anchor's community sits on the negative side
     agree = sum(
@@ -166,7 +166,7 @@ def test_criterion_4_table1_fixture_reproduction(tmp_path):
     )
     result = synth.generate_calibration(config, tmp_path)
     records = list(ing.engagement_subset(ing.parse_corpus(result.corpus_path)))
-    truth = synth.GroundTruth.from_json(result.truth_path)
+    truth = read_truth(result.truth_path)
 
     means = oracle.tweet_level_mean_ae(records)
     originals = originals_table(records)
@@ -275,7 +275,7 @@ def test_criterion_7_echo_chamber_grid(default_analysis):
     stats = Counter()
     grid = rep.neighbor_opinion_grid(scores, g, stats=stats)
     share = grid.meta["diagonal_mass_share"]
-    population = len(scores.user_scores)
+    population = len(scores.user_ids)
     skipped = sum(v for k, v in stats.items() if k != "users_binned")
     conserved = grid.total() + skipped == population
     ok = share >= 0.90 and conserved

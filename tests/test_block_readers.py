@@ -11,6 +11,7 @@ import ast
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -239,7 +240,9 @@ def edge_state(g):
 
 def score_state(scores):
     # -0.0 equals 0.0; compare the text.
-    return [[(k, repr(v)) for k, v in part.items()] for part in scores]
+    return [list(zip(ids, map(repr, values.tolist()))) for ids, values in
+            ((scores.user_ids, scores.user_score),
+             (scores.influencer_ids, scores.influencer_score))]
 
 
 @given(text=tables("src,dst,weight", edge_rows), n=block_chars)
@@ -270,6 +273,39 @@ def test_scores_by_blocks_equal_by_rows(text, n):
 
 def scores_text(rows):
     return "id,kind,score,raw_score\n" + "".join(f"{row}\n" for row in rows)
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from(["a", "a\x00", "\x00", "\u00e9", "\U0001f600"])
+                               | _csv_ids,
+                               st.sampled_from(["user", "influencer"]),
+                               st.floats(allow_nan=False, allow_infinity=False)),
+                     max_size=12),
+       data=st.data(), n=block_chars)
+@example(rows=[("a", "user", 0.5), ("a", "influencer", -0.0), ("a\x00", "user", 1.0)],
+         data=None, n=1 << 20)
+@settings(max_examples=300, deadline=None)
+def test_scores_read_alike_in_any_row_order(rows, data, n):
+    """Any row order reads to the columns of the file sorted by (kind, id),
+    an id may be both a user and an influencer, and an id that comes twice
+    as one kind is named at its second row in file order."""
+    if data is not None:
+        rows = data.draw(st.permutations(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ordered = Path(tmp) / "scores.csv", Path(tmp) / "sorted.csv"
+        for file, these in ((path, rows), (ordered, sorted(rows, key=lambda r: r[1::-1]))):
+            file.write_text(scores_text(f"{i},{k},{v!r},0.0" for i, k, v in these),
+                            encoding="utf-8", newline="")
+        with blocks(n):
+            got = outcome(lambda: score_state(ideo.read_scores(path)))
+        want = outcome(lambda: score_state(ideo.read_scores(ordered)))
+    keys = [(k, i) for i, k, _ in rows]
+    repeats = [line for line, key in enumerate(keys, start=2) if key in keys[:line - 2]]
+    if repeats:
+        kind, ident = keys[repeats[0] - 2]
+        assert got == f"error: {path}:{repeats[0]}: repeated {kind} id {ident!r}"
+    else:
+        assert got == want == [[(i, repr(v)) for i, k, v in sorted(rows) if k == kind]
+                               for kind in ("user", "influencer")]
 
 
 @pytest.mark.parametrize("padded", [False, True])
@@ -403,5 +439,5 @@ def test_cli_import_leaves_synth_and_report_unloaded():
             "print(sorted(m for m in ('echoaudit.synth', 'echoaudit.report') "
             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                          env={"PYTHONPATH": str(ROOT / "src")}, check=True)
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
     assert done.stdout.decode().strip() == "[]"

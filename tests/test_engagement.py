@@ -546,8 +546,9 @@ def histogram_failing_late():
 
 def scores_failing_late():
     return ideo.IdeologyScores(
-        user_scores={"a": 0.5, "b": Boom()}, influencer_scores={},
-        raw_user_scores={"a": 0.5, "b": 0.5}, raw_influencer_scores={},
+        user_ids=["a", "b"], user_score=np.array([0.5, Boom()], dtype=object),
+        influencer_ids=[], influencer_score=np.array([]),
+        raw_user_score=np.array([0.5, 0.5]), raw_influencer_score=np.array([]),
         sigma1=1.0, anchor_id="", iterations=1, residual=0.0)
 
 

@@ -7,18 +7,16 @@ report's ``ae_density_*`` and ``leaning_hist_*`` files must match byte for
 byte.
 """
 
-import math
-
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from echoaudit import cli
 from echoaudit import graph as gr
-from echoaudit import ideology as ideo
 from echoaudit import ingest as ing
 from echoaudit import mediabias as mb
 
 import _engagement_oracle as oracle
+from _matrix_helpers import scores_of
 from conftest import make_record, retweet
 
 DOMAINS_CSV = (
@@ -39,6 +37,7 @@ URLS = [
 TWEET_IDS = ["t1", "t2", "t1\x00", "\x00", "t\x00\x00", "é", "T"]
 AUTHORS = ["a", "b", "a\x00", "\x00", "c", "é"]
 
+INFLUENCERS = {"inf": 0.25}
 MAX_COUNT = 2**53 - 1
 BINS = 8
 counts = st.one_of(st.integers(0, 3), st.integers(0, 10**6),
@@ -71,17 +70,10 @@ def run_stages(tmp, corpus, domains, user_scores, flags):
         argv += ["--domains", str(domains)]
         report_argv += ["--domains", str(domains)]
     parse = cli._parser().parse_args
-    cli.cmd_engagement(parse(argv), user_scores=user_scores)
+    scores = scores_of(user_scores, INFLUENCERS)
+    cli.cmd_engagement(parse(argv), scores=scores)
     g = gr.build_graph([retweet(AUTHORS[0], AUTHORS[1])])
-    cli.cmd_report(parse(report_argv), g=g, scores=scores_of(user_scores))
-
-
-def scores_of(user_scores):
-    return ideo.IdeologyScores(
-        user_scores=dict(user_scores), influencer_scores={"inf": 0.25},
-        raw_user_scores={}, raw_influencer_scores={},
-        sigma1=math.nan, anchor_id="", iterations=0, residual=math.nan,
-    )
+    cli.cmd_report(parse(report_argv), g=g, scores=scores)
 
 
 def compared_files(directory):
@@ -138,8 +130,8 @@ def test_stages_equal_the_oracle_byte_for_byte(tmp_path_factory, corpus, user_sc
     oracle.write_engagement_artifacts(originals, table, user_scores, tmp / "old",
                                       fractional=fractional,
                                       drop_zero_impressions=drop_zero)
-    oracle.write_report_artifacts(originals, table, scores_of(user_scores), tmp / "old",
-                                  bins=BINS)
+    oracle.write_report_artifacts(originals, table, scores_of(user_scores, INFLUENCERS),
+                                  tmp / "old", bins=BINS)
 
     new, old = compared_files(tmp / "new"), compared_files(tmp / "old")
     assert sorted(new) == sorted(old)

@@ -22,7 +22,6 @@ GRAPH_ARRAYS = ("out_indptr", "out_targets", "out_weights", "unique_in_degree")
 def assert_same_graph(got, want):
     assert got.node_ids == want.node_ids
     assert got.index == want.index
-    assert got.counts_self_loops == want.counts_self_loops
     for name in GRAPH_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name

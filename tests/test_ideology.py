@@ -14,7 +14,8 @@ from echoaudit.errors import ConvergenceError, DegenerateMatrixError, InputError
 
 import _ideology_oracle as oracle
 from _ca_oracle import dense_ca_oracle
-from _matrix_helpers import from_dense, to_dense
+from _matrix_helpers import (from_dense, influencer_scores, row_ids, scores_of, to_dense,
+                             user_scores)
 from _tables import edge_graph
 from conftest import dense_residual, random_count_matrix, retweet
 
@@ -40,7 +41,7 @@ class TestBuildInteractionMatrix:
         m = ideo.build_interaction_matrix(self._graph(), self._influencers(), 1)
         assert m.shape == (2, 2)
         np.testing.assert_array_equal(to_dense(m), [[3.0, 0.0], [0.0, 1.0]])
-        assert m.row_ids == ("u1", "u2")
+        assert row_ids(m) == ["u1", "u2"]
 
     def test_min_distinct_two_fatal_when_no_rows(self):
         with pytest.raises(DegenerateMatrixError):
@@ -84,7 +85,7 @@ class TestBuildInteractionMatrix:
 
     def test_rows_sorted_by_user_id(self, mini_graph, mini_influencers):
         m = ideo.build_interaction_matrix(mini_graph, mini_influencers, 2)
-        assert list(m.row_ids) == sorted(m.row_ids)
+        assert row_ids(m) == sorted(row_ids(m))
 
 
 class TestNormalize:
@@ -136,7 +137,8 @@ class TestNormalize:
         2.3e-12 from 1 in the column masses; exact sums do not."""
         n_rows = 200_000
         m = ideo.InteractionMatrix(
-            row_ids=tuple(f"u{i:06d}" for i in range(n_rows)), col_ids=("c0", "c1"),
+            node_ids=tuple(f"u{i:06d}" for i in range(n_rows)),
+            row_codes=np.arange(n_rows, dtype=np.int64), col_ids=("c0", "c1"),
             indptr=np.arange(0, 2 * n_rows + 1, 2, dtype=np.int64),
             indices=np.tile(np.array([0, 1], dtype=np.int64), n_rows),
             data=np.ones(2 * n_rows),
@@ -160,7 +162,7 @@ class TestNormalize:
 
     def test_zero_row_fatal_with_id(self):
         m = ideo.InteractionMatrix(
-            row_ids=("ua", "ub"), col_ids=("c0", "c1"),
+            node_ids=("ua", "ub"), row_codes=np.array([0, 1]), col_ids=("c0", "c1"),
             indptr=np.array([0, 2, 2], dtype=np.int64),
             indices=np.array([0, 1], dtype=np.int64),
             data=np.array([1.0, 1.0]),
@@ -170,7 +172,7 @@ class TestNormalize:
 
     def test_zero_column_fatal_with_id(self):
         m = ideo.InteractionMatrix(
-            row_ids=("ua", "ub"), col_ids=("c0", "c1"),
+            node_ids=("ua", "ub"), row_codes=np.array([0, 1]), col_ids=("c0", "c1"),
             indptr=np.array([0, 1, 2], dtype=np.int64),
             indices=np.array([0, 0], dtype=np.int64),
             data=np.array([1.0, 1.0]),
@@ -256,15 +258,15 @@ def solve_scores(dense, anchor, seed=1):
 class TestScoring:
     def test_block_diagonal_symmetry(self):
         scores = solve_scores([[1, 0], [0, 1]], anchor="c000")
-        assert scores.user_scores["u000"] == pytest.approx(-1.0, abs=1e-9)
-        assert scores.user_scores["u001"] == pytest.approx(1.0, abs=1e-9)
-        assert scores.influencer_scores["c000"] < 0
+        assert user_scores(scores)["u000"] == pytest.approx(-1.0, abs=1e-9)
+        assert user_scores(scores)["u001"] == pytest.approx(1.0, abs=1e-9)
+        assert influencer_scores(scores)["c000"] < 0
 
     def test_anchor_flips_orientation(self):
         left = solve_scores([[1, 0], [0, 1]], anchor="c000")
         right = solve_scores([[1, 0], [0, 1]], anchor="c001")
-        assert left.user_scores["u000"] == pytest.approx(
-            -right.user_scores["u000"], abs=1e-12
+        assert user_scores(left)["u000"] == pytest.approx(
+            -user_scores(right)["u000"], abs=1e-12
         )
 
     def test_influencer_median_unweighted(self):
@@ -277,8 +279,8 @@ class TestScoring:
             [0, 0, 7],
         ])
         scores = solve_scores(dense, anchor="c000")
-        users = [scores.user_scores[f"u{i:03d}"] for i in range(3)]
-        assert scores.influencer_scores["c001"] == pytest.approx(
+        users = [user_scores(scores)[f"u{i:03d}"] for i in range(3)]
+        assert influencer_scores(scores)["c001"] == pytest.approx(
             float(np.median(users)), abs=1e-12
         )
 
@@ -294,15 +296,15 @@ class TestScoring:
         t = ideo.leading_singular_triplet(n)
         scores = ideo.score_users_and_influencers(n, t, "c000")
         retweeters = [f"u{i:03d}" for i in range(4)]  # column c001 has 4 nonzeros
-        vals = sorted(scores.user_scores[u] for u in retweeters)
-        assert scores.influencer_scores["c001"] == pytest.approx(
+        vals = sorted(user_scores(scores)[u] for u in retweeters)
+        assert influencer_scores(scores)["c001"] == pytest.approx(
             (vals[1] + vals[2]) / 2.0, abs=1e-12
         )
 
     def test_scores_bounded_and_peak_is_one(self):
         rng = np.random.default_rng(40)
         scores = solve_scores(random_count_matrix(rng, 30, 6), anchor="c000")
-        vals = np.array(list(scores.user_scores.values()))
+        vals = scores.user_score
         assert np.abs(vals).max() == pytest.approx(1.0, abs=1e-12)
         assert (np.abs(vals) <= 1.0 + 1e-12).all()
 
@@ -313,13 +315,12 @@ class TestScoring:
     def test_raw_scores_exported_with_same_orientation(self):
         rng = np.random.default_rng(41)
         scores = solve_scores(random_count_matrix(rng, 12, 4), anchor="c000")
-        for uid, value in scores.user_scores.items():
-            raw = scores.raw_user_scores[uid]
+        for raw, value in zip(scores.raw_user_score.tolist(), scores.user_score.tolist()):
             assert np.sign(raw) == np.sign(value) or value == 0.0
 
     def test_mini_two_communities_recovered(self, mini_scores, mini_truth):
         comm = mini_truth.community
-        users = [(u, s) for u, s in mini_scores.user_scores.items() if u in comm]
+        users = [(u, s) for u, s in user_scores(mini_scores).items() if u in comm]
         a_users = [(u, s) for u, s in users if comm[u] == "A"]
         agree = sum(1 for _, s in a_users if s < 0)
         assert agree / len(a_users) >= 0.95
@@ -335,26 +336,26 @@ class TestInvariances:
         base = solve_scores(a, anchor="c000")
         for k in (2, 5, 10):
             scaled = solve_scores(a * k, anchor="c000")
-            for uid, val in base.user_scores.items():
-                assert abs(scaled.user_scores[uid] - val) <= 1e-12
+            for uid, val in user_scores(base).items():
+                assert abs(user_scores(scaled)[uid] - val) <= 1e-12
 
     def test_row_permutation_permutes_scores_exactly(self):
         rng = np.random.default_rng(51)
         a = random_count_matrix(rng, 16, 5)
-        row_ids = [f"u{i:03d}" for i in range(16)]
+        ids = [f"u{i:03d}" for i in range(16)]
         col_ids = [f"c{j:03d}" for j in range(5)]
-        m1 = from_dense(a, row_ids, col_ids)
+        m1 = from_dense(a, ids, col_ids)
         perm = rng.permutation(16)
         m2 = from_dense(
-            a[perm], [row_ids[i] for i in perm], col_ids
+            a[perm], [ids[i] for i in perm], col_ids
         )
         n1, n2 = ideo.normalize(m1), ideo.normalize(m2)
         t1 = ideo.leading_singular_triplet(n1, seed=7)
         t2 = ideo.leading_singular_triplet(n2, seed=7)
         s1 = ideo.score_users_and_influencers(n1, t1, "c000")
         s2 = ideo.score_users_and_influencers(n2, t2, "c000")
-        assert s1.user_scores == s2.user_scores
-        assert s1.influencer_scores == s2.influencer_scores
+        assert user_scores(s1) == user_scores(s2)
+        assert influencer_scores(s1) == influencer_scores(s2)
 
 
 # Ids as ingest accepts them: no comma, line break or lone surrogate, and
@@ -371,9 +372,10 @@ class TestScoreIO:
         scores = solve_scores(random_count_matrix(rng, 10, 4), anchor="c000")
         path = tmp_path / "scores.csv"
         ideo.write_scores(scores, path)
-        users, influencers = ideo.read_scores(path)
-        assert users == scores.user_scores
-        assert influencers == scores.influencer_scores
+        got = ideo.read_scores(path)
+        assert user_scores(got) == user_scores(scores)
+        assert influencer_scores(got) == influencer_scores(scores)
+        assert got.raw_user_score is None and got.raw_influencer_score is None
 
     @given(users=st.dictionaries(_csv_ids, st.floats(), max_size=20),
            influencers=st.dictionaries(_csv_ids, st.floats(), max_size=5))
@@ -382,11 +384,7 @@ class TestScoreIO:
         """Every finite float, -0.0 included, reads back as written, and a
         NaN or an infinity is refused; an id may be both a user and an
         influencer.  Rows come in (kind, id) order whatever the dicts' order."""
-        scores = ideo.IdeologyScores(
-            user_scores=users, influencer_scores=influencers,
-            raw_user_scores=users, raw_influencer_scores=influencers,
-            sigma1=1.0, anchor_id="", iterations=1, residual=0.0,
-        )
+        scores = scores_of(users, influencers, raw=True)
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
         ideo.write_scores(scores, path)
         keys = [tuple(line.split(",")[1::-1])
@@ -397,17 +395,18 @@ class TestScoreIO:
             with pytest.raises(InputError, match="is not a finite number"):
                 ideo.read_scores(path)
             return
-        got_users, got_influencers = ideo.read_scores(path)
-        assert {k: repr(v) for k, v in got_users.items()} == \
+        got = ideo.read_scores(path)
+        assert {k: repr(v) for k, v in user_scores(got).items()} == \
             {k: repr(v) for k, v in users.items()}
-        assert {k: repr(v) for k, v in got_influencers.items()} == \
+        assert {k: repr(v) for k, v in influencer_scores(got).items()} == \
             {k: repr(v) for k, v in influencers.items()}
 
     def test_trailing_blank_line_reads(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("id,kind,score,raw_score\nu1,user,0.1,0.1\n"
                         "i1,influencer,-0.5,-0.5\n\n", encoding="utf-8")
-        assert ideo.read_scores(path) == ({"u1": 0.1}, {"i1": -0.5})
+        got = ideo.read_scores(path)
+        assert (user_scores(got), influencer_scores(got)) == ({"u1": 0.1}, {"i1": -0.5})
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -505,9 +504,9 @@ class TestMatchesOracle:
         assert got_err == want_err
         if want is None:
             return
-        assert got.row_ids == want.row_ids
+        assert got.node_ids is want.node_ids
         assert got.col_ids == want.col_ids
-        for name in ("indptr", "indices", "data"):
+        for name in ("row_codes", "indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             np.testing.assert_array_equal(a, b, err_msg=name)
@@ -521,7 +520,8 @@ class TestMatchesOracle:
     def test_scorer_property(self, data, n_rows, n_cols):
         """Any left vector, ties and even-sized columns included, on any row
         permutation: the scores equal the dict-based scorer's bit for bit,
-        in the same key order, and an error is the same error."""
+        users in its canonical row order and influencers in id order, and
+        an error is the same error."""
         a = np.array(data.draw(st.lists(
             st.lists(st.integers(0, 3), min_size=n_cols, max_size=n_cols),
             min_size=n_rows, max_size=n_rows)), dtype=float)
@@ -529,8 +529,8 @@ class TestMatchesOracle:
         a[np.arange(n_rows), np.arange(n_rows) % n_cols] += a.sum(axis=1) == 0
         a[np.arange(n_cols) % n_rows, np.arange(n_cols)] += a.sum(axis=0) == 0
         perm = data.draw(st.permutations(range(n_rows)))
-        row_ids = [f"u{i}" for i in range(n_rows)]
-        m = from_dense(a[perm], [row_ids[i] for i in perm],
+        ids = [f"u{i}" for i in range(n_rows)]
+        m = from_dense(a[perm], [ids[i] for i in perm],
                        [f"c{j}" for j in range(n_cols)])
         n = ideo.normalize(m)
         u = np.array(data.draw(st.lists(
@@ -544,8 +544,13 @@ class TestMatchesOracle:
         assert got_err == want_err
         if want is None:
             return
-        for name in ("user_scores", "influencer_scores",
-                     "raw_user_scores", "raw_influencer_scores"):
-            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+        # Users come in canonical row order, influencers sorted by id.
+        for ids, values, name in (("user_ids", "user_score", "user_scores"),
+                                  ("user_ids", "raw_user_score", "raw_user_scores"),
+                                  ("influencer_ids", "influencer_score", "influencer_scores"),
+                                  ("influencer_ids", "raw_influencer_score",
+                                   "raw_influencer_scores")):
+            columns = zip(getattr(got, ids), getattr(got, values).tolist())
+            assert _bits(dict(columns)) == sorted(_bits(getattr(want, name))), name
         assert (got.sigma1, got.anchor_id, got.iterations, got.residual) == \
             (want.sigma1, want.anchor_id, want.iterations, want.residual)

@@ -8,24 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echoaudit import graph as gr
-from echoaudit import ideology as ideo
 from echoaudit import report as rep
 from echoaudit.dip import dip_statistic
 
 from _dip_lp_oracle import lp_dip
 from _graph_oracle import _assemble as graph_oracle
 from _grid_oracle import loop_neighbor_opinion_grid
+from _matrix_helpers import scores_of
 from _tables import originals_table as table
 from conftest import make_record, retweet
-
-
-def scores_obj(user_scores, influencer_scores):
-    return ideo.IdeologyScores(
-        user_scores=dict(user_scores),
-        influencer_scores=dict(influencer_scores),
-        raw_user_scores={}, raw_influencer_scores={},
-        sigma1=1.0, anchor_id="", iterations=1, residual=0.0,
-    )
 
 
 class TestDipStatistic:
@@ -102,7 +93,7 @@ class TestNeighborOpinionGrid:
 
     def test_single_user_single_neighbor(self):
         g = self.graph_one_edge()
-        scores = scores_obj({"u1": -0.9}, {"inf1": -0.8})
+        scores = scores_of({"u1": -0.9}, {"inf1": -0.8})
         grid = rep.neighbor_opinion_grid(scores, g, bins=10)
         assert grid.total() == 1
         x = int(np.searchsorted(grid.x_edges, -0.9, side="right")) - 1
@@ -111,7 +102,7 @@ class TestNeighborOpinionGrid:
 
     def test_balanced_neighbors_average_to_zero(self):
         g = gr.build_graph([retweet("u1", "L"), retweet("u1", "R")])
-        scores = scores_obj({"u1": 0.5}, {"L": -1.0, "R": 1.0})
+        scores = scores_of({"u1": 0.5}, {"L": -1.0, "R": 1.0})
         grid = rep.neighbor_opinion_grid(scores, g, bins=4)
         ys = np.flatnonzero(grid.counts.sum(axis=0))
         assert list(ys) == [2]  # first bin right of zero on [-1, 1] with 4 bins
@@ -120,7 +111,7 @@ class TestNeighborOpinionGrid:
         g = gr.build_graph([
             retweet("u1", "L", "a"), retweet("u1", "L", "b"), retweet("u1", "R", "c"),
         ])
-        scores = scores_obj({"u1": 0.0}, {"L": -0.9, "R": 0.9})
+        scores = scores_of({"u1": 0.0}, {"L": -0.9, "R": 0.9})
         grid = rep.neighbor_opinion_grid(scores, g, bins=100)
         expected_y = (2 * -0.9 + 0.9) / 3
         y = int(np.searchsorted(grid.y_edges, expected_y, side="right")) - 1
@@ -128,7 +119,7 @@ class TestNeighborOpinionGrid:
 
     def test_influencers_excluded_from_user_axis(self):
         g = gr.build_graph([retweet("u1", "inf1"), retweet("inf1", "u1")])
-        scores = scores_obj({"u1": -0.5, "inf1": 0.4}, {"inf1": 0.4})
+        scores = scores_of({"u1": -0.5, "inf1": 0.4}, {"inf1": 0.4})
         stats = Counter()
         grid = rep.neighbor_opinion_grid(scores, g, bins=10, stats=stats)
         assert grid.total() == 1
@@ -136,7 +127,7 @@ class TestNeighborOpinionGrid:
 
     def test_users_without_scored_neighbors_skipped_and_counted(self):
         g = gr.build_graph([retweet("u1", "mystery")])
-        scores = scores_obj({"u1": -0.5}, {})
+        scores = scores_of({"u1": -0.5}, {})
         stats = Counter()
         grid = rep.neighbor_opinion_grid(scores, g, bins=10, stats=stats)
         assert grid.total() == 0
@@ -145,7 +136,7 @@ class TestNeighborOpinionGrid:
     def test_mass_conservation(self, mini_scores, mini_graph):
         stats = Counter()
         grid = rep.neighbor_opinion_grid(mini_scores, mini_graph, stats=stats)
-        population = len(mini_scores.user_scores)
+        population = len(mini_scores.user_ids)
         skipped = sum(v for k, v in stats.items() if k != "users_binned")
         assert grid.total() + skipped == population
         assert grid.total() == stats["users_binned"]
@@ -172,7 +163,7 @@ class TestNeighborOpinionGrid:
         # other order rounds to 0.0 and lands the point in the upper bin.
         pairs = [("u", n) if not use_in else (n, "u") for n in "abc"]
         g = gr.build_graph([retweet(s, d) for s, d in pairs])
-        scores = scores_obj({"u": 0.5}, {"a": 1.0, "b": -1.0, "c": -1e-17})
+        scores = scores_of({"u": 0.5}, {"a": 1.0, "b": -1.0, "c": -1e-17})
         grid = rep.neighbor_opinion_grid(scores, g, bins=2, use_in_neighbors=use_in)
         assert grid.counts.tolist() == [[0, 0], [1, 0]]
 
@@ -208,7 +199,7 @@ def grid_cases(draw):
     ids = st.sampled_from(nodes + ["ghost_a", "ghost_b"])
     users = draw(st.dictionaries(ids, _grid_scores, max_size=10))
     influencers = draw(st.dictionaries(ids, _grid_scores, max_size=4))
-    return g, scores_obj(users, influencers)
+    return g, scores_of(users, influencers)
 
 
 @given(case=grid_cases(), bins=st.integers(1, 12), use_in=st.booleans(),
@@ -233,15 +224,15 @@ def test_neighbor_grid_matches_per_user_loop_oracle(case, bins, use_in, prior):
 
 class TestIdeologyHistograms:
     def test_all_users_in_one_bin(self):
-        scores = scores_obj({f"u{i}": -1.0 for i in range(7)}, {"i1": 0.5})
+        scores = scores_of({f"u{i}": -1.0 for i in range(7)}, {"i1": 0.5})
         hist = rep.ideology_histograms(scores, bins=10)
         users = hist.series["users"]
         assert users[0] == 7 and users.sum() == 7
 
     def test_series_sums_match_populations(self, mini_scores):
         hist = rep.ideology_histograms(mini_scores, bins=50)
-        assert hist.series["users"].sum() == len(mini_scores.user_scores)
-        assert hist.series["influencers"].sum() == len(mini_scores.influencer_scores)
+        assert hist.series["users"].sum() == len(mini_scores.user_ids)
+        assert hist.series["influencers"].sum() == len(mini_scores.influencer_ids)
 
     def test_top_influencer_retweeter_series(self, mini_scores, mini_graph):
         hist = rep.ideology_histograms(mini_scores, bins=50, g=mini_graph, top_k=3)
@@ -276,7 +267,7 @@ def test_top_influencer_retweeter_series_property(pairs, users, influencers, top
     those of a dict-of-pairs oracle."""
     g = gr.build_graph([retweet(src, dst) for src, dst in pairs],
                        count_self_loops=count_self_loops)
-    scores = scores_obj(users, dict.fromkeys(influencers, 0.0))
+    scores = scores_of(users, dict.fromkeys(influencers, 0.0))
     hist = rep.ideology_histograms(scores, bins=8, g=g, top_k=top_k)
 
     distinct = set(pairs)
@@ -302,7 +293,7 @@ def test_top_influencer_retweeter_series_property(pairs, users, influencers, top
 
 class TestLeaningDistributions:
     def scores(self):
-        return scores_obj(
+        return scores_of(
             {"u_left": -0.8, "u_right": 0.7, "u_center": 0.1},
             {"inf_left": -0.9},
         )
@@ -415,7 +406,7 @@ class TestExports:
         assert "diagonal_mass_share" in sidecar["meta"]
 
     def test_histogram_export_shape(self, tmp_path):
-        scores = scores_obj({"u1": -0.5, "u2": 0.5}, {"i": 0.0})
+        scores = scores_of({"u1": -0.5, "u2": 0.5}, {"i": 0.0})
         hist = rep.ideology_histograms(scores, bins=5)
         path = tmp_path / "h.csv"
         rep.write_histogram(hist, path)

@@ -25,7 +25,7 @@ import _engagement_oracle as oracle
 from _ca_oracle import dense_ca_oracle, jacobi_svd
 from _matrix_helpers import edge_list, from_dense
 from _tables import originals_table
-from conftest import FIXTURES, ROOT, random_count_matrix
+from conftest import FIXTURES, ROOT, random_count_matrix, read_truth
 
 
 # What tools/build_fixtures.py prints for the committed fixtures: the counts
@@ -230,7 +230,7 @@ class TestPolarizedCorpus:
 
     def test_default_config_headline_counts(self, default_corpus):
         records = list(ing.parse_corpus(default_corpus.corpus_path))
-        truth = synth.GroundTruth.from_json(default_corpus.truth_path)
+        truth = read_truth(default_corpus.truth_path)
         users = {uid for uid, grp in truth.community.items()
                  if uid.startswith("user")}
         assert len(users) == 1000
@@ -244,7 +244,7 @@ class TestPolarizedCorpus:
             seed=3, n_users=80, n_influencers_per_side=4, p_in=0.6, p_cross=0.0
         )
         result = synth.generate(config, tmp_path)
-        truth = synth.GroundTruth.from_json(result.truth_path)
+        truth = read_truth(result.truth_path)
         records = ing.network_subset(
             ing.apply_filters(ing.parse_corpus(result.corpus_path))
         )
@@ -256,7 +256,7 @@ class TestPolarizedCorpus:
         anchor = next(h for h in truth.planted_hubs
                       if truth.community[h] == "A")
         scores = ideo.score_users_and_influencers(norm, triplet, anchor)
-        for uid, score in scores.user_scores.items():
+        for uid, score in zip(scores.user_ids, scores.user_score.tolist()):
             if truth.community[uid] == "A":
                 assert score < 0, uid
             else:
@@ -264,7 +264,7 @@ class TestPolarizedCorpus:
 
     def test_modularity_exceeds_threshold(self, default_corpus):
         nx = pytest.importorskip("networkx")
-        truth = synth.GroundTruth.from_json(default_corpus.truth_path)
+        truth = read_truth(default_corpus.truth_path)
         records = ing.network_subset(
             ing.apply_filters(ing.parse_corpus(default_corpus.corpus_path))
         )
@@ -281,7 +281,7 @@ class TestPolarizedCorpus:
         assert q > 0.3
 
     def test_group_ae_within_ten_percent_of_targets(self, default_corpus):
-        truth = synth.GroundTruth.from_json(default_corpus.truth_path)
+        truth = read_truth(default_corpus.truth_path)
         originals = list(
             ing.engagement_subset(
                 ing.apply_filters(ing.parse_corpus(default_corpus.corpus_path))
@@ -379,7 +379,7 @@ class TestCalibration:
             seed=5, n_tweets=500, ae_targets=ae_t, pearson_targets=r_t
         )
         result = synth.generate_calibration(config, tmp_path)
-        truth = synth.GroundTruth.from_json(result.truth_path)
+        truth = read_truth(result.truth_path)
         assert truth.target_ae_by_group == {"all": ae_t}
         assert truth.target_log_pearson == r_t
 

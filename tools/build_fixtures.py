@@ -56,8 +56,8 @@ def main() -> None:
         run.of_kinds(ing.KINDS_FOR_NETWORK)
         for run in blk.filter_columns(blk.corpus_columns(out / "mini_corpus.jsonl"))
     ).graph()
-    truth = synth.GroundTruth.from_json(out / "mini_ground_truth.json")
-    infl = gr.select_influencers(g, truth.planted_hubs, threshold=5)
+    hubs = json.loads((out / "mini_ground_truth.json").read_text())["planted_hubs"]
+    infl = gr.select_influencers(g, hubs, threshold=5)
     matrix = ideo.build_interaction_matrix(g, infl, min_distinct=2)
     print(f"influencers_at_thr5={len(infl)} matrix_shape={matrix.shape} "
           f"nnz={matrix.nnz}")
