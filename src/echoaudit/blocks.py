@@ -9,8 +9,9 @@ with a real date, and each run of them is decoded at once into NumPy and
 list columns: ids, kinds, ``datetime64`` times, int64 counts, URL lists and
 the line text.  Every other line is decoded as JSON by the per-line code of
 :func:`ingest.parse_corpus`, the reference, which names ``file:line``; each
-run of those lines gives the columns of its records.  Rejects and log lines
-are those of :func:`ingest.parse_corpus`.
+run of those lines gives the columns of its records, their lines formatted
+as :func:`ingest.write_corpus` writes them.  Rejects and log lines are
+those of :func:`ingest.parse_corpus`.
 
 :func:`filter_columns` and :func:`write_corpus_columns` are
 :func:`ingest.apply_filters` and :func:`ingest.write_corpus` over those
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import InputError
 from .ingest import (KINDS, CorpusFilter, Span, TweetRecord, _open_corpus, _parse_line,
-                     flat_lines, format_epoch_seconds, open_atomic, open_maybe_gzip)
+                     flat_lines, format_timestamp, open_atomic, open_maybe_gzip)
 
 # The exact layout of a :func:`flat_lines` line whose every value JSON writes
 # as itself and ingest accepts as it stands.  Strings are printable ASCII
@@ -95,10 +96,11 @@ class CorpusColumns:
     ``created_at`` is UTC ``datetime64[us]``; ``kind`` is the ``int8`` index
     of each kind in :data:`KINDS`; the counts are ``int64``.  An empty or
     ``None`` ``retweeted_author_id`` means no target.  ``line`` holds each
-    record's corpus line when it was read in the fixed layout of
-    :func:`flat_lines`, else ``None``; for such a line ``urls`` holds the
-    text between the brackets of its URL list, which :meth:`url_lists`
-    splits only when asked.
+    record's ``flat`` corpus line as :func:`write_corpus` writes it, without
+    its line break.  For a record read in the fixed layout of
+    :func:`flat_lines` that is the line read, and ``urls`` holds the text
+    between the brackets of its URL list, which :meth:`url_lists` splits
+    only when asked.
     """
 
     tweet_id: Sequence[str]
@@ -114,17 +116,24 @@ class CorpusColumns:
     quotes: np.ndarray
     urls: Sequence[list[str] | str]
     author_followers: np.ndarray
-    line: Sequence[Optional[str]]
+    line: Sequence[str]
 
     def __len__(self) -> int:
         return len(self.kind)
 
     @classmethod
     def of_records(cls, records: Sequence[TweetRecord]) -> "CorpusColumns":
-        """The columns of ``records``."""
+        """The columns of ``records``, each line formatted as
+        :func:`write_corpus` formats it."""
         counts = np.array([[r.impressions, r.likes, r.replies, r.retweets, r.quotes,
                             r.author_followers] for r in records],
                           dtype=np.int64).reshape(-1, 6).T
+        # JSON escapes every line break inside a string, so the text splits
+        # into one line per record.
+        lines = flat_lines([format_timestamp(r.created_at) for r in records], (
+            (r.tweet_id, r.author_id, r.lang, r.kind, r.retweeted_author_id, r.impressions,
+             r.likes, r.replies, r.retweets, r.quotes, r.urls, r.author_followers)
+            for r in records)).split("\n")[:-1]
         return cls(
             [r.tweet_id for r in records], [r.author_id for r in records],
             np.array([r.created_at.replace(tzinfo=None) for r in records],
@@ -132,7 +141,7 @@ class CorpusColumns:
             [r.lang for r in records],
             np.array([_KIND_CODES[r.kind] for r in records], dtype=np.int8),
             [r.retweeted_author_id for r in records], *counts[:5],
-            [r.urls for r in records], counts[5], [None] * len(records))
+            [r.urls for r in records], counts[5], lines)
 
     def take(self, rows: np.ndarray) -> "CorpusColumns":
         """The records where the boolean array ``rows`` is true."""
@@ -143,33 +152,16 @@ class CorpusColumns:
             name: value[rows] if isinstance(value, np.ndarray) else list(compress(value, keep))
             for name, value in self.__dict__.items()})
 
-    def of_kinds(self, kinds: Iterable[str]) -> "CorpusColumns":
-        """The records of the given kinds."""
-        return self.take(np.array([kind in kinds for kind in KINDS])[self.kind])
-
-    def url_lists(self) -> list[list[str]]:
-        """Each record's URLs, those of a fixed-layout line split from the
-        text between its brackets."""
+    def url_lists(self, rows: Iterable[bool]) -> list[list[str]]:
+        """The URLs of each record where ``rows`` is true, those of a
+        fixed-layout line split from the text between its brackets."""
         return [urls if isinstance(urls, list) else urls[1:-1].split('", "') if urls else []
-                for urls in self.urls]
+                for urls in compress(self.urls, rows)]
 
     def text(self) -> str:
         """The records' ``flat`` corpus lines, newlines included, as
         :func:`write_corpus` writes them."""
-        if None not in self.line:
-            return "\n".join(self.line) + "\n" if self.line else ""
-        lines = list(self.line)
-        missing = [i for i, line in enumerate(lines) if line is None]
-        seconds = self.created_at[missing].astype("datetime64[s]").astype(np.int64)
-        formatted = flat_lines(format_epoch_seconds(seconds), (
-            (self.tweet_id[i], self.author_id[i], self.lang[i], KINDS[self.kind[i]],
-             self.retweeted_author_id[i], int(self.impressions[i]), int(self.likes[i]),
-             int(self.replies[i]), int(self.retweets[i]), int(self.quotes[i]),
-             self.urls[i], int(self.author_followers[i])) for i in missing))
-        # JSON escapes every line break inside a string.
-        for i, line in zip(missing, formatted.split("\n")):
-            lines[i] = line
-        return "\n".join(lines) + "\n"
+        return "\n".join([*self.line, ""])
 
 
 def _matched_columns(matches: list[tuple], created_at: np.ndarray,

@@ -142,8 +142,8 @@ def _kept(runs: Iterator[blk.CorpusColumns], originals: eng.OriginalsTable,
           retweets: gr.RetweetCounts) -> Iterator[blk.CorpusColumns]:
     """Pass runs through, appending what the later pipeline stages read."""
     for run in runs:
-        originals.extend_columns(run.of_kinds(ing.KINDS_FOR_ENGAGEMENT))
-        retweets.extend_columns(run.of_kinds(ing.KINDS_FOR_NETWORK))
+        originals.extend_columns(run)
+        retweets.extend_columns(run)
         yield run
 
 
@@ -229,8 +229,7 @@ def cmd_graph(args, retweets: Optional[gr.RetweetCounts] = None):
     if retweets is None:
         retweets = _merged(ing.fork_map(
             lambda span: gr.RetweetCounts.from_columns(
-                run.of_kinds(ing.KINDS_FOR_NETWORK)
-                for run in blk.corpus_columns(args.input, span=span)),
+                blk.corpus_columns(args.input, span=span)),
             ing.corpus_spans(args.input)))
     skipped = retweets.skipped
     g = retweets.graph(args.count_self_loops)
@@ -327,8 +326,7 @@ def _load_originals(args) -> eng.OriginalsTable:
     table = mb.load_domain_table(args.domains) if args.domains else None
     return _merged(ing.fork_map(
         lambda span: eng.OriginalsTable.from_columns(
-            (run.of_kinds(ing.KINDS_FOR_ENGAGEMENT)
-             for run in blk.corpus_columns(args.input, span=span)), table),
+            blk.corpus_columns(args.input, span=span), table),
         ing.corpus_spans(args.input)))
 
 
@@ -347,7 +345,9 @@ def _ae_tables(args, originals: eng.OriginalsTable,
               else [args.granularity])
     ing.make_dir(args.out_dir)
     if "domain" in wanted and not originals.domains:
-        log.warning("domain granularity requested without --domains; skipped")
+        log.warning("domain granularity requested %s; skipped",
+                    "without --domains" if originals.domains is None
+                    else f"but {args.domains} holds no domain")
         wanted.remove("domain")
     # The tables that a --group-by reads.
     grouped = {"user" if by == "ideology" else "domain" for by in args.group_by or []}
@@ -412,8 +412,8 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
     eng.write_correlations(reports, args.out_dir / "correlations.csv")
 
     if table:
-        blk.write_fields(args.out_dir / "user_leanings.csv", mb.user_leaning(originals),
-                         mb.UserLeaning)
+        leanings = mb.user_leaning(originals)
+        blk.write_columns(args.out_dir / "user_leanings.csv", leanings._fields, leanings)
 
     for group_by in args.group_by or []:
         if group_by == "ideology":
@@ -427,7 +427,9 @@ def cmd_engagement(args, originals: Optional[eng.OriginalsTable] = None,
             summaries = eng.group_ae(results["user"], groups)
         else:
             if "domain" not in results:
-                log.warning("--group-by %s needs domain granularity", group_by)
+                log.warning("--group-by %s needs domain granularity%s", group_by,
+                            "" if table is None or table
+                            else f"; {args.domains} holds no domain")
                 continue
             if group_by == "reliability":
                 groups = {d: p.reliability for d, p in table.items()}

@@ -31,7 +31,7 @@ import numpy as np
 from . import mediabias as mb
 from .errors import EchoauditError
 from .blocks import CorpusColumns, write_fields
-from .ingest import intern_ids, open_atomic, sorted_codes, tally
+from .ingest import KINDS, KINDS_FOR_ENGAGEMENT, intern_ids, open_atomic, sorted_codes, tally
 
 log = logging.getLogger(__name__)
 
@@ -44,14 +44,18 @@ GRANULARITIES = ("tweet", "user", "domain")
 # added some 4 MB to the peak of every process that writes a table.
 _WRITE_CHUNK = 2048
 
+# Whether the table holds records of each kind, by kind code.
+_ORIGINAL = np.array([kind in KINDS_FOR_ENGAGEMENT for kind in KINDS])
+
 
 def _view(column: array) -> np.ndarray:
     return np.frombuffer(column, dtype=np.int64)
 
 
 class OriginalsTable:
-    """Original tweets as columns, appended one run of corpus columns at a
-    time (:meth:`extend_columns`).
+    """Original tweets (the kinds of :data:`ingest.KINDS_FOR_ENGAGEMENT`) as
+    columns, appended one run of corpus columns at a time
+    (:meth:`extend_columns`).
 
     * ``tweet_codes``/``author_codes`` number the distinct ids in first-seen
       order (``author_ids`` lists the authors in that order);
@@ -100,25 +104,27 @@ class OriginalsTable:
         return table
 
     def extend_columns(self, run: CorpusColumns) -> None:
-        """Append the records of ``run`` in order."""
+        """Append the original tweets of ``run`` in order."""
+        rows = _ORIGINAL[run.kind]
+        keep = rows.tolist()
+        n = int(np.count_nonzero(rows))
         for column, vocab, ids in ((self._tweet, self._tweet_vocab, run.tweet_id),
                                    (self._author, self._author_vocab, run.author_id)):
-            column.frombytes(intern_ids(vocab, ids).tobytes())
+            column.frombytes(intern_ids(vocab, list(compress(ids, keep))).tobytes())
         for column, values in ((self._impressions, run.impressions),
                                (self._followers, run.author_followers),
                                (self._actions["retweet"], run.retweets),
                                (self._actions["reply"], run.replies),
                                (self._actions["like"], run.likes),
                                (self._actions["quote"], run.quotes)):
-            column.frombytes(values.tobytes())
-        matched = np.zeros(len(run), dtype=np.int64)
+            column.frombytes(values[rows].tobytes())
+        matched = np.zeros(n, dtype=np.int64)
         if self.domains is not None:
-            url_lists = run.url_lists()
+            url_lists = run.url_lists(keep)
             codes = list(map(self._url_code, chain.from_iterable(url_lists)))
             found = np.array([code is not None for code in codes], dtype=bool)
-            owners = np.repeat(np.arange(len(run)),
-                               np.fromiter(map(len, url_lists), np.int64, len(run)))
-            matched = np.bincount(owners[found], minlength=len(run))
+            owners = np.repeat(np.arange(n), np.fromiter(map(len, url_lists), np.int64, n))
+            matched = np.bincount(owners[found], minlength=n)
             self.unmatched_urls += len(codes) - len(owners[found])
             self._url_domains.extend([code for code in codes if code is not None])
         self._indptr.frombytes((self._indptr[-1] + matched.cumsum()).tobytes())

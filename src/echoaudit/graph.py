@@ -88,9 +88,9 @@ class RetweetCounts:
 
     Ids are interned in first-seen order and each edge is appended as a
     (source code, target code) pair to int64 columns; ``graph`` weighs each
-    pair by the number of times it came.  Records that are not retweets, or
-    lack a target, are skipped and counted in ``skipped``.  Records are
-    added a run of columns at a time (:meth:`extend_columns`).
+    pair by the number of times it came.  Retweets that lack a target are
+    skipped and counted in ``skipped``; records of other kinds are not read.
+    Records are added a run of columns at a time (:meth:`extend_columns`).
     """
 
     def __init__(self, skipped: Optional[Counter] = None):
@@ -107,11 +107,10 @@ class RetweetCounts:
 
     def extend_columns(self, run: CorpusColumns) -> None:
         """Add the edge of each retweet in ``run`` that has a target, and
-        count every other record in ``skipped``."""
+        count every other retweet in ``skipped``."""
         retweet = run.kind == KINDS.index("retweet")
         target = np.fromiter(map(bool, run.retweeted_author_id), bool, len(run))
-        tally_rows(self.skipped, not_a_retweet=~retweet,
-                   missing_retweeted_author=retweet & ~target)
+        tally_rows(self.skipped, missing_retweeted_author=retweet & ~target)
         edges = (retweet & target).tolist()
         self.add_edges(compress(run.author_id, edges),
                        compress(run.retweeted_author_id, edges))

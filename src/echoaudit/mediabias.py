@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -69,11 +69,11 @@ class DomainProfile:
     reliability: str
 
 
-@dataclass(frozen=True)
-class UserLeaning:
-    user_id: str
-    n_urls: int
-    score: Optional[float]
+class UserLeanings(NamedTuple):
+    """Per-author leanings as columns, authors in sorted id order."""
+    user_id: list[str]
+    n_urls: np.ndarray                   # int64
+    score: list[Optional[float]]         # None for an author without one
 
 
 class PublicSuffixes:
@@ -262,10 +262,10 @@ def user_leaning(
     originals: "OriginalsTable",
     include_unreliable_leanings: bool = True,
     unmatched: Optional[Counter] = None,
-) -> list[UserLeaning]:
+) -> UserLeanings:
     """Mean leaning score over each author's matched URL occurrences.
 
-    One :class:`UserLeaning` per author, in sorted id order.  Every shared
+    One row of :class:`UserLeanings` per author.  Every shared
     URL counts with multiplicity.  URLs that match no table row or whose
     profile carries no leaning score are ignored and counted.  With
     ``include_unreliable_leanings=False`` only reliable outlets contribute.
@@ -291,10 +291,9 @@ def user_leaning(
     totals = np.bincount(owners, weights=score[codes], minlength=rank.size)
     n_urls = np.bincount(owners, minlength=rank.size)
     order = np.argsort(rank)
-    return [
-        UserLeaning(user_id=uid, n_urls=n, score=(total / n if n else None))
-        for uid, n, total in zip(ids, n_urls[order].tolist(), totals[order].tolist())
-    ]
+    n_urls = n_urls[order]
+    return UserLeanings(ids, n_urls, [total / n if n else None for n, total in zip(
+        n_urls.tolist(), totals[order].tolist())])
 
 
 def user_class_counts(originals: "OriginalsTable") -> dict[str, dict[str, int]]:

@@ -42,6 +42,13 @@ def tweet_ae(rec: TweetRecord) -> Optional[dict[str, float]]:
 
 
 @dataclass(frozen=True)
+class UserLeaning:
+    user_id: str
+    n_urls: int
+    score: Optional[float]
+
+
+@dataclass(frozen=True)
 class EngagementRecord:
     subject_id: str
     granularity: str
@@ -234,7 +241,7 @@ def user_leaning(
     user_id: str,
     records: Iterable[TweetRecord],
     table: Mapping[str, mb.DomainProfile],
-) -> mb.UserLeaning:
+) -> UserLeaning:
     total = 0.0
     n = 0
     for rec in records:
@@ -242,7 +249,7 @@ def user_leaning(
             if profile.leaning_score is not None:
                 total += profile.leaning_score
                 n += 1
-    return mb.UserLeaning(user_id=user_id, n_urls=n, score=(total / n if n else None))
+    return UserLeaning(user_id=user_id, n_urls=n, score=(total / n if n else None))
 
 
 def user_class_counts(

@@ -2,9 +2,10 @@
 
 These are the original ``OriginalsTable.add`` and ``RetweetCounts.add`` and
 ``add_edge``: each appends one record, or one edge, to the columns that the
-production ``extend_columns`` and ``add_edges`` fill a run at a time.  Only
-the equivalence properties use them; every other test fills its tables
-through the column path (``_tables``).
+production ``extend_columns`` and ``add_edges`` fill a run at a time.  As
+there, each table reads only the records of its own kinds.  Only the
+equivalence properties use them; every other test fills its tables through
+the column path (``_tables``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 from echoaudit import mediabias as mb
 from echoaudit.engagement import OriginalsTable
 from echoaudit.graph import RetweetCounts
-from echoaudit.ingest import TweetRecord
+from echoaudit.ingest import KINDS_FOR_ENGAGEMENT, KINDS_FOR_NETWORK, TweetRecord
 
 
 def add_original(table: OriginalsTable, rec: TweetRecord) -> None:
@@ -46,7 +47,8 @@ def originals_by_record(
 ) -> OriginalsTable:
     table = OriginalsTable(domains)
     for rec in records:
-        add_original(table, rec)
+        if rec.kind in KINDS_FOR_ENGAGEMENT:
+            add_original(table, rec)
     return table
 
 
@@ -58,9 +60,9 @@ def add_edge(counts: RetweetCounts, src: str, dst: str) -> None:
 
 
 def add_retweet(counts: RetweetCounts, rec: TweetRecord) -> None:
-    if rec.kind != "retweet":
-        counts.skipped["not_a_retweet"] += 1
-    elif not rec.retweeted_author_id:
+    if rec.kind not in KINDS_FOR_NETWORK:
+        return
+    if not rec.retweeted_author_id:
         counts.skipped["missing_retweeted_author"] += 1
     else:
         add_edge(counts, rec.author_id, rec.retweeted_author_id)

@@ -243,9 +243,9 @@ def test_criterion_6_leaning_mapping_exactness(tmp_path):
 
     def mean_for(labels):
         urls = [f"https://{label.lower()}.test/x" for label in labels]
-        (ul,) = mb.user_leaning(
-            originals_table([make_record(urls=urls)], table))
-        return ul.score
+        (score,) = mb.user_leaning(
+            originals_table([make_record(urls=urls)], table)).score
+        return score
 
     hand_cases = [
         (["Left", "Right"], 0.0),

@@ -164,7 +164,7 @@ def test_tables_by_blocks_equal_by_rows(corpus, n):
         run.tweet_id, run.author_id, run.created_at.tolist(), run.lang,
         [ing.KINDS[k] for k in run.kind], [t or None for t in run.retweeted_author_id],
         run.impressions.tolist(), run.likes.tolist(), run.replies.tolist(),
-        run.retweets.tolist(), run.quotes.tolist(), run.url_lists(),
+        run.retweets.tolist(), run.quotes.tolist(), run.url_lists([True] * len(run)),
         run.author_followers.tolist())]
     want = [(r.tweet_id, r.author_id, r.created_at.replace(tzinfo=None), r.lang, r.kind,
              r.retweeted_author_id or None, r.impressions, r.likes, r.replies, r.retweets,

@@ -20,11 +20,13 @@ from echoaudit import engagement as eng
 from echoaudit import graph as gr
 from echoaudit import ideology as ideo
 from echoaudit import ingest as ing
+from echoaudit import mediabias as mb
 from echoaudit import report as rep
 from echoaudit import synth
 from echoaudit.errors import InputError, OutputError
 
 from conftest import FIXTURES, ROOT
+from test_spans import graph_state, table_state
 
 
 def run(argv):
@@ -292,6 +294,37 @@ class TestUnsafeIds:
         assert all(line.count(",") == 2 for line in edges)
 
 
+def test_pipeline_fill_equals_standalone(tmp_path, monkeypatch):
+    """The originals table and the retweet counts that ingest fills for
+    ``pipeline`` equal those that standalone ``engagement`` and ``graph``
+    build from the filtered corpus it wrote."""
+    corpus = mini_corpus_plus(tmp_path / "corpus.jsonl",
+                              x1={"kind": "retweet", "retweeted_author_id": None})
+    parse = cli._parser().parse_args
+    filtered = tmp_path / "filtered.jsonl"
+    domains = FIXTURES / "mini_domains.csv"
+    originals, retweets = cli.cmd_ingest(
+        parse(["ingest", "--input", str(corpus), "--filtered-out", str(filtered)]),
+        keep=True, domains=mb.load_domain_table(domains))
+    assert retweets.skipped == Counter(missing_retweeted_author=1)
+    loaded = cli._load_originals(parse([
+        "engagement", "--input", str(filtered), "--domains", str(domains),
+        "--out-dir", str(tmp_path / "unused")]))
+    assert table_state(originals) == table_state(loaded)
+    # Standalone graph's counts are those it makes its graph of.
+    standalone = []
+    graph = gr.RetweetCounts.graph
+    monkeypatch.setattr(gr.RetweetCounts, "graph",
+                        lambda self, *args: standalone.append(self) or graph(self, *args))
+    cli.cmd_graph(parse([
+        "graph", "--input", str(filtered), "--seeds", str(FIXTURES / "mini_seeds.txt"),
+        "--min-indegree", "5", "--graph-out", str(tmp_path / "g.csv"),
+        "--influencers-out", str(tmp_path / "i.txt")]))
+    monkeypatch.undo()
+    (counts,) = standalone
+    assert graph_state(retweets) == graph_state(counts)
+
+
 class TestErrors:
     @pytest.mark.parametrize("stage,flag,value", [
         ("ideology", "--tol", "0"),
@@ -434,6 +467,18 @@ class TestErrors:
              "--min-indegree", "5", "--graph-out", tmp_path / "g.csv",
              "--influencers-out", tmp_path / "i.txt"])
         assert "(skipped {'missing_retweeted_author': 1})" in caplog.text
+
+    def test_empty_domain_table_named_in_warnings(self, tmp_path, caplog):
+        domains = tmp_path / "T.csv"
+        domains.write_text("domain,leaning_label,reliability\n")
+        caplog.set_level(logging.INFO, logger="echoaudit")
+        run(["engagement", "--input", FIXTURES / "mini_corpus.jsonl", "--domains", domains,
+             "--group-by", "reliability", "--out-dir", tmp_path / "out"])
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            f"domain granularity requested but {domains} holds no domain; skipped",
+            f"--group-by reliability needs domain granularity; {domains} holds no domain"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "ae_tweet.csv", "ae_user.csv", "correlations.csv", "engagement_stats.csv"]
 
     def test_missing_input_fatal(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -581,8 +581,8 @@ class TestAtomicWriters:
         (eng.write_group_summaries, lambda: [
             eng.GroupSummary("g", "like", 1, *[0.5] * 6),
             eng.GroupSummary("g", "quote", 1, Boom(), *[0.5] * 5)]),
-        (lambda rows, path: blk.write_fields(path, rows, mb.UserLeaning), lambda: [
-            mb.UserLeaning("a", 1, 0.5), mb.UserLeaning("b", 1, Boom())]),
+        (lambda rows, path: blk.write_columns(path, rows._fields, rows), lambda:
+            mb.UserLeanings(["a", "b"], np.array([1, 1]), [0.5, Boom()])),
         (blk.write_count_report, lambda: Counter({"a": 1, "b": Boom()})),
         (write_grid, grid_failing_late),
         (rep.write_histogram, histogram_failing_late),

@@ -65,15 +65,14 @@ class TestBuildGraph:
         skipped = Counter()
         g = gr.build_graph([make_record(kind="original")], skipped=skipped)
         assert g.n_nodes == 0
-        assert skipped["not_a_retweet"] == 1
+        assert not skipped
 
     def test_counts_added_one_at_a_time_match_build_graph(self, mini_retained,
                                                            mini_graph):
         counts = gr.RetweetCounts()
         for rec in mini_retained:
             counts.extend_columns(CorpusColumns.of_records([rec]))
-        assert counts.skipped["not_a_retweet"] == sum(
-            r.kind != "retweet" for r in mini_retained)
+        assert not counts.skipped
         assert_same_graph(counts.graph(), mini_graph)
 
     def test_weight_sum_equals_record_count(self, mini_retained):
@@ -329,7 +328,6 @@ def test_build_graph_matches_dict_oracle_property(records, count_self_loops):
     assert skipped == want
     assert want == Counter(
         earlier=2,
-        not_a_retweet=sum(r.kind != "retweet" for r in records),
         missing_retweeted_author=sum(r.kind == "retweet" and not r.retweeted_author_id
                                      for r in records))
 

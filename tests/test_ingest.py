@@ -758,7 +758,8 @@ def column_records(runs):
                 run.tweet_id, run.author_id, run.created_at.tolist(), run.lang,
                 run.kind.tolist(), run.retweeted_author_id, run.impressions.tolist(),
                 run.likes.tolist(), run.replies.tolist(), run.retweets.tolist(),
-                run.quotes.tolist(), run.url_lists(), run.author_followers.tolist())]
+                run.quotes.tolist(), run.url_lists([True] * len(run)),
+                run.author_followers.tolist())]
 
 
 _padding = st.sampled_from(["", "", "", " ", "\t", " \t "])

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -249,8 +250,8 @@ def rec_with_urls(urls, author="alice"):
 
 def leaning(records, table, **kwargs):
     """The leaning of the one author of ``records``."""
-    (ul,) = mb.user_leaning(originals(records, table), **kwargs)
-    return ul
+    _, (n_urls,), (score,) = mb.user_leaning(originals(records, table), **kwargs)
+    return SimpleNamespace(n_urls=n_urls, score=score)
 
 
 class TestUserLeaning:
@@ -354,7 +355,7 @@ def test_write_user_leanings(tmp_path):
         rec_with_urls(["unknown.test"], author="a"),
     ], table))
     out = tmp_path / "leanings.csv"
-    blk.write_fields(out, rows, mb.UserLeaning)
+    blk.write_columns(out, rows._fields, rows)
     text = out.read_text().splitlines()
     assert text[0] == "user_id,n_urls,score"
     assert text[1] == "a,0,"

@@ -18,7 +18,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from echoaudit import blocks as blk        # noqa: E402
 from echoaudit import graph as gr          # noqa: E402
 from echoaudit import ideology as ideo     # noqa: E402
-from echoaudit import ingest as ing        # noqa: E402
 from echoaudit import synth                # noqa: E402
 
 
@@ -53,8 +52,7 @@ def main() -> None:
           f"graph_nodes={len(nodes)} graph_edges={len(pairs)}")
 
     g = gr.RetweetCounts.from_columns(
-        run.of_kinds(ing.KINDS_FOR_NETWORK)
-        for run in blk.filter_columns(blk.corpus_columns(out / "mini_corpus.jsonl"))
+        blk.filter_columns(blk.corpus_columns(out / "mini_corpus.jsonl"))
     ).graph()
     hubs = json.loads((out / "mini_ground_truth.json").read_text())["planted_hubs"]
     infl = gr.select_influencers(g, hubs, threshold=5)
