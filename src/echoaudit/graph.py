@@ -22,13 +22,17 @@ import numpy as np
 
 from .errors import EmptySelectionError, InputError
 from .blocks import Codes, CorpusColumns, read_table, tally_rows, write_columns
-from .ingest import KINDS, MAX_COUNT, TweetRecord, intern_ids, open_maybe_gzip, sorted_codes
+from .ingest import (KINDS, KINDS_FOR_NETWORK, MAX_COUNT, TweetRecord, intern_ids,
+                     open_maybe_gzip, sorted_codes)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MIN_UNIQUE_IN_DEGREE = 100
 
 EDGE_LIST_HEADER = ("src", "dst", "weight")
+
+# Whether records of each kind are retweet edges, by kind code.
+_RETWEET = np.array([kind in KINDS_FOR_NETWORK for kind in KINDS])
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ class RetweetCounts:
     def extend_columns(self, run: CorpusColumns) -> None:
         """Add the edge of each retweet in ``run`` that has a target, and
         count every other retweet in ``skipped``."""
-        retweet = run.kind == KINDS.index("retweet")
+        retweet = _RETWEET[run.kind]
         target = np.fromiter(map(bool, run.retweeted_author_id), bool, len(run))
         tally_rows(self.skipped, missing_retweeted_author=retweet & ~target)
         edges = (retweet & target).tolist()

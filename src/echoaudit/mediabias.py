@@ -260,16 +260,15 @@ def load_domain_table(path: str | Path) -> dict[str, DomainProfile]:
 
 def user_leaning(
     originals: "OriginalsTable",
-    include_unreliable_leanings: bool = True,
     unmatched: Optional[Counter] = None,
 ) -> UserLeanings:
     """Mean leaning score over each author's matched URL occurrences.
 
     One row of :class:`UserLeanings` per author.  Every shared
-    URL counts with multiplicity.  URLs that match no table row or whose
-    profile carries no leaning score are ignored and counted.  With
-    ``include_unreliable_leanings=False`` only reliable outlets contribute.
-    An author's scores add in record order, then URL order.
+    URL counts with multiplicity, from outlets of every reliability.  URLs
+    that match no table row or whose profile carries no leaning score are
+    ignored and counted.  An author's scores add in record order, then URL
+    order.
     """
     if unmatched is None:
         unmatched = Counter()
@@ -282,11 +281,6 @@ def user_leaning(
     labelled = ~np.isnan(score[codes])
     tally(unmatched, "no_leaning_label", codes.size - int(np.count_nonzero(labelled)))
     codes, owners = codes[labelled], owners[labelled]
-    if not include_unreliable_leanings:
-        reliable = np.array([p.reliability == "reliable" for p in profiles], dtype=bool)
-        keep = reliable[codes]
-        tally(unmatched, "unreliable_excluded", codes.size - int(np.count_nonzero(keep)))
-        codes, owners = codes[keep], owners[keep]
     ids, rank = originals.sorted_authors()
     totals = np.bincount(owners, weights=score[codes], minlength=rank.size)
     n_urls = np.bincount(owners, minlength=rank.size)

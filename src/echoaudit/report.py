@@ -233,7 +233,7 @@ def ideology_histograms(
     meta = {
         "n_users": int(user_vals.size),
         "n_influencers": int(infl_vals.size),
-        "user_dip": dip_statistic(user_vals) if user_vals.size >= 2 else 0.0,
+        "user_dip": dip_statistic(user_vals),
     }
 
     if g is not None and top_k > 0:

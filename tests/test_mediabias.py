@@ -293,15 +293,12 @@ class TestUserLeaning:
         assert ul.score == -0.66
         assert unmatched["no_leaning_label"] == 1
 
-    def test_exclude_unreliable_flag(self, tmp_path):
+    def test_unreliable_outlets_count(self, tmp_path):
         table = leaning_table(tmp_path)
         records = [rec_with_urls(["shady.test", "leftie.test"])]
         inclusive = leaning(records, table)
         assert inclusive.n_urls == 2
         assert inclusive.score == pytest.approx((0.66 - 0.66) / 2, abs=1e-12)
-        strict = leaning(records, table, include_unreliable_leanings=False)
-        assert strict.n_urls == 1
-        assert strict.score == -0.66
 
     def test_subdomains_collapse(self, tmp_path):
         table = leaning_table(tmp_path)

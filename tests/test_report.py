@@ -4,13 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echoaudit import graph as gr
 from echoaudit import report as rep
-from echoaudit.dip import dip_statistic
+from echoaudit.dip import _envelope, _hull, dip_statistic
 
+import _dip_scalar_oracle as scalar_oracle
 from _dip_lp_oracle import lp_dip
 from _graph_oracle import _assemble as graph_oracle
 from _grid_oracle import loop_neighbor_opinion_grid
@@ -53,6 +54,76 @@ class TestDipStatistic:
         assert dip_statistic([]) == 0.0
         assert dip_statistic([3.0]) == 0.0
         assert dip_statistic([2.0, 2.0, 2.0]) == 0.0
+
+
+def cdf_hull(x, lower):
+    """``_hull`` on lists over the cdf points the dip builds from sorted
+    ``x`` (left limits below, right values above), checked against the
+    scalar reference on arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    y = (np.arange(x.size) + (0 if lower else 1)) / x.size
+    hull = _hull(x.tolist(), y.tolist(), lower)
+    assert hull == scalar_oracle._hull(x, y, lower)
+    return hull
+
+
+class TestHullVertices:
+    def test_evenly_spaced_points_are_all_collinear(self):
+        # Equal turn and chord pop the middle vertex on both sides.
+        assert cdf_hull(np.arange(8.0), lower=True) == [0, 7]
+        assert cdf_hull(np.arange(8.0), lower=False) == [0, 7]
+        for n in (3, 10, 57):
+            cdf_hull(np.linspace(0.0, 1.0, n), lower=True)
+            cdf_hull(np.linspace(0.0, 1.0, n), lower=False)
+
+    def test_repeated_x_values(self):
+        x = [0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0]
+        # A tie at the right end leaves two minorant vertices at one x.
+        assert cdf_hull(x, lower=True) == [0, 6, 7]
+        assert cdf_hull(x, lower=False) == [0, 1, 4, 7]
+
+    def test_rounding_decides_a_near_collinear_triple(self):
+        # Collinear in decimals, but 0.3 - 0.1 rounds below 2 * (0.2 - 0.1):
+        # the minorant keeps the middle point and the majorant pops it.
+        assert cdf_hull([0.1, 0.2, 0.3], lower=True) == [0, 1, 2]
+        assert cdf_hull([0.1, 0.2, 0.3], lower=False) == [0, 2]
+
+
+@st.composite
+def dip_samples(draw):
+    """Values on a coarse grid, so that ties are common: anywhere on it,
+    evenly spaced along it, or in two clusters apart."""
+    step = draw(st.sampled_from([0.25, 0.1, 0.01]))
+    shape = draw(st.sampled_from(["any", "even", "two"]))
+    if shape == "any":
+        ks = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=300))
+    elif shape == "even":
+        ks = range(draw(st.integers(2, 300)))
+    else:
+        ks = (draw(st.lists(st.integers(-40, -10), min_size=1, max_size=150))
+              + draw(st.lists(st.integers(10, 40), min_size=1, max_size=150)))
+    return [k * step for k in ks]
+
+
+@given(values=dip_samples())
+@example(values=[k * 0.1 for k in range(19)])  # equal gaps, one in each scan
+@settings(max_examples=300, deadline=None)
+def test_dip_matches_scalar_reference_bit_for_bit(values):
+    got, want = dip_statistic(values), scalar_oracle.dip_statistic(values)
+    assert got == want
+    assert float(got).hex() == float(want).hex()
+
+
+@given(values=dip_samples())
+@settings(max_examples=100, deadline=None)
+def test_envelopes_match_scalar_reference_at_every_point(values):
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    for lower in (True, False):
+        y = (np.arange(x.size) + (0 if lower else 1)) / x.size
+        hull = scalar_oracle._hull(x, y, lower)
+        got = _envelope(np.array(hull), x, y, x).tolist()
+        want = [scalar_oracle._interp(hull, x, y, q) for q in x.tolist()]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestDipThreshold:
