@@ -122,26 +122,36 @@ class CorpusColumns:
         return len(self.kind)
 
     @classmethod
+    def of_rows(cls, created_at: np.ndarray, rows: Sequence[tuple],
+                text: str) -> "CorpusColumns":
+        """The columns of ``rows`` as :func:`flat_lines` takes them, whose
+        times are the UTC ``datetime64`` ``created_at`` and whose
+        :func:`flat_lines` text is ``text``; the URL lists are kept as the
+        rows hold them."""
+        (tweet_id, author_id, lang, kind, retweeted, impressions, likes, replies, retweets,
+         quotes, urls, followers) = list(zip(*rows)) or [()] * 12
+        counts = np.array((impressions, likes, replies, retweets, quotes, followers),
+                          dtype=np.int64)
+        # JSON escapes every line break inside a string, so the text splits
+        # into one line per row.
+        lines = text.split("\n")
+        lines.pop()
+        return cls(
+            tweet_id, author_id, created_at.astype("datetime64[us]"), lang,
+            np.fromiter(map(_KIND_CODES.__getitem__, kind), np.int8, len(kind)),
+            retweeted, *counts[:5], urls, counts[5], lines)
+
+    @classmethod
     def of_records(cls, records: Sequence[TweetRecord]) -> "CorpusColumns":
         """The columns of ``records``, each line formatted as
         :func:`write_corpus` formats it."""
-        counts = np.array([[r.impressions, r.likes, r.replies, r.retweets, r.quotes,
-                            r.author_followers] for r in records],
-                          dtype=np.int64).reshape(-1, 6).T
-        # JSON escapes every line break inside a string, so the text splits
-        # into one line per record.
-        lines = flat_lines([format_timestamp(r.created_at) for r in records], (
-            (r.tweet_id, r.author_id, r.lang, r.kind, r.retweeted_author_id, r.impressions,
-             r.likes, r.replies, r.retweets, r.quotes, r.urls, r.author_followers)
-            for r in records)).split("\n")[:-1]
-        return cls(
-            [r.tweet_id for r in records], [r.author_id for r in records],
+        rows = [(r.tweet_id, r.author_id, r.lang, r.kind, r.retweeted_author_id,
+                 r.impressions, r.likes, r.replies, r.retweets, r.quotes, r.urls,
+                 r.author_followers) for r in records]
+        return cls.of_rows(
             np.array([r.created_at.replace(tzinfo=None) for r in records],
                      dtype="datetime64[us]"),
-            [r.lang for r in records],
-            np.array([_KIND_CODES[r.kind] for r in records], dtype=np.int8),
-            [r.retweeted_author_id for r in records], *counts[:5],
-            [r.urls for r in records], counts[5], lines)
+            rows, flat_lines([format_timestamp(r.created_at) for r in records], rows))
 
     def take(self, rows: np.ndarray) -> "CorpusColumns":
         """The records where the boolean array ``rows`` is true."""
@@ -155,8 +165,8 @@ class CorpusColumns:
     def url_lists(self, rows: Iterable[bool]) -> list[list[str]]:
         """The URLs of each record where ``rows`` is true, those of a
         fixed-layout line split from the text between its brackets."""
-        return [urls if isinstance(urls, list) else urls[1:-1].split('", "') if urls else []
-                for urls in compress(self.urls, rows)]
+        return [(urls[1:-1].split('", "') if urls else []) if isinstance(urls, str)
+                else list(urls) for urls in compress(self.urls, rows)]
 
     def text(self) -> str:
         """The records' ``flat`` corpus lines, newlines included, as
@@ -176,16 +186,51 @@ def _matched_columns(matches: list[tuple], created_at: np.ndarray,
                                           followers)),
                            dtype=np.int64, sep=",").reshape(6, -1)
     kinds = np.fromiter(map(_KIND_CODES.__getitem__, kind), np.int8, len(kind))
-    shared = _SHARED[kinds]
-    if shared.any():
-        n = len(kinds)
-        tally_rows(rejects, self_retweet_kept=shared & np.fromiter(
-                       map(str.__eq__, retweeted, author_id), bool, n),
-                   retweet_missing_target_kept=shared & np.fromiter(
-                       map(operator.not_, retweeted), bool, n))
-    return CorpusColumns(
+    return _tallied(CorpusColumns(
         tweet_id, author_id, created_at.astype("datetime64[us]"), lang, kinds,
-        retweeted, *counts[:5], urls, counts[5], line)
+        retweeted, *counts[:5], urls, counts[5], line), rejects)
+
+
+def _tallied(run: CorpusColumns, rejects: Counter) -> CorpusColumns:
+    """``run``, its retweets and quotes of their own author or of no one
+    counted in ``rejects`` as :func:`parse_corpus` counts them."""
+    shared = _SHARED[run.kind]
+    if shared.any():
+        n = len(run)
+        tally_rows(rejects, self_retweet_kept=shared & np.fromiter(
+                       map(operator.eq, run.retweeted_author_id, run.author_id), bool, n),
+                   retweet_missing_target_kept=shared & np.fromiter(
+                       map(operator.not_, run.retweeted_author_id), bool, n))
+    return run
+
+
+# A count of the fixed layout has at most 15 digits.
+_LAYOUT_COUNT_LIMIT = 10**15
+
+
+def row_columns(created_at: Sequence[int], rows: Sequence[tuple], text: str,
+                rejects: Counter, path: Path, lineno: int) -> Iterator[CorpusColumns]:
+    """The runs, rejects and log lines that :func:`corpus_columns` gives for
+    ``text``, the :func:`flat_lines` text of one or more ``rows`` whose
+    times are ``created_at`` in epoch seconds, read as lines ``lineno`` on
+    of the ``flat`` corpus ``path``.
+
+    Rows whose strings are in the fixed layout, as synth's are, become one
+    run with no decoding.  Rows holding a count outside the layout's 15
+    digits are decoded from ``text`` instead, and such a line goes down
+    the JSON path, which rejects a count above ``MAX_COUNT``.
+    """
+    try:
+        run = CorpusColumns.of_rows(np.array(created_at, dtype="datetime64[s]"), rows, text)
+    except OverflowError:   # a count that no int64 holds
+        run = None
+    if run is not None and all(
+            0 <= column.min() and column.max() < _LAYOUT_COUNT_LIMIT
+            for column in (run.impressions, run.likes, run.replies, run.retweets,
+                           run.quotes, run.author_followers)):
+        yield _tallied(run, rejects)
+    else:
+        yield from _block_columns(text, "flat", rejects, path, lineno)
 
 
 def _matched_times(matches: list[tuple]) -> tuple[np.ndarray, np.ndarray]:

@@ -6,24 +6,28 @@ sidecars) so stages can be re-run or swapped independently.  Each
 artifacts and returns what later stages need; an input passed in memory is
 not read from its file.
 
-``pipeline`` runs the whole chain into one output tree.  It reads the corpus
-in one pass: while ingest writes ``filtered.jsonl`` it fills the table of
-original tweets (their URLs resolved against the domain table) and the
-retweet counts, and hands them, the graph and the scores from stage to
-stage.  It still writes every intermediate, byte-identical to the files the
-subcommands chained by hand would write.
+``pipeline`` runs the whole chain into one output tree.  It never decodes
+its corpus: synth hands each block of records to ingest as rows, which are
+formatted once for ``synth/corpus.jsonl`` and become ingest's columns
+(:func:`blocks.row_columns`).  While ingest writes ``filtered.jsonl`` it
+fills the table of original tweets (their URLs resolved against the domain
+table) and the retweet counts, and hands them, the graph and the scores
+from stage to stage.  It still writes every intermediate, byte-identical to
+the files the subcommands chained by hand would write.
 
-Every read of a plain corpus (ingest's input, and the filtered corpus that
-standalone ``graph``, ``engagement`` and ``report`` read) is split into one
+Every read of a plain corpus (standalone ingest's input, and the filtered
+corpus that standalone ``graph``, ``engagement`` and ``report`` read) is
+split into one
 line-aligned span per usable CPU, each span parsed by the same code, all but
 the first in a forked child, and the parts merged in file order; engagement
 deals its granularities out the same way, each worker aggregating and
 writing one ``ae_*.csv`` table at a time.  With two or more
-usable CPUs, ``pipeline`` also runs synth in a forked child that streams
-each block of its corpus to ingest here as it writes it (ingest commits its
-outputs only once synth has succeeded), makes the AE tables in one forked
-worker while graph and ideology run here, and runs report in a forked child
-beside the rest of engagement.  With one, its stages run one after another.
+usable CPUs, ``pipeline`` also runs synth in a forked child that sends each
+block of rows here, pickled, as it draws them (the corpus and ingest's
+outputs are committed only once synth has succeeded), makes the AE tables
+in one forked worker while graph and ideology run here, and runs report in
+a forked child beside the rest of engagement.  With one, its stages run one
+after another, and synth's blocks go to ingest in this process.
 
 Given inputs and flags, every output is deterministic.  Counters, log lines
 and each artifact that no BLAS reduction feeds are also the same at any
@@ -42,8 +46,9 @@ import shutil
 import sys
 from collections import Counter
 from contextlib import ExitStack, suppress
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import blocks as blk
 from . import engagement as eng
@@ -92,15 +97,16 @@ def _synth_config(args):
     return synth.default_config()
 
 
-def cmd_synth(args, config=None, stream: Optional[TextIO] = None) -> synth.SynthResult:
-    """Generate the corpus; each block of its lines also goes to ``stream``."""
+def _generate(config, out_dir: Path, *consume):
+    """Run the generator of ``config``'s mode (see :func:`synth.generate`)."""
     from . import synth
-    if config is None:
-        config = _synth_config(args)
-    if isinstance(config, synth.CalibrationConfig):
-        result = synth.generate_calibration(config, args.out_dir, stream)
-    else:
-        result = synth.generate(config, args.out_dir, stream)
+    generate = (synth.generate_calibration if isinstance(config, synth.CalibrationConfig)
+                else synth.generate)
+    return generate(config, out_dir, *consume)
+
+
+def cmd_synth(args) -> synth.SynthResult:
+    result = _generate(_synth_config(args), args.out_dir)
     log.info("wrote %d records to %s", result.n_records, result.corpus_path)
     return result
 
@@ -157,18 +163,18 @@ def _merged(parts: Sequence):
 
 def cmd_ingest(args, keep: bool = False,
                domains: Optional[dict[str, mb.DomainProfile]] = None,
-               corpus: Optional[TextIO] = None):
+               columns: Optional[Callable[[Counter], Iterator[blk.CorpusColumns]]] = None):
     """Filter the corpus into ``--filtered-out``, one span per usable CPU.
 
     With ``keep``, returns the table of retained original tweets (URLs
     resolved against ``domains``) and the retweet counts, gathered in the
-    same pass that writes the filtered corpus.  ``corpus`` is an open text
-    stream of ``--input`` (see :func:`ingest.fork_stream`), read here in one
-    pass instead of the file.
+    same pass that writes the filtered corpus.  ``columns``, when given,
+    makes the corpus's runs of columns in one pass instead of reading
+    ``--input``: it yields them and counts its rejects in the ``Counter``
+    it is passed.
     """
     corpus_filter = _corpus_filter(args)
-    source = args.input if corpus is None else corpus
-    spans = ing.corpus_spans(args.input) if corpus is None else [None]
+    spans = ing.corpus_spans(args.input) if columns is None else [None]
     # No output is committed before every one is open, and the reports open
     # after the read, so an input error still comes first.
     with ExitStack() as outputs:
@@ -178,8 +184,9 @@ def cmd_ingest(args, keep: bool = False,
             rejects: Counter = Counter()
             exclusions: Counter = Counter()
             runs = blk.filter_columns(
-                blk.corpus_columns(source, schema=args.schema, rejects=rejects,
-                                   span=spans[k]),
+                blk.corpus_columns(args.input, schema=args.schema, rejects=rejects,
+                                   span=spans[k])
+                if columns is None else columns(rejects),
                 corpus_filter,
                 exclusions,
             )
@@ -532,9 +539,10 @@ def cmd_pipeline(args) -> None:
 
     Each stage gets the arguments its subcommand would parse from the argv
     below, and takes from memory what an earlier stage produced: the corpus
-    is parsed once, and the graph and scores are not read back.  With two
-    or more usable CPUs, synth runs in a forked child while ingest reads its
-    corpus here as it is written; a forked worker makes the AE tables while
+    is never decoded, and the graph and scores are not read back.  With two
+    or more usable CPUs, synth runs in a forked child while ingest takes its
+    blocks of rows here as they are drawn; a forked worker makes the AE
+    tables while
     graph and ideology run here; and report runs in a forked child while
     the rest of engagement runs here, after reaping the table worker.  With
     one, the stages run one after another.
@@ -548,10 +556,6 @@ def cmd_pipeline(args) -> None:
     side_by_side = ing.usable_cpus() > 1
 
     synth_dir = out / "synth"
-    synth_argv = ["synth", "--out-dir", str(synth_dir), "--preset", args.preset]
-    if args.config:
-        synth_argv += ["--config", str(args.config)]
-    synth_args = stage_args(synth_argv)
     ingest_dir = out / "ingest"
     ingest_args = stage_args([
         "ingest", "--input", str(synth_dir / "corpus.jsonl"),
@@ -560,30 +564,50 @@ def cmd_pipeline(args) -> None:
         "--exclusions-out", str(ingest_dir / "exclusions.csv"),
     ])
 
-    def ingest(corpus: Optional[TextIO] = None):
+    def ingest(blocks: Iterator):
+        """Ingest synth's corpus from its blocks of rows, formatting each
+        block once for the corpus file and taking its columns from the rows."""
+        first = next(blocks, None)
+        # Synth writes domains.csv before its first block.
         table = mb.load_domain_table(synth_dir / "domains.csv")
         ing.make_dir(ingest_dir)
-        return cmd_ingest(ingest_args, keep=True, domains=table, corpus=corpus)
+        corpus_path = ingest_args.input
 
-    if side_by_side:
-        made = not ingest_dir.exists()
-        try:
-            with ing.fork_stream(lambda stream: cmd_synth(synth_args, config, stream),
-                                 ingest_args.input) as corpus:
-                # Synth writes domains.csv before its first corpus line.
-                corpus.buffer.peek(1)
-                originals, retweets = ingest(corpus)
-        except BaseException:
-            # A synth child killed while writing leaves its temporary file;
-            # ingest's directory, made before synth ended, goes if empty.
-            ing.remove_temporaries(synth_dir)
-            if made:
-                with suppress(OSError):
-                    ingest_dir.rmdir()
-            raise
-    else:
-        cmd_synth(synth_args, config)
-        originals, retweets = ingest()
+        def columns(rejects: Counter) -> Iterator[blk.CorpusColumns]:
+            n = 0
+            with ing.open_atomic(corpus_path) as corpus:
+                for stamps, rows in blocks if first is None else chain([first], blocks):
+                    text = ing.flat_lines(ing.format_epoch_seconds(stamps), rows)
+                    corpus.write(text)
+                    yield from blk.row_columns(stamps, rows, text, rejects, corpus_path, n + 1)
+                    n += len(rows)
+            log.info("wrote %d records to %s", n, corpus_path)
+
+        return cmd_ingest(ingest_args, keep=True, domains=table, columns=columns)
+
+    def produce(send) -> None:
+        def sent(blocks: Iterator, _) -> None:
+            for block in blocks:
+                send(block)
+        _generate(config, synth_dir, sent)
+
+    made = not ingest_dir.exists()
+    try:
+        if side_by_side:
+            with ing.fork_items(produce) as blocks:
+                originals, retweets = ingest(blocks)
+        else:
+            kept = []
+            _generate(config, synth_dir, lambda blocks, _: kept.extend(ingest(blocks)))
+            originals, retweets = kept
+    except BaseException:
+        # A synth child killed while writing leaves its temporary file;
+        # ingest's directory, made before synth ended, goes if empty.
+        ing.remove_temporaries(synth_dir)
+        if made:
+            with suppress(OSError):
+                ingest_dir.rmdir()
+        raise
 
     min_indegree = args.min_indegree
     if min_indegree is None:

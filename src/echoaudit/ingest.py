@@ -45,10 +45,10 @@ forked child, handing the parts back in file order.
 :func:`open_atomic_parts` gives each span its own output and joins them in
 order.  ``engagement`` deals its granularities to :func:`fork_map` too, and
 :func:`remove_temporaries` clears what a killed writer left.
-:func:`fork_stream` reads, as it is written, the text that a forked child
-writes (``pipeline`` ingests synth's corpus this way), and both corpus
-readers read that stream as they read the file.  Both fork helpers start,
-kill and reap each child through one :class:`Worker` handle.
+:func:`fork_items` takes here, in order, the items that a forked child
+sends as it makes them (``pipeline`` takes synth's blocks of rows this
+way).  Both fork helpers start, kill and reap each child through one
+:class:`Worker` handle.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import sys
 import traceback
 import zlib
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import count, filterfalse
@@ -602,52 +602,26 @@ class Worker:
                               f"(exit status {os.waitstatus_to_exitcode(status)})")
 
 
-# A pipe that holds a whole block of synth's corpus (``synth._BLOCK``
-# lines, about 0.55 MB at 10k users): the child then draws the next block
-# while this process reads the last one, instead of the two taking turns at
-# every 64 KiB.  Linux caps a pipe at 1 MiB unless the system allows more.
+# A pipe that holds a whole pickled block of synth's rows (``synth._BLOCK``
+# rows, about 0.1 MB at 10k users): the child then draws the next block
+# while this process takes in the last one, instead of the two taking turns
+# at every 64 KiB.  Linux caps a pipe at 1 MiB unless the system allows more.
 _PIPE_SIZE = 1 << 20
 
 
-class _ChildText(io.RawIOBase):
-    """What a forked child writes to a pipe, as a raw stream named ``name``.
-
-    The end of the bytes reaps the child's :class:`Worker`, so
-    :meth:`readinto` then handles its log records and raises its exception.
-    """
-
-    def __init__(self, fd: int, name: str, worker: Worker):
-        self._fh = open(fd, "rb", buffering=0)
-        self.name = name
-        self._worker = worker
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._fh.readinto(buffer)
-        if n == 0:
-            self._worker.reap()
-        return n
-
-    def close(self) -> None:
-        self._fh.close()
-        super().close()
-
-
 @contextmanager
-def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
-                ) -> Iterator[io.TextIOBase]:
-    """Run ``write(out)`` in a forked child and read what it writes to
-    ``out`` here, as it is written: the ``with`` block gets a text stream
-    named ``name``.
+def fork_items(produce: Callable[[Callable[[T], None]], object]) -> Iterator[Iterator[T]]:
+    """Run ``produce(send)`` in a forked child, and yield here, in order,
+    each item that it passes to ``send``: the ``with`` block gets an
+    iterator of them.
 
-    The child is made and left as in :func:`fork_map`.  At the end of the
-    stream the child is reaped and its log records are handled here; its
-    exception is raised from that read, and a child that ends without a
-    result raises :class:`WorkerError`.  A block that ends cleanly before
-    the end of the stream reads the rest; one that raises kills the child.
-    Either way the child is reaped before this returns or raises.
+    Each item crosses a pipe pickled.  The child is made and left as in
+    :func:`fork_map`.  Once the child has closed the pipe it is reaped and
+    its log records are handled here: its exception is raised from that
+    last ``next``, and a child that ends without a result raises
+    :class:`WorkerError`.  A block that ends cleanly before the last item
+    takes the rest; one that raises kills the child.  Either way the child
+    is reaped before this returns or raises.
     """
     import fcntl  # not at module level, as signal in Worker.reap
     read_fd, write_fd = os.pipe()
@@ -656,10 +630,13 @@ def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
     except (AttributeError, OSError):
         pass  # still correct, with the two processes taking turns
 
-    def child(_) -> R:
+    def child(_):
         os.close(read_fd)
-        with open(write_fd, "w", encoding="utf-8") as out:
-            return write(out)
+        with open(write_fd, "wb") as pipe:
+            def send(item: T) -> None:
+                pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+            return produce(send)
 
     try:
         worker = Worker(child, None)
@@ -668,14 +645,25 @@ def fork_stream(write: Callable[[io.TextIOBase], R], name: str | Path,
         raise
     finally:
         os.close(write_fd)
-    raw = _ChildText(read_fd, str(name), worker)
+
+    pipe = open(read_fd, "rb", buffering=_PIPE_SIZE)
+
+    def items() -> Iterator[T]:
+        while pipe.peek(1):
+            try:
+                item = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                break   # cut short: reaping tells why
+            yield item
+        worker.reap()
+
+    rest = items()
     try:
-        with io.TextIOWrapper(io.BufferedReader(raw, _PIPE_SIZE),
-                              encoding="utf-8") as text:
-            yield text
-            while raw.read(_PIPE_SIZE):
-                pass
+        yield rest
+        for _ in rest:
+            pass
     finally:
+        pipe.close()
         worker.reap(kill=True)
 
 
@@ -762,16 +750,15 @@ def _first_undecodable_line(path: Path) -> int:
 
 # Per record for the tests' reference; perfbench/tracer.py wraps it by name.
 def parse_corpus(
-    source: str | Path | io.TextIOBase,
+    source: str | Path,
     schema: str = "flat",
     rejects: Optional[Counter] = None,
     span: Optional[Span] = None,
 ) -> Iterator[TweetRecord]:
     """Stream syntactically valid records from a newline-delimited file, or
-    from one :class:`Span` of it, or from an open text stream of one.
+    from one :class:`Span` of it.
 
-    A stream's ``name`` names the file in messages; its lines are numbered
-    from 1.  ``rejects`` (a ``Counter``) is filled with per-reason skip
+    ``rejects`` (a ``Counter``) is filled with per-reason skip
     counts as the stream is consumed.  An unreadable file raises
     :class:`InputError`; a malformed line is skipped, never fatal.  Output
     order follows input order.
@@ -791,17 +778,15 @@ def parse_corpus(
     return _stream()
 
 
-def _open_corpus(source: str | Path | io.TextIOBase, schema: str,
+def _open_corpus(source: str | Path, schema: str,
                  span: Optional[Span]) -> tuple[Path, ContextManager[io.TextIOBase]]:
-    """The name of a corpus, and a context that opens it for reading."""
+    """The path of a corpus, and a context that opens it for reading."""
     if schema not in _SCHEMAS:
         raise InputError(f"unknown schema id: {schema!r}")
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.is_file():
-            raise InputError(f"corpus file not found: {path}")
-        return path, open_maybe_gzip(path, span=span)
-    return Path(source.name), nullcontext(source)
+    path = Path(source)
+    if not path.is_file():
+        raise InputError(f"corpus file not found: {path}")
+    return path, open_maybe_gzip(path, span=span)
 
 
 def _parse_line(line: str, schema: str, rejects: Counter, path: Path,

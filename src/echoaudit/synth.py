@@ -1,6 +1,7 @@
 """Deterministic synthetic corpora with planted ground truth.
 
-Two generators share one corpus format (the same one ingest consumes):
+Two generators share one corpus format (the same one ingest consumes), and
+hand their records on in blocks of rows (:data:`Block`):
 
 ``generate``             a polarized corpus: two communities of users, planted
                          influencer hubs, community-biased retweets, original
@@ -21,10 +22,13 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import chain
+from operator import length_hint
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,11 +61,11 @@ _LOG10_MAX = 15.0
 # expected AE written to ground_truth.json, finite.
 _AE_BOOST_MAX = 1e6
 
-# Corpus lines formatted and written at a time.  A block's rows are held in
-# memory until then, so it stays small: 65,536-line blocks raise a 10k-user
-# pipeline's peak RSS from 71 to 108 MB.  A block of the 10k-user corpus is
-# about 0.55 MB, so in ``pipeline`` it fits the pipe to ingest
-# (``ingest._PIPE_SIZE``) whole; a 4,096-line block, about 1.1 MB, did not.
+# Corpus rows handed on at a time.  A block's rows are held in memory until
+# then, so it stays small: 65,536-line blocks raised a 10k-user pipeline's
+# peak RSS from 71 to 108 MB.  A block of the 10k-user corpus pickles to
+# about 0.1 MB, so in ``pipeline`` it crosses the pipe to ingest
+# (``ingest._PIPE_SIZE``) whole.
 _BLOCK = 2048
 
 
@@ -285,21 +289,45 @@ def _write_domain_table(rows: list[tuple[str, str, str]], path: Path) -> None:
 
 class _Words:
     """Draws of a PCG64 ``Generator`` made here from the 64-bit words of its
-    ``bit_generator.random_raw`` (:attr:`next`), each exactly as the
-    ``Generator`` method it stands for would make it, at a fraction of the
-    cost of a call to that method.
+    bit generator (:attr:`next`), each exactly as the ``Generator`` method
+    it stands for would make it, at a fraction of the cost of a call to
+    that method.
 
     ``Generator.random()`` reads one word ``w`` and returns
     ``(w >> 11) * 2**-53``, so ``random() < p`` holds exactly when
     ``w < cut(p)`` (:meth:`cut`).  ``Generator.integers`` is
-    :meth:`integers`.  The ``Generator`` methods left in use draw whole
+    :meth:`integers`, and ``Generator.poisson`` below a mean of 10 is
+    :meth:`poisson`.  The ``Generator`` methods left in use draw whole
     words too, so they interleave with these; a ``Generator.integers`` call
     would not (see :meth:`integers`).
+
+    :meth:`draw_ahead` draws words ahead in one call, which :attr:`next`
+    then takes before it draws one at a time.  Those not yet taken must
+    go back to the bit generator (:meth:`rewind`) before a ``Generator``
+    method draws.
     """
 
     def __init__(self, rng: np.random.Generator):
-        self.next = rng.bit_generator.random_raw
-        self._half = -1     # the buffered high half-word, or -1
+        self._bits = rng.bit_generator
+        self.next = self._bits.random_raw
+        self._ahead: Iterator[int] = iter(())   # the words drawn ahead, not yet taken
+        self.half = -1      # the buffered high half-word, or -1
+
+    def draw_ahead(self, k: int) -> None:
+        """Draw ``k`` words ahead, after those still ahead.  A binding of
+        :attr:`next` made before this takes single draws."""
+        self._ahead = iter([*self._ahead, *self._bits.random_raw(k).tolist()])
+        self.next = chain(self._ahead, iter(self._bits.random_raw, None)).__next__
+
+    def rewind(self) -> None:
+        """Step the bit generator back over the words drawn ahead and not
+        yet taken, so that the next draw of any kind reads the first of
+        them."""
+        left = length_hint(self._ahead)
+        if left:
+            deque(self._ahead, 0)
+            self._bits.advance(2**128 - left)
+        self.next = self._bits.random_raw
 
     @staticmethod
     def cut(p: float) -> int:
@@ -307,17 +335,31 @@ class _Words:
         ``0 <= p <= 1``."""
         return math.ceil(p * 2.0 ** 53) << 11
 
+    def poisson(self, lam: float) -> int:
+        """``int(rng.poisson(lam))`` for ``0 <= lam < 10``, drawn as NumPy
+        draws it: a mean of 0 draws nothing; any other multiplies uniforms
+        ``(w >> 11) * 2**-53`` of words ``w`` until the product is at most
+        ``exp(-lam)``, and counts the factors before that."""
+        if lam == 0:
+            return 0
+        least, take = math.exp(-lam), self.next
+        n, product = 0, (take() >> 11) * 2**-53
+        while product > least:
+            n += 1
+            product *= (take() >> 11) * 2**-53
+        return n
+
     def integers(self, lo: int, hi: int) -> int:
         """``int(rng.integers(lo, hi))``, drawn as NumPy draws it.
 
         A span ``hi - lo`` of 1 draws nothing.  One of up to ``2**32``
         takes a 32-bit half of a word, the low half first, as PCG64's
-        ``next_uint32`` does, and keeps the high half for the next such
-        draw: the half-word buffer lives here, not in the bit generator, so
-        a ``Generator.integers`` call on the same generator, which uses the
-        bit generator's own, would put the two out of step.  A larger span
-        takes a whole word.  Either way Lemire's multiply-and-reject method
-        maps it into the span.
+        ``next_uint32`` does, and keeps the high half in :attr:`half` for
+        the next such draw: the half-word buffer lives here, not in the bit
+        generator, so a ``Generator.integers`` call on the same generator,
+        which uses the bit generator's own, would put the two out of step.
+        A larger span takes a whole word.  Either way Lemire's
+        multiply-and-reject method maps it into the span.
         """
         span = hi - lo
         if span > 0x1_0000_0000:
@@ -330,36 +372,48 @@ class _Words:
             return lo
         threshold = 0x1_0000_0000 % span
         while True:
-            half = self._half
+            half = self.half
             if half < 0:
                 word = self.next()
-                self._half = word >> 32
+                self.half = word >> 32
                 half = word & 0xFFFF_FFFF
             else:
-                self._half = -1
+                self.half = -1
             scaled = half * span
             if scaled & 0xFFFF_FFFF >= threshold:
                 return lo + (scaled >> 32)
 
 
-def _write_lines(outs: Sequence[TextIO], stamps: list[int], rows: list[tuple],
-                 whole_blocks: bool) -> None:
-    """Format the lines held in ``stamps`` and ``rows`` (see ``flat_lines``)
-    a block of ``_BLOCK`` at a time, write each to every one of ``outs``,
-    and drop them; with ``whole_blocks``, a last part block stays held."""
+# A block of corpus rows as :func:`flat_lines` takes them, with each
+# row's time in epoch seconds.
+Block = tuple[Sequence[int], list[tuple]]
+
+
+def write_corpus(blocks: Iterable[Block], path: Path) -> None:
+    """Format each block of ``blocks`` and write it to ``path``, all at once."""
+    with open_atomic(path) as fh:
+        for stamps, rows in blocks:
+            fh.write(flat_lines(format_epoch_seconds(stamps), rows))
+
+
+def _cut_blocks(stamps: list[int], rows: list[tuple], whole_blocks: bool) -> Iterator[Block]:
+    """Take the rows held in ``stamps`` and ``rows`` out a block of
+    ``_BLOCK`` at a time; with ``whole_blocks``, a last part block stays
+    held."""
     while rows and (len(rows) >= _BLOCK or not whole_blocks):
-        text = flat_lines(format_epoch_seconds(stamps[:_BLOCK]), rows[:_BLOCK])
-        for out in outs:
-            out.write(text)
+        yield stamps[:_BLOCK], rows[:_BLOCK]
         del stamps[:_BLOCK], rows[:_BLOCK]
 
 
 def generate(config: GeneratorConfig, out_dir: str | Path,
-             stream: Optional[TextIO] = None) -> SynthResult:
+             consume: Callable[[Iterator[Block], Path], object] = write_corpus) -> SynthResult:
     """Emit a polarized corpus, its domain table, hub seeds and ground truth.
 
-    The domain table is written first, before any corpus line.  Each block of
-    corpus lines also goes to ``stream``, when given, as it is written.
+    The corpus comes as blocks of ``_BLOCK`` rows, handed to ``consume``
+    with the corpus path; by default they are formatted and written there.
+    ``consume`` must take every block.  The domain table is written before
+    ``consume`` is called, and the seeds and the ground truth once the last
+    block has been taken.
     """
     config.validate()
     out_dir = Path(out_dir)
@@ -414,31 +468,64 @@ def generate(config: GeneratorConfig, out_dir: str | Path,
     # Every draw of the loop below comes from these.
     random, normal, poisson, binomial = rng.random, rng.normal, rng.poisson, rng.binomial
     words = _Words(rng)
-    word, integers, cut = words.next, words.integers, words.cut
+    integers, cut = words.integers, words.cut
     url_cut, second_url_cut, reply_cut = map(
         cut, (config.url_prob, config.second_url_prob, config.reply_prob))
     unreliable_cut = {g: cut(p) for g, p in config.unreliable_url_prob.items()}
     edge_cuts = {g: ((g, cut(config.p_in)), ("B" if g == "A" else "A", cut(config.p_cross)))
                  for g in sides}
+    # A retweet's time takes a half-word inline, as ``integers`` would.
+    stamp_span = end - post_lo
+    half_stamps = 1 < stamp_span <= 0x1_0000_0000
+    stamp_threshold = 0x1_0000_0000 % stamp_span
+    # The words drawn ahead for each user: what its edge and reply section
+    # and the next user's count of originals take on average, and a quarter
+    # more.  That is an edge test per influencer, the reply test, and per
+    # edge half a word per retweet time; a Poisson draw below a mean of 10
+    # takes 1 + mean words.  Any further words come one at a time.
+    def poisson_words(lam: float) -> float:
+        return 1.0 + lam if lam < 10 else 0.0
 
-    # Influencers post their originals first (they are also retweet
-    # targets); then each user posts originals, retweets influencers and
-    # sometimes replies.  Each record's fields wait in ``rows`` (as
-    # flat_lines takes them), its time as epoch seconds in ``stamps``, until
-    # a block of lines is written; tweet_no counts the records, url_serial
-    # the URLs.
-    corpus_path = out_dir / "corpus.jsonl"
-    with open_atomic(corpus_path) as fh:
-        outs = (fh,) if stream is None else (fh, stream)
+    n_edges = config.n_influencers_per_side * (config.p_in + config.p_cross)
+    n_ahead = math.ceil(1.25 * (
+        2 * config.n_influencers_per_side + 1 + poisson_words(config.originals_per_user_mean)
+        + n_edges * 1.5 * poisson_words(config.retweet_extra_mean)))
+
+    def count(lam: float) -> int:
+        """``int(poisson(lam))``."""
+        if lam < 10:
+            return words.poisson(lam)
+        words.rewind()
+        return int(poisson(lam))
+
+    seeds_path = out_dir / "seeds.txt"
+    truth_path = out_dir / "ground_truth.json"
+    n_records = 0
+
+    def blocks() -> Iterator[Block]:
+        # Influencers post their originals first (they are also retweet
+        # targets); then each user posts originals, retweets influencers and
+        # sometimes replies.  Each record's fields wait in ``rows`` (as
+        # flat_lines takes them), its time as epoch seconds in ``stamps``,
+        # until a block is full; tweet_no counts the records, url_serial the
+        # URLs.
+        # A user's edge and reply section, and the next user's count of
+        # originals, take words drawn ahead; they go back before the next
+        # ``Generator`` method draws.
+        nonlocal n_records
         rows: list[tuple] = []
         stamps: list[int] = []
         tweet_no = url_serial = 0
+        word = words.next
         for k, author in enumerate(hubs + users):
             is_user = k >= len(hubs)
             group = community[author]
             n_followers = followers[author]
-            n_originals = (int(poisson(config.originals_per_user_mean)) if is_user
+            n_originals = (count(config.originals_per_user_mean) if is_user
                            else config.influencer_originals)
+            if n_originals:
+                words.rewind()
+                word = words.next
             for _ in range(n_originals):
                 imps = max(1, int(round(10 ** normal(imps_mu, imps_sg))))
                 urls, boosted = [], False
@@ -459,22 +546,37 @@ def generate(config: GeneratorConfig, out_dir: str | Path,
                 stamps.append(integers(post_lo, end))
             if not is_user:
                 continue
+            words.draw_ahead(n_ahead)
+            word, half = words.next, words.half
             for side, edge_cut in edge_cuts[group]:
                 for inf in influencers[side]:
                     if word() < edge_cut:
                         hub_counts[inf] += 1
-                        for _ in range(1 + int(poisson(config.retweet_extra_mean))):
+                        for _ in range(1 + count(config.retweet_extra_mean)):
                             tweet_no += 1
                             rows.append((f"t{tweet_no:07d}", author, "en", "retweet", inf,
                                          0, 0, 0, 0, 0, (), n_followers))
-                            stamps.append(integers(post_lo, end))
+                            if not half_stamps:
+                                stamps.append(integers(post_lo, end))
+                                continue
+                            while True:
+                                if half < 0:
+                                    lo_half = word()
+                                    half, lo_half = lo_half >> 32, lo_half & 0xFFFF_FFFF
+                                else:
+                                    lo_half, half = half, -1
+                                scaled = lo_half * stamp_span
+                                if scaled & 0xFFFF_FFFF >= stamp_threshold:
+                                    break
+                            stamps.append(post_lo + (scaled >> 32))
+            words.half = half
             if word() < reply_cut:
                 tweet_no += 1
                 # The time is drawn before the impressions, here and below.
                 stamps.append(integers(post_lo, end))
                 rows.append((f"t{tweet_no:07d}", author, "en", "reply", None,
                              integers(1, 200), 0, 0, 0, 0, (), n_followers))
-            _write_lines(outs, stamps, rows, whole_blocks=True)
+            yield from _cut_blocks(stamps, rows, whole_blocks=True)
 
         # Flavor records exercising the date and language filters.
         n_pre = int(round(config.pre_cutoff_fraction * tweet_no))
@@ -485,45 +587,46 @@ def generate(config: GeneratorConfig, out_dir: str | Path,
             stamps.append(integers(start, _CUTOFF))
             rows.append((f"t{tweet_no:07d}", u, "en", "original", None,
                          0, 0, 0, 0, 0, (), followers[u]))
-            _write_lines(outs, stamps, rows, whole_blocks=True)
+            yield from _cut_blocks(stamps, rows, whole_blocks=True)
         for k in range(n_foreign):
             u = users[integers(0, len(users))]
             tweet_no += 1
             stamps.append(integers(post_lo, end))
             rows.append((f"t{tweet_no:07d}", u, ("de", "fr", "es")[k % 3], "original", None,
                          integers(1, 500), 0, 0, 0, 0, (), followers[u]))
-            _write_lines(outs, stamps, rows, whole_blocks=True)
-        _write_lines(outs, stamps, rows, whole_blocks=False)
+            yield from _cut_blocks(stamps, rows, whole_blocks=True)
+        yield from _cut_blocks(stamps, rows, whole_blocks=False)
+        n_records = tweet_no
 
-    hubs.sort(key=lambda inf: (-hub_counts[inf], inf))
-    seeds_path = out_dir / "seeds.txt"
-    with open_atomic(seeds_path) as fh:
-        for inf in hubs:
-            fh.write(inf + "\n")
+        hubs.sort(key=lambda inf: (-hub_counts[inf], inf))
+        with open_atomic(seeds_path) as fh:
+            for inf in hubs:
+                fh.write(inf + "\n")
+        GroundTruth(
+            community=community,
+            planted_hubs=hubs,
+            target_ae_by_group=config.expected_ae_by_group(),
+            target_log_pearson={},
+        ).to_json(truth_path)
 
-    truth = GroundTruth(
-        community=community,
-        planted_hubs=hubs,
-        target_ae_by_group=config.expected_ae_by_group(),
-        target_log_pearson={},
-    )
-    truth_path = out_dir / "ground_truth.json"
-    truth.to_json(truth_path)
-
+    corpus_path = out_dir / "corpus.jsonl"
+    consume(blocks(), corpus_path)
     return SynthResult(
         corpus_path=corpus_path,
         truth_path=truth_path,
         domains_path=domains_path,
         seeds_path=seeds_path,
-        n_records=tweet_no,
+        n_records=n_records,
     )
 
 
 def generate_calibration(config: CalibrationConfig, out_dir: str | Path,
-                         stream: Optional[TextIO] = None) -> SynthResult:
+                         consume: Callable[[Iterator[Block], Path], object] = write_corpus,
+                         ) -> SynthResult:
     """Emit an engagement corpus hitting the configured AE and correlation
-    targets.  As in :func:`generate`, the (empty) domain table comes first
-    and ``stream`` gets each block of corpus lines.
+    targets.  As in :func:`generate`, the (empty) domain table comes first,
+    ``consume`` takes the blocks of the corpus, and the ground truth and
+    the (empty) seeds follow the last.
 
     The per-tweet action rates are log-normal around each AE target with the
     sample correlation against log10 followers made exact by projecting the
@@ -571,35 +674,31 @@ def generate_calibration(config: CalibrationConfig, out_dir: str | Path,
 
     domains_path = out_dir / "domains.csv"
     _write_domain_table([], domains_path)
-    corpus_path = out_dir / "corpus.jsonl"
-    with open_atomic(corpus_path) as fh:
-        outs = (fh,) if stream is None else (fh, stream)
+    truth_path = out_dir / "ground_truth.json"
+    seeds_path = out_dir / "seeds.txt"
+
+    def blocks() -> Iterator[Block]:
         for lo in range(0, n, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             columns = zip(range(lo, n), impressions[block].tolist(),
                           counts["like"][block].tolist(), counts["reply"][block].tolist(),
                           counts["retweet"][block].tolist(),
                           counts["quote"][block].tolist(), followers[block].tolist())
-            text = flat_lines(format_epoch_seconds(stamps[block]), (
+            yield stamps[block], [
                 (f"c{i:07d}", f"cal{i:07d}", "en", "original", None, imps, likes,
                  replies, retweets, quotes, (), n_followers)
-                for i, imps, likes, replies, retweets, quotes, n_followers in columns))
-            for out in outs:
-                out.write(text)
+                for i, imps, likes, replies, retweets, quotes, n_followers in columns]
+        GroundTruth(
+            community={},
+            planted_hubs=[],
+            target_ae_by_group={"all": dict(config.ae_targets)},
+            target_log_pearson=dict(config.pearson_targets),
+        ).to_json(truth_path)
+        with open_atomic(seeds_path):
+            pass
 
-    truth = GroundTruth(
-        community={},
-        planted_hubs=[],
-        target_ae_by_group={"all": dict(config.ae_targets)},
-        target_log_pearson=dict(config.pearson_targets),
-    )
-    truth_path = out_dir / "ground_truth.json"
-    truth.to_json(truth_path)
-
-    seeds_path = out_dir / "seeds.txt"
-    with open_atomic(seeds_path):
-        pass
-
+    corpus_path = out_dir / "corpus.jsonl"
+    consume(blocks(), corpus_path)
     return SynthResult(
         corpus_path=corpus_path,
         truth_path=truth_path,

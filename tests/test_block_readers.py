@@ -30,6 +30,7 @@ from echoaudit import graph as gr
 from echoaudit import ideology as ideo
 from echoaudit import ingest as ing
 from echoaudit import mediabias as mb
+from echoaudit import synth
 from echoaudit.errors import InputError
 
 import _csv_oracle as oracle
@@ -143,6 +144,85 @@ def test_ingest_by_blocks_equals_by_rows(corpus, min_date, langs, n):
         with blocks(n):
             got = ingested(by_blocks, path, schema, corpus_filter, tmp)
     assert got == want
+
+
+# Rows that synth does not make: a self-retweet, a retweet without a
+# target, originals with no URL and with two, a quote, a count of 10**15
+# (16 digits, past the fixed layout) and one above MAX_COUNT.
+_HAND_ROWS = [
+    ("h1", "u1", "en", "retweet", "u1", 0, 0, 0, 0, 0, (), 3),
+    ("h2", "u2", "en", "retweet", None, 0, 0, 0, 0, 0, (), 4),
+    ("h3", "u3", "en", "original", None, 5, 1, 0, 0, 0, (), 5),
+    ("h4", "u3", "fr", "original", None, 5, 1, 2, 3, 4,
+     ["https://a.test/1", "https://www.b.test/2"], 5),
+    ("h5", "u4", "en", "quote", "u5", 10**15, 0, 0, 0, 0, [], 1),
+    ("h6", "u4", "en", "original", None, 1, 0, 0, 0, 0, [], ing.MAX_COUNT + 1),
+]
+# Epoch seconds of years 1 to 9999, the range of format_epoch_seconds.
+_STAMPS = st.integers(-62_135_596_800, 253_402_300_799)
+
+
+@st.composite
+def row_blocks(draw):
+    """Blocks of rows as ``generate`` or ``generate_calibration`` hands them
+    on, with a drawn seed, a small config and blocks of a drawn size, or
+    one block of hand-made rows."""
+    source = draw(st.sampled_from(["polarized", "calibration", "hand"]))
+    if source == "hand":
+        rows = draw(st.lists(st.sampled_from(_HAND_ROWS), min_size=1, max_size=8))
+        return [(draw(st.lists(_STAMPS, min_size=len(rows), max_size=len(rows))), rows)]
+    seed = draw(st.integers(0, 2**32))
+    if source == "polarized":
+        generate, config = synth.generate, synth.GeneratorConfig(
+            seed=seed, n_users=draw(st.integers(2, 30)), n_influencers_per_side=2,
+            p_in=0.5, p_cross=0.1, retweet_extra_mean=draw(st.sampled_from([0.0, 0.35, 12.0])))
+    else:
+        generate, config = synth.generate_calibration, synth.CalibrationConfig(
+            seed=seed, n_tweets=draw(st.integers(10, 40)),
+            ae_targets=dict.fromkeys(synth.ACTIONS, 0.01),
+            pearson_targets=dict.fromkeys(synth.ACTIONS, 0.3))
+    made = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(synth, "_BLOCK", draw(st.sampled_from([1, 7, 2048]))):
+        generate(config, tmp, lambda blocks, path: made.extend(blocks))
+    return made
+
+
+def run_fields(runs):
+    """Each field of a list of runs, the runs joined in order; no target
+    is ``None``, whether decoded from ``null`` or held as ``None``."""
+    keep = [np.ones(len(run), bool) for run in runs]
+    return {
+        "text": "".join(run.text() for run in runs),
+        **{name: [v for run in runs for v in getattr(run, name)]
+           for name in ("tweet_id", "author_id", "lang")},
+        "retweeted_author_id": [v or None for run in runs for v in run.retweeted_author_id],
+        **{name: [v for run in runs for v in getattr(run, name).tolist()]
+           for name in ("created_at", "kind", "impressions", "likes", "replies", "retweets",
+                        "quotes", "author_followers")},
+        "url_lists": [urls for run, rows in zip(runs, keep) for urls in run.url_lists(rows)],
+    }
+
+
+@given(made=row_blocks())
+@settings(max_examples=150, deadline=None)
+def test_rows_give_what_their_text_decodes_to(made):
+    """``row_columns`` over each block of rows gives the runs, rejects and
+    log lines of ``_block_columns`` over the block's text: the text, kinds,
+    ids, counts, URL lists and times of the runs, field by field."""
+    path = Path("corpus.jsonl")
+    lineno = 1
+    for stamps, rows in made:
+        text = ing.flat_lines(ing.format_epoch_seconds(stamps), rows)
+        want_rejects, got_rejects = Counter(), Counter()
+        with debug_log() as want_log:
+            want = list(blk._block_columns(text, "flat", want_rejects, path, lineno))
+        with debug_log() as got_log:
+            got = list(blk.row_columns(stamps, rows, text, got_rejects, path, lineno))
+        assert run_fields(got) == run_fields(want)
+        assert got_rejects == want_rejects
+        assert got_log == want_log
+        lineno += len(rows)
 
 
 @given(corpus=corpora(), n=block_chars)

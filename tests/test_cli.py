@@ -916,7 +916,17 @@ class TestPipeline:
         assert logs[0][1][1].startswith("retained ")
         assert logs[1] == logs[0] and logs[2] == logs[0]
 
-    def test_corpus_parsed_once_and_nothing_read_back(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_synth_text_never_decoded(self, tmp_path, monkeypatch, n_cpus):
+        """Ingest takes synth's rows: no block reader runs in any process."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a corpus was decoded")
+
+        monkeypatch.setattr(blk, "corpus_columns", refused)
+        monkeypatch.setattr(ing, "usable_cpus", lambda: n_cpus)
+        assert run(["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"]) == 0
+
+    def test_nothing_parsed_or_read_back(self, tmp_path, monkeypatch):
         calls = Counter()
 
         def counted(module, name):
@@ -932,7 +942,7 @@ class TestPipeline:
         counted(gr, "read_edge_list")
         counted(ideo, "read_scores")
         run(["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"])
-        assert calls == Counter({"corpus_columns": 1})
+        assert calls == Counter()
 
     def test_every_artifact_parses(self, tmp_path):
         """Each CSV row has its header's field count and numbers in its
@@ -1148,18 +1158,21 @@ class TestPipelineFailures:
 
     @staticmethod
     def synth_blocks(monkeypatch, then):
-        """Synth writes 100-line blocks and calls ``then(k)`` before
-        formatting block ``k``, counted from 0."""
-        format_block = synth.flat_lines
-        calls = []
+        """Synth makes 100-row blocks and calls ``then(k)`` before it hands
+        on block ``k``, counted from 0."""
+        generate = synth.generate
 
-        def flat_lines(*args):
-            then(len(calls))
-            calls.append(None)
-            return format_block(*args)
+        def hooked(config, out_dir, consume):
+            def counted(blocks, path):
+                def each():
+                    for k, block in enumerate(blocks):
+                        then(k)
+                        yield block
+                return consume(each(), path)
+            return generate(config, out_dir, counted)
 
         monkeypatch.setattr(synth, "_BLOCK", 100)
-        monkeypatch.setattr(synth, "flat_lines", flat_lines)
+        monkeypatch.setattr(synth, "generate", hooked)
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_synth_error_partway_through_the_corpus(self, tmp_path, capsys, monkeypatch,

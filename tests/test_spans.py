@@ -9,6 +9,7 @@ import io
 import json
 import logging
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -203,68 +204,81 @@ class TestForkMap:
         assert_no_children()
 
 
-def _write_lines(lines, then=None):
-    """A ``fork_stream`` child that logs, writes ``lines``, then calls
+def _send_items(items, then=None):
+    """A ``fork_items`` child that logs, sends ``items``, then calls
     ``then``."""
-    def write(out):
+    def produce(send):
         logging.getLogger("echoaudit.test").warning("child started")
-        for line in lines:
-            out.write(line)
-            out.flush()
+        for item in items:
+            send(item)
         if then is not None:
             then()
-        return len(lines)
-    return write
+        return len(items)
+    return produce
 
 
-class TestForkStream:
-    def test_text_as_written_then_the_child_log(self, caplog, tmp_path):
+class TestForkItems:
+    def test_items_in_order_then_the_child_log(self, caplog):
         caplog.set_level(logging.WARNING, logger="echoaudit")
-        name = tmp_path / "corpus.jsonl"
-        with ing.fork_stream(_write_lines(["a\n", "b\r\n", "c"]), name) as text:
-            assert text.name == str(name)
-            assert text.readline() == "a\n"
+        sent = [("a", [1, 2]), None, {"b": (3,)}]
+        with ing.fork_items(_send_items(sent)) as items:
+            assert next(items) == sent[0]
             assert caplog.records == []
-            assert text.read() == "b\nc"
+            assert list(items) == sent[1:]
             assert [r.getMessage() for r in caplog.records] == ["child started"]
         assert_no_children()
 
-    def test_child_error_raised_at_the_end(self, tmp_path):
+    def test_child_error_raised_at_the_end(self):
         def fail():
             raise InputError("synth broke")
 
         with pytest.raises(InputError, match="synth broke"):
-            with ing.fork_stream(_write_lines(["a\n"], fail), tmp_path / "c") as text:
-                assert text.readline() == "a\n"
-                text.read()
+            with ing.fork_items(_send_items(["a"], fail)) as items:
+                assert next(items) == "a"
+                next(items)
         assert_no_children()
 
-    def test_clean_exit_before_the_end_reads_the_rest(self, tmp_path):
+    def test_clean_exit_before_the_end_takes_the_rest(self):
         def fail():
             raise InputError("late failure")
 
         with pytest.raises(InputError, match="late failure"):
-            with ing.fork_stream(_write_lines(["a\n"] * 5000, fail), tmp_path / "c"):
+            with ing.fork_items(_send_items(["a"] * 5000, fail)):
                 pass
         assert_no_children()
 
-    def test_error_here_kills_and_reaps_the_child(self, tmp_path):
+    def test_error_here_kills_and_reaps_the_child(self):
         started = time.monotonic()
         with pytest.raises(KeyError):
-            with ing.fork_stream(_write_lines(["a\n"], lambda: time.sleep(60)),
-                                 tmp_path / "c") as text:
-                assert text.readline() == "a\n"
+            with ing.fork_items(_send_items(["a"], lambda: time.sleep(60))) as items:
+                assert next(items) == "a"
                 raise KeyError("reader failed")
         assert time.monotonic() - started < 30
         assert_no_children()
 
-    def test_child_ending_without_a_result(self, tmp_path):
+    def test_child_ending_without_a_result(self):
         def die():
             os.kill(os.getpid(), signal.SIGKILL)
 
         with pytest.raises(WorkerError, match=r"exit status -9"):
-            with ing.fork_stream(_write_lines(["a\n"], die), tmp_path / "c") as text:
-                text.read()
+            with ing.fork_items(_send_items(["a"], die)) as items:
+                list(items)
+        assert_no_children()
+
+    def test_child_killed_mid_item(self, monkeypatch):
+        """A child killed partway through writing an item: what reached the
+        pipe is cut short, and reaping raises :class:`WorkerError`."""
+        def produce(send):
+            def dump(item, pipe, protocol):
+                pipe.write(pickle.dumps(item, protocol)[:-5])
+                pipe.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            monkeypatch.setattr(pickle, "dump", dump)
+            send("x" * 100_000)
+
+        with pytest.raises(WorkerError, match=r"exit status -9"):
+            with ing.fork_items(produce) as items:
+                list(items)
         assert_no_children()
 
 
@@ -551,37 +565,5 @@ def test_span_count_changes_nothing(corpus, n):
         blk.write_count_report(exclusions, tmp / "exclusions.csv")
         for name in ("rejects.csv", "exclusions.csv"):
             assert want[0][name] == (tmp / name).read_bytes()
-    assert got == want
-    assert_no_children()
-
-
-@given(corpus=corpora(), read=st.sampled_from(["rows", "blocks"]),
-       block_chars=st.sampled_from([1 << 20, 7, 300]))
-@settings(max_examples=50, deadline=None)
-def test_stream_of_the_file_reads_as_the_file(corpus, read, block_chars):
-    """``parse_corpus``, or ``corpus_columns`` in blocks of ``block_chars``
-    characters, over a ``fork_stream`` named after the corpus gives the
-    records, written text, reject counts and debug lines of the file."""
-    schema, text = corpus
-
-    def parsed(source):
-        rejects = Counter()
-        with debug_log() as messages:
-            if read == "rows":
-                records = list(ing.parse_corpus(source, schema, rejects))
-                written = io.StringIO()
-                ing.write_corpus(records, written)
-                return records, written.getvalue(), rejects, messages
-            runs = list(blk.corpus_columns(source, schema, rejects))
-        return ("".join(run.text() for run in runs),
-                [k for run in runs for k in run.kind.tolist()], rejects, messages)
-
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(blk, "_BLOCK_CHARS", block_chars):
-        path = Path(tmp) / "corpus.jsonl"
-        path.write_bytes(text.encode("utf-8"))
-        want = parsed(path)
-        with ing.fork_stream(lambda out: out.write(text), path) as stream:
-            got = parsed(stream)
     assert got == want
     assert_no_children()
