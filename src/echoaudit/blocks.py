@@ -11,7 +11,9 @@ the line text.  Every other line is decoded as JSON by the per-line code of
 :func:`ingest.parse_corpus`, the reference, which names ``file:line``; each
 run of those lines gives the columns of its records, their lines formatted
 as :func:`ingest.write_corpus` writes them.  Rejects and log lines are
-those of :func:`ingest.parse_corpus`.
+those of :func:`ingest.parse_corpus`.  :func:`row_columns` gives the same
+runs for a block of :func:`ingest.flat_lines` rows still held, as
+``pipeline`` holds synth's, without decoding their text.
 
 :func:`filter_columns` and :func:`write_corpus_columns` are
 :func:`ingest.apply_filters` and :func:`ingest.write_corpus` over those
@@ -220,14 +222,10 @@ def row_columns(created_at: Sequence[int], rows: Sequence[tuple], text: str,
     digits are decoded from ``text`` instead, and such a line goes down
     the JSON path, which rejects a count above ``MAX_COUNT``.
     """
-    try:
-        run = CorpusColumns.of_rows(np.array(created_at, dtype="datetime64[s]"), rows, text)
-    except OverflowError:   # a count that no int64 holds
-        run = None
-    if run is not None and all(
-            0 <= column.min() and column.max() < _LAYOUT_COUNT_LIMIT
-            for column in (run.impressions, run.likes, run.replies, run.retweets,
-                           run.quotes, run.author_followers)):
+    run = CorpusColumns.of_rows(np.array(created_at, dtype="datetime64[s]"), rows, text)
+    if all(0 <= column.min() and column.max() < _LAYOUT_COUNT_LIMIT
+           for column in (run.impressions, run.likes, run.replies, run.retweets,
+                          run.quotes, run.author_followers)):
         yield _tallied(run, rejects)
     else:
         yield from _block_columns(text, "flat", rejects, path, lineno)

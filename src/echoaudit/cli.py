@@ -98,7 +98,8 @@ def _synth_config(args):
 
 
 def _generate(config, out_dir: Path, *consume):
-    """Run the generator of ``config``'s mode (see :func:`synth.generate`)."""
+    """Run the generator of ``config``'s mode (see :func:`synth.generate`),
+    with its ``consume`` when one is given."""
     from . import synth
     generate = (synth.generate_calibration if isinstance(config, synth.CalibrationConfig)
                 else synth.generate)
@@ -542,10 +543,9 @@ def cmd_pipeline(args) -> None:
     is never decoded, and the graph and scores are not read back.  With two
     or more usable CPUs, synth runs in a forked child while ingest takes its
     blocks of rows here as they are drawn; a forked worker makes the AE
-    tables while
-    graph and ideology run here; and report runs in a forked child while
-    the rest of engagement runs here, after reaping the table worker.  With
-    one, the stages run one after another.
+    tables while graph and ideology run here; and report runs in a forked
+    child while the rest of engagement runs here, after reaping the table
+    worker.  With one, the stages run one after another.
     """
     # A bad config fails before the output tree exists.
     config = _synth_config(args)
