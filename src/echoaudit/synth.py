@@ -22,11 +22,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import chain
-from operator import length_hint
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -289,45 +286,21 @@ def _write_domain_table(rows: list[tuple[str, str, str]], path: Path) -> None:
 
 class _Words:
     """Draws of a PCG64 ``Generator`` made here from the 64-bit words of its
-    bit generator (:attr:`next`), each exactly as the ``Generator`` method
-    it stands for would make it, at a fraction of the cost of a call to
-    that method.
+    ``bit_generator.random_raw`` (:attr:`next`), each exactly as the
+    ``Generator`` method it stands for would make it, at a fraction of the
+    cost of a call to that method.
 
     ``Generator.random()`` reads one word ``w`` and returns
     ``(w >> 11) * 2**-53``, so ``random() < p`` holds exactly when
     ``w < cut(p)`` (:meth:`cut`).  ``Generator.integers`` is
-    :meth:`integers`, and ``Generator.poisson`` below a mean of 10 is
-    :meth:`poisson`.  The ``Generator`` methods left in use draw whole
+    :meth:`integers`.  The ``Generator`` methods left in use draw whole
     words too, so they interleave with these; a ``Generator.integers`` call
     would not (see :meth:`integers`).
-
-    :meth:`draw_ahead` draws words ahead in one call, which :attr:`next`
-    then takes before it draws one at a time.  Those not yet taken must
-    go back to the bit generator (:meth:`rewind`) before a ``Generator``
-    method draws.
     """
 
     def __init__(self, rng: np.random.Generator):
-        self._bits = rng.bit_generator
-        self.next = self._bits.random_raw
-        self._ahead: Iterator[int] = iter(())   # the words drawn ahead, not yet taken
-        self.half = -1      # the buffered high half-word, or -1
-
-    def draw_ahead(self, k: int) -> None:
-        """Draw ``k`` words ahead, after those still ahead.  A binding of
-        :attr:`next` made before this takes single draws."""
-        self._ahead = iter([*self._ahead, *self._bits.random_raw(k).tolist()])
-        self.next = chain(self._ahead, iter(self._bits.random_raw, None)).__next__
-
-    def rewind(self) -> None:
-        """Step the bit generator back over the words drawn ahead and not
-        yet taken, so that the next draw of any kind reads the first of
-        them."""
-        left = length_hint(self._ahead)
-        if left:
-            deque(self._ahead, 0)
-            self._bits.advance(2**128 - left)
-        self.next = self._bits.random_raw
+        self.next = rng.bit_generator.random_raw
+        self._half = -1     # the buffered high half-word, or -1
 
     @staticmethod
     def cut(p: float) -> int:
@@ -335,31 +308,17 @@ class _Words:
         ``0 <= p <= 1``."""
         return math.ceil(p * 2.0 ** 53) << 11
 
-    def poisson(self, lam: float) -> int:
-        """``int(rng.poisson(lam))`` for ``0 <= lam < 10``, drawn as NumPy
-        draws it: a mean of 0 draws nothing; any other multiplies uniforms
-        ``(w >> 11) * 2**-53`` of words ``w`` until the product is at most
-        ``exp(-lam)``, and counts the factors before that."""
-        if lam == 0:
-            return 0
-        least, take = math.exp(-lam), self.next
-        n, product = 0, (take() >> 11) * 2**-53
-        while product > least:
-            n += 1
-            product *= (take() >> 11) * 2**-53
-        return n
-
     def integers(self, lo: int, hi: int) -> int:
         """``int(rng.integers(lo, hi))``, drawn as NumPy draws it.
 
         A span ``hi - lo`` of 1 draws nothing.  One of up to ``2**32``
         takes a 32-bit half of a word, the low half first, as PCG64's
-        ``next_uint32`` does, and keeps the high half in :attr:`half` for
-        the next such draw: the half-word buffer lives here, not in the bit
-        generator, so a ``Generator.integers`` call on the same generator,
-        which uses the bit generator's own, would put the two out of step.
-        A larger span takes a whole word.  Either way Lemire's
-        multiply-and-reject method maps it into the span.
+        ``next_uint32`` does, and keeps the high half for the next such
+        draw: the half-word buffer lives here, not in the bit generator, so
+        a ``Generator.integers`` call on the same generator, which uses the
+        bit generator's own, would put the two out of step.  A larger span
+        takes a whole word.  Either way Lemire's multiply-and-reject method
+        maps it into the span.
         """
         span = hi - lo
         if span > 0x1_0000_0000:
@@ -372,13 +331,13 @@ class _Words:
             return lo
         threshold = 0x1_0000_0000 % span
         while True:
-            half = self.half
+            half = self._half
             if half < 0:
                 word = self.next()
-                self.half = word >> 32
+                self._half = word >> 32
                 half = word & 0xFFFF_FFFF
             else:
-                self.half = -1
+                self._half = -1
             scaled = half * span
             if scaled & 0xFFFF_FFFF >= threshold:
                 return lo + (scaled >> 32)
@@ -468,35 +427,12 @@ def generate(config: GeneratorConfig, out_dir: str | Path,
     # Every draw of the loop below comes from these.
     random, normal, poisson, binomial = rng.random, rng.normal, rng.poisson, rng.binomial
     words = _Words(rng)
-    integers, cut = words.integers, words.cut
+    word, integers, cut = words.next, words.integers, words.cut
     url_cut, second_url_cut, reply_cut = map(
         cut, (config.url_prob, config.second_url_prob, config.reply_prob))
     unreliable_cut = {g: cut(p) for g, p in config.unreliable_url_prob.items()}
     edge_cuts = {g: ((g, cut(config.p_in)), ("B" if g == "A" else "A", cut(config.p_cross)))
                  for g in sides}
-    # A retweet's time takes a half-word inline, as ``integers`` would.
-    stamp_span = end - post_lo
-    half_stamps = 1 < stamp_span <= 0x1_0000_0000
-    stamp_threshold = 0x1_0000_0000 % stamp_span
-    # The words drawn ahead for each user: what its edge and reply section
-    # and the next user's count of originals take on average, and a quarter
-    # more.  That is an edge test per influencer, the reply test, and per
-    # edge half a word per retweet time; a Poisson draw below a mean of 10
-    # takes 1 + mean words.  Any further words come one at a time.
-    def poisson_words(lam: float) -> float:
-        return 1.0 + lam if lam < 10 else 0.0
-
-    n_edges = config.n_influencers_per_side * (config.p_in + config.p_cross)
-    n_ahead = math.ceil(1.25 * (
-        2 * config.n_influencers_per_side + 1 + poisson_words(config.originals_per_user_mean)
-        + n_edges * 1.5 * poisson_words(config.retweet_extra_mean)))
-
-    def count(lam: float) -> int:
-        """``int(poisson(lam))``."""
-        if lam < 10:
-            return words.poisson(lam)
-        words.rewind()
-        return int(poisson(lam))
 
     seeds_path = out_dir / "seeds.txt"
     truth_path = out_dir / "ground_truth.json"
@@ -509,23 +445,16 @@ def generate(config: GeneratorConfig, out_dir: str | Path,
         # flat_lines takes them), its time as epoch seconds in ``stamps``,
         # until a block is full; tweet_no counts the records, url_serial the
         # URLs.
-        # A user's edge and reply section, and the next user's count of
-        # originals, take words drawn ahead; they go back before the next
-        # ``Generator`` method draws.
         nonlocal n_records
         rows: list[tuple] = []
         stamps: list[int] = []
         tweet_no = url_serial = 0
-        word = words.next
         for k, author in enumerate(hubs + users):
             is_user = k >= len(hubs)
             group = community[author]
             n_followers = followers[author]
-            n_originals = (count(config.originals_per_user_mean) if is_user
+            n_originals = (int(poisson(config.originals_per_user_mean)) if is_user
                            else config.influencer_originals)
-            if n_originals:
-                words.rewind()
-                word = words.next
             for _ in range(n_originals):
                 imps = max(1, int(round(10 ** normal(imps_mu, imps_sg))))
                 urls, boosted = [], False
@@ -546,30 +475,15 @@ def generate(config: GeneratorConfig, out_dir: str | Path,
                 stamps.append(integers(post_lo, end))
             if not is_user:
                 continue
-            words.draw_ahead(n_ahead)
-            word, half = words.next, words.half
             for side, edge_cut in edge_cuts[group]:
                 for inf in influencers[side]:
                     if word() < edge_cut:
                         hub_counts[inf] += 1
-                        for _ in range(1 + count(config.retweet_extra_mean)):
+                        for _ in range(1 + int(poisson(config.retweet_extra_mean))):
                             tweet_no += 1
                             rows.append((f"t{tweet_no:07d}", author, "en", "retweet", inf,
                                          0, 0, 0, 0, 0, (), n_followers))
-                            if not half_stamps:
-                                stamps.append(integers(post_lo, end))
-                                continue
-                            while True:
-                                if half < 0:
-                                    lo_half = word()
-                                    half, lo_half = lo_half >> 32, lo_half & 0xFFFF_FFFF
-                                else:
-                                    lo_half, half = half, -1
-                                scaled = lo_half * stamp_span
-                                if scaled & 0xFFFF_FFFF >= stamp_threshold:
-                                    break
-                            stamps.append(post_lo + (scaled >> 32))
-            words.half = half
+                            stamps.append(integers(post_lo, end))
             if word() < reply_cut:
                 tweet_no += 1
                 # The time is drawn before the impressions, here and below.

@@ -918,11 +918,13 @@ class TestPipeline:
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_synth_text_never_decoded(self, tmp_path, monkeypatch, n_cpus):
-        """Ingest takes synth's rows: no block reader runs in any process."""
+        """Ingest takes synth's rows: no block reader runs in any process,
+        and no block of synth's goes through ``row_columns``' fallback."""
         def refused(*args, **kwargs):
             raise AssertionError("a corpus was decoded")
 
         monkeypatch.setattr(blk, "corpus_columns", refused)
+        monkeypatch.setattr(blk, "_block_columns", refused)
         monkeypatch.setattr(ing, "usable_cpus", lambda: n_cpus)
         assert run(["pipeline", "--preset", "mini", "--out-dir", tmp_path / "run"]) == 0
 

@@ -139,18 +139,10 @@ _PROBS = st.sampled_from([0.0, 5e-324, 2**-53, 0.0175, 0.35, 0.5, 1 - 2**-53, 1.
 @st.composite
 def _draw_ops(draw):
     """One draw of a ``synth._Words``-backed generator: a span and its low
-    end for ``integers``, a probability for a word compared with ``cut``, a
-    mean below 10 for ``_Words.poisson``, the arguments of a ``Generator``
-    method that ``synth.generate`` calls, or a number of words to draw
-    ahead, or a rewind of those not taken."""
+    end for ``integers``, a probability for a word compared with ``cut``, or
+    the arguments of a ``Generator`` method that ``synth.generate`` calls."""
     kind = draw(st.sampled_from(["integers", "cut", "random", "poisson", "binomial",
-                                 "normal", "ahead", "rewind", "poisson_words"]))
-    if kind == "ahead":
-        return kind, draw(st.integers(0, 50))
-    if kind == "poisson_words":
-        return kind, draw(st.sampled_from([0.0, 5e-324, 0.0175, 0.35, 2.2, 9.5,
-                                           math.nextafter(10.0, 0.0)])
-                          | st.floats(0.0, 10.0, exclude_max=True))
+                                 "normal"]))
     if kind == "integers":
         span = draw(_SPANS | st.integers(1, 2**64))
         return kind, draw(st.integers(-2**63, 2**63 - span)), span
@@ -169,38 +161,24 @@ def _draw_ops(draw):
 @settings(max_examples=300, deadline=None)
 def test_words_draw_as_the_generator_methods_property(seed, ops):
     """Interleaved with the ``Generator`` methods that ``generate`` keeps,
-    and with words drawn ahead and rewound at drawn points,
-    ``_Words.integers`` gives ``Generator.integers``, a word below
-    ``_Words.cut(p)`` gives ``random() < p`` and ``_Words.poisson`` gives
-    ``Generator.poisson`` below a mean of 10, draw for draw, over spans of
-    1, 2, small, 2**31, 2**32 - 1, 2**32 and above.  As in ``generate``,
-    the words drawn ahead are rewound before a ``Generator`` method."""
+    ``_Words.integers`` gives ``Generator.integers`` and a word below
+    ``_Words.cut(p)`` gives ``random() < p``, draw for draw, over spans of
+    1, 2, small, 2**31, 2**32 - 1, 2**32 and above."""
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     words = synth._Words(got_rng)
     want, got = [], []
     for op in ops:
         kind, *params = op
-        if kind == "ahead":
-            words.draw_ahead(*params)
-        elif kind == "rewind":
-            words.rewind()
-        elif kind == "integers":
+        if kind == "integers":
             lo, span = params
             want.append(int(want_rng.integers(lo, lo + span)))
             got.append(words.integers(lo, lo + span))
         elif kind == "cut":
             want.append(want_rng.random() < params[0])
             got.append(words.next() < words.cut(params[0]))
-        elif kind == "poisson_words":
-            want.append(int(want_rng.poisson(params[0])))
-            got.append(words.poisson(params[0]))
         else:
             want.append(getattr(want_rng, kind)(*params))
-            words.rewind()
             got.append(getattr(got_rng, kind)(*params))
-    # What is drawn next still matches.
-    words.rewind()
-    assert got_rng.random(3).tolist() == want_rng.random(3).tolist()
     assert got == want
 
 
